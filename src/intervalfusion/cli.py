@@ -9,6 +9,7 @@ success, 1 on any input/computation error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -74,8 +75,22 @@ def _read_input(path: str) -> bytes:
 def _write_output(data: bytes, path: str | None) -> None:
     if path is None:
         sys.stdout.write(data.decode("utf-8"))
-    else:
-        Path(path).write_bytes(data)
+        return
+    target = Path(path)
+    if target.exists() and not target.is_file():  # a device or pipe, e.g. /dev/stdout
+        target.write_bytes(data)
+        return
+    # Write a temporary file beside the target and rename it over the target,
+    # so a failed run leaves any existing report as it was. A symlink keeps
+    # pointing where it did: the file it points to is the one replaced.
+    target = target.resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

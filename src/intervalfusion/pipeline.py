@@ -22,7 +22,9 @@ the full frame is uncommitted belief. Rating triples are always ordered
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,9 +34,17 @@ from .errors import (
     IntervalFusionError,
     InvalidWeight,
     MassSumViolation,
+    TotalConflict,
     ValidationError,
 )
-from .evidence import Frame, MassFunction, combine_all
+from .evidence import (
+    EXACT_SUM_TOLERANCE,
+    RENORMALIZATION_TOLERANCE,
+    TOTAL_CONFLICT_EPS,
+    Frame,
+    MassFunction,
+    combine_all,
+)
 from .intervals import Interval
 
 #: Criterion weights pooled across all decision makers form one
@@ -263,12 +273,15 @@ class DecisionProblem:
 
 @dataclass(frozen=True)
 class RankingReport:
-    """Traced output of :func:`rank_alternatives`.
+    """Output of :func:`rank_alternatives`.
 
-    Intermediate tables are indexed like the problem: ``cell_bpas[d][a][c]``,
-    ``dm_fused[d][a]``, ``final_bpas[a]``, ``collapsed[a]``, ``bets[a]``.
     ``ranking`` lists alternative labels by non-increasing ``bets`` value,
-    ties broken by input order.
+    ties broken by input order. The intermediate tables are indexed like the
+    problem: ``cell_bpas[d][a][c]``, ``dm_fused[d][a]``, ``final_bpas[a]``,
+    ``collapsed[a]``. They are built from the ranked problem on first access;
+    the computation is deterministic, so they hold exactly the values the
+    bets came from. A report constructed directly has no problem and no
+    trace.
     """
 
     alternatives: tuple[str, ...]
@@ -277,12 +290,9 @@ class RankingReport:
     criterion_normalization: str
     normalized_criterion_weights: tuple[tuple[Interval, ...], ...]
     normalized_dm_weights: tuple[Interval, ...]
-    cell_bpas: tuple[tuple[tuple[IntervalBPA, ...], ...], ...]
-    dm_fused: tuple[tuple[IntervalBPA, ...], ...]
-    final_bpas: tuple[IntervalBPA, ...]
-    collapsed: tuple[MassFunction, ...]
     bets: tuple[float, ...]
     ranking: tuple[str, ...]
+    _problem: DecisionProblem | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if sorted(self.ranking) != sorted(self.alternatives):
@@ -292,13 +302,188 @@ class RankingReport:
         if any(a < b for a, b in zip(ordered, ordered[1:])):
             raise ValidationError("bet values along the ranking must be non-increasing")
 
+    def _source(self) -> DecisionProblem:
+        if self._problem is None:
+            raise ValueError("this report was not built by rank_alternatives and has no trace")
+        return self._problem
+
     @property
     def frame(self) -> Frame:
-        return self.collapsed[0].frame
+        return self._source().frame
+
+    @cached_property
+    def _trace(self) -> tuple:
+        problem = self._source()
+        frame = problem.frame
+        n_alt = len(problem.alternatives)
+        rows: list[tuple[list[Triple], list[Triple]]] = []
+        dm_fused, final, collapsed = _kernel(
+            problem, self.normalized_criterion_weights, self.normalized_dm_weights, rows
+        )
+        cell_bpas = tuple(
+            tuple(
+                tuple(_interval_bpa(frame, pair) for pair in zip(*rows[d * n_alt + a]))
+                for a in range(n_alt)
+            )
+            for d in range(len(problem.decision_makers))
+        )
+        return (
+            cell_bpas,
+            tuple(tuple(_interval_bpa(frame, pair) for pair in dm) for dm in dm_fused),
+            tuple(_interval_bpa(frame, pair) for pair in final),
+            tuple(_mass(frame, t) for t in collapsed),
+        )
+
+    @property
+    def cell_bpas(self) -> tuple[tuple[tuple[IntervalBPA, ...], ...], ...]:
+        return self._trace[0]
+
+    @property
+    def dm_fused(self) -> tuple[tuple[IntervalBPA, ...], ...]:
+        return self._trace[1]
+
+    @property
+    def final_bpas(self) -> tuple[IntervalBPA, ...]:
+        return self._trace[2]
+
+    @property
+    def collapsed(self) -> tuple[MassFunction, ...]:
+        return self._trace[3]
 
 
 def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
     return type(exc)(f"{where}: {exc}")
+
+
+# --- closed-form kernel -------------------------------------------------------
+#
+# On a two-element frame a mass function is a triple (m({first}),
+# m({second}), m(full)). Each step below computes on triples exactly what the
+# per-object functions above compute on MassFunction values, in the same
+# order of floating-point operations, so the results are bit-identical.
+
+Triple = tuple[float, float, float]
+
+
+def _settle(a: float, b: float, c: float) -> Triple:
+    """The MassFunction sum policy: reject a triple whose sum is off by more
+    than RENORMALIZATION_TOLERANCE, divide one off by more than
+    EXACT_SUM_TOLERANCE by its sum, keep it otherwise."""
+    total = math.fsum((a, b, c))
+    if abs(total - 1.0) > RENORMALIZATION_TOLERANCE:
+        raise MassSumViolation(f"masses sum to {total!r}, expected 1")
+    if abs(total - 1.0) > EXACT_SUM_TOLERANCE:
+        return a / total, b / total, c / total
+    return a, b, c
+
+
+def _discount(p: float, q: float, w: float) -> Triple:
+    """:func:`_discount_part` on the singleton masses ``p`` and ``q``."""
+    a = p * w
+    b = q * w
+    c = 1.0 - a - b
+    if c < 0.0:
+        if c < -_COMPLEMENT_EPS:
+            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
+        c = 0.0
+    return _settle(a, b, c)
+
+
+def _combine(x: Triple, y: Triple) -> Triple:
+    """Dempster's rule in closed form (Barnett 1981): conflict
+    K = a1*b2 + b1*a2, and each focal set collects its products in the order
+    :meth:`MassFunction.combine` visits them, the full frame last."""
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    k = a1 * b2 + b1 * a2
+    if k >= 1.0 - TOTAL_CONFLICT_EPS:
+        raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
+    norm = 1.0 - k
+    return _settle(
+        (a1 * a2 + a1 * c2 + c1 * a2) / norm,
+        (b1 * b2 + b1 * c2 + c1 * b2) / norm,
+        c1 * c2 / norm,
+    )
+
+
+def _fold(triples: list[Triple]) -> Triple:
+    """:func:`combine_all` on triples: a left fold."""
+    result = triples[0]
+    for t in triples[1:]:
+        result = _combine(result, t)
+    return result
+
+
+def _kernel(
+    problem: DecisionProblem,
+    crit_weights: Sequence[Sequence[Interval]],
+    dm_weights: Sequence[Interval],
+    rows: list | None = None,
+) -> tuple[list[list[tuple[Triple, Triple]]], list[tuple[Triple, Triple]], list[Triple]]:
+    """Steps 2-4 on triples, in the order of the per-object pipeline.
+
+    Returns the per-decision-maker fusions ``[d][a]`` and the final interval
+    BPAs ``[a]`` as (left, right) pairs, and the collapsed triples ``[a]``.
+    If ``rows`` is given, each (decision maker, alternative) row's
+    discounted (left parts, right parts) is appended to it. Errors carry the
+    coordinates of the failing step.
+    """
+    dm_fused: list[list[tuple[Triple, Triple]]] = []
+    for d, dm in enumerate(problem.decision_makers):
+        bounds = [(w.lo, w.hi) for w in crit_weights[d]]
+        fused_row: list[tuple[Triple, Triple]] = []
+        for a, alt in enumerate(problem.alternatives):
+            lefts: list[Triple] = []
+            rights: list[Triple] = []
+            for c, m in enumerate(problem.ratings[d][a]):
+                lo, hi = bounds[c]
+                p = m.masses.get(_FIRST, 0.0)
+                q = m.masses.get(_SECOND, 0.0)
+                try:
+                    lefts.append(_discount(p, q, lo))
+                    rights.append(_discount(p, q, hi))
+                except IntervalFusionError as exc:
+                    raise _located(
+                        exc,
+                        f"decision maker {dm!r}, alternative {alt!r}, "
+                        f"criterion {problem.criteria[c]!r}",
+                    ) from exc
+            try:
+                fused_row.append((_fold(lefts), _fold(rights)))
+            except IntervalFusionError as exc:
+                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+            if rows is not None:
+                rows.append((lefts, rights))
+        dm_fused.append(fused_row)
+
+    final: list[tuple[Triple, Triple]] = []
+    collapsed: list[Triple] = []
+    for a, alt in enumerate(problem.alternatives):
+        lefts = []
+        rights = []
+        for d, dm in enumerate(problem.decision_makers):
+            w = dm_weights[d]
+            left, right = dm_fused[d][a]
+            try:
+                lefts.append(_discount(left[0], left[1], w.lo))
+                rights.append(_discount(right[0], right[1], w.hi))
+            except IntervalFusionError as exc:
+                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+        try:
+            pair = (_fold(lefts), _fold(rights))
+            collapsed.append(_combine(*pair))
+        except IntervalFusionError as exc:
+            raise _located(exc, f"alternative {alt!r}") from exc
+        final.append(pair)
+    return dm_fused, final, collapsed
+
+
+def _mass(frame: Frame, t: Triple) -> MassFunction:
+    return MassFunction(frame, {_FIRST: t[0], _SECOND: t[1], _BOTH: t[2]})
+
+
+def _interval_bpa(frame: Frame, pair: tuple[Triple, Triple]) -> IntervalBPA:
+    return IntervalBPA(_mass(frame, pair[0]), _mass(frame, pair[1]))
 
 
 def rank_alternatives(
@@ -340,63 +525,22 @@ def rank_alternatives(
         crit_weights = tuple(per_dm)
     dm_weights = tuple(normalize_weight_group(problem.dm_weights))
 
-    cell_bpas: list[tuple[tuple[IntervalBPA, ...], ...]] = []
-    dm_fused: list[tuple[IntervalBPA, ...]] = []
-    for d, dm in enumerate(problem.decision_makers):
-        dm_cells: list[tuple[IntervalBPA, ...]] = []
-        dm_rows: list[IntervalBPA] = []
-        for a, alt in enumerate(problem.alternatives):
-            cells: list[IntervalBPA] = []
-            for c, crit in enumerate(problem.criteria):
-                try:
-                    cells.append(
-                        discount_to_interval_bpa(problem.ratings[d][a][c], crit_weights[d][c])
-                    )
-                except IntervalFusionError as exc:
-                    raise _located(
-                        exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}"
-                    ) from exc
-            try:
-                dm_rows.append(fuse_interval_bpas(cells))
-            except IntervalFusionError as exc:
-                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
-            dm_cells.append(tuple(cells))
-        cell_bpas.append(tuple(dm_cells))
-        dm_fused.append(tuple(dm_rows))
-
-    final_bpas: list[IntervalBPA] = []
-    collapsed: list[MassFunction] = []
-    bets: list[float] = []
-    for a, alt in enumerate(problem.alternatives):
-        discounted: list[IntervalBPA] = []
-        for d, dm in enumerate(problem.decision_makers):
-            try:
-                discounted.append(discount_interval_bpa(dm_fused[d][a], dm_weights[d]))
-            except IntervalFusionError as exc:
-                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
-        try:
-            final = fuse_interval_bpas(discounted)
-            final_mass = collapse_interval_bpa(final)
-        except IntervalFusionError as exc:
-            raise _located(exc, f"alternative {alt!r}") from exc
-        final_bpas.append(final)
-        collapsed.append(final_mass)
-        bets.append(bet_ideal(final_mass))
+    _, _, collapsed = _kernel(problem, crit_weights, dm_weights)
+    # bet_ideal on a triple
+    bets = [first + full / 2.0 for first, _, full in collapsed]
 
     order = sorted(range(n_alt), key=lambda i: -bets[i])
     ranking = tuple(problem.alternatives[i] for i in order)
 
-    return RankingReport(
+    report = RankingReport(
         alternatives=problem.alternatives,
         criteria=problem.criteria,
         decision_makers=problem.decision_makers,
         criterion_normalization=criterion_normalization,
         normalized_criterion_weights=crit_weights,
         normalized_dm_weights=dm_weights,
-        cell_bpas=tuple(cell_bpas),
-        dm_fused=tuple(dm_fused),
-        final_bpas=tuple(final_bpas),
-        collapsed=tuple(collapsed),
         bets=tuple(bets),
         ranking=ranking,
     )
+    object.__setattr__(report, "_problem", problem)
+    return report

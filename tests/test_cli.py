@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,43 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out_path.read_text())["ranking"][0] == "Supplier4"
+
+    @pytest.mark.parametrize("step", ["write", "rename"])
+    def test_failed_output_write_keeps_existing_file(
+        self, dataset_path, tmp_path, monkeypatch, capsys, step
+    ):
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        out_path = out_dir / "report.txt"
+        out_path.write_bytes(b"previous report\n")
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        if step == "write":
+            real_write = Path.write_bytes
+
+            def half_then_disk_full(self, data):
+                real_write(self, data[: len(data) // 2])
+                disk_full()
+
+            monkeypatch.setattr(Path, "write_bytes", half_then_disk_full)
+        else:
+            monkeypatch.setattr(os, "replace", disk_full)
+        assert main(["solve", "--input", str(dataset_path), "--output", str(out_path)]) == 1
+        assert "error (IO)" in capsys.readouterr().err
+        assert out_path.read_bytes() == b"previous report\n"
+        assert list(out_dir.iterdir()) == [out_path]
+
+    def test_output_through_symlink_replaces_the_linked_file(self, dataset_path, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_bytes(b"previous report\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert main(["solve", "--input", str(dataset_path), "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert b"Ranking: Supplier4" in real.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "problem.json", "real.txt"]
 
     def test_per_dm_normalization(self, dataset_path, capsys):
         code = main(

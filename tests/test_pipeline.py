@@ -1,6 +1,10 @@
 import pytest
 
 from intervalfusion import (
+    FULL_TRACE,
+    HUMAN_TABLE,
+    JSON_FORMAT,
+    SUMMARY,
     DecisionProblem,
     Frame,
     Interval,
@@ -11,6 +15,7 @@ from intervalfusion import (
     collapse_interval_bpa,
     discount_interval_bpa,
     discount_to_interval_bpa,
+    emit_report,
     fuse_interval_bpas,
     normalize_weight_group,
     part_triple,
@@ -409,10 +414,6 @@ class TestRankAlternatives:
                 criterion_normalization=supplier_report.criterion_normalization,
                 normalized_criterion_weights=supplier_report.normalized_criterion_weights,
                 normalized_dm_weights=supplier_report.normalized_dm_weights,
-                cell_bpas=supplier_report.cell_bpas,
-                dm_fused=supplier_report.dm_fused,
-                final_bpas=supplier_report.final_bpas,
-                collapsed=supplier_report.collapsed,
                 bets=supplier_report.bets,
                 ranking=supplier_report.alternatives,  # not sorted by bet
             )
@@ -420,3 +421,74 @@ class TestRankAlternatives:
     def test_bet_ideal_shortcut(self):
         m = triple(0.9833, 0.0119, 0.0048)
         assert bet_ideal(m) == pytest.approx(0.9833 + 0.0048 / 2, abs=1e-12)
+
+
+class TestTraceOnDemand:
+    def test_summary_builds_no_mass_functions(self, supplier_problem, monkeypatch):
+        built = []
+        original = MassFunction.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(MassFunction, "__post_init__", counting)
+        report = rank_alternatives(supplier_problem)
+        emit_report(report, SUMMARY, HUMAN_TABLE)
+        emit_report(report, SUMMARY, JSON_FORMAT)
+        assert built == []
+        # reading the trace builds each of its parts once: two per cell, two
+        # per fused row, two per final interval BPA, one per collapsed BPA
+        report.collapsed
+        n_dm, n_alt, n_crit = 3, 6, 4
+        assert len(built) == 2 * n_dm * n_alt * n_crit + 2 * n_dm * n_alt + 3 * n_alt
+
+    def test_full_trace_bytes_repeat(self, supplier_problem):
+        first = rank_alternatives(supplier_problem)
+        second = rank_alternatives(supplier_problem)
+        for fmt in (HUMAN_TABLE, JSON_FORMAT):
+            once = emit_report(first, FULL_TRACE, fmt)
+            assert emit_report(first, FULL_TRACE, fmt) == once
+            assert emit_report(second, FULL_TRACE, fmt) == once
+
+    def test_trace_is_built_once(self, supplier_report):
+        assert supplier_report.cell_bpas is supplier_report.cell_bpas
+        assert supplier_report.collapsed is supplier_report.collapsed
+
+    def test_report_built_directly_has_no_trace(self, supplier_report):
+        fields = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
+                  "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking")
+        report = type(supplier_report)(**{f: getattr(supplier_report, f) for f in fields})
+        with pytest.raises(ValueError, match="no trace"):
+            report.cell_bpas
+
+    def test_total_conflict_across_decision_makers_raises_at_rank(self):
+        # each decision maker is certain of the opposite hypothesis
+        problem = build_problem(
+            [(1, 1), (1, 1)], [[(1, 1)], [(1, 1)]], [[[(1.0, 0.0, 0.0)]], [[(0.0, 1.0, 0.0)]]]
+        )
+        with pytest.raises(TotalConflict) as err:
+            rank_alternatives(problem)
+        assert str(err.value) == (
+            "alternative 'A1': conflict coefficient is 1.0; combination is undefined"
+        )
+
+    def test_total_conflict_at_collapse_raises_at_rank(self):
+        # C1 is certain of IS but weighs [0, 1], so only right parts see it;
+        # thirteen NS-leaning criteria drive the left part to within 1e-13
+        # of certain NS. Both folds succeed and the collapse cannot.
+        n_ns = 13
+        problem = build_problem(
+            [(1, 1)],
+            [[(0, 1)] + [(1, 1)] * n_ns],
+            [[[(1.0, 0.0, 0.0)] + [(0.0, 0.9, 0.1)] * n_ns]],
+        )
+        weights = normalize_weight_group(problem.criterion_weights[0])
+        fused = fuse_interval_bpas(
+            discount_to_interval_bpa(m, w) for m, w in zip(problem.ratings[0][0], weights)
+        )
+        with pytest.raises(TotalConflict):
+            collapse_interval_bpa(fused)
+        with pytest.raises(TotalConflict) as err:
+            rank_alternatives(problem)
+        assert str(err.value).startswith("alternative 'A1': conflict coefficient is 0.9999999999998")

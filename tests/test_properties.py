@@ -6,15 +6,25 @@ floating-point operations (associativity, whole-pipeline equivalence) at
 1e-9; identities that hold bitwise are asserted exactly.
 """
 
+import json
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from intervalfusion import (
+    PER_DM,
+    POOLED,
     DecisionProblem,
     Frame,
     Interval,
+    IntervalFusionError,
     MassFunction,
+    bet_ideal,
+    collapse_interval_bpa,
+    discount_interval_bpa,
     discount_to_interval_bpa,
+    fuse_interval_bpas,
+    load_problem,
     normalize_weight_group,
     rank_alternatives,
 )
@@ -236,3 +246,136 @@ def test_degenerate_weights_match_crisp_pipeline(data):
     expected = crisp_rank(dm_w, crit_w, ratings)
     for got, want in zip(report.bets, expected):
         assert got == pytest.approx(want, abs=1e-9)
+
+
+# 9. the closed-form kernel of rank_alternatives equals the per-object fold,
+# bit for bit: bets, every trace table, and the type and message of errors
+def per_object_rank(problem, normalization):
+    """The pipeline folded over MassFunction and IntervalBPA values with the
+    public per-object functions, step by step in the kernel's order."""
+
+    def located(exc, where):
+        return type(exc)(f"{where}: {exc}")
+
+    n_crit = len(problem.criteria)
+    if normalization == POOLED:
+        flat = normalize_weight_group([w for ws in problem.criterion_weights for w in ws])
+        crit_weights = [flat[d * n_crit : (d + 1) * n_crit] for d in range(len(problem.decision_makers))]
+    else:
+        crit_weights = []
+        for dm, ws in zip(problem.decision_makers, problem.criterion_weights):
+            try:
+                crit_weights.append(normalize_weight_group(ws))
+            except IntervalFusionError as exc:
+                raise located(exc, f"decision maker {dm!r} criterion weights") from exc
+    dm_weights = normalize_weight_group(problem.dm_weights)
+
+    cell_bpas, dm_fused = [], []
+    for d, dm in enumerate(problem.decision_makers):
+        dm_cells, dm_rows = [], []
+        for a, alt in enumerate(problem.alternatives):
+            cells = []
+            for c, crit in enumerate(problem.criteria):
+                try:
+                    cells.append(discount_to_interval_bpa(problem.ratings[d][a][c], crit_weights[d][c]))
+                except IntervalFusionError as exc:
+                    raise located(
+                        exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}"
+                    ) from exc
+            try:
+                dm_rows.append(fuse_interval_bpas(cells))
+            except IntervalFusionError as exc:
+                raise located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+            dm_cells.append(tuple(cells))
+        cell_bpas.append(tuple(dm_cells))
+        dm_fused.append(tuple(dm_rows))
+
+    final_bpas, collapsed = [], []
+    for a, alt in enumerate(problem.alternatives):
+        discounted = []
+        for d, dm in enumerate(problem.decision_makers):
+            try:
+                discounted.append(discount_interval_bpa(dm_fused[d][a], dm_weights[d]))
+            except IntervalFusionError as exc:
+                raise located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+        try:
+            final_bpas.append(fuse_interval_bpas(discounted))
+            collapsed.append(collapse_interval_bpa(final_bpas[-1]))
+        except IntervalFusionError as exc:
+            raise located(exc, f"alternative {alt!r}") from exc
+    return {
+        "bets": tuple(bet_ideal(m) for m in collapsed),
+        "cell_bpas": tuple(cell_bpas),
+        "dm_fused": tuple(dm_fused),
+        "final_bpas": tuple(final_bpas),
+        "collapsed": tuple(collapsed),
+    }
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_weights = st.one_of(
+    st.just(0),
+    st.just(1),
+    st.just([1, 1]),
+    _unit.map(lambda x: [0, x]),
+    _unit,
+    st.tuples(_unit, _unit).map(sorted),
+)
+# certain and vacuous ratings, zero-uncommitted triples (at unit weight their
+# discount complement is clamped and renormalized), triples rounded to 4
+# decimals (rescaled on loading), and unrounded ones
+_ratings = st.one_of(
+    st.sampled_from([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    _unit.map(lambda a: [a, 1.0 - a, 0.0]),
+    rating_triples().map(lambda t: [round(x, 4) for x in t]),
+    rating_triples().map(list),
+)
+
+
+@st.composite
+def problem_documents(draw):
+    n_dm = draw(st.integers(min_value=1, max_value=3))
+    n_alt = draw(st.integers(min_value=1, max_value=3))
+    n_crit = draw(st.integers(min_value=1, max_value=4))
+    alternatives = [f"A{i}" for i in range(n_alt)]
+    criteria = [f"C{i}" for i in range(n_crit)]
+    dms = [f"D{i}" for i in range(n_dm)]
+    doc = {
+        "schema_version": "1",
+        "alternatives": alternatives,
+        "criteria": criteria,
+        "decision_makers": [
+            {"name": dm, "weight": draw(_weights), "criterion_weights": [draw(_weights) for _ in criteria]}
+            for dm in dms
+        ],
+        "ratings": {
+            dm: {alt: {crit: draw(_ratings) for crit in criteria} for alt in alternatives} for dm in dms
+        },
+    }
+    return json.dumps(doc), draw(st.sampled_from([POOLED, PER_DM]))
+
+
+def outcome(run):
+    try:
+        return run(), None
+    except IntervalFusionError as exc:
+        return None, (type(exc), str(exc))
+
+
+@RUNS
+@given(case=problem_documents())
+def test_kernel_matches_per_object_fold(case):
+    text, normalization = case
+    try:
+        problem = load_problem(text)
+    except IntervalFusionError:
+        assume(False)  # all-zero weight groups are rejected on loading
+    expected, expected_error = outcome(lambda: per_object_rank(problem, normalization))
+    report, error = outcome(lambda: rank_alternatives(problem, criterion_normalization=normalization))
+    assert error == expected_error
+    if error is None:
+        assert report.bets == expected["bets"]
+        assert report.cell_bpas == expected["cell_bpas"]
+        assert report.dm_fused == expected["dm_fused"]
+        assert report.final_bpas == expected["final_bpas"]
+        assert report.collapsed == expected["collapsed"]
