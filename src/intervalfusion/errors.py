@@ -15,20 +15,8 @@ class InvalidInterval(IntervalFusionError):
     """Endpoints are non-finite or ordered lo > hi beyond tolerance."""
 
 
-class NegativeOperand(IntervalFusionError):
-    """Multiplication requires non-negative intervals."""
-
-
 class DivisionByZero(IntervalFusionError):
-    """Divisor interval or scalar must be strictly positive."""
-
-
-class InvertedResult(IntervalFusionError):
-    """Endpoint-wise division produced lo > hi."""
-
-
-class NegativeScalar(IntervalFusionError):
-    """Scaling factor must be non-negative."""
+    """A divisor must be strictly positive."""
 
 
 # --- fuzzy numbers and linguistic scales -----------------------------------

@@ -1,11 +1,11 @@
-"""Mass functions over small finite frames and Dempster's combination rule.
+"""Mass functions over a two-element frame and Dempster's combination rule.
 
-A :class:`MassFunction` distributes belief over non-empty subsets of a
-:class:`Frame` of mutually exclusive hypotheses. Subsets are encoded as
-bitmasks over the ordered frame (element ``i`` is bit ``i``), which keeps
+A :class:`MassFunction` distributes belief over the non-empty subsets of a
+:class:`Frame` of two mutually exclusive hypotheses. Subsets are encoded as
+bitmasks over the ordered frame (element ``i`` is bit ``i``): ``0b01`` and
+``0b10`` are the singletons, ``0b11`` is the full frame. That keeps
 intersections exact and makes the combination rule a plain double loop over
-focal sets. Frames are capped at 16 elements; the decision pipeline only
-needs two.
+focal sets.
 
 Combination follows the conjunctive, normalized rule: the combined mass of
 ``A`` is the sum of ``m1(X) * m2(Y)`` over all pairs with ``X & Y == A``,
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     EmptyEvidenceList,
@@ -28,8 +28,6 @@ from .errors import (
     NegativeMass,
     TotalConflict,
 )
-
-MAX_FRAME_SIZE = 16
 
 #: Mass vectors whose sum deviates from 1 by more than this are rejected.
 #: Smaller deviations (typical of published tables rounded to 4 decimals)
@@ -47,36 +45,23 @@ TOTAL_CONFLICT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered frame of discernment: unique hypothesis labels, 1 to 16 of them."""
+    """Ordered frame of discernment: two unique hypothesis labels."""
 
     elements: tuple[str, ...]
 
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
-        if not 1 <= len(elements) <= MAX_FRAME_SIZE:
-            raise ValueError(f"frame must have 1 to {MAX_FRAME_SIZE} elements, got {len(elements)}")
+        if len(elements) != 2:
+            raise ValueError(f"frame must have exactly 2 elements, got {len(elements)}")
         if any(not isinstance(e, str) or not e for e in elements):
             raise ValueError("frame elements must be non-empty strings")
         if len(set(elements)) != len(elements):
             raise ValueError(f"frame elements must be unique, got {elements!r}")
         object.__setattr__(self, "elements", elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     @property
     def full_mask(self) -> int:
-        return (1 << len(self.elements)) - 1
-
-    def mask_of(self, labels: Iterable[str]) -> int:
-        """Bitmask of a subset given by element labels."""
-        mask = 0
-        for label in labels:
-            try:
-                mask |= 1 << self.elements.index(label)
-            except ValueError:
-                raise FrameMismatch(f"label {label!r} is not in frame {self.elements!r}") from None
-        return mask
+        return 0b11
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         """Element labels of a subset bitmask, in frame order."""
@@ -120,55 +105,23 @@ class MassFunction:
         object.__setattr__(self, "masses", cleaned)
 
     @classmethod
-    def from_pairs(
-        cls, frame: Frame, assignments: Iterable[tuple[Iterable[str], float]]
-    ) -> MassFunction:
-        """Build from ``(labels, mass)`` pairs; repeated subsets accumulate."""
-        masses: dict[int, float] = {}
-        for labels, value in assignments:
-            mask = frame.mask_of(labels)
-            masses[mask] = masses.get(mask, 0.0) + float(value)
-        return cls(frame, masses)
-
-    @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
         """Total ignorance: all mass on the full frame."""
         return cls(frame, {frame.full_mask: 1.0})
 
-    def value(self, labels: Iterable[str]) -> float:
-        """Mass of the subset given by labels (0 for non-focal subsets)."""
-        return self.masses.get(self.frame.mask_of(labels), 0.0)
-
     def mass_of_mask(self, mask: int) -> float:
         return self.masses.get(mask, 0.0)
-
-    def focal_sets(self) -> Iterator[tuple[tuple[str, ...], float]]:
-        for mask, value in self.masses.items():
-            yield self.frame.labels_of(mask), value
 
     @property
     def is_vacuous(self) -> bool:
         return set(self.masses) == {self.frame.full_mask}
 
-    def _require_same_frame(self, other: MassFunction) -> None:
+    def combine(self, other: MassFunction) -> MassFunction:
+        """Conjunctive, normalized combination of two independent sources."""
         if self.frame != other.frame:
             raise FrameMismatch(
                 f"frames differ: {self.frame.elements!r} vs {other.frame.elements!r}"
             )
-
-    def conflict(self, other: MassFunction) -> float:
-        """Conflict coefficient K: total mass product over disjoint focal pairs."""
-        self._require_same_frame(other)
-        k = 0.0
-        for x, mx in self.masses.items():
-            for y, my in other.masses.items():
-                if not x & y:
-                    k += mx * my
-        return min(k, 1.0)
-
-    def combine(self, other: MassFunction) -> MassFunction:
-        """Conjunctive, normalized combination of two independent sources."""
-        self._require_same_frame(other)
         combined: dict[int, float] = {}
         k = 0.0
         for x, mx in self.masses.items():
@@ -183,17 +136,6 @@ class MassFunction:
             raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
         norm = 1.0 - k
         return MassFunction(self.frame, {mask: v / norm for mask, v in combined.items()})
-
-    def pignistic(self) -> dict[str, float]:
-        """Probability over singletons: each focal set's mass split equally
-        among its elements."""
-        bets = {label: 0.0 for label in self.frame.elements}
-        for mask, value in self.masses.items():
-            share = value / mask.bit_count()
-            for i, label in enumerate(self.frame.elements):
-                if mask >> i & 1:
-                    bets[label] += share
-        return bets
 
 
 def combine_all(masses: Iterable[MassFunction]) -> MassFunction:

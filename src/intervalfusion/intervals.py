@@ -1,12 +1,8 @@
 """Closed real intervals with endpoint-wise arithmetic.
 
-The operations implement the endpoint-wise rules the fusion pipeline relies
-on (sums, products of non-negative intervals, scalar division, reciprocals)
-rather than general dependency-aware interval analysis. Division is
-deliberately endpoint-wise (lo/lo, hi/hi): it is only ever applied with a
-degenerate divisor ``[k, k]``, where it agrees with scalar division, and it
-fails fast with :class:`InvertedResult` if a caller ever produces inverted
-endpoints.
+The pipeline needs only two operations on weights: endpoint-wise sums and
+division by a positive real, which normalizes a weight group by its largest
+endpoint. Neither can invert the endpoints of a valid interval.
 """
 
 from __future__ import annotations
@@ -14,21 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DivisionByZero,
-    InvalidInterval,
-    InvertedResult,
-    NegativeOperand,
-    NegativeScalar,
-)
+from .errors import DivisionByZero, InvalidInterval
 
 #: Endpoints ordered lo > hi by at most this much are collapsed to [lo, lo];
 #: larger inversions are rejected.
 ENDPOINT_TOLERANCE = 1e-12
-
-#: Absolute tolerance for approximate interval comparisons. All pipeline
-#: values are O(1), so an absolute tolerance is appropriate.
-COMPARISON_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,75 +42,15 @@ class Interval:
         """Degenerate interval ``[x, x]``."""
         return cls(x, x)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
     def __add__(self, other: Interval) -> Interval:
         if not isinstance(other, Interval):
             return NotImplemented
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __mul__(self, other: Interval) -> Interval:
-        """Endpoint-wise product; both operands must be non-negative."""
-        if not isinstance(other, Interval):
+    def __truediv__(self, k: float | int) -> Interval:
+        """``[lo/k, hi/k]`` for a strictly positive real ``k``."""
+        if isinstance(k, bool) or not isinstance(k, (int, float)):
             return NotImplemented
-        if self.lo < 0.0 or other.lo < 0.0:
-            raise NegativeOperand(
-                f"interval product requires non-negative operands, "
-                f"got [{self.lo}, {self.hi}] and [{other.lo}, {other.hi}]"
-            )
-        return Interval(self.lo * other.lo, self.hi * other.hi)
-
-    def __truediv__(self, other: Interval | float | int) -> Interval:
-        """Endpoint-wise quotient ``[lo/lo', hi/hi']``.
-
-        A real divisor ``k`` is treated as the degenerate interval ``[k, k]``.
-        The divisor's lower endpoint must be strictly positive. Endpoint-wise
-        division can invert the result (e.g. ``[2, 3] / [1, 10]``); that
-        raises :class:`InvertedResult` instead of silently reordering.
-        """
-        if isinstance(other, Interval):
-            dlo, dhi = other.lo, other.hi
-        elif isinstance(other, (int, float)) and not isinstance(other, bool):
-            dlo = dhi = float(other)
-        else:
-            return NotImplemented
-        if dlo <= 0.0:
-            raise DivisionByZero(f"divisor must be strictly positive, got [{dlo}, {dhi}]")
-        lo = self.lo / dlo
-        hi = self.hi / dhi
-        if lo > hi + ENDPOINT_TOLERANCE:
-            raise InvertedResult(
-                f"endpoint-wise division of [{self.lo}, {self.hi}] by "
-                f"[{dlo}, {dhi}] yields inverted endpoints [{lo}, {hi}]"
-            )
-        return Interval(lo, hi)
-
-    def scale(self, k: float) -> Interval:
-        """``[k*lo, k*hi]`` for a non-negative scalar ``k``."""
-        if k < 0.0:
-            raise NegativeScalar(f"scaling factor must be non-negative, got {k}")
-        return Interval(k * self.lo, k * self.hi)
-
-    def __rmul__(self, k: float) -> Interval:
-        if isinstance(k, (int, float)) and not isinstance(k, bool):
-            return self.scale(float(k))
-        return NotImplemented
-
-    def reciprocal(self) -> Interval:
-        """``[1/hi, 1/lo]``; requires a strictly positive interval."""
-        if self.lo <= 0.0:
-            raise DivisionByZero(f"reciprocal requires lo > 0, got [{self.lo}, {self.hi}]")
-        return Interval(1.0 / self.hi, 1.0 / self.lo)
-
-    def distance(self, other: Interval) -> float:
-        """``|lo - lo'| + |hi - hi'|`` — zero exactly when the intervals are equal."""
-        return abs(self.lo - other.lo) + abs(self.hi - other.hi)
-
-    def isclose(self, other: Interval, tol: float = COMPARISON_TOLERANCE) -> bool:
-        return self.distance(other) <= 2.0 * tol
+        if k <= 0.0:
+            raise DivisionByZero(f"divisor must be strictly positive, got {k}")
+        return Interval(self.lo / k, self.hi / k)

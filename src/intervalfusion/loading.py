@@ -25,16 +25,19 @@ Rating triples rounded to the few decimals typical of published tables may
 miss a unit sum by up to 1e-3; they are rescaled on ingestion. Larger
 deviations are rejected.
 
-Errors: :class:`ParseError` for malformed input (with line/column),
-:class:`SchemaError` for structural violations, :class:`ValidationError` for
-value-level violations; all three carry the coordinates of the offending
-field.
+Errors: :class:`ParseError` for malformed input (with line/column), a key
+repeated within one object, or an integer literal too long to read;
+:class:`SchemaError` for structural violations; :class:`ValidationError` for
+value-level violations, including a number beyond float range and a string
+with a lone surrogate (which could not be written out as UTF-8). All three
+carry the coordinates of the offending field, or name the repeated key.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from importlib.resources import files
 
 from .errors import (
@@ -84,6 +87,17 @@ def _reject_constant(token: str):
     raise _NonFiniteNumber(token)
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def load_problem(source, fmt: str = "json", *, alpha: float = 0.0) -> DecisionProblem:
     """Parse and fully validate a problem document.
 
@@ -108,9 +122,14 @@ def load_problem(source, fmt: str = "json", *, alpha: float = 0.0) -> DecisionPr
         raise TypeError(f"source must be bytes, str or a stream, got {type(source).__name__}")
 
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # the only other ValueError: an integer literal beyond int()'s digit limit
+        raise ParseError(
+            f"integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     except _NonFiniteNumber as exc:
         raise ParseError(f"non-finite number literal {exc.args[0]!r} is not allowed") from exc
     except RecursionError as exc:
@@ -144,13 +163,20 @@ def _expect_list(value, where: str) -> list:
 def _expect_str(value, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{where}: expected a string, got {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{where}: string contains a lone surrogate: {value!r}") from None
     return value
 
 
 def _expect_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValidationError(f"{where}: number is too large, got {len(str(value))} digits") from None
     if not math.isfinite(x):
         raise ValidationError(f"{where}: number must be finite, got {value!r}")
     return x

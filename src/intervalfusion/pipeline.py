@@ -66,7 +66,7 @@ _COMPLEMENT_EPS = 1e-9
 @dataclass(frozen=True)
 class IntervalBPA:
     """An interval-valued belief assignment, stored as its two bounding
-    classical BPAs over the same two-element frame.
+    classical BPAs over the same frame.
 
     ``left`` is built from the lower weight bound, ``right`` from the upper.
     Freshly discounted pairs satisfy ``left(singleton) <= right(singleton)``;
@@ -82,10 +82,6 @@ class IntervalBPA:
                 f"parts use different frames: {self.left.frame.elements!r} "
                 f"vs {self.right.frame.elements!r}"
             )
-        if len(self.left.frame) != 2:
-            raise FrameMismatch(
-                f"interval BPAs require a two-element frame, got {self.left.frame.elements!r}"
-            )
 
     @property
     def frame(self) -> Frame:
@@ -94,13 +90,6 @@ class IntervalBPA:
     def triples(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """Both parts as (first singleton, second singleton, full frame) triples."""
         return part_triple(self.left), part_triple(self.right)
-
-    def mass_bounds(self) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-        """Display-only (left, right) bound pairs per focal set. The full-frame
-        pair may be order-inverted (left complement above right complement);
-        the two-part representation is the authoritative one."""
-        lt, rt = self.triples()
-        return tuple(zip(lt, rt))
 
 
 def part_triple(m: MassFunction) -> tuple[float, float, float]:
@@ -152,8 +141,6 @@ def discount_to_interval_bpa(m: MassFunction, w: Interval) -> IntervalBPA:
     """Discount a classical BPA by an interval weight: the left part uses the
     lower bound, the right part the upper bound."""
     _check_weight(w)
-    if len(m.frame) != 2:
-        raise FrameMismatch(f"discounting requires a two-element frame, got {m.frame.elements!r}")
     return IntervalBPA(_discount_part(m, w.lo), _discount_part(m, w.hi))
 
 
@@ -181,10 +168,6 @@ def collapse_interval_bpa(ib: IntervalBPA) -> MassFunction:
     return ib.left.combine(ib.right)
 
 
-def _as_tuple(value):
-    return tuple(value)
-
-
 def _unique_labels(labels: Sequence[str], what: str) -> None:
     if not labels:
         raise ValidationError(f"{what} must not be empty")
@@ -201,7 +184,7 @@ class DecisionProblem:
     ``criterion_weights[d][c]`` weighs criterion ``c`` for decision maker
     ``d``; ``ratings[d][a][c]`` is the classical BPA rating alternative ``a``
     on criterion ``c`` according to decision maker ``d``. All ratings share
-    one two-element frame.
+    one frame.
     """
 
     alternatives: tuple[str, ...]
@@ -212,15 +195,15 @@ class DecisionProblem:
     ratings: tuple[tuple[tuple[MassFunction, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alternatives", _as_tuple(self.alternatives))
-        object.__setattr__(self, "criteria", _as_tuple(self.criteria))
-        object.__setattr__(self, "decision_makers", _as_tuple(self.decision_makers))
-        object.__setattr__(self, "dm_weights", _as_tuple(self.dm_weights))
+        object.__setattr__(self, "alternatives", tuple(self.alternatives))
+        object.__setattr__(self, "criteria", tuple(self.criteria))
+        object.__setattr__(self, "decision_makers", tuple(self.decision_makers))
+        object.__setattr__(self, "dm_weights", tuple(self.dm_weights))
         object.__setattr__(
-            self, "criterion_weights", tuple(_as_tuple(ws) for ws in self.criterion_weights)
+            self, "criterion_weights", tuple(tuple(ws) for ws in self.criterion_weights)
         )
         object.__setattr__(
-            self, "ratings", tuple(tuple(_as_tuple(row) for row in dm) for dm in self.ratings)
+            self, "ratings", tuple(tuple(tuple(row) for row in dm) for dm in self.ratings)
         )
 
         _unique_labels(self.alternatives, "alternative labels")
@@ -258,8 +241,6 @@ class DecisionProblem:
             raise AllZeroWeights("criterion weights are all zero")
 
         frame = self.ratings[0][0][0].frame
-        if len(frame) != 2:
-            raise FrameMismatch(f"ratings require a two-element frame, got {frame.elements!r}")
         for dm in self.ratings:
             for row in dm:
                 for m in row:

@@ -149,6 +149,18 @@ class TestValidate:
         assert "ValidationError" in err
         assert "'Supplier3'" in err
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_lone_surrogate_label_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "surrogate.json"
+        path.write_bytes(bundled_dataset_bytes().replace(b'"Supplier1"', b'"Supplier1\\ud800"'))
+        assert main([command, "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error (ValidationError): alternatives[0]: string contains a lone surrogate: "
+            "'Supplier1\\ud800'"
+        ]
+
 
 class TestUsage:
     def test_no_command(self):

@@ -1,16 +1,8 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from intervalfusion import Interval
-from intervalfusion.errors import (
-    DivisionByZero,
-    InvalidInterval,
-    InvertedResult,
-    NegativeOperand,
-    NegativeScalar,
-)
+from intervalfusion.errors import DivisionByZero, InvalidInterval
 
 APPROX = dict(abs=1e-9)
 
@@ -27,8 +19,7 @@ class TestConstruction:
 
     def test_degenerate(self):
         iv = Interval(0.5, 0.5)
-        assert iv.is_degenerate
-        assert iv.width == 0.0
+        assert iv.lo == iv.hi == 0.5
 
     def test_point(self):
         assert Interval.point(0.95) == Interval(0.95, 0.95)
@@ -60,80 +51,28 @@ class TestArithmetic:
     def test_add_weights(self):
         assert_interval(Interval(0.2, 0.35) + Interval(0.3, 0.55), 0.5, 0.9)
 
-    def test_mul_identity(self):
-        iv = Interval(0.3, 0.7)
-        assert Interval(1, 1) * iv == iv
-
-    def test_mul(self):
-        assert_interval(Interval(0.2, 0.5) * Interval(0.6, 0.6), 0.12, 0.30)
-
-    def test_mul_worked_example(self):
-        got = Interval(0.2857, 0.5) * Interval(0.6, 0.6)
-        assert_interval(got, 0.1714, 0.3, abs=1e-4)
-
-    def test_mul_negative_rejected(self):
-        with pytest.raises(NegativeOperand):
-            Interval(-0.1, 0.2) * Interval(0, 1)
-        with pytest.raises(NegativeOperand):
-            Interval(0, 1) * Interval(-0.1, 0.2)
-
-    def test_div_by_degenerate(self):
-        got = Interval(0.20, 0.35) / Interval(0.70, 0.70)
-        assert_interval(got, 0.2857, 0.5, abs=1e-4)
-
     def test_div_by_unit(self):
         iv = Interval(0.3, 0.7)
-        assert iv / Interval(1, 1) == iv
-
-    def test_div_inverted(self):
-        # endpoint-wise rule: 2/1 > 3/10
-        with pytest.raises(InvertedResult):
-            Interval(2, 3) / Interval(1, 10)
+        assert iv / 1 == iv
+        assert iv / 1.0 == iv
 
     def test_div_by_zero(self):
         with pytest.raises(DivisionByZero):
-            Interval(1, 2) / Interval(0, 1)
-        with pytest.raises(DivisionByZero):
             Interval(1, 2) / 0.0
+        with pytest.raises(DivisionByZero):
+            Interval(1, 2) / -0.5
 
     def test_div_by_scalar(self):
         assert_interval(Interval(0.2, 0.35) / 0.7, 0.2857142857142857, 0.5)
-
-    def test_scale(self):
-        assert_interval(Interval(0.1, 0.3).scale(2.0), 0.2, 0.6)
-        assert Interval(0.1, 0.3).scale(0.0) == Interval(0, 0)
-        assert_interval(0.5 * Interval(0.70, 0.95), 0.35, 0.475)
-
-    def test_scale_negative_rejected(self):
-        with pytest.raises(NegativeScalar):
-            Interval(0.1, 0.3).scale(-1.0)
-
-    def test_reciprocal(self):
-        assert Interval(1, 1).reciprocal() == Interval(1, 1)
-        assert Interval(0.5, 2).reciprocal() == Interval(0.5, 2)
-        assert_interval(Interval(0.2, 0.4).reciprocal(), 2.5, 5.0)
-
-    def test_reciprocal_requires_positive(self):
-        with pytest.raises(DivisionByZero):
-            Interval(0, 1).reciprocal()
-
-
-class TestDistance:
-    def test_zero_on_equal(self):
-        assert Interval(0.1, 0.9).distance(Interval(0.1, 0.9)) == 0.0
-
-    def test_examples(self):
-        assert Interval(0.1, 0.9).distance(Interval(0.4, 0.6)) == pytest.approx(0.6)
-        assert Interval(0, 0).distance(Interval(0.25, 0.50)) == pytest.approx(0.75)
 
 
 unit_floats = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 
 
 @st.composite
-def intervals(draw, min_lo=0.0, max_hi=10.0):
-    lo = draw(st.floats(min_value=min_lo, max_value=max_hi, allow_nan=False))
-    hi = draw(st.floats(min_value=lo, max_value=max_hi, allow_nan=False))
+def intervals(draw):
+    lo = draw(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+    hi = draw(st.floats(min_value=lo, max_value=10.0, allow_nan=False))
     return Interval(lo, hi)
 
 
@@ -144,38 +83,12 @@ class TestProperties:
 
     @given(a=intervals(), b=intervals(), c=intervals())
     def test_add_associative(self, a, b, c):
-        # floating-point addition is not bit-associative; 1e-9 is the
-        # module's stated comparison tolerance
-        assert ((a + b) + c).isclose(a + (b + c), tol=1e-9)
-
-    @given(a=intervals(), b=intervals())
-    def test_mul_commutative(self, a, b):
-        assert a * b == b * a
-
-    @given(a=intervals())
-    def test_mul_unit_identity_both_sides(self, a):
-        one = Interval(1, 1)
-        assert one * a == a
-        assert a * one == a
-
-    @given(a=intervals(), b=intervals(), c=intervals())
-    def test_distance_metric_axioms(self, a, b, c):
-        assert a.distance(b) >= 0.0
-        assert (a.distance(b) == 0.0) == (a == b)
-        assert a.distance(b) == b.distance(a)
-        assert a.distance(c) <= a.distance(b) + b.distance(c) + 1e-12
-
-    @given(a=intervals(min_lo=0.01, max_hi=100.0))
-    def test_reciprocal_involution(self, a):
-        back = a.reciprocal().reciprocal()
-        assert back.isclose(a, tol=1e-9)
-
-    @given(a=intervals(), k=st.floats(min_value=0.01, max_value=100.0, allow_nan=False))
-    def test_div_by_degenerate_is_scaling(self, a, k):
-        assert (a / Interval(k, k)).isclose(a.scale(1.0 / k), tol=1e-9)
+        # floating-point addition is not bit-associative
+        left, right = (a + b) + c, a + (b + c)
+        assert left.lo == pytest.approx(right.lo, abs=1e-9)
+        assert left.hi == pytest.approx(right.hi, abs=1e-9)
 
     @given(x=unit_floats)
     def test_point_has_zero_width(self, x):
         p = Interval.point(x)
-        assert p.width == 0.0
-        assert p.distance(p) == 0.0
+        assert p.lo == p.hi == x

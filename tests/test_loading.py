@@ -46,7 +46,7 @@ class TestBundledDataset:
         # rescaled on ingestion
         m = supplier_problem.ratings[0][3][0]
         assert sum(m.masses.values()) == pytest.approx(1.0, abs=1e-9)
-        assert m.value(["IS"]) == pytest.approx(0.66667, abs=1e-4)
+        assert m.mass_of_mask(0b01) == pytest.approx(0.66667, abs=1e-4)
 
     def test_loads_from_bytes_and_stream(self):
         import io
@@ -97,8 +97,10 @@ class TestWeightForms:
             ]
         )
         assert load(doc).dm_weights[0] == Interval(0.3, 0.7)
-        assert load(doc, alpha=1.0).dm_weights[0].isclose(Interval(0.5, 0.5))
-        assert load(doc, alpha=0.5).dm_weights[0].isclose(Interval(0.4, 0.6))
+        peak = load(doc, alpha=1.0).dm_weights[0]
+        assert (peak.lo, peak.hi) == pytest.approx((0.5, 0.5), abs=1e-9)
+        half = load(doc, alpha=0.5).dm_weights[0]
+        assert (half.lo, half.hi) == pytest.approx((0.4, 0.6), abs=1e-9)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
@@ -241,6 +243,34 @@ class TestDocumentStructure:
         raw = json.dumps(doc).replace("0.6", "1e999")
         with pytest.raises(ValidationError):
             load_problem(raw)
+
+    def test_overlong_integer_literal_rejected(self):
+        raw = json.dumps(minimal_doc()).replace("[0.5, 1.0]", "7" * 5000)
+        with pytest.raises(ParseError) as err:
+            load_problem(raw)
+        assert "digits" in str(err.value)
+
+    def test_integer_beyond_float_range_names_field(self):
+        raw = json.dumps(minimal_doc()).replace("[0.5, 1.0]", "1" + "0" * 400)
+        with pytest.raises(ValidationError) as err:
+            load_problem(raw)
+        assert "decision_makers[0].weight" in str(err.value)
+
+    def test_duplicate_key_rejected(self):
+        raw = json.dumps(minimal_doc()).replace(
+            '"C1": [0.6, 0.2, 0.2]', '"C1": [0.6, 0.2, 0.2], "C1": [0.1, 0.8, 0.1]'
+        )
+        with pytest.raises(ParseError) as err:
+            load_problem(raw)
+        assert "'C1'" in str(err.value)
+
+    def test_lone_surrogate_rejected(self):
+        raw = json.dumps(minimal_doc()).replace('"A1"', '"A1\\ud800"')
+        with pytest.raises(ValidationError) as err:
+            load_problem(raw)
+        message = str(err.value)
+        assert "alternatives[0]" in message
+        message.encode("utf-8")  # the diagnostic itself can be printed
 
     def test_non_object_top_level(self):
         with pytest.raises(SchemaError):
