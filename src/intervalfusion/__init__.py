@@ -8,7 +8,7 @@ and ranked by pignistic belief in the ideal hypothesis.
 
 from . import errors
 from .errors import IntervalFusionError
-from .evidence import Frame, MassFunction, combine_all
+from .evidence import Frame, MassFunction, combine_all, part_triple
 from .fuzzy import (
     INTERVAL_DEFAULT_SCALE,
     KAUFMANN_TFN_SCALE,
@@ -32,7 +32,6 @@ from .pipeline import (
     discount_to_interval_bpa,
     fuse_interval_bpas,
     normalize_weight_group,
-    part_triple,
     rank_alternatives,
 )
 from .reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY, emit_report

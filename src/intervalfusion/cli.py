@@ -36,19 +36,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve a problem document and write a report")
-    solve.add_argument("--input", required=True, help="path to a problem JSON document")
-    solve.add_argument("--output", help="write the report here instead of stdout")
-    solve.add_argument(
-        "--format", choices=("table", "json"), default="table", help="report format"
-    )
-    solve.add_argument("--trace", action="store_true", help="include all intermediate tables")
-    solve.add_argument(
+    # solve and validate read a document with the same options
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("--input", required=True, help="path to a problem JSON document")
+    document.add_argument(
         "--alpha",
         type=_alpha_level,
         default=0.0,
         help="alpha-cut level for fuzzy linguistic terms (default 0: full support)",
     )
+
+    solve = sub.add_parser(
+        "solve", parents=[document], help="solve a problem document and write a report"
+    )
+    solve.add_argument("--output", help="write the report here instead of stdout")
+    solve.add_argument(
+        "--format", choices=("table", "json"), default="table", help="report format"
+    )
+    solve.add_argument("--trace", action="store_true", help="include all intermediate tables")
     solve.add_argument(
         "--criterion-normalization",
         choices=(POOLED, PER_DM),
@@ -58,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.set_defaults(func=_cmd_solve)
 
-    validate = sub.add_parser("validate", help="parse and validate a problem document")
-    validate.add_argument("--input", required=True, help="path to a problem JSON document")
+    validate = sub.add_parser(
+        "validate", parents=[document], help="parse and validate a problem document"
+    )
     validate.set_defaults(func=_cmd_validate)
 
     demo = sub.add_parser("demo", help="run the bundled supplier-selection dataset with --trace")
@@ -104,7 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    problem = load_problem(_read_input(args.input))
+    problem = load_problem(_read_input(args.input), alpha=args.alpha)
     print(
         f"valid: {len(problem.decision_makers)} decision makers, "
         f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives"

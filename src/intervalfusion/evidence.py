@@ -3,21 +3,33 @@
 A :class:`MassFunction` distributes belief over the non-empty subsets of a
 :class:`Frame` of two mutually exclusive hypotheses. Subsets are encoded as
 bitmasks over the ordered frame (element ``i`` is bit ``i``): ``0b01`` and
-``0b10`` are the singletons, ``0b11`` is the full frame. That keeps
-intersections exact and makes the combination rule a plain double loop over
-focal sets.
+``0b10`` are the singletons, ``0b11`` is the full frame. A mass function is
+therefore a triple ``(a, b, c)`` of the masses of the first singleton, the
+second singleton and the full frame; :meth:`MassFunction.from_triple` and
+:func:`part_triple` convert between the two.
 
-Combination follows the conjunctive, normalized rule: the combined mass of
-``A`` is the sum of ``m1(X) * m2(Y)`` over all pairs with ``X & Y == A``,
-divided by ``1 - K`` where the conflict coefficient ``K`` collects the mass
-of disjoint pairs. ``K = 0`` means fully consistent sources; at ``K = 1``
-the rule is undefined and :class:`TotalConflict` is raised.
+All arithmetic on mass functions is defined here once, on triples, and both
+:class:`MassFunction` and the kernel of ``rank_alternatives`` call it:
+
+* the sum policy (the tolerances below) keeps a triple that sums to 1
+  within EXACT_SUM_TOLERANCE, divides one within RENORMALIZATION_TOLERANCE
+  by its sum, and rejects the rest;
+* :func:`discount` is Shafer discounting by a reliability ``w``;
+* :func:`dempster` is the conjunctive, normalized rule in the closed form it
+  has on two elements (Barnett 1981): the conflict coefficient is
+  ``K = a1*b2 + b1*a2``, each focal set collects the products of the pairs
+  whose intersection it is, and all masses are divided by ``1 - K``.
+  ``K = 0`` means fully consistent sources; at ``K = 1`` the rule is
+  undefined and :class:`TotalConflict` is raised.
+
+Several sources combine by a left fold (``functools.reduce``) of the rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 from .errors import (
@@ -42,6 +54,64 @@ EXACT_SUM_TOLERANCE = 1e-12
 #: The normalizer 1 - K is numerically meaningless closer to zero than this.
 TOTAL_CONFLICT_EPS = 1e-12
 
+#: A discount complement may dip below zero by at most this much of
+#: floating-point residue before it is an input error.
+COMPLEMENT_EPS = 1e-9
+
+#: Subset bitmasks: the first singleton, the second, the full frame.
+FIRST_MASK, SECOND_MASK, FULL_MASK = 0b01, 0b10, 0b11
+
+#: Masses of (first singleton, second singleton, full frame).
+Triple = tuple[float, float, float]
+
+
+def _divisor(values: Iterable[float]) -> float:
+    """The sum policy: raise if the masses miss a unit sum by more than
+    RENORMALIZATION_TOLERANCE; return their sum, to divide them by, if they
+    miss it by more than EXACT_SUM_TOLERANCE; return 1.0 otherwise, so they
+    are kept bit-exact."""
+    total = math.fsum(values)
+    if abs(total - 1.0) > RENORMALIZATION_TOLERANCE:
+        raise MassSumViolation(f"masses sum to {total!r}, expected 1")
+    return total if abs(total - 1.0) > EXACT_SUM_TOLERANCE else 1.0
+
+
+def discount(p: float, q: float, w: float) -> Triple:
+    """Shafer discounting of the singleton masses ``p`` and ``q`` by ``w``:
+    both are scaled by ``w`` and the remainder goes to the full frame,
+    (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero by at
+    most COMPLEMENT_EPS is clamped to zero."""
+    a = p * w
+    b = q * w
+    c = 1.0 - a - b
+    if c < 0.0:
+        if c < -COMPLEMENT_EPS:
+            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
+        c = 0.0
+    total = _divisor((a, b, c))
+    if total != 1.0:
+        return a / total, b / total, c / total
+    return a, b, c
+
+
+def dempster(x: Triple, y: Triple) -> Triple:
+    """Dempster's rule of two independent sources, summed in a fixed order:
+    for each singleton its own product, then singleton times full frame,
+    then full frame times singleton."""
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    k = a1 * b2 + b1 * a2
+    if k >= 1.0 - TOTAL_CONFLICT_EPS:
+        raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
+    norm = 1.0 - k
+    a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
+    b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
+    c = c1 * c2 / norm
+    total = _divisor((a, b, c))
+    if total != 1.0:
+        return a / total, b / total, c / total
+    return a, b, c
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -61,7 +131,7 @@ class Frame:
 
     @property
     def full_mask(self) -> int:
-        return 0b11
+        return FULL_MASK
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         """Element labels of a subset bitmask, in frame order."""
@@ -82,10 +152,9 @@ class MassFunction:
     masses: dict[int, float]
 
     def __post_init__(self) -> None:
-        full = self.frame.full_mask
         cleaned: dict[int, float] = {}
         for mask, value in self.masses.items():
-            if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask <= full:
+            if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask <= FULL_MASK:
                 raise FrameMismatch(f"subset mask {mask!r} does not fit frame {self.frame.elements!r}")
             if mask == 0:
                 raise EmptyFocalSet("the empty set cannot carry mass")
@@ -97,45 +166,43 @@ class MassFunction:
                 )
             if v != 0.0:
                 cleaned[mask] = v
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > RENORMALIZATION_TOLERANCE:
-            raise MassSumViolation(f"masses sum to {total!r}, expected 1")
-        if abs(total - 1.0) > EXACT_SUM_TOLERANCE:
+        total = _divisor(cleaned.values())
+        if total != 1.0:
             cleaned = {mask: v / total for mask, v in cleaned.items()}
         object.__setattr__(self, "masses", cleaned)
 
     @classmethod
+    def from_triple(cls, frame: Frame, t: Iterable[float]) -> MassFunction:
+        """The mass function with masses ``t`` on (first singleton, second
+        singleton, full frame)."""
+        a, b, c = t
+        return cls(frame, {FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})
+
+    @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:
         """Total ignorance: all mass on the full frame."""
-        return cls(frame, {frame.full_mask: 1.0})
+        return cls(frame, {FULL_MASK: 1.0})
 
     def mass_of_mask(self, mask: int) -> float:
         return self.masses.get(mask, 0.0)
 
     @property
     def is_vacuous(self) -> bool:
-        return set(self.masses) == {self.frame.full_mask}
+        return set(self.masses) == {FULL_MASK}
 
     def combine(self, other: MassFunction) -> MassFunction:
-        """Conjunctive, normalized combination of two independent sources."""
+        """Dempster's rule (:func:`dempster`) of two independent sources."""
         if self.frame != other.frame:
             raise FrameMismatch(
                 f"frames differ: {self.frame.elements!r} vs {other.frame.elements!r}"
             )
-        combined: dict[int, float] = {}
-        k = 0.0
-        for x, mx in self.masses.items():
-            for y, my in other.masses.items():
-                inter = x & y
-                product = mx * my
-                if inter:
-                    combined[inter] = combined.get(inter, 0.0) + product
-                else:
-                    k += product
-        if k >= 1.0 - TOTAL_CONFLICT_EPS:
-            raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
-        norm = 1.0 - k
-        return MassFunction(self.frame, {mask: v / norm for mask, v in combined.items()})
+        return MassFunction.from_triple(self.frame, dempster(part_triple(self), part_triple(other)))
+
+
+def part_triple(m: MassFunction) -> Triple:
+    """Masses of ({first}, {second}, {first, second})."""
+    get = m.masses.get
+    return get(FIRST_MASK, 0.0), get(SECOND_MASK, 0.0), get(FULL_MASK, 0.0)
 
 
 def combine_all(masses: Iterable[MassFunction]) -> MassFunction:
@@ -144,7 +211,4 @@ def combine_all(masses: Iterable[MassFunction]) -> MassFunction:
     items = list(masses)
     if not items:
         raise EmptyEvidenceList("need at least one mass function to combine")
-    result = items[0]
-    for m in items[1:]:
-        result = result.combine(m)
-    return result
+    return reduce(MassFunction.combine, items)

@@ -1,8 +1,8 @@
-"""Closed real intervals with endpoint-wise arithmetic.
+"""Closed real intervals.
 
-The pipeline needs only two operations on weights: endpoint-wise sums and
-division by a positive real, which normalizes a weight group by its largest
-endpoint. Neither can invert the endpoints of a valid interval.
+The pipeline needs one operation on weights: endpoint-wise division by a
+positive real, which normalizes a weight group by its largest endpoint and
+cannot invert the endpoints of a valid interval.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ class Interval:
     def point(cls, x: float) -> Interval:
         """Degenerate interval ``[x, x]``."""
         return cls(x, x)
-
-    def __add__(self, other: Interval) -> Interval:
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return Interval(self.lo + other.lo, self.hi + other.hi)
 
     def __truediv__(self, k: float | int) -> Interval:
         """``[lo/k, hi/k]`` for a strictly positive real ``k``."""

@@ -98,14 +98,12 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def load_problem(source, fmt: str = "json", *, alpha: float = 0.0) -> DecisionProblem:
+def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
     """Parse and fully validate a problem document.
 
     ``source`` may be bytes, text, or a readable binary/text stream.
     ``alpha`` is the alpha-cut level used to bridge tfn-scale terms.
     """
-    if fmt != "json":
-        raise ValueError(f"unsupported format {fmt!r}; only 'json' is available")
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
         raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha!r}")
 
@@ -307,8 +305,7 @@ def _parse_rating(value, frame: Frame, where: str) -> MassFunction:
         raise ValidationError(f"{where}: masses sum to {total!r}, expected 1")
     if total != 1.0:
         numbers = [x / total for x in numbers]
-    masks = {0b01: numbers[0], 0b10: numbers[1], 0b11: numbers[2]}
-    return MassFunction(frame, masks)
+    return MassFunction.from_triple(frame, numbers)
 
 
 def _build_problem(doc, alpha: float) -> DecisionProblem:

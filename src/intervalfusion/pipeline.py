@@ -22,9 +22,8 @@ the full frame is uncommitted belief. Rating triples are always ordered
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -33,17 +32,18 @@ from .errors import (
     FrameMismatch,
     IntervalFusionError,
     InvalidWeight,
-    MassSumViolation,
-    TotalConflict,
     ValidationError,
 )
 from .evidence import (
-    EXACT_SUM_TOLERANCE,
-    RENORMALIZATION_TOLERANCE,
-    TOTAL_CONFLICT_EPS,
+    FIRST_MASK,
+    SECOND_MASK,
     Frame,
     MassFunction,
+    Triple,
     combine_all,
+    dempster,
+    discount,
+    part_triple,
 )
 from .intervals import Interval
 
@@ -52,15 +52,6 @@ from .intervals import Interval
 #: normalize within their own group.
 POOLED = "pooled"
 PER_DM = "per-dm"
-
-#: Subset masks on a two-element frame.
-_FIRST = 0b01
-_SECOND = 0b10
-_BOTH = 0b11
-
-#: A discount complement may dip below zero by at most this much of
-#: floating-point residue before it is an input error.
-_COMPLEMENT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,14 +83,10 @@ class IntervalBPA:
         return part_triple(self.left), part_triple(self.right)
 
 
-def part_triple(m: MassFunction) -> tuple[float, float, float]:
-    """Masses of ({first}, {second}, {first, second}) on a two-element frame."""
-    return m.mass_of_mask(_FIRST), m.mass_of_mask(_SECOND), m.mass_of_mask(_BOTH)
-
-
 def bet_ideal(m: MassFunction) -> float:
     """Pignistic belief in the first frame element: m({first}) + m(full)/2."""
-    return m.mass_of_mask(_FIRST) + m.mass_of_mask(_BOTH) / 2.0
+    first, _, full = part_triple(m)
+    return first + full / 2.0
 
 
 def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
@@ -123,18 +110,8 @@ def _check_weight(w: Interval) -> None:
 
 
 def _discount_part(m: MassFunction, w: float) -> MassFunction:
-    """Scale both singleton masses by ``w`` and send the remainder to the
-    full frame: (p, q, r) -> (w*p, w*q, 1 - w*p - w*q)."""
-    first = m.mass_of_mask(_FIRST) * w
-    second = m.mass_of_mask(_SECOND) * w
-    rest = 1.0 - first - second
-    if rest < 0.0:
-        if rest < -_COMPLEMENT_EPS:
-            raise MassSumViolation(
-                f"discounted masses exceed 1 ({first} + {second}); invalid input mass"
-            )
-        rest = 0.0
-    return MassFunction(m.frame, {_FIRST: first, _SECOND: second, _BOTH: rest})
+    first, second, _ = part_triple(m)
+    return MassFunction.from_triple(m.frame, discount(first, second, w))
 
 
 def discount_to_interval_bpa(m: MassFunction, w: Interval) -> IntervalBPA:
@@ -312,7 +289,7 @@ class RankingReport:
             cell_bpas,
             tuple(tuple(_interval_bpa(frame, pair) for pair in dm) for dm in dm_fused),
             tuple(_interval_bpa(frame, pair) for pair in final),
-            tuple(_mass(frame, t) for t in collapsed),
+            tuple(MassFunction.from_triple(frame, t) for t in collapsed),
         )
 
     @property
@@ -338,61 +315,10 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 
 # --- closed-form kernel -------------------------------------------------------
 #
-# On a two-element frame a mass function is a triple (m({first}),
-# m({second}), m(full)). Each step below computes on triples exactly what the
-# per-object functions above compute on MassFunction values, in the same
-# order of floating-point operations, so the results are bit-identical.
-
-Triple = tuple[float, float, float]
-
-
-def _settle(a: float, b: float, c: float) -> Triple:
-    """The MassFunction sum policy: reject a triple whose sum is off by more
-    than RENORMALIZATION_TOLERANCE, divide one off by more than
-    EXACT_SUM_TOLERANCE by its sum, keep it otherwise."""
-    total = math.fsum((a, b, c))
-    if abs(total - 1.0) > RENORMALIZATION_TOLERANCE:
-        raise MassSumViolation(f"masses sum to {total!r}, expected 1")
-    if abs(total - 1.0) > EXACT_SUM_TOLERANCE:
-        return a / total, b / total, c / total
-    return a, b, c
-
-
-def _discount(p: float, q: float, w: float) -> Triple:
-    """:func:`_discount_part` on the singleton masses ``p`` and ``q``."""
-    a = p * w
-    b = q * w
-    c = 1.0 - a - b
-    if c < 0.0:
-        if c < -_COMPLEMENT_EPS:
-            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
-        c = 0.0
-    return _settle(a, b, c)
-
-
-def _combine(x: Triple, y: Triple) -> Triple:
-    """Dempster's rule in closed form (Barnett 1981): conflict
-    K = a1*b2 + b1*a2, and each focal set collects its products in the order
-    :meth:`MassFunction.combine` visits them, the full frame last."""
-    a1, b1, c1 = x
-    a2, b2, c2 = y
-    k = a1 * b2 + b1 * a2
-    if k >= 1.0 - TOTAL_CONFLICT_EPS:
-        raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
-    norm = 1.0 - k
-    return _settle(
-        (a1 * a2 + a1 * c2 + c1 * a2) / norm,
-        (b1 * b2 + b1 * c2 + c1 * b2) / norm,
-        c1 * c2 / norm,
-    )
-
-
-def _fold(triples: list[Triple]) -> Triple:
-    """:func:`combine_all` on triples: a left fold."""
-    result = triples[0]
-    for t in triples[1:]:
-        result = _combine(result, t)
-    return result
+# The steps of the per-object functions above, run on the (first, second,
+# full frame) triples that those functions' MassFunction values hold, with
+# the same evidence.py arithmetic in the same order, so the results are
+# bit-identical.
 
 
 def _kernel(
@@ -418,11 +344,11 @@ def _kernel(
             rights: list[Triple] = []
             for c, m in enumerate(problem.ratings[d][a]):
                 lo, hi = bounds[c]
-                p = m.masses.get(_FIRST, 0.0)
-                q = m.masses.get(_SECOND, 0.0)
+                p = m.masses.get(FIRST_MASK, 0.0)
+                q = m.masses.get(SECOND_MASK, 0.0)
                 try:
-                    lefts.append(_discount(p, q, lo))
-                    rights.append(_discount(p, q, hi))
+                    lefts.append(discount(p, q, lo))
+                    rights.append(discount(p, q, hi))
                 except IntervalFusionError as exc:
                     raise _located(
                         exc,
@@ -430,7 +356,7 @@ def _kernel(
                         f"criterion {problem.criteria[c]!r}",
                     ) from exc
             try:
-                fused_row.append((_fold(lefts), _fold(rights)))
+                fused_row.append((reduce(dempster, lefts), reduce(dempster, rights)))
             except IntervalFusionError as exc:
                 raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
             if rows is not None:
@@ -446,25 +372,24 @@ def _kernel(
             w = dm_weights[d]
             left, right = dm_fused[d][a]
             try:
-                lefts.append(_discount(left[0], left[1], w.lo))
-                rights.append(_discount(right[0], right[1], w.hi))
+                lefts.append(discount(left[0], left[1], w.lo))
+                rights.append(discount(right[0], right[1], w.hi))
             except IntervalFusionError as exc:
                 raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
         try:
-            pair = (_fold(lefts), _fold(rights))
-            collapsed.append(_combine(*pair))
+            pair = (reduce(dempster, lefts), reduce(dempster, rights))
+            collapsed.append(dempster(*pair))
         except IntervalFusionError as exc:
             raise _located(exc, f"alternative {alt!r}") from exc
         final.append(pair)
     return dm_fused, final, collapsed
 
 
-def _mass(frame: Frame, t: Triple) -> MassFunction:
-    return MassFunction(frame, {_FIRST: t[0], _SECOND: t[1], _BOTH: t[2]})
-
-
 def _interval_bpa(frame: Frame, pair: tuple[Triple, Triple]) -> IntervalBPA:
-    return IntervalBPA(_mass(frame, pair[0]), _mass(frame, pair[1]))
+    left, right = pair
+    return IntervalBPA(
+        MassFunction.from_triple(frame, left), MassFunction.from_triple(frame, right)
+    )
 
 
 def rank_alternatives(

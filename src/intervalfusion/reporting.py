@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .pipeline import IntervalBPA, RankingReport, part_triple
+from .evidence import part_triple
+from .pipeline import IntervalBPA, RankingReport
 
 SUMMARY = "summary"
 FULL_TRACE = "full-trace"

@@ -149,6 +149,31 @@ class TestValidate:
         assert "ValidationError" in err
         assert "'Supplier3'" in err
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["validate"], 1),
+            (["validate", "--alpha", "1"], 0),
+            (["solve", "--alpha", "1"], 0),
+        ],
+    )
+    def test_alpha_applies_to_validate_as_to_solve(self, tmp_path, capsys, args, code):
+        # the term's support dips below zero; its alpha = 1 core does not
+        doc = json.loads(bundled_dataset_bytes())
+        doc["scales"] = {"dip": {"kind": "tfn", "terms": {"D": [-0.2, 0.3, 0.5]}}}
+        doc["decision_makers"][0]["criterion_weights"][0] = {"term": "D", "scale": "dip"}
+        path = tmp_path / "dip.json"
+        path.write_text(json.dumps(doc))
+        assert main(args + ["--input", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.splitlines() == [
+                "error (ValidationError): decision_makers[0].criterion_weights[0]: "
+                "weight must be non-negative, got [-0.2, 0.5]"
+            ]
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_lone_surrogate_label_rejected(self, tmp_path, capsys, command):
         path = tmp_path / "surrogate.json"

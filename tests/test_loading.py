@@ -1,4 +1,7 @@
+import io
 import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -9,6 +12,7 @@ from intervalfusion.errors import (
     SchemaError,
     ValidationError,
 )
+from intervalfusion.cli import main
 from intervalfusion.loading import bundled_dataset_bytes
 
 
@@ -315,6 +319,95 @@ class TestDocumentStructure:
         with pytest.raises(SchemaError):
             load(doc)
 
-    def test_unsupported_format(self):
-        with pytest.raises(ValueError):
-            load_problem(b"{}", fmt="yaml")
+
+# --- structure-aware fuzz -----------------------------------------------------
+
+SENTINEL = "\x00mutation\x00"
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, path + (key,))
+
+
+def _with_text_at(doc, path, text):
+    """JSON text of ``doc`` with the node at ``path`` written as ``text``."""
+    if not path:
+        return text
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = SENTINEL
+    return json.dumps(doc).replace(json.dumps(SENTINEL), text)
+
+
+def _mutate(rng, doc):
+    """One seeded mutation of ``doc``: (kind, document bytes)."""
+    nodes = list(_nodes(doc))
+    kind = rng.choice(("duplicate key", "long integer", "1e400", "deep nesting", "bom", "surrogate"))
+    if kind == "bom":
+        return kind, b"\xef\xbb\xbf" + json.dumps(doc).encode()
+    if kind == "duplicate key":
+        path, node = rng.choice([(p, n) for p, n in nodes if isinstance(n, dict) and n])
+        key = rng.choice(list(node))
+        text = json.dumps(node)[:-1] + f", {json.dumps(key)}: {json.dumps(rng.choice(nodes)[1])}}}"
+    elif kind == "long integer":
+        path, _ = rng.choice(nodes)
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randrange(4300, 5000)))
+        text = rng.choice(("", "-")) + "1" + digits
+    elif kind == "1e400":
+        path, _ = rng.choice(nodes)
+        text = rng.choice(("1e400", "-1e400", "[1e400, 1e400]", "[0, 1e400]"))
+    elif kind == "deep nesting":
+        path, _ = rng.choice(nodes)
+        depth = rng.choice((2, 40, 900, 5_000, 100_000))
+        text = rng.choice(("[" * depth + "]" * depth, '{"a": ' * depth + "0" + "}" * depth))
+    else:
+        # a lone surrogate escape, at a random place in a string or a key
+        strings = [(p, n) for p, n in nodes if isinstance(n, str)]
+        keyed = [(p, n) for p, n in nodes if isinstance(n, dict) and n]
+        if rng.random() < 0.5:
+            path, node = rng.choice(strings)
+            cut = rng.randrange(len(node) + 1)
+            node = node[:cut] + SENTINEL + node[cut:]
+        else:
+            path, node = rng.choice(keyed)
+            victim = rng.choice(list(node))
+            node = {(k + SENTINEL if k == victim else k): v for k, v in node.items()}
+        text = json.dumps(node).replace(json.dumps(SENTINEL)[1:-1], "\\ud800")
+    return kind, _with_text_at(doc, path, text).encode()
+
+
+def test_structured_fuzz_fails_closed(tmp_path):
+    """Seeded mutations of the bundled dataset: each document either loads or
+    raises one of the three loader diagnostics, and ``validate`` exits 0, or
+    1 with exactly one diagnostic line."""
+    rng = random.Random(20261018)
+    doc = json.loads(bundled_dataset_bytes())
+    path = tmp_path / "mutated.json"
+    seen = set()
+    for _ in range(300):
+        kind, data = _mutate(rng, doc)
+        seen.add(kind)
+        try:
+            load_problem(data)
+            error = None
+        except (ParseError, SchemaError, ValidationError) as exc:
+            error = exc
+        if kind in ("duplicate key", "long integer", "bom"):
+            assert isinstance(error, ParseError), (kind, error)
+        path.write_bytes(data)
+        # a StringIO, unlike a strict UTF-8 stream, also takes the lone
+        # surrogates that some diagnostics quote unescaped
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["validate", "--input", str(path)])
+        if error is None:
+            assert (code, err.getvalue()) == (0, ""), kind
+        else:
+            assert code == 1, kind
+            assert err.getvalue().splitlines() == [f"error ({type(error).__name__}): {error}"], kind
+    assert len(seen) == 6
