@@ -64,6 +64,23 @@ FIRST_MASK, SECOND_MASK, FULL_MASK = 0b01, 0b10, 0b11
 #: Masses of (first singleton, second singleton, full frame).
 Triple = tuple[float, float, float]
 
+_INF = math.inf
+
+#: Sets a field of a frozen instance, as the dataclass ``__init__`` does.
+_set_field = object.__setattr__
+
+
+def finite_nonnegative_floats(a, b, c) -> bool:
+    """Whether ``a``, ``b`` and ``c`` are all of type ``float``, finite and
+    non-negative: masses that every per-mask check of :class:`MassFunction`
+    accepts and that ``float()`` leaves as they are."""
+    return (
+        type(a) is type(b) is type(c) is float
+        and 0.0 <= a < _INF
+        and 0.0 <= b < _INF
+        and 0.0 <= c < _INF
+    )
+
 
 def _divisor(values: Iterable[float]) -> float:
     """The sum policy: raise if the masses miss a unit sum by more than
@@ -174,9 +191,34 @@ class MassFunction:
     @classmethod
     def from_triple(cls, frame: Frame, t: Iterable[float]) -> MassFunction:
         """The mass function with masses ``t`` on (first singleton, second
-        singleton, full frame)."""
+        singleton, full frame).
+
+        Equal to ``cls(frame, {FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})``
+        in every outcome: the same masses, bit for bit and in the same key
+        order, or the same error. Masses that pass
+        :func:`finite_nonnegative_floats` skip the constructor's per-mask
+        loop and meet only the sum policy; any other triple (ints, bools,
+        NaN, infinities, negative masses) goes through the constructor.
+        """
         a, b, c = t
-        return cls(frame, {FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})
+        if not finite_nonnegative_floats(a, b, c):
+            return cls(frame, {FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})
+        total = _divisor((a, b, c))
+        if total != 1.0:
+            # the constructor drops zeros before it divides; dividing first
+            # drops the same ones, since total is within 1e-6 of 1
+            a, b, c = a / total, b / total, c / total
+        masses = {}
+        if a:
+            masses[FIRST_MASK] = a
+        if b:
+            masses[SECOND_MASK] = b
+        if c:
+            masses[FULL_MASK] = c
+        m = object.__new__(cls)
+        _set_field(m, "frame", frame)
+        _set_field(m, "masses", masses)
+        return m
 
     @classmethod
     def vacuous(cls, frame: Frame) -> MassFunction:

@@ -49,7 +49,7 @@ from .errors import (
     UnknownTerm,
     ValidationError,
 )
-from .evidence import Frame, MassFunction
+from .evidence import Frame, MassFunction, finite_nonnegative_floats
 from .fuzzy import (
     INTERVAL_KIND,
     TFN_KIND,
@@ -197,10 +197,10 @@ def _check_keys(obj: dict, required: frozenset, optional: frozenset, where: str)
     keys = set(obj)
     missing = sorted(required - keys)
     if missing:
-        raise SchemaError(f"{where}: missing required field(s): {', '.join(missing)}")
+        raise SchemaError(f"{where}: missing required field(s): {', '.join(map(repr, missing))}")
     extra = sorted(keys - required - optional)
     if extra:
-        raise SchemaError(f"{where}: unknown field(s): {', '.join(extra)}")
+        raise SchemaError(f"{where}: unknown field(s): {', '.join(map(repr, extra))}")
 
 
 # --- scales -------------------------------------------------------------------
@@ -295,17 +295,28 @@ def _parse_weight(value, scales: dict[str, LinguisticScale], alpha: float, where
 # --- ratings ------------------------------------------------------------------
 
 
-def _parse_rating(value, frame: Frame, where: str) -> MassFunction:
-    numbers = _number_list(value, 3, where)
-    for i, x in enumerate(numbers):
-        if x < 0:
-            raise ValidationError(f"{where}[{i}]: mass must be non-negative, got {x}")
-    total = math.fsum(numbers)
+def _cell_where(name: str, alt: str, crit: str) -> str:
+    return f"ratings[{name!r}][{alt!r}][{crit!r}]"
+
+
+def _parse_rating(value, frame: Frame, name: str, alt: str, crit: str) -> MassFunction:
+    """The rating cell ``ratings[name][alt][crit]``; its coordinates are
+    formatted only when it is rejected."""
+    a, b, c = value if type(value) is list and len(value) == 3 else (None, None, None)
+    if not finite_nonnegative_floats(a, b, c):
+        # such floats pass every check below; any other cell, ints
+        # included, takes them
+        where = _cell_where(name, alt, crit)
+        a, b, c = _number_list(value, 3, where)
+        for i, x in enumerate((a, b, c)):
+            if x < 0:
+                raise ValidationError(f"{where}[{i}]: mass must be non-negative, got {x}")
+    total = math.fsum((a, b, c))
     if abs(total - 1.0) > RATING_SUM_TOLERANCE:
-        raise ValidationError(f"{where}: masses sum to {total!r}, expected 1")
+        raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
     if total != 1.0:
-        numbers = [x / total for x in numbers]
-    return MassFunction.from_triple(frame, numbers)
+        return MassFunction.from_triple(frame, (a / total, b / total, c / total))
+    return MassFunction.from_triple(frame, (a, b, c))
 
 
 def _build_problem(doc, alpha: float) -> DecisionProblem:
@@ -358,18 +369,18 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
     ratings_obj = _expect_dict(root["ratings"], "ratings")
     _require_exact_keys(ratings_obj, dm_names, "ratings", "decision maker")
     ratings: list[tuple[tuple[MassFunction, ...], ...]] = []
+    criteria_set = set(criteria)
     for name in dm_names:
         dm_obj = _expect_dict(ratings_obj[name], f"ratings[{name!r}]")
         _require_exact_keys(dm_obj, alternatives, f"ratings[{name!r}]", "alternative")
         rows: list[tuple[MassFunction, ...]] = []
         for alt in alternatives:
-            alt_obj = _expect_dict(dm_obj[alt], f"ratings[{name!r}][{alt!r}]")
-            _require_exact_keys(alt_obj, criteria, f"ratings[{name!r}][{alt!r}]", "criterion")
+            alt_obj = dm_obj[alt]
+            if not isinstance(alt_obj, dict) or alt_obj.keys() != criteria_set:
+                where = f"ratings[{name!r}][{alt!r}]"
+                _require_exact_keys(_expect_dict(alt_obj, where), criteria, where, "criterion")
             rows.append(
-                tuple(
-                    _parse_rating(alt_obj[crit], frame, f"ratings[{name!r}][{alt!r}][{crit!r}]")
-                    for crit in criteria
-                )
+                tuple([_parse_rating(alt_obj[crit], frame, name, alt, crit) for crit in criteria])
             )
         ratings.append(tuple(rows))
 

@@ -221,7 +221,7 @@ class DecisionProblem:
         for dm in self.ratings:
             for row in dm:
                 for m in row:
-                    if m.frame != frame:
+                    if m.frame is not frame and m.frame != frame:
                         raise FrameMismatch("all ratings must share one frame")
 
     @property

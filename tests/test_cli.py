@@ -186,6 +186,16 @@ class TestValidate:
             "'Supplier1\\ud800'"
         ]
 
+    def test_field_name_with_newline_gives_one_error_line(self, tmp_path, capsys):
+        doc = json.loads(bundled_dataset_bytes())
+        doc["x\ny"] = 1
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error (SchemaError): document: unknown field(s): 'x\\ny'"]
+
 
 class TestUsage:
     def test_no_command(self):

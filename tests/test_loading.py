@@ -228,6 +228,60 @@ class TestRatings:
             load(doc)
 
 
+# One JSON literal in place of ratings['DM2']['Supplier3']['C2'] of the
+# bundled dataset, and the exact diagnostic for each way a cell is rejected.
+CELL = "ratings['DM2']['Supplier3']['C2']"
+CELL_REJECTIONS = [
+    ('{"a": 1}', SchemaError, f"{CELL}: expected an array, got dict"),
+    ("0.5", SchemaError, f"{CELL}: expected an array, got float"),
+    ("null", SchemaError, f"{CELL}: expected an array, got NoneType"),
+    ("[0.5, 0.5]", SchemaError, f"{CELL}: expected 3 numbers, got 2"),
+    ("[0.5, 0.3, 0.1, 0.1]", SchemaError, f"{CELL}: expected 3 numbers, got 4"),
+    ('["0.5", 0.3, 0.2]', SchemaError, f"{CELL}[0]: expected a number, got str"),
+    ("[0.5, true, 0.5]", SchemaError, f"{CELL}[1]: expected a number, got bool"),
+    ("[1e400, 0.0, 0.0]", ValidationError, f"{CELL}[0]: number must be finite, got inf"),
+    ("[0.5, 0.5, -1e400]", ValidationError, f"{CELL}[2]: number must be finite, got -inf"),
+    ("[0.5, 0.5, 1" + "0" * 320 + "]", ValidationError, f"{CELL}[2]: number is too large, got 321 digits"),
+    ("[0.6, -0.2, 0.6]", ValidationError, f"{CELL}[1]: mass must be non-negative, got -0.2"),
+    ("[0.7, 0.7, -0.4]", ValidationError, f"{CELL}[2]: mass must be non-negative, got -0.4"),
+    ("[0.5, 0.5, 0.1]", ValidationError, f"{CELL}: masses sum to 1.1, expected 1"),
+    ("[0.5, 0.4, 0.0989]", ValidationError, f"{CELL}: masses sum to 0.9989, expected 1"),
+    # every number is checked to be finite before any is checked for sign
+    ("[-0.5, 1e400, 0.2]", ValidationError, f"{CELL}[1]: number must be finite, got inf"),
+]
+
+
+def load_with_cell(literal):
+    doc = json.loads(bundled_dataset_bytes())
+    doc["ratings"]["DM2"]["Supplier3"]["C2"] = "@cell@"
+    return load_problem(json.dumps(doc).replace('"@cell@"', literal))
+
+
+class TestRatingCellDiagnostics:
+    @pytest.mark.parametrize("literal, error, message", CELL_REJECTIONS)
+    def test_rejection_names_the_cell(self, literal, error, message):
+        with pytest.raises(error) as err:
+            load_with_cell(literal)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "literal, masses",
+        [
+            ("[0, 1, 0]", {0b10: 1.0}),
+            ("[0.0, 1.0, 0.0]", {0b10: 1.0}),
+            ("[-0.0, 1, 0]", {0b10: 1.0}),
+            ("[0.6, 0.2, 0.2]", {0b01: 0.6, 0b10: 0.2, 0b11: 0.2}),
+            # rounded to 4 decimals, rescaled by its sum
+            ("[0.3333, 0.3333, 0.3333]", {m: 0.3333 / 0.9999 for m in (0b01, 0b10, 0b11)}),
+            ("[0.6667, 0, 0.3333]", {0b01: 0.6667, 0b11: 0.3333}),
+        ],
+    )
+    def test_accepted_cell_masses(self, literal, masses):
+        m = load_with_cell(literal).ratings[1][2][1]
+        assert list(m.masses.items()) == list(masses.items())
+
+
 class TestDocumentStructure:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError) as err:

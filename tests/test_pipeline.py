@@ -419,14 +419,30 @@ class TestRankAlternatives:
 
 class TestTraceOnDemand:
     def test_summary_builds_no_mass_functions(self, supplier_problem, monkeypatch):
+        # a MassFunction is built by from_triple, which runs the constructor
+        # only for triples off its fast path, or by the constructor itself:
+        # count each build once, at whichever of the two it starts
         built = []
-        original = MassFunction.__post_init__
+        in_from_triple = []
+        from_triple = MassFunction.from_triple.__func__
+        post_init = MassFunction.__post_init__
 
-        def counting(self):
-            built.append(self)
-            original(self)
+        def counting_from_triple(cls, frame, t):
+            in_from_triple.append(True)
+            try:
+                m = from_triple(cls, frame, t)
+            finally:
+                in_from_triple.pop()
+            built.append(m)
+            return m
 
-        monkeypatch.setattr(MassFunction, "__post_init__", counting)
+        def counting_post_init(self):
+            post_init(self)
+            if not in_from_triple:
+                built.append(self)
+
+        monkeypatch.setattr(MassFunction, "from_triple", classmethod(counting_from_triple))
+        monkeypatch.setattr(MassFunction, "__post_init__", counting_post_init)
         report = rank_alternatives(supplier_problem)
         emit_report(report, SUMMARY, HUMAN_TABLE)
         emit_report(report, SUMMARY, JSON_FORMAT)

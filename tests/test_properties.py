@@ -386,3 +386,46 @@ def test_kernel_matches_per_object_fold(case):
         assert report.dm_fused == expected["dm_fused"]
         assert report.final_bpas == expected["final_bpas"]
         assert report.collapsed == expected["collapsed"]
+
+
+# 10. MassFunction.from_triple equals the constructor on every triple: the
+# same masses in the same key order, bit for bit, or the same error
+_masses = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0, 1, True, False,
+         float("nan"), float("inf"), float("-inf"), -0.5, -5e-324, 1.0]
+    ),
+    st.integers(min_value=-2, max_value=2),
+    st.floats(),
+    _unit,
+)
+_near_unit = st.builds(
+    lambda a, b, delta: (a, (1.0 - a) * b, 1.0 - a - (1.0 - a) * b + delta),
+    _unit,
+    _unit,
+    st.sampled_from([0.0, 1e-12, -1e-12, 2e-12, -2e-12, 1e-6, -1e-6, 1.1e-6, -1.1e-6]),
+)
+
+
+def built(make):
+    try:
+        m = make()
+    except IntervalFusionError as exc:
+        return type(exc), str(exc)
+    return m.frame, [(mask, v.hex()) for mask, v in m.masses.items()]
+
+
+@RUNS
+@given(t=st.one_of(st.tuples(_masses, _masses, _masses), _near_unit))
+@example(t=(0.0, -0.0, 1.0))
+@example(t=(5e-324, 0.0, 1.0))
+@example(t=(0, 1, 0))
+@example(t=(-0.5, float("inf"), 0.2))
+@example(t=(0.0, 0.0, float("inf")))
+@example(t=(0.5, float("nan"), 0.5))
+@example(t=(True, 0.0, 0.0))
+def test_from_triple_matches_constructor(t):
+    a, b, c = t
+    assert built(lambda: MassFunction.from_triple(IS_NS, t)) == built(
+        lambda: MassFunction(IS_NS, {0b01: a, 0b10: b, 0b11: c})
+    )
