@@ -8,7 +8,7 @@ and ranked by pignistic belief in the ideal hypothesis.
 
 from . import errors
 from .errors import IntervalFusionError
-from .evidence import Frame, MassFunction, combine_all, part_triple
+from .evidence import MassFunction, combine_all, part_triple
 from .fuzzy import (
     INTERVAL_DEFAULT_SCALE,
     KAUFMANN_TFN_SCALE,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecisionProblem",
-    "Frame",
     "FULL_TRACE",
     "HUMAN_TABLE",
     "INTERVAL_DEFAULT_SCALE",

@@ -80,7 +80,9 @@ def _read_input(path: str) -> bytes:
 
 def _write_output(data: bytes, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(data.decode("utf-8"))
+        # the report is UTF-8 whatever the encoding of text stdout
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
         return
     target = Path(path)
     if target.exists() and not target.is_file():  # a device or pipe, e.g. /dev/stdout

@@ -48,7 +48,7 @@ class MassSumViolation(IntervalFusionError):
 
 
 class FrameMismatch(IntervalFusionError):
-    """Operands use different frames, or a subset falls outside the frame."""
+    """A subset bitmask falls outside the frame {IS, NS}."""
 
 
 class TotalConflict(IntervalFusionError):

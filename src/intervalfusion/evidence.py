@@ -1,12 +1,13 @@
-"""Mass functions over a two-element frame and Dempster's combination rule.
+"""Mass functions over the frame {IS, NS} and Dempster's combination rule.
 
-A :class:`MassFunction` distributes belief over the non-empty subsets of a
-:class:`Frame` of two mutually exclusive hypotheses. Subsets are encoded as
-bitmasks over the ordered frame (element ``i`` is bit ``i``): ``0b01`` and
-``0b10`` are the singletons, ``0b11`` is the full frame. A mass function is
-therefore a triple ``(a, b, c)`` of the masses of the first singleton, the
-second singleton and the full frame; :meth:`MassFunction.from_triple` and
-:func:`part_triple` convert between the two.
+A :class:`MassFunction` distributes belief over the non-empty subsets of
+the one frame :data:`FRAME` = (IS, NS): the "ideal" and the "negative
+ideal" hypothesis. Subsets are encoded as bitmasks over it (element ``i``
+is bit ``i``): ``0b01`` and ``0b10`` are the singletons, ``0b11`` is the
+full frame. A mass function is therefore a triple ``(a, b, c)`` of the
+masses of the first singleton, the second singleton and the full frame;
+:meth:`MassFunction.from_triple` and :func:`part_triple` convert between
+the two.
 
 All arithmetic on mass functions is defined here once, on triples, and both
 :class:`MassFunction` and the kernel of ``rank_alternatives`` call it:
@@ -58,6 +59,9 @@ TOTAL_CONFLICT_EPS = 1e-12
 #: floating-point residue before it is an input error.
 COMPLEMENT_EPS = 1e-9
 
+#: The frame of discernment, in bit order: the ideal hypothesis first.
+FRAME = ("IS", "NS")
+
 #: Subset bitmasks: the first singleton, the second, the full frame.
 FIRST_MASK, SECOND_MASK, FULL_MASK = 0b01, 0b10, 0b11
 
@@ -65,9 +69,6 @@ FIRST_MASK, SECOND_MASK, FULL_MASK = 0b01, 0b10, 0b11
 Triple = tuple[float, float, float]
 
 _INF = math.inf
-
-#: Sets a field of a frozen instance, as the dataclass ``__init__`` does.
-_set_field = object.__setattr__
 
 
 def finite_nonnegative_floats(a, b, c) -> bool:
@@ -131,33 +132,8 @@ def dempster(x: Triple, y: Triple) -> Triple:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """Ordered frame of discernment: two unique hypothesis labels."""
-
-    elements: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        if len(elements) != 2:
-            raise ValueError(f"frame must have exactly 2 elements, got {len(elements)}")
-        if any(not isinstance(e, str) or not e for e in elements):
-            raise ValueError("frame elements must be non-empty strings")
-        if len(set(elements)) != len(elements):
-            raise ValueError(f"frame elements must be unique, got {elements!r}")
-        object.__setattr__(self, "elements", elements)
-
-    @property
-    def full_mask(self) -> int:
-        return FULL_MASK
-
-    def labels_of(self, mask: int) -> tuple[str, ...]:
-        """Element labels of a subset bitmask, in frame order."""
-        return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
-
-
-@dataclass(frozen=True)
 class MassFunction:
-    """A basic probability assignment over a frame.
+    """A basic probability assignment over :data:`FRAME`.
 
     Masses are keyed by subset bitmask. Invariants: every mass is finite and
     non-negative, the empty set carries none, and the total is 1 (after the
@@ -165,21 +141,20 @@ class MassFunction:
     compares focal sets only.
     """
 
-    frame: Frame
     masses: dict[int, float]
 
     def __post_init__(self) -> None:
         cleaned: dict[int, float] = {}
         for mask, value in self.masses.items():
             if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask <= FULL_MASK:
-                raise FrameMismatch(f"subset mask {mask!r} does not fit frame {self.frame.elements!r}")
+                raise FrameMismatch(f"subset mask {mask!r} does not fit frame {FRAME!r}")
             if mask == 0:
                 raise EmptyFocalSet("the empty set cannot carry mass")
             v = float(value)
             if not math.isfinite(v) or v < 0.0:
+                labels = {e for i, e in enumerate(FRAME) if mask >> i & 1}
                 raise NegativeMass(
-                    f"mass for {set(self.frame.labels_of(mask))!r} must be finite and "
-                    f"non-negative, got {value!r}"
+                    f"mass for {labels!r} must be finite and non-negative, got {value!r}"
                 )
             if v != 0.0:
                 cleaned[mask] = v
@@ -189,11 +164,11 @@ class MassFunction:
         object.__setattr__(self, "masses", cleaned)
 
     @classmethod
-    def from_triple(cls, frame: Frame, t: Iterable[float]) -> MassFunction:
+    def from_triple(cls, t: Iterable[float]) -> MassFunction:
         """The mass function with masses ``t`` on (first singleton, second
         singleton, full frame).
 
-        Equal to ``cls(frame, {FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})``
+        Equal to ``cls({FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})``
         in every outcome: the same masses, bit for bit and in the same key
         order, or the same error. Masses that pass
         :func:`finite_nonnegative_floats` skip the constructor's per-mask
@@ -202,7 +177,7 @@ class MassFunction:
         """
         a, b, c = t
         if not finite_nonnegative_floats(a, b, c):
-            return cls(frame, {FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})
+            return cls({FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})
         total = _divisor((a, b, c))
         if total != 1.0:
             # the constructor drops zeros before it divides; dividing first
@@ -216,29 +191,20 @@ class MassFunction:
         if c:
             masses[FULL_MASK] = c
         m = object.__new__(cls)
-        _set_field(m, "frame", frame)
-        _set_field(m, "masses", masses)
+        object.__setattr__(m, "masses", masses)
         return m
 
     @classmethod
-    def vacuous(cls, frame: Frame) -> MassFunction:
+    def vacuous(cls) -> MassFunction:
         """Total ignorance: all mass on the full frame."""
-        return cls(frame, {FULL_MASK: 1.0})
+        return cls({FULL_MASK: 1.0})
 
     def mass_of_mask(self, mask: int) -> float:
         return self.masses.get(mask, 0.0)
 
-    @property
-    def is_vacuous(self) -> bool:
-        return set(self.masses) == {FULL_MASK}
-
     def combine(self, other: MassFunction) -> MassFunction:
         """Dempster's rule (:func:`dempster`) of two independent sources."""
-        if self.frame != other.frame:
-            raise FrameMismatch(
-                f"frames differ: {self.frame.elements!r} vs {other.frame.elements!r}"
-            )
-        return MassFunction.from_triple(self.frame, dempster(part_triple(self), part_triple(other)))
+        return MassFunction.from_triple(dempster(part_triple(self), part_triple(other)))
 
 
 def part_triple(m: MassFunction) -> Triple:

@@ -57,8 +57,9 @@ class TriangularFuzzyNumber:
         """
         if not 0.0 <= alpha <= 1.0:
             raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha!r}")
-        lo = self.a + alpha * (self.b - self.a)
-        hi = self.c - alpha * (self.c - self.b)
+        # rounding may carry an endpoint past the peak, which the cut contains
+        lo = min(self.a + alpha * (self.b - self.a), self.b)
+        hi = max(self.c - alpha * (self.c - self.b), self.b)
         return Interval(lo, hi)
 
     @property
@@ -151,7 +152,7 @@ def crisp_to_interval(x: float) -> Interval:
         raise InvalidInterval(f"expected a number, got {x!r}")
     if not math.isfinite(float(x)) or x < 0:
         raise InvalidInterval(f"crisp value must be finite and non-negative, got {x!r}")
-    return Interval.point(float(x))
+    return Interval(x, x)
 
 
 def as_interval(value: ScaleValue, alpha: float = 0.0) -> Interval:

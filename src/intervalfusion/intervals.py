@@ -37,11 +37,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def point(cls, x: float) -> Interval:
-        """Degenerate interval ``[x, x]``."""
-        return cls(x, x)
-
     def __truediv__(self, k: float | int) -> Interval:
         """``[lo/k, hi/k]`` for a strictly positive real ``k``."""
         if isinstance(k, bool) or not isinstance(k, (int, float)):

@@ -49,7 +49,7 @@ from .errors import (
     UnknownTerm,
     ValidationError,
 )
-from .evidence import Frame, MassFunction, finite_nonnegative_floats
+from .evidence import FRAME, MassFunction, finite_nonnegative_floats
 from .fuzzy import (
     INTERVAL_KIND,
     TFN_KIND,
@@ -63,7 +63,6 @@ from .intervals import Interval
 from .pipeline import DecisionProblem
 
 SCHEMA_VERSION = "1"
-FRAME_LABELS = ("IS", "NS")
 
 #: Unit-sum slack granted to rating triples at ingestion (display rounding).
 RATING_SUM_TOLERANCE = 1e-3
@@ -299,7 +298,7 @@ def _cell_where(name: str, alt: str, crit: str) -> str:
     return f"ratings[{name!r}][{alt!r}][{crit!r}]"
 
 
-def _parse_rating(value, frame: Frame, name: str, alt: str, crit: str) -> MassFunction:
+def _parse_rating(value, name: str, alt: str, crit: str) -> MassFunction:
     """The rating cell ``ratings[name][alt][crit]``; its coordinates are
     formatted only when it is rejected."""
     a, b, c = value if type(value) is list and len(value) == 3 else (None, None, None)
@@ -315,8 +314,8 @@ def _parse_rating(value, frame: Frame, name: str, alt: str, crit: str) -> MassFu
     if abs(total - 1.0) > RATING_SUM_TOLERANCE:
         raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
     if total != 1.0:
-        return MassFunction.from_triple(frame, (a / total, b / total, c / total))
-    return MassFunction.from_triple(frame, (a, b, c))
+        return MassFunction.from_triple((a / total, b / total, c / total))
+    return MassFunction.from_triple((a, b, c))
 
 
 def _build_problem(doc, alpha: float) -> DecisionProblem:
@@ -327,11 +326,8 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
     if version != SCHEMA_VERSION:
         raise SchemaError(f"schema_version: unsupported version {version!r}, expected {SCHEMA_VERSION!r}")
 
-    if "frame" in root:
-        frame_labels = _label_list(root["frame"], "frame")
-        if frame_labels != FRAME_LABELS:
-            raise SchemaError(f"frame: must be {list(FRAME_LABELS)!r} in schema version 1")
-    frame = Frame(FRAME_LABELS)
+    if "frame" in root and _label_list(root["frame"], "frame") != FRAME:
+        raise SchemaError(f"frame: must be {list(FRAME)!r} in schema version 1")
 
     alternatives = _label_list(root["alternatives"], "alternatives")
     criteria = _label_list(root["criteria"], "criteria")
@@ -380,7 +376,7 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
                 where = f"ratings[{name!r}][{alt!r}]"
                 _require_exact_keys(_expect_dict(alt_obj, where), criteria, where, "criterion")
             rows.append(
-                tuple([_parse_rating(alt_obj[crit], frame, name, alt, crit) for crit in criteria])
+                tuple([_parse_rating(alt_obj[crit], name, alt, crit) for crit in criteria])
             )
         ratings.append(tuple(rows))
 

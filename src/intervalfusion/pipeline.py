@@ -14,10 +14,10 @@ The five-step method implemented here:
    right part into one classical BPA;
 5. rank alternatives by pignistic belief in the ideal hypothesis.
 
-Frame convention: ratings live on a two-element frame whose first element is
-the "ideal" hypothesis and whose second is the "negative ideal" one; mass on
-the full frame is uncommitted belief. Rating triples are always ordered
-(first singleton, second singleton, full frame).
+Every rating lives on the one frame ``evidence.FRAME`` = (IS, NS), whose
+first element is the "ideal" hypothesis and whose second is the "negative
+ideal" one; mass on the full frame is uncommitted belief. Rating triples are
+always ordered (first singleton, second singleton, full frame).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 from .errors import (
     AllZeroWeights,
     EmptyEvidenceList,
-    FrameMismatch,
     IntervalFusionError,
     InvalidWeight,
     ValidationError,
@@ -37,7 +36,6 @@ from .errors import (
 from .evidence import (
     FIRST_MASK,
     SECOND_MASK,
-    Frame,
     MassFunction,
     Triple,
     combine_all,
@@ -57,7 +55,7 @@ PER_DM = "per-dm"
 @dataclass(frozen=True)
 class IntervalBPA:
     """An interval-valued belief assignment, stored as its two bounding
-    classical BPAs over the same frame.
+    classical BPAs.
 
     ``left`` is built from the lower weight bound, ``right`` from the upper.
     Freshly discounted pairs satisfy ``left(singleton) <= right(singleton)``;
@@ -66,17 +64,6 @@ class IntervalBPA:
 
     left: MassFunction
     right: MassFunction
-
-    def __post_init__(self) -> None:
-        if self.left.frame != self.right.frame:
-            raise FrameMismatch(
-                f"parts use different frames: {self.left.frame.elements!r} "
-                f"vs {self.right.frame.elements!r}"
-            )
-
-    @property
-    def frame(self) -> Frame:
-        return self.left.frame
 
     def triples(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """Both parts as (first singleton, second singleton, full frame) triples."""
@@ -111,7 +98,7 @@ def _check_weight(w: Interval) -> None:
 
 def _discount_part(m: MassFunction, w: float) -> MassFunction:
     first, second, _ = part_triple(m)
-    return MassFunction.from_triple(m.frame, discount(first, second, w))
+    return MassFunction.from_triple(discount(first, second, w))
 
 
 def discount_to_interval_bpa(m: MassFunction, w: Interval) -> IntervalBPA:
@@ -160,8 +147,7 @@ class DecisionProblem:
 
     ``criterion_weights[d][c]`` weighs criterion ``c`` for decision maker
     ``d``; ``ratings[d][a][c]`` is the classical BPA rating alternative ``a``
-    on criterion ``c`` according to decision maker ``d``. All ratings share
-    one frame.
+    on criterion ``c`` according to decision maker ``d``.
     """
 
     alternatives: tuple[str, ...]
@@ -217,17 +203,6 @@ class DecisionProblem:
         if max(w.hi for ws in self.criterion_weights for w in ws) <= 0.0:
             raise AllZeroWeights("criterion weights are all zero")
 
-        frame = self.ratings[0][0][0].frame
-        for dm in self.ratings:
-            for row in dm:
-                for m in row:
-                    if m.frame is not frame and m.frame != frame:
-                        raise FrameMismatch("all ratings must share one frame")
-
-    @property
-    def frame(self) -> Frame:
-        return self.ratings[0][0][0].frame
-
 
 @dataclass(frozen=True)
 class RankingReport:
@@ -265,14 +240,9 @@ class RankingReport:
             raise ValueError("this report was not built by rank_alternatives and has no trace")
         return self._problem
 
-    @property
-    def frame(self) -> Frame:
-        return self._source().frame
-
     @cached_property
     def _trace(self) -> tuple:
         problem = self._source()
-        frame = problem.frame
         n_alt = len(problem.alternatives)
         rows: list[tuple[list[Triple], list[Triple]]] = []
         dm_fused, final, collapsed = _kernel(
@@ -280,16 +250,16 @@ class RankingReport:
         )
         cell_bpas = tuple(
             tuple(
-                tuple(_interval_bpa(frame, pair) for pair in zip(*rows[d * n_alt + a]))
+                tuple(_interval_bpa(pair) for pair in zip(*rows[d * n_alt + a]))
                 for a in range(n_alt)
             )
             for d in range(len(problem.decision_makers))
         )
         return (
             cell_bpas,
-            tuple(tuple(_interval_bpa(frame, pair) for pair in dm) for dm in dm_fused),
-            tuple(_interval_bpa(frame, pair) for pair in final),
-            tuple(MassFunction.from_triple(frame, t) for t in collapsed),
+            tuple(tuple(_interval_bpa(pair) for pair in dm) for dm in dm_fused),
+            tuple(_interval_bpa(pair) for pair in final),
+            tuple(MassFunction.from_triple(t) for t in collapsed),
         )
 
     @property
@@ -385,11 +355,9 @@ def _kernel(
     return dm_fused, final, collapsed
 
 
-def _interval_bpa(frame: Frame, pair: tuple[Triple, Triple]) -> IntervalBPA:
+def _interval_bpa(pair: tuple[Triple, Triple]) -> IntervalBPA:
     left, right = pair
-    return IntervalBPA(
-        MassFunction.from_triple(frame, left), MassFunction.from_triple(frame, right)
-    )
+    return IntervalBPA(MassFunction.from_triple(left), MassFunction.from_triple(right))
 
 
 def rank_alternatives(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .evidence import part_triple
+from .evidence import FRAME, part_triple
 from .pipeline import IntervalBPA, RankingReport
 
 SUMMARY = "summary"
@@ -54,7 +54,7 @@ def _bpa_str(ib: IntervalBPA) -> str:
 
 def _render_human(report: RankingReport, mode: str) -> str:
     lines: list[str] = []
-    first = report.frame.elements[0]
+    e0, e1 = FRAME
 
     if mode == FULL_TRACE:
         lines.append("Normalized criterion weights")
@@ -70,7 +70,6 @@ def _render_human(report: RankingReport, mode: str) -> str:
             lines.append(f"  {dm}: {_interval_str(report.normalized_dm_weights[d])}")
         lines.append("")
 
-        e0, e1 = report.frame.elements
         lines.append(f"Discounted interval BPAs ({{{e0}}}, {{{e1}}}, {{{e0}, {e1}}})")
         for d, dm in enumerate(report.decision_makers):
             for a, alt in enumerate(report.alternatives):
@@ -93,7 +92,7 @@ def _render_human(report: RankingReport, mode: str) -> str:
         lines.append("")
 
     width = max(len("Alternative"), max(len(a) for a in report.alternatives))
-    header = f"bet({first})"
+    header = f"bet({e0})"
     lines.append(f"{'Alternative':<{width}}  {header}")
     for a, alt in enumerate(report.alternatives):
         lines.append(f"{alt:<{width}}  {_fmt(report.bets[a]):>{len(header)}}")
@@ -111,7 +110,7 @@ def _report_dict(report: RankingReport, mode: str) -> dict:
     doc: dict = {
         "report_version": REPORT_VERSION,
         "mode": mode,
-        "frame": list(report.frame.elements),
+        "frame": list(FRAME),
         "alternatives": list(report.alternatives),
         "bets": {alt: report.bets[a] for a, alt in enumerate(report.alternatives)},
         "ranking": list(report.ranking),

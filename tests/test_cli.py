@@ -230,3 +230,14 @@ class TestDemo:
         assert result.returncode == 0
         golden = (GOLDEN_DIR / "demo-output.txt").read_bytes()
         assert result.stdout == golden
+
+    def test_demo_to_ascii_stdout(self):
+        # the report goes out as UTF-8 bytes whatever the encoding of stdout
+        result = subprocess.run(
+            [sys.executable, "-m", "intervalfusion", "demo"],
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONIOENCODING": "ascii"},
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (GOLDEN_DIR / "demo-output.txt").read_bytes()

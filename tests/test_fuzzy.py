@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from intervalfusion import (
     INTERVAL_DEFAULT_SCALE,
@@ -63,6 +63,11 @@ class TestAlphaCut:
     def test_halfway(self):
         cut = TriangularFuzzyNumber(0.1, 0.3, 0.5).alpha_cut(0.5)
         assert (cut.lo, cut.hi) == pytest.approx((0.2, 0.4), abs=1e-9)
+
+    def test_rounding_past_the_peak_is_clamped(self):
+        # c - 1.0 * (c - b) rounds 2.8e-9 below b for these vertices
+        t = TriangularFuzzyNumber(3338795.472462671, 3360657.0086845933, 87707394.41313182)
+        assert t.alpha_cut(1.0) == Interval(t.b, t.b)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1])
     def test_invalid_alpha(self, alpha):
@@ -170,6 +175,16 @@ class TestFuzzyProperties:
     @given(t=tfns())
     def test_membership_peak_is_one(self, t):
         assert t.membership(t.b) == 1.0
+
+    @given(
+        vertices=st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=3, max_size=3),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(vertices=[3338795.472462671, 3360657.0086845933, 87707394.41313182], alpha=1.0)
+    def test_cut_contains_the_peak(self, vertices, alpha):
+        a, b, c = sorted(vertices)
+        cut = TriangularFuzzyNumber(a, b, c).alpha_cut(alpha)
+        assert cut.lo <= b <= cut.hi
 
     @given(t=tfns(), a1=unit, a2=unit)
     def test_alpha_cuts_nested(self, t, a1, a2):

@@ -21,9 +21,6 @@ class TestConstruction:
         iv = Interval(0.5, 0.5)
         assert iv.lo == iv.hi == 0.5
 
-    def test_point(self):
-        assert Interval.point(0.95) == Interval(0.95, 0.95)
-
     def test_inverted_rejected(self):
         with pytest.raises(InvalidInterval):
             Interval(0.9, 0.1)
@@ -62,5 +59,5 @@ unit_floats = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 class TestProperties:
     @given(x=unit_floats)
     def test_point_has_zero_width(self, x):
-        p = Interval.point(x)
+        p = Interval(x, x)
         assert p.lo == p.hi == x

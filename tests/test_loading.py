@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from intervalfusion import Interval, load_problem
+from intervalfusion import JSON_FORMAT, Interval, emit_report, load_problem, rank_alternatives
 from intervalfusion.errors import (
     InvalidAlpha,
     ParseError,
@@ -109,6 +109,22 @@ class TestWeightForms:
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
             load(minimal_doc(), alpha=1.5)
+
+    def test_tfn_term_cut_at_its_peak(self):
+        # the falling flank's cut at alpha 1 rounds 2.8e-9 below the peak
+        peak = 3360657.0086845933
+        vertices = [3338795.472462671, peak, 87707394.41313182]
+        doc = minimal_doc(
+            scales={"wide": {"kind": "tfn", "terms": {"T": vertices}}},
+            decision_makers=[
+                {
+                    "name": "DM1",
+                    "weight": {"term": "T", "scale": "wide"},
+                    "criterion_weights": [[0.2, 0.4]],
+                }
+            ],
+        )
+        assert load(doc, alpha=1).dm_weights[0] == Interval(peak, peak)
 
     def test_user_defined_scale(self):
         doc = minimal_doc(
@@ -352,7 +368,8 @@ class TestDocumentStructure:
             load(minimal_doc(frame=["GOOD", "BAD"]))
 
     def test_explicit_default_frame_accepted(self):
-        assert load(minimal_doc(frame=["IS", "NS"])).frame.elements == ("IS", "NS")
+        report = rank_alternatives(load(minimal_doc(frame=["IS", "NS"])))
+        assert json.loads(emit_report(report, fmt=JSON_FORMAT))["frame"] == ["IS", "NS"]
 
     def test_duplicate_alternatives(self):
         with pytest.raises(SchemaError):

@@ -6,7 +6,6 @@ from intervalfusion import (
     JSON_FORMAT,
     SUMMARY,
     DecisionProblem,
-    Frame,
     Interval,
     IntervalBPA,
     MassFunction,
@@ -24,7 +23,6 @@ from intervalfusion import (
 from intervalfusion.errors import (
     AllZeroWeights,
     EmptyEvidenceList,
-    FrameMismatch,
     InvalidWeight,
     TotalConflict,
     ValidationError,
@@ -33,11 +31,8 @@ from intervalfusion.errors import (
 from reference import brute_pignistic
 from test_properties import by_labels
 
-IS_NS = Frame(("IS", "NS"))
-
-
 def triple(a, b, c):
-    return MassFunction(IS_NS, {0b01: a, 0b10: b, 0b11: c})
+    return MassFunction({0b01: a, 0b10: b, 0b11: c})
 
 
 def bpa(left, right):
@@ -110,8 +105,8 @@ class TestDiscountToIntervalBPA:
     def test_zero_weight_is_vacuous_exact(self):
         m = triple(0.60, 0.20, 0.20)
         got = discount_to_interval_bpa(m, Interval(0, 0))
-        assert got.left == MassFunction.vacuous(IS_NS)
-        assert got.right == MassFunction.vacuous(IS_NS)
+        assert got.left == MassFunction.vacuous()
+        assert got.right == MassFunction.vacuous()
 
     @pytest.mark.parametrize("w", [(-0.1, 0.5), (0.5, 1.2)])
     def test_invalid_weight(self, w):
@@ -151,8 +146,8 @@ class TestDiscountIntervalBPA:
     def test_zero_reliability(self):
         ib = bpa((0.5133, 0.0980, 0.3887), (0.8009, 0.0987, 0.1004))
         got = discount_interval_bpa(ib, Interval(0, 0))
-        assert got.left.is_vacuous
-        assert got.right.is_vacuous
+        assert got.left == MassFunction.vacuous()
+        assert got.right == MassFunction.vacuous()
 
 
 class TestFuseAndCollapse:
@@ -187,25 +182,15 @@ class TestFuseAndCollapse:
 
     def test_collapse_with_vacuous_left(self):
         m = triple(0.6, 0.2, 0.2)
-        got = collapse_interval_bpa(IntervalBPA(MassFunction.vacuous(IS_NS), m))
+        got = collapse_interval_bpa(IntervalBPA(MassFunction.vacuous(), m))
         assert got == m
 
     def test_collapse_total_conflict(self):
         ib = IntervalBPA(
-            MassFunction(IS_NS, {0b01: 1.0}), MassFunction(IS_NS, {0b10: 1.0})
+            MassFunction({0b01: 1.0}), MassFunction({0b10: 1.0})
         )
         with pytest.raises(TotalConflict):
             collapse_interval_bpa(ib)
-
-    def test_interval_bpa_requires_two_element_frame(self):
-        # the frame type refuses any other size, so no part can be built
-        with pytest.raises(ValueError):
-            MassFunction.vacuous(Frame(("a", "b", "c")))
-
-    def test_interval_bpa_requires_shared_frame(self):
-        other = Frame(("x", "y"))
-        with pytest.raises(FrameMismatch):
-            IntervalBPA(MassFunction.vacuous(IS_NS), MassFunction.vacuous(other))
 
 
 def build_problem(dm_weights, criterion_weights, ratings, **kw):
@@ -289,7 +274,7 @@ class TestRankAlternatives:
     def test_bet_matches_general_pignistic(self, supplier_report):
         for a in range(len(supplier_report.alternatives)):
             m = supplier_report.collapsed[a]
-            expected = brute_pignistic(m.frame.elements, by_labels(m))["IS"]
+            expected = brute_pignistic(("IS", "NS"), by_labels(m))["IS"]
             assert supplier_report.bets[a] == pytest.approx(expected, abs=1e-12)
 
     def test_bets_over_two_hypotheses_sum_to_one(self, supplier_report):
@@ -417,6 +402,13 @@ class TestRankAlternatives:
         assert bet_ideal(m) == pytest.approx(0.9833 + 0.0048 / 2, abs=1e-12)
 
 
+def built_directly(report):
+    """A copy of ``report`` made by its constructor, without a problem."""
+    fields = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
+              "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking")
+    return type(report)(**{f: getattr(report, f) for f in fields})
+
+
 class TestTraceOnDemand:
     def test_summary_builds_no_mass_functions(self, supplier_problem, monkeypatch):
         # a MassFunction is built by from_triple, which runs the constructor
@@ -427,10 +419,10 @@ class TestTraceOnDemand:
         from_triple = MassFunction.from_triple.__func__
         post_init = MassFunction.__post_init__
 
-        def counting_from_triple(cls, frame, t):
+        def counting_from_triple(cls, t):
             in_from_triple.append(True)
             try:
-                m = from_triple(cls, frame, t)
+                m = from_triple(cls, t)
             finally:
                 in_from_triple.pop()
             built.append(m)
@@ -466,11 +458,16 @@ class TestTraceOnDemand:
         assert supplier_report.collapsed is supplier_report.collapsed
 
     def test_report_built_directly_has_no_trace(self, supplier_report):
-        fields = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
-                  "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking")
-        report = type(supplier_report)(**{f: getattr(supplier_report, f) for f in fields})
+        report = built_directly(supplier_report)
         with pytest.raises(ValueError, match="no trace"):
             report.cell_bpas
+
+    def test_report_built_directly_renders_a_summary(self, supplier_report):
+        report = built_directly(supplier_report)
+        for fmt in (HUMAN_TABLE, JSON_FORMAT):
+            assert emit_report(report, SUMMARY, fmt) == emit_report(supplier_report, SUMMARY, fmt)
+            with pytest.raises(ValueError, match="no trace"):
+                emit_report(report, FULL_TRACE, fmt)
 
     def test_total_conflict_across_decision_makers_raises_at_rank(self):
         # each decision maker is certain of the opposite hypothesis

@@ -15,7 +15,6 @@ from intervalfusion import (
     PER_DM,
     POOLED,
     DecisionProblem,
-    Frame,
     Interval,
     IntervalFusionError,
     MassFunction,
@@ -29,18 +28,15 @@ from intervalfusion import (
     rank_alternatives,
 )
 from intervalfusion.errors import TotalConflict
+from intervalfusion.evidence import FRAME
 
 from reference import brute_combine, crisp_rank
-
-IS_NS = Frame(("IS", "NS"))
-
-FRAMES = (IS_NS,)
 
 RUNS = settings(max_examples=200, deadline=None)
 
 
-def masses_on(frame):
-    full = frame.full_mask
+def masses_on():
+    full = 0b11
 
     @st.composite
     def build(draw):
@@ -61,21 +57,19 @@ def masses_on(frame):
             )
         )
         total = sum(weights)
-        return MassFunction(frame, {m: w / total for m, w in zip(masks, weights)})
+        return MassFunction({m: w / total for m, w in zip(masks, weights)})
 
     return build()
 
 
 @st.composite
 def mass_pairs(draw):
-    frame = draw(st.sampled_from(FRAMES))
-    return draw(masses_on(frame)), draw(masses_on(frame))
+    return draw(masses_on()), draw(masses_on())
 
 
 @st.composite
 def mass_triples(draw):
-    frame = draw(st.sampled_from(FRAMES))
-    return tuple(draw(masses_on(frame)) for _ in range(3))
+    return tuple(draw(masses_on()) for _ in range(3))
 
 
 @st.composite
@@ -87,12 +81,15 @@ def rating_triples(draw, max_committed=1.0):
 
 
 def as_mass(triple):
-    return MassFunction(IS_NS, {0b01: triple[0], 0b10: triple[1], 0b11: triple[2]})
+    return MassFunction({0b01: triple[0], 0b10: triple[1], 0b11: triple[2]})
 
 
 def by_labels(m):
     """The masses of ``m`` keyed by label frozensets, as the oracles take them."""
-    return {frozenset(m.frame.labels_of(mask)): v for mask, v in m.masses.items()}
+    return {
+        frozenset(e for i, e in enumerate(FRAME) if mask >> i & 1): v
+        for mask, v in m.masses.items()
+    }
 
 
 def assert_masses_close(m1, m2, tol):
@@ -118,7 +115,7 @@ def test_combine_commutative(pair):
     except TotalConflict:
         assume(False)
     assert_masses_close(a, b, 1e-12)
-    assert MassFunction(m1.frame, dict(reversed(m1.masses.items()))).combine(m2) == a
+    assert MassFunction(dict(reversed(m1.masses.items()))).combine(m2) == a
 
 
 # 2. combination is associative
@@ -139,7 +136,7 @@ def test_combine_associative(ms):
 @given(pair=mass_pairs())
 def test_vacuous_neutral_exact(pair):
     m, _ = pair
-    vac = MassFunction.vacuous(m.frame)
+    vac = MassFunction.vacuous()
     assert m.combine(vac) == m
     assert vac.combine(m) == m
 
@@ -163,8 +160,8 @@ def test_discount_identities_exact(triple):
     assert ib.left == m
     assert ib.right == m
     vacuous = discount_to_interval_bpa(m, Interval(0, 0))
-    assert vacuous.left == MassFunction.vacuous(IS_NS)
-    assert vacuous.right == MassFunction.vacuous(IS_NS)
+    assert vacuous.left == MassFunction.vacuous()
+    assert vacuous.right == MassFunction.vacuous()
 
 
 # 6. normalization is invariant under common positive rescaling. Endpoints
@@ -197,7 +194,7 @@ def test_normalization_scale_invariant(raw, k):
 @given(pair=mass_pairs())
 def test_combine_matches_brute_force_oracle(pair):
     m1, m2 = pair
-    expected, k = brute_combine(m1.frame.elements, by_labels(m1), by_labels(m2))
+    expected, k = brute_combine(FRAME, by_labels(m1), by_labels(m2))
     if expected is None or k >= 1.0 - 1e-9:
         # (near-)total conflict: 1/(1-K) is numerically meaningless there
         # and the library refuses to renormalize; the exact K = 1 behavior
@@ -236,8 +233,8 @@ def test_degenerate_weights_match_crisp_pipeline(data):
         alternatives=tuple(f"A{i}" for i in range(n_alt)),
         criteria=tuple(f"C{i}" for i in range(n_crit)),
         decision_makers=tuple(f"D{i}" for i in range(n_dm)),
-        dm_weights=tuple(Interval.point(w) for w in dm_w),
-        criterion_weights=tuple(tuple(Interval.point(w) for w in ws) for ws in crit_w),
+        dm_weights=tuple(Interval(w, w) for w in dm_w),
+        criterion_weights=tuple(tuple(Interval(w, w) for w in ws) for ws in crit_w),
         ratings=tuple(
             tuple(tuple(as_mass(r) for r in row) for row in dm) for dm in ratings
         ),
@@ -412,7 +409,7 @@ def built(make):
         m = make()
     except IntervalFusionError as exc:
         return type(exc), str(exc)
-    return m.frame, [(mask, v.hex()) for mask, v in m.masses.items()]
+    return [(mask, v.hex()) for mask, v in m.masses.items()]
 
 
 @RUNS
@@ -426,6 +423,6 @@ def built(make):
 @example(t=(True, 0.0, 0.0))
 def test_from_triple_matches_constructor(t):
     a, b, c = t
-    assert built(lambda: MassFunction.from_triple(IS_NS, t)) == built(
-        lambda: MassFunction(IS_NS, {0b01: a, 0b10: b, 0b11: c})
+    assert built(lambda: MassFunction.from_triple(t)) == built(
+        lambda: MassFunction({0b01: a, 0b10: b, 0b11: c})
     )
