@@ -35,20 +35,12 @@ class UnknownTerm(IntervalFusionError):
 
 # --- mass functions and combination ----------------------------------------
 
-class EmptyFocalSet(IntervalFusionError):
-    """The empty set cannot carry mass."""
-
-
 class NegativeMass(IntervalFusionError):
     """Masses must be finite and non-negative."""
 
 
 class MassSumViolation(IntervalFusionError):
     """Masses must sum to 1 within tolerance."""
-
-
-class FrameMismatch(IntervalFusionError):
-    """A subset bitmask falls outside the frame {IS, NS}."""
 
 
 class TotalConflict(IntervalFusionError):

@@ -2,12 +2,9 @@
 
 A :class:`MassFunction` distributes belief over the non-empty subsets of
 the one frame :data:`FRAME` = (IS, NS): the "ideal" and the "negative
-ideal" hypothesis. Subsets are encoded as bitmasks over it (element ``i``
-is bit ``i``): ``0b01`` and ``0b10`` are the singletons, ``0b11`` is the
-full frame. A mass function is therefore a triple ``(a, b, c)`` of the
-masses of the first singleton, the second singleton and the full frame;
-:meth:`MassFunction.from_triple` and :func:`part_triple` convert between
-the two.
+ideal" hypothesis. There are three such subsets, so a mass function is the
+triple ``(a, b, c)`` of the masses of {IS}, {NS} and the full frame
+Θ = {IS, NS}, in that order; :attr:`MassFunction.masses` holds it.
 
 All arithmetic on mass functions is defined here once, on triples, and both
 :class:`MassFunction` and the kernel of ``rank_alternatives`` call it:
@@ -33,14 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from .errors import (
-    EmptyEvidenceList,
-    EmptyFocalSet,
-    FrameMismatch,
-    MassSumViolation,
-    NegativeMass,
-    TotalConflict,
-)
+from .errors import EmptyEvidenceList, MassSumViolation, NegativeMass, TotalConflict
 
 #: Mass vectors whose sum deviates from 1 by more than this are rejected.
 #: Smaller deviations (typical of published tables rounded to 4 decimals)
@@ -59,28 +49,29 @@ TOTAL_CONFLICT_EPS = 1e-12
 #: floating-point residue before it is an input error.
 COMPLEMENT_EPS = 1e-9
 
-#: The frame of discernment, in bit order: the ideal hypothesis first.
+#: The frame of discernment: the ideal hypothesis first.
 FRAME = ("IS", "NS")
-
-#: Subset bitmasks: the first singleton, the second, the full frame.
-FIRST_MASK, SECOND_MASK, FULL_MASK = 0b01, 0b10, 0b11
 
 #: Masses of (first singleton, second singleton, full frame).
 Triple = tuple[float, float, float]
 
+#: The three focal sets as diagnostics name them, in FRAME order.
+_FOCAL_SETS = tuple("{" + ", ".join(map(repr, s)) + "}" for s in (FRAME[:1], FRAME[1:], FRAME))
+
 _INF = math.inf
 
 
-def finite_nonnegative_floats(a, b, c) -> bool:
-    """Whether ``a``, ``b`` and ``c`` are all of type ``float``, finite and
-    non-negative: masses that every per-mask check of :class:`MassFunction`
-    accepts and that ``float()`` leaves as they are."""
-    return (
-        type(a) is type(b) is type(c) is float
-        and 0.0 <= a < _INF
-        and 0.0 <= b < _INF
-        and 0.0 <= c < _INF
-    )
+def _mass(value, focal_set: str) -> float:
+    """``float(value)`` if it is finite and non-negative, with -0.0 read as
+    +0.0; else NegativeMass naming ``focal_set``. (``intervals.to_float``,
+    inlined: every cell is built here.)"""
+    try:
+        v = float(value) + 0.0
+    except OverflowError:  # an int beyond float range
+        v = _INF
+    if 0.0 <= v < _INF:
+        return v
+    raise NegativeMass(f"mass for {focal_set} must be finite and non-negative, got {value!r}")
 
 
 def _divisor(values: Iterable[float]) -> float:
@@ -131,86 +122,43 @@ def dempster(x: Triple, y: Triple) -> Triple:
     return a, b, c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MassFunction:
     """A basic probability assignment over :data:`FRAME`.
 
-    Masses are keyed by subset bitmask. Invariants: every mass is finite and
-    non-negative, the empty set carries none, and the total is 1 (after the
-    renormalization policy above). Zero-mass subsets are dropped, so equality
-    compares focal sets only.
+    ``masses`` is the triple of the masses of {IS}, {NS} and the full frame.
+    Invariants: every mass is a finite, non-negative float, a zero mass is
+    +0.0, and the total is 1 (after the renormalization policy above).
     """
 
-    masses: dict[int, float]
+    masses: Triple
 
     def __post_init__(self) -> None:
-        cleaned: dict[int, float] = {}
-        for mask, value in self.masses.items():
-            if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask <= FULL_MASK:
-                raise FrameMismatch(f"subset mask {mask!r} does not fit frame {FRAME!r}")
-            if mask == 0:
-                raise EmptyFocalSet("the empty set cannot carry mass")
-            v = float(value)
-            if not math.isfinite(v) or v < 0.0:
-                labels = {e for i, e in enumerate(FRAME) if mask >> i & 1}
-                raise NegativeMass(
-                    f"mass for {labels!r} must be finite and non-negative, got {value!r}"
-                )
-            if v != 0.0:
-                cleaned[mask] = v
-        total = _divisor(cleaned.values())
-        if total != 1.0:
-            cleaned = {mask: v / total for mask, v in cleaned.items()}
-        object.__setattr__(self, "masses", cleaned)
-
-    @classmethod
-    def from_triple(cls, t: Iterable[float]) -> MassFunction:
-        """The mass function with masses ``t`` on (first singleton, second
-        singleton, full frame).
-
-        Equal to ``cls({FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})``
-        in every outcome: the same masses, bit for bit and in the same key
-        order, or the same error. Masses that pass
-        :func:`finite_nonnegative_floats` skip the constructor's per-mask
-        loop and meet only the sum policy; any other triple (ints, bools,
-        NaN, infinities, negative masses) goes through the constructor.
-        """
-        a, b, c = t
-        if not finite_nonnegative_floats(a, b, c):
-            return cls({FIRST_MASK: a, SECOND_MASK: b, FULL_MASK: c})
+        x, y, z = self.masses
+        a, b, c = _mass(x, _FOCAL_SETS[0]), _mass(y, _FOCAL_SETS[1]), _mass(z, _FOCAL_SETS[2])
         total = _divisor((a, b, c))
         if total != 1.0:
-            # the constructor drops zeros before it divides; dividing first
-            # drops the same ones, since total is within 1e-6 of 1
             a, b, c = a / total, b / total, c / total
-        masses = {}
-        if a:
-            masses[FIRST_MASK] = a
-        if b:
-            masses[SECOND_MASK] = b
-        if c:
-            masses[FULL_MASK] = c
-        m = object.__new__(cls)
-        object.__setattr__(m, "masses", masses)
-        return m
+        object.__setattr__(self, "masses", (a, b, c))
 
     @classmethod
     def vacuous(cls) -> MassFunction:
         """Total ignorance: all mass on the full frame."""
-        return cls({FULL_MASK: 1.0})
+        return cls((0.0, 0.0, 1.0))
 
     def mass_of_mask(self, mask: int) -> float:
-        return self.masses.get(mask, 0.0)
+        """The mass of the subset with bitmask ``mask`` (1 for {IS}, 2 for
+        {NS}, 3 for the full frame), as ``benchmarks/run.py`` reads cells."""
+        return self.masses[mask - 1] if 1 <= mask <= 3 else 0.0
 
     def combine(self, other: MassFunction) -> MassFunction:
         """Dempster's rule (:func:`dempster`) of two independent sources."""
-        return MassFunction.from_triple(dempster(part_triple(self), part_triple(other)))
+        return MassFunction(dempster(self.masses, other.masses))
 
 
 def part_triple(m: MassFunction) -> Triple:
     """Masses of ({first}, {second}, {first, second})."""
-    get = m.masses.get
-    return get(FIRST_MASK, 0.0), get(SECOND_MASK, 0.0), get(FULL_MASK, 0.0)
+    return m.masses
 
 
 def combine_all(masses: Iterable[MassFunction]) -> MassFunction:

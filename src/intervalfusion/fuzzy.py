@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidAlpha, InvalidFuzzyNumber, InvalidInterval, UnknownTerm
-from .intervals import Interval
+from .intervals import Interval, to_float
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class TriangularFuzzyNumber:
     c: float
 
     def __post_init__(self) -> None:
-        a, b, c = float(self.a), float(self.b), float(self.c)
+        a, b, c = to_float(self.a), to_float(self.b), to_float(self.c)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise InvalidFuzzyNumber(f"vertices must be finite, got ({self.a!r}, {self.b!r}, {self.c!r})")
         if not a <= b <= c:
@@ -150,7 +150,7 @@ def crisp_to_interval(x: float) -> Interval:
     """Embed a crisp non-negative number as the degenerate interval ``[x, x]``."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidInterval(f"expected a number, got {x!r}")
-    if not math.isfinite(float(x)) or x < 0:
+    if not math.isfinite(to_float(x)) or x < 0:
         raise InvalidInterval(f"crisp value must be finite and non-negative, got {x!r}")
     return Interval(x, x)
 

@@ -17,6 +17,15 @@ from .errors import DivisionByZero, InvalidInterval
 ENDPOINT_TOLERANCE = 1e-12
 
 
+def to_float(x) -> float:
+    """``float(x)``, or inf for an int beyond float range, which finiteness
+    checks then reject instead of leaking OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed real interval ``[lo, hi]`` with finite ``lo <= hi``."""
@@ -25,8 +34,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
+        lo = to_float(self.lo)
+        hi = to_float(self.hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInterval(f"endpoints must be finite, got [{self.lo!r}, {self.hi!r}]")
         if lo > hi:

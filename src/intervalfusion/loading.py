@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from importlib.resources import files
 
 from .errors import (
     IntervalFusionError,
@@ -49,7 +48,7 @@ from .errors import (
     UnknownTerm,
     ValidationError,
 )
-from .evidence import FRAME, MassFunction, finite_nonnegative_floats
+from .evidence import FRAME, MassFunction
 from .fuzzy import (
     INTERVAL_KIND,
     TFN_KIND,
@@ -75,6 +74,8 @@ BUNDLED_DATASET = "supplier-selection.json"
 
 def bundled_dataset_bytes(name: str = BUNDLED_DATASET) -> bytes:
     """Raw bytes of a dataset shipped with the package."""
+    from importlib.resources import files
+
     return (files("intervalfusion") / "data" / name).read_bytes()
 
 
@@ -298,11 +299,22 @@ def _cell_where(name: str, alt: str, crit: str) -> str:
     return f"ratings[{name!r}][{alt!r}][{crit!r}]"
 
 
+def _finite_nonnegative_floats(a, b, c) -> bool:
+    """Whether ``a``, ``b`` and ``c`` are all of type ``float``, finite and
+    non-negative: numbers that every check of a rating cell accepts."""
+    return (
+        type(a) is type(b) is type(c) is float
+        and 0.0 <= a < math.inf
+        and 0.0 <= b < math.inf
+        and 0.0 <= c < math.inf
+    )
+
+
 def _parse_rating(value, name: str, alt: str, crit: str) -> MassFunction:
     """The rating cell ``ratings[name][alt][crit]``; its coordinates are
     formatted only when it is rejected."""
     a, b, c = value if type(value) is list and len(value) == 3 else (None, None, None)
-    if not finite_nonnegative_floats(a, b, c):
+    if not _finite_nonnegative_floats(a, b, c):
         # such floats pass every check below; any other cell, ints
         # included, takes them
         where = _cell_where(name, alt, crit)
@@ -314,8 +326,8 @@ def _parse_rating(value, name: str, alt: str, crit: str) -> MassFunction:
     if abs(total - 1.0) > RATING_SUM_TOLERANCE:
         raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
     if total != 1.0:
-        return MassFunction.from_triple((a / total, b / total, c / total))
-    return MassFunction.from_triple((a, b, c))
+        return MassFunction((a / total, b / total, c / total))
+    return MassFunction((a, b, c))
 
 
 def _build_problem(doc, alpha: float) -> DecisionProblem:

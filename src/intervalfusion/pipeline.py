@@ -33,16 +33,7 @@ from .errors import (
     InvalidWeight,
     ValidationError,
 )
-from .evidence import (
-    FIRST_MASK,
-    SECOND_MASK,
-    MassFunction,
-    Triple,
-    combine_all,
-    dempster,
-    discount,
-    part_triple,
-)
+from .evidence import MassFunction, Triple, combine_all, dempster, discount
 from .intervals import Interval
 
 #: Criterion weights pooled across all decision makers form one
@@ -67,12 +58,12 @@ class IntervalBPA:
 
     def triples(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """Both parts as (first singleton, second singleton, full frame) triples."""
-        return part_triple(self.left), part_triple(self.right)
+        return self.left.masses, self.right.masses
 
 
 def bet_ideal(m: MassFunction) -> float:
     """Pignistic belief in the first frame element: m({first}) + m(full)/2."""
-    first, _, full = part_triple(m)
+    first, _, full = m.masses
     return first + full / 2.0
 
 
@@ -97,8 +88,8 @@ def _check_weight(w: Interval) -> None:
 
 
 def _discount_part(m: MassFunction, w: float) -> MassFunction:
-    first, second, _ = part_triple(m)
-    return MassFunction.from_triple(discount(first, second, w))
+    first, second, _ = m.masses
+    return MassFunction(discount(first, second, w))
 
 
 def discount_to_interval_bpa(m: MassFunction, w: Interval) -> IntervalBPA:
@@ -259,7 +250,7 @@ class RankingReport:
             cell_bpas,
             tuple(tuple(_interval_bpa(pair) for pair in dm) for dm in dm_fused),
             tuple(_interval_bpa(pair) for pair in final),
-            tuple(MassFunction.from_triple(t) for t in collapsed),
+            tuple(MassFunction(t) for t in collapsed),
         )
 
     @property
@@ -314,8 +305,7 @@ def _kernel(
             rights: list[Triple] = []
             for c, m in enumerate(problem.ratings[d][a]):
                 lo, hi = bounds[c]
-                p = m.masses.get(FIRST_MASK, 0.0)
-                q = m.masses.get(SECOND_MASK, 0.0)
+                p, q, _ = m.masses
                 try:
                     lefts.append(discount(p, q, lo))
                     rights.append(discount(p, q, hi))
@@ -357,7 +347,7 @@ def _kernel(
 
 def _interval_bpa(pair: tuple[Triple, Triple]) -> IntervalBPA:
     left, right = pair
-    return IntervalBPA(MassFunction.from_triple(left), MassFunction.from_triple(right))
+    return IntervalBPA(MassFunction(left), MassFunction(right))
 
 
 def rank_alternatives(

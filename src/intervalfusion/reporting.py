@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .evidence import FRAME, part_triple
+from .evidence import FRAME
 from .pipeline import IntervalBPA, RankingReport
 
 SUMMARY = "summary"
@@ -87,8 +87,7 @@ def _render_human(report: RankingReport, mode: str) -> str:
         lines.append("")
         lines.append("Collapsed BPAs")
         for a, alt in enumerate(report.alternatives):
-            triple = part_triple(report.collapsed[a])
-            lines.append(f"  {alt}: {_triple_str(triple)} bet={_fmt(report.bets[a])}")
+            lines.append(f"  {alt}: {_triple_str(report.collapsed[a].masses)} bet={_fmt(report.bets[a])}")
         lines.append("")
 
     width = max(len("Alternative"), max(len(a) for a in report.alternatives))
@@ -144,6 +143,6 @@ def _report_dict(report: RankingReport, mode: str) -> dict:
         }
         doc["final"] = {alt: _bpa_dict(report.final_bpas[a]) for a, alt in enumerate(report.alternatives)}
         doc["collapsed"] = {
-            alt: list(part_triple(report.collapsed[a])) for a, alt in enumerate(report.alternatives)
+            alt: list(report.collapsed[a].masses) for a, alt in enumerate(report.alternatives)
         }
     return doc

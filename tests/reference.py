@@ -2,7 +2,7 @@
 
 Everything here works on plain dictionaries keyed by label frozensets and
 enumerates all subset pairs exhaustively, so it shares no code path with the
-package's bitmask-based implementation.
+package's closed form on (IS, NS, full frame) triples.
 """
 
 from itertools import combinations

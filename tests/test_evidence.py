@@ -1,11 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from intervalfusion import MassFunction, bet_ideal, combine_all
 from intervalfusion.errors import (
     EmptyEvidenceList,
-    EmptyFocalSet,
-    FrameMismatch,
     MassSumViolation,
     NegativeMass,
     TotalConflict,
@@ -17,28 +20,48 @@ from test_properties import by_labels
 
 
 def triple(a, b, c):
-    return MassFunction({0b01: a, 0b10: b, 0b11: c})
+    return MassFunction((a, b, c))
 
 
 class TestFrame:
     def test_masks(self):
-        # element i of the frame is bit i, as the diagnostics name them
+        # the masses are those of {IS}, {NS} and the full frame, in that
+        # order, as the diagnostics name them
         assert FRAME == ("IS", "NS")
-        for mask, labels in ((0b01, {"IS"}), (0b10, {"NS"}), (0b11, {"IS", "NS"})):
+        for i, labels in enumerate(("{'IS'}", "{'NS'}", "{'IS', 'NS'}")):
+            masses = [0.0, 0.0, 0.0]
+            masses[i] = -1.0
             with pytest.raises(NegativeMass) as err:
-                MassFunction({mask: -1.0})
-            assert str(err.value) == f"mass for {labels!r} must be finite and non-negative, got -1.0"
+                MassFunction(masses)
+            assert str(err.value) == f"mass for {labels} must be finite and non-negative, got -1.0"
+
+    def test_full_frame_named_in_frame_order_under_any_hash_seed(self):
+        # a set repr of the labels would print {'NS', 'IS'} under this seed
+        code = (
+            "from intervalfusion import MassFunction\n"
+            "try:\n"
+            "    MassFunction((0.5, 0.5, -1.0))\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": "6"},
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == b"mass for {'IS', 'NS'} must be finite and non-negative, got -1.0\n"
 
 
 class TestConstruction:
     def test_table_row(self):
         m = triple(0.60, 0.20, 0.20)
-        assert m.mass_of_mask(0b01) == 0.60
-        assert m.mass_of_mask(0b10) == 0.20
-        assert m.mass_of_mask(0b11) == 0.20
+        assert m.masses == (0.60, 0.20, 0.20)
+        assert [m.mass_of_mask(mask) for mask in (0b00, 0b01, 0b10, 0b11)] == [0.0, 0.60, 0.20, 0.20]
 
     def test_vacuous(self):
-        assert MassFunction.vacuous().masses == {0b11: 1.0}
+        assert MassFunction.vacuous().masses == (0.0, 0.0, 1.0)
 
     def test_sum_violation(self):
         with pytest.raises(MassSumViolation):
@@ -52,28 +75,26 @@ class TestConstruction:
         with pytest.raises(NegativeMass):
             triple(float("nan"), 0.5, 0.5)
 
-    def test_empty_focal_set(self):
-        with pytest.raises(EmptyFocalSet):
-            MassFunction({0b00: 0.5, 0b01: 0.5})
-
-    def test_mask_outside_frame(self):
-        with pytest.raises(FrameMismatch) as err:
-            MassFunction({0b100: 1.0})
-        assert str(err.value) == "subset mask 4 does not fit frame ('IS', 'NS')"
+    @pytest.mark.parametrize("masses", [(0.5, 0.5), (0.5, 0.5, 0.0, 0.0)])
+    def test_not_a_triple_rejected(self, masses):
+        with pytest.raises(ValueError):
+            MassFunction(masses)
 
     def test_rounded_table_row_renormalized(self):
         # four-decimal published data: sum deviates by well under 1e-6
         m = triple(0.6429, 0.0714, 0.2857)
-        assert sum(m.masses.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(m.masses) == pytest.approx(1.0, abs=1e-12)
 
     def test_large_deviation_rejected(self):
         with pytest.raises(MassSumViolation):
             triple(0.6429, 0.0714, 0.29)
 
     def test_zero_masses_dropped(self):
-        m = triple(0.5, 0.5, 0.0)
-        assert set(m.masses) == {0b01, 0b10}
-        assert m == MassFunction({0b01: 0.5, 0b10: 0.5})
+        # a zero mass, -0.0 included, is stored as +0.0: no focal set
+        m = triple(0.5, 0.5, -0.0)
+        assert m.masses == (0.5, 0.5, 0.0)
+        assert math.copysign(1.0, m.masses[2]) == 1.0
+        assert m == triple(0.5, 0.5, 0)
 
 
 class TestConflict:
@@ -85,17 +106,17 @@ class TestConflict:
         # K = 0.3795 * 0.0734 + 0.0468 * 0.4694
         k = 0.049823
         got = m1.combine(m2)
-        assert got.mass_of_mask(0b11) == pytest.approx(0.5737 * 0.4572 / (1.0 - k), abs=1e-6)
+        assert got.masses[2] == pytest.approx(0.5737 * 0.4572 / (1.0 - k), abs=1e-6)
 
     @given(a1=st.floats(min_value=0.0, max_value=1.0), a2=st.floats(min_value=0.0, max_value=1.0))
     def test_zero_when_all_focal_sets_intersect(self, a1, a2):
         # every focal set contains IS, so no pair is disjoint: K is exactly 0
         # and the products are not rescaled
-        m1 = MassFunction({0b01: a1, 0b11: 1.0 - a1})
-        m2 = MassFunction({0b01: a2, 0b11: 1.0 - a2})
+        m1 = triple(a1, 0.0, 1.0 - a1)
+        m2 = triple(a2, 0.0, 1.0 - a2)
         got = m1.combine(m2)
-        assert got.mass_of_mask(0b10) == 0.0
-        assert got.mass_of_mask(0b11) == (1.0 - a1) * (1.0 - a2)
+        assert got.masses[1] == 0.0
+        assert got.masses[2] == (1.0 - a1) * (1.0 - a2)
 
 
 class TestCombine:
@@ -109,13 +130,11 @@ class TestCombine:
         m1 = triple(0.1080, 0.0206, 0.8714)
         m2 = triple(0.1659, 0.0416, 0.7925)
         got = m1.combine(m2)
-        assert got.mass_of_mask(0b01) == pytest.approx(0.2500, abs=1e-4)
-        assert got.mass_of_mask(0b10) == pytest.approx(0.0539, abs=1e-4)
-        assert got.mass_of_mask(0b11) == pytest.approx(0.6961, abs=1e-4)
+        assert got.masses == pytest.approx((0.2500, 0.0539, 0.6961), abs=1e-4)
 
     def test_total_conflict(self):
-        m1 = MassFunction({0b01: 1.0})
-        m2 = MassFunction({0b10: 1.0})
+        m1 = triple(1.0, 0.0, 0.0)
+        m2 = triple(0.0, 1.0, 0.0)
         with pytest.raises(TotalConflict):
             m1.combine(m2)
 
@@ -146,9 +165,7 @@ class TestCombineAll:
             triple(0.2143, 0.0714, 0.7143),
         ]
         got = combine_all(parts)
-        assert got.mass_of_mask(0b01) == pytest.approx(0.5133, abs=2e-3)
-        assert got.mass_of_mask(0b10) == pytest.approx(0.0980, abs=2e-3)
-        assert got.mass_of_mask(0b11) == pytest.approx(0.3887, abs=2e-3)
+        assert got.masses == pytest.approx((0.5133, 0.0980, 0.3887), abs=2e-3)
 
     def test_four_discounted_right_parts(self):
         parts = [
@@ -158,9 +175,7 @@ class TestCombineAll:
             triple(0.4286, 0.1429, 0.4285),
         ]
         got = combine_all(parts)
-        assert got.mass_of_mask(0b01) == pytest.approx(0.8009, abs=2e-3)
-        assert got.mass_of_mask(0b10) == pytest.approx(0.0987, abs=2e-3)
-        assert got.mass_of_mask(0b11) == pytest.approx(0.1004, abs=2e-3)
+        assert got.masses == pytest.approx((0.8009, 0.0987, 0.1004), abs=2e-3)
 
 
 class TestPignistic:

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from intervalfusion import Interval
-from intervalfusion.errors import DivisionByZero, InvalidInterval
+from intervalfusion import Interval, MassFunction, TriangularFuzzyNumber, crisp_to_interval
+from intervalfusion.errors import DivisionByZero, InvalidFuzzyNumber, InvalidInterval, NegativeMass
 
 APPROX = dict(abs=1e-9)
 
@@ -24,6 +24,22 @@ class TestConstruction:
     def test_inverted_rejected(self):
         with pytest.raises(InvalidInterval):
             Interval(0.9, 0.1)
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: Interval(0, 10**400), InvalidInterval),
+            (lambda: crisp_to_interval(10**400), InvalidInterval),
+            (lambda: TriangularFuzzyNumber(0, 10**400, 10**401), InvalidFuzzyNumber),
+            (lambda: MassFunction((10**400, 0, 0)), NegativeMass),
+        ],
+        ids=["interval", "crisp", "tfn", "mass"],
+    )
+    def test_int_beyond_float_range_rejected(self, build, error):
+        # float() of such an int raises OverflowError; it is non-finite here
+        with pytest.raises(error) as err:
+            build()
+        assert "finite" in str(err.value)
 
     def test_tiny_inversion_clamped(self):
         iv = Interval(0.5 + 5e-13, 0.5)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -49,8 +50,8 @@ class TestBundledDataset:
         # the (0.66667, 0, 0.3333) rating misses a unit sum by 3e-5 and is
         # rescaled on ingestion
         m = supplier_problem.ratings[0][3][0]
-        assert sum(m.masses.values()) == pytest.approx(1.0, abs=1e-9)
-        assert m.mass_of_mask(0b01) == pytest.approx(0.66667, abs=1e-4)
+        assert sum(m.masses) == pytest.approx(1.0, abs=1e-9)
+        assert m.masses[0] == pytest.approx(0.66667, abs=1e-4)
 
     def test_loads_from_bytes_and_stream(self):
         import io
@@ -284,18 +285,20 @@ class TestRatingCellDiagnostics:
     @pytest.mark.parametrize(
         "literal, masses",
         [
-            ("[0, 1, 0]", {0b10: 1.0}),
-            ("[0.0, 1.0, 0.0]", {0b10: 1.0}),
-            ("[-0.0, 1, 0]", {0b10: 1.0}),
-            ("[0.6, 0.2, 0.2]", {0b01: 0.6, 0b10: 0.2, 0b11: 0.2}),
+            ("[0, 1, 0]", (0.0, 1.0, 0.0)),
+            ("[0.0, 1.0, 0.0]", (0.0, 1.0, 0.0)),
+            ("[-0.0, 1, 0]", (0.0, 1.0, 0.0)),
+            ("[0.6, 0.2, 0.2]", (0.6, 0.2, 0.2)),
             # rounded to 4 decimals, rescaled by its sum
-            ("[0.3333, 0.3333, 0.3333]", {m: 0.3333 / 0.9999 for m in (0b01, 0b10, 0b11)}),
-            ("[0.6667, 0, 0.3333]", {0b01: 0.6667, 0b11: 0.3333}),
+            ("[0.3333, 0.3333, 0.3333]", (0.3333 / 0.9999,) * 3),
+            ("[0.6667, 0, 0.3333]", (0.6667, 0.0, 0.3333)),
         ],
     )
     def test_accepted_cell_masses(self, literal, masses):
         m = load_with_cell(literal).ratings[1][2][1]
-        assert list(m.masses.items()) == list(masses.items())
+        assert m.masses == masses
+        # every zero mass is +0.0, whatever the sign of its literal
+        assert all(math.copysign(1.0, v) == 1.0 for v in m.masses)
 
 
 class TestDocumentStructure:

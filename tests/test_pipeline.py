@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from intervalfusion import (
@@ -32,7 +34,7 @@ from reference import brute_pignistic
 from test_properties import by_labels
 
 def triple(a, b, c):
-    return MassFunction({0b01: a, 0b10: b, 0b11: c})
+    return MassFunction((a, b, c))
 
 
 def bpa(left, right):
@@ -186,9 +188,7 @@ class TestFuseAndCollapse:
         assert got == m
 
     def test_collapse_total_conflict(self):
-        ib = IntervalBPA(
-            MassFunction({0b01: 1.0}), MassFunction({0b10: 1.0})
-        )
+        ib = IntervalBPA(triple(1.0, 0.0, 0.0), triple(0.0, 1.0, 0.0))
         with pytest.raises(TotalConflict):
             collapse_interval_bpa(ib)
 
@@ -279,16 +279,17 @@ class TestRankAlternatives:
 
     def test_bets_over_two_hypotheses_sum_to_one(self, supplier_report):
         for m in supplier_report.collapsed:
-            bet_ns = m.mass_of_mask(0b10) + m.mass_of_mask(0b11) / 2.0
+            bet_ns = m.masses[1] + m.masses[2] / 2.0
             assert bet_ideal(m) + bet_ns == pytest.approx(1.0, abs=1e-12)
 
     def test_every_intermediate_part_is_valid(self, supplier_report):
         report = supplier_report
 
         def check(m):
-            total = sum(m.masses.values())
+            total = sum(m.masses)
             assert total == pytest.approx(1.0, abs=1e-9)
-            assert all(v > 0 for v in m.masses.values())
+            # non-negative, and a zero mass is +0.0
+            assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in m.masses)
 
         for dm in report.cell_bpas:
             for row in dm:
@@ -411,29 +412,14 @@ def built_directly(report):
 
 class TestTraceOnDemand:
     def test_summary_builds_no_mass_functions(self, supplier_problem, monkeypatch):
-        # a MassFunction is built by from_triple, which runs the constructor
-        # only for triples off its fast path, or by the constructor itself:
-        # count each build once, at whichever of the two it starts
+        # every MassFunction is built through its __post_init__
         built = []
-        in_from_triple = []
-        from_triple = MassFunction.from_triple.__func__
         post_init = MassFunction.__post_init__
-
-        def counting_from_triple(cls, t):
-            in_from_triple.append(True)
-            try:
-                m = from_triple(cls, t)
-            finally:
-                in_from_triple.pop()
-            built.append(m)
-            return m
 
         def counting_post_init(self):
             post_init(self)
-            if not in_from_triple:
-                built.append(self)
+            built.append(self)
 
-        monkeypatch.setattr(MassFunction, "from_triple", classmethod(counting_from_triple))
         monkeypatch.setattr(MassFunction, "__post_init__", counting_post_init)
         report = rank_alternatives(supplier_problem)
         emit_report(report, SUMMARY, HUMAN_TABLE)
