@@ -31,6 +31,7 @@ from functools import reduce
 from typing import Iterable
 
 from .errors import EmptyEvidenceList, MassSumViolation, NegativeMass, TotalConflict
+from .intervals import describe
 
 #: Mass vectors whose sum deviates from 1 by more than this are rejected.
 #: Smaller deviations (typical of published tables rounded to 4 decimals)
@@ -60,6 +61,9 @@ _FOCAL_SETS = tuple("{" + ", ".join(map(repr, s)) + "}" for s in (FRAME[:1], FRA
 
 _INF = math.inf
 
+#: A plain sum this close to 1 is bound to pass as exact (see _divisor).
+_PLAIN_SUM_TOLERANCE = EXACT_SUM_TOLERANCE - 1e-15
+
 
 def _mass(value, focal_set: str) -> float:
     """``float(value)`` if it is finite and non-negative, with -0.0 read as
@@ -71,15 +75,26 @@ def _mass(value, focal_set: str) -> float:
         v = _INF
     if 0.0 <= v < _INF:
         return v
-    raise NegativeMass(f"mass for {focal_set} must be finite and non-negative, got {value!r}")
+    raise NegativeMass(f"mass for {focal_set} must be finite and non-negative, got {describe(value)}")
 
 
-def _divisor(values: Iterable[float]) -> float:
-    """The sum policy: raise if the masses miss a unit sum by more than
-    RENORMALIZATION_TOLERANCE; return their sum, to divide them by, if they
-    miss it by more than EXACT_SUM_TOLERANCE; return 1.0 otherwise, so they
-    are kept bit-exact."""
-    total = math.fsum(values)
+def _divisor(a: float, b: float, c: float) -> float:
+    """The sum policy on three non-negative finite masses: raise if they
+    miss a unit sum by more than RENORMALIZATION_TOLERANCE; return their
+    sum, to divide them by, if they miss it by more than
+    EXACT_SUM_TOLERANCE; return 1.0 otherwise, so they are kept bit-exact.
+
+    The plain sum ``a + b + c`` rounds twice, each time by at most half an
+    ulp of a value below 2, so it is within about 2.3e-16 of the exact sum.
+    When it lies within 1 +- (EXACT_SUM_TOLERANCE - 1e-15), the exact sum,
+    and so its correctly rounded ``math.fsum``, lies within
+    EXACT_SUM_TOLERANCE of 1, and the answer is 1.0 without ``fsum``."""
+    if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:
+        return 1.0
+    try:
+        total = math.fsum((a, b, c))
+    except OverflowError:  # finite masses whose sum is beyond float range
+        total = _INF
     if abs(total - 1.0) > RENORMALIZATION_TOLERANCE:
         raise MassSumViolation(f"masses sum to {total!r}, expected 1")
     return total if abs(total - 1.0) > EXACT_SUM_TOLERANCE else 1.0
@@ -97,7 +112,7 @@ def discount(p: float, q: float, w: float) -> Triple:
         if c < -COMPLEMENT_EPS:
             raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
         c = 0.0
-    total = _divisor((a, b, c))
+    total = _divisor(a, b, c)
     if total != 1.0:
         return a / total, b / total, c / total
     return a, b, c
@@ -116,7 +131,7 @@ def dempster(x: Triple, y: Triple) -> Triple:
     a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
     b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
     c = c1 * c2 / norm
-    total = _divisor((a, b, c))
+    total = _divisor(a, b, c)
     if total != 1.0:
         return a / total, b / total, c / total
     return a, b, c
@@ -136,7 +151,7 @@ class MassFunction:
     def __post_init__(self) -> None:
         x, y, z = self.masses
         a, b, c = _mass(x, _FOCAL_SETS[0]), _mass(y, _FOCAL_SETS[1]), _mass(z, _FOCAL_SETS[2])
-        total = _divisor((a, b, c))
+        total = _divisor(a, b, c)
         if total != 1.0:
             a, b, c = a / total, b / total, c / total
         object.__setattr__(self, "masses", (a, b, c))

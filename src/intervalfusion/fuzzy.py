@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidAlpha, InvalidFuzzyNumber, InvalidInterval, UnknownTerm
-from .intervals import Interval, to_float
+from .intervals import Interval, describe, to_float
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class TriangularFuzzyNumber:
     def __post_init__(self) -> None:
         a, b, c = to_float(self.a), to_float(self.b), to_float(self.c)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            raise InvalidFuzzyNumber(f"vertices must be finite, got ({self.a!r}, {self.b!r}, {self.c!r})")
+            vertices = ", ".join(map(describe, (self.a, self.b, self.c)))
+            raise InvalidFuzzyNumber(f"vertices must be finite, got ({vertices})")
         if not a <= b <= c:
             raise InvalidFuzzyNumber(f"vertices must satisfy a <= b <= c, got ({a}, {b}, {c})")
         object.__setattr__(self, "a", a)
@@ -56,7 +57,7 @@ class TriangularFuzzyNumber:
         collapses to the peak ``[b, b]``.
         """
         if not 0.0 <= alpha <= 1.0:
-            raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha!r}")
+            raise InvalidAlpha(f"alpha must lie in [0, 1], got {describe(alpha)}")
         # rounding may carry an endpoint past the peak, which the cut contains
         lo = min(self.a + alpha * (self.b - self.a), self.b)
         hi = max(self.c - alpha * (self.c - self.b), self.b)
@@ -151,7 +152,7 @@ def crisp_to_interval(x: float) -> Interval:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidInterval(f"expected a number, got {x!r}")
     if not math.isfinite(to_float(x)) or x < 0:
-        raise InvalidInterval(f"crisp value must be finite and non-negative, got {x!r}")
+        raise InvalidInterval(f"crisp value must be finite and non-negative, got {describe(x)}")
     return Interval(x, x)
 
 

@@ -8,6 +8,7 @@ cannot invert the endpoints of a valid interval.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DivisionByZero, InvalidInterval
@@ -26,6 +27,16 @@ def to_float(x) -> float:
         return math.inf
 
 
+def describe(x) -> str:
+    """``repr(x)``, but an int too long for ``repr`` under the interpreter's
+    digit limit (``sys.get_int_max_str_digits``) is named by its bit length,
+    so that a message about it can be built."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    if isinstance(x, int) and limit and abs(x) >= 10**limit:
+        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+    return repr(x)
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed real interval ``[lo, hi]`` with finite ``lo <= hi``."""
@@ -37,7 +48,9 @@ class Interval:
         lo = to_float(self.lo)
         hi = to_float(self.hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidInterval(f"endpoints must be finite, got [{self.lo!r}, {self.hi!r}]")
+            raise InvalidInterval(
+                f"endpoints must be finite, got [{describe(self.lo)}, {describe(self.hi)}]"
+            )
         if lo > hi:
             if lo - hi <= ENDPOINT_TOLERANCE:
                 hi = lo
@@ -51,5 +64,5 @@ class Interval:
         if isinstance(k, bool) or not isinstance(k, (int, float)):
             return NotImplemented
         if k <= 0.0:
-            raise DivisionByZero(f"divisor must be strictly positive, got {k}")
+            raise DivisionByZero(f"divisor must be strictly positive, got {describe(k)}")
         return Interval(self.lo / k, self.hi / k)

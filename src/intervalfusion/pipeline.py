@@ -226,28 +226,26 @@ class RankingReport:
         if any(a < b for a, b in zip(ordered, ordered[1:])):
             raise ValidationError("bet values along the ranking must be non-increasing")
 
-    def _source(self) -> DecisionProblem:
+    @cached_property
+    def _tables(self) -> tuple:
+        """The trace as triples, from a rerun of the kernel: each cell's
+        (left parts, right parts) ``[d][a]``, ``dm_fused[d][a]`` and
+        ``final[a]`` as (left, right) pairs, and ``collapsed[a]``. A kernel
+        triple may hold -0.0 where a MassFunction built from it holds +0.0."""
         if self._problem is None:
             raise ValueError("this report was not built by rank_alternatives and has no trace")
-        return self._problem
+        rows: list[tuple[list[Triple], list[Triple]]] = []
+        dm_fused, final, collapsed = _kernel(
+            self._problem, self.normalized_criterion_weights, self.normalized_dm_weights, rows
+        )
+        n = len(self.alternatives)
+        return [rows[i : i + n] for i in range(0, len(rows), n)], dm_fused, final, collapsed
 
     @cached_property
     def _trace(self) -> tuple:
-        problem = self._source()
-        n_alt = len(problem.alternatives)
-        rows: list[tuple[list[Triple], list[Triple]]] = []
-        dm_fused, final, collapsed = _kernel(
-            problem, self.normalized_criterion_weights, self.normalized_dm_weights, rows
-        )
-        cell_bpas = tuple(
-            tuple(
-                tuple(_interval_bpa(pair) for pair in zip(*rows[d * n_alt + a]))
-                for a in range(n_alt)
-            )
-            for d in range(len(problem.decision_makers))
-        )
+        cells, dm_fused, final, collapsed = self._tables
         return (
-            cell_bpas,
+            tuple(tuple(tuple(map(_interval_bpa, zip(*row))) for row in dm) for dm in cells),
             tuple(tuple(_interval_bpa(pair) for pair in dm) for dm in dm_fused),
             tuple(_interval_bpa(pair) for pair in final),
             tuple(MassFunction(t) for t in collapsed),
@@ -275,11 +273,8 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 
 
 # --- closed-form kernel -------------------------------------------------------
-#
-# The steps of the per-object functions above, run on the (first, second,
-# full frame) triples that those functions' MassFunction values hold, with
-# the same evidence.py arithmetic in the same order, so the results are
-# bit-identical.
+# The per-object steps above, on the triples their MassFunction values hold,
+# with the same evidence.py arithmetic in the same order: bit-identical.
 
 
 def _kernel(
@@ -310,11 +305,8 @@ def _kernel(
                     lefts.append(discount(p, q, lo))
                     rights.append(discount(p, q, hi))
                 except IntervalFusionError as exc:
-                    raise _located(
-                        exc,
-                        f"decision maker {dm!r}, alternative {alt!r}, "
-                        f"criterion {problem.criteria[c]!r}",
-                    ) from exc
+                    where = f"decision maker {dm!r}, alternative {alt!r}, criterion {problem.criteria[c]!r}"
+                    raise _located(exc, where) from exc
             try:
                 fused_row.append((reduce(dempster, lefts), reduce(dempster, rights)))
             except IntervalFusionError as exc:
@@ -326,11 +318,9 @@ def _kernel(
     final: list[tuple[Triple, Triple]] = []
     collapsed: list[Triple] = []
     for a, alt in enumerate(problem.alternatives):
-        lefts = []
-        rights = []
-        for d, dm in enumerate(problem.decision_makers):
-            w = dm_weights[d]
-            left, right = dm_fused[d][a]
+        lefts, rights = [], []
+        for dm, w, row in zip(problem.decision_makers, dm_weights, dm_fused):
+            left, right = row[a]
             try:
                 lefts.append(discount(left[0], left[1], w.lo))
                 rights.append(discount(right[0], right[1], w.hi))
@@ -346,8 +336,7 @@ def _kernel(
 
 
 def _interval_bpa(pair: tuple[Triple, Triple]) -> IntervalBPA:
-    left, right = pair
-    return IntervalBPA(MassFunction(left), MassFunction(right))
+    return IntervalBPA(*map(MassFunction, pair))
 
 
 def rank_alternatives(
@@ -369,16 +358,10 @@ def rank_alternatives(
             f"got {criterion_normalization!r}"
         )
 
-    n_dm = len(problem.decision_makers)
-    n_alt = len(problem.alternatives)
-    n_crit = len(problem.criteria)
-
     if criterion_normalization == POOLED:
-        flat = [w for ws in problem.criterion_weights for w in ws]
-        normalized = normalize_weight_group(flat)
-        crit_weights = tuple(
-            tuple(normalized[d * n_crit : (d + 1) * n_crit]) for d in range(n_dm)
-        )
+        normalized = normalize_weight_group(w for ws in problem.criterion_weights for w in ws)
+        n = len(problem.criteria)
+        crit_weights = tuple(tuple(normalized[i : i + n]) for i in range(0, len(normalized), n))
     else:
         per_dm: list[tuple[Interval, ...]] = []
         for d, dm in enumerate(problem.decision_makers):
@@ -390,10 +373,9 @@ def rank_alternatives(
     dm_weights = tuple(normalize_weight_group(problem.dm_weights))
 
     _, _, collapsed = _kernel(problem, crit_weights, dm_weights)
-    # bet_ideal on a triple
-    bets = [first + full / 2.0 for first, _, full in collapsed]
+    bets = [first + full / 2.0 for first, _, full in collapsed]  # bet_ideal on a triple
 
-    order = sorted(range(n_alt), key=lambda i: -bets[i])
+    order = sorted(range(len(bets)), key=lambda i: -bets[i])
     ranking = tuple(problem.alternatives[i] for i in order)
 
     report = RankingReport(

@@ -2,15 +2,18 @@
 
 Human tables round to 4 fractional digits (the formatter rounds to nearest,
 ties to even); JSON output carries full float precision and round-trips
-bit-exactly through ``json.loads``.
+bit-exactly through ``json.loads``. Both render a full trace from the
+report's triple tables, without building a mass function.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _str
+from typing import Iterable
 
-from .evidence import FRAME
-from .pipeline import IntervalBPA, RankingReport
+from .evidence import FRAME, Triple
+from .pipeline import RankingReport
 
 SUMMARY = "summary"
 FULL_TRACE = "full-trace"
@@ -27,10 +30,7 @@ def emit_report(report: RankingReport, mode: str = SUMMARY, fmt: str = HUMAN_TAB
         raise ValueError(f"mode must be {SUMMARY!r} or {FULL_TRACE!r}, got {mode!r}")
     if fmt not in (HUMAN_TABLE, JSON_FORMAT):
         raise ValueError(f"format must be {HUMAN_TABLE!r} or {JSON_FORMAT!r}, got {fmt!r}")
-    if fmt == JSON_FORMAT:
-        text = json.dumps(_report_dict(report, mode), indent=2)
-    else:
-        text = _render_human(report, mode)
+    text = _render_json(report, mode) if fmt == JSON_FORMAT else _render_human(report, mode)
     return (text + "\n").encode("utf-8")
 
 
@@ -39,7 +39,7 @@ def _fmt(x: float) -> str:
     return format(x + 0.0, ".4f")
 
 
-def _triple_str(triple: tuple[float, float, float]) -> str:
+def _triple_str(triple: Triple) -> str:
     return "(" + ", ".join(_fmt(x) for x in triple) + ")"
 
 
@@ -47,8 +47,7 @@ def _interval_str(iv) -> str:
     return f"[{_fmt(iv.lo)}, {_fmt(iv.hi)}]"
 
 
-def _bpa_str(ib: IntervalBPA) -> str:
-    lt, rt = ib.triples()
+def _bpa_str(lt: Triple, rt: Triple) -> str:
     return f"left {_triple_str(lt)}  right {_triple_str(rt)}"
 
 
@@ -57,37 +56,29 @@ def _render_human(report: RankingReport, mode: str) -> str:
     e0, e1 = FRAME
 
     if mode == FULL_TRACE:
+        cells, dm_fused, final, collapsed = report._tables
         lines.append("Normalized criterion weights")
-        for d, dm in enumerate(report.decision_makers):
-            cells = "  ".join(
-                f"{crit} {_interval_str(report.normalized_criterion_weights[d][c])}"
-                for c, crit in enumerate(report.criteria)
-            )
-            lines.append(f"  {dm}: {cells}")
-        lines.append("")
-        lines.append("Normalized decision-maker weights")
-        for d, dm in enumerate(report.decision_makers):
-            lines.append(f"  {dm}: {_interval_str(report.normalized_dm_weights[d])}")
-        lines.append("")
-
-        lines.append(f"Discounted interval BPAs ({{{e0}}}, {{{e1}}}, {{{e0}, {e1}}})")
+        for dm, ws in zip(report.decision_makers, report.normalized_criterion_weights):
+            weights = "  ".join(f"{crit} {_interval_str(iv)}" for crit, iv in zip(report.criteria, ws))
+            lines.append(f"  {dm}: {weights}")
+        lines += ["", "Normalized decision-maker weights"]
+        for dm, iv in zip(report.decision_makers, report.normalized_dm_weights):
+            lines.append(f"  {dm}: {_interval_str(iv)}")
+        lines += ["", f"Discounted interval BPAs ({{{e0}}}, {{{e1}}}, {{{e0}, {e1}}})"]
         for d, dm in enumerate(report.decision_makers):
             for a, alt in enumerate(report.alternatives):
-                for c, crit in enumerate(report.criteria):
-                    lines.append(f"  {dm} / {alt} / {crit}: {_bpa_str(report.cell_bpas[d][a][c])}")
-        lines.append("")
-        lines.append("Fused per decision maker")
+                for crit, lt, rt in zip(report.criteria, *cells[d][a]):
+                    lines.append(f"  {dm} / {alt} / {crit}: {_bpa_str(lt, rt)}")
+        lines += ["", "Fused per decision maker"]
         for d, dm in enumerate(report.decision_makers):
             for a, alt in enumerate(report.alternatives):
-                lines.append(f"  {dm} / {alt}: {_bpa_str(report.dm_fused[d][a])}")
-        lines.append("")
-        lines.append("Final interval BPAs")
+                lines.append(f"  {dm} / {alt}: {_bpa_str(*dm_fused[d][a])}")
+        lines += ["", "Final interval BPAs"]
         for a, alt in enumerate(report.alternatives):
-            lines.append(f"  {alt}: {_bpa_str(report.final_bpas[a])}")
-        lines.append("")
-        lines.append("Collapsed BPAs")
+            lines.append(f"  {alt}: {_bpa_str(*final[a])}")
+        lines += ["", "Collapsed BPAs"]
         for a, alt in enumerate(report.alternatives):
-            lines.append(f"  {alt}: {_triple_str(report.collapsed[a].masses)} bet={_fmt(report.bets[a])}")
+            lines.append(f"  {alt}: {_triple_str(collapsed[a])} bet={_fmt(report.bets[a])}")
         lines.append("")
 
     width = max(len("Alternative"), max(len(a) for a in report.alternatives))
@@ -95,54 +86,81 @@ def _render_human(report: RankingReport, mode: str) -> str:
     lines.append(f"{'Alternative':<{width}}  {header}")
     for a, alt in enumerate(report.alternatives):
         lines.append(f"{alt:<{width}}  {_fmt(report.bets[a]):>{len(header)}}")
-    lines.append("")
-    lines.append("Ranking: " + " ≻ ".join(report.ranking))
+    lines += ["", "Ranking: " + " ≻ ".join(report.ranking)]
     return "\n".join(lines)
 
 
-def _bpa_dict(ib: IntervalBPA) -> dict:
-    lt, rt = ib.triples()
-    return {"left": list(lt), "right": list(rt)}
+# --- JSON ---------------------------------------------------------------------
+# Laid out as json.dumps(doc, indent=2) lays out doc: one member a line, two
+# more spaces a level, ",\n" between members, keys and strings escaped to ASCII
+# by json's own function. Floats go through %r templates: float.__repr__.
 
 
-def _report_dict(report: RankingReport, mode: str) -> dict:
-    doc: dict = {
-        "report_version": REPORT_VERSION,
-        "mode": mode,
-        "frame": list(FRAME),
-        "alternatives": list(report.alternatives),
-        "bets": {alt: report.bets[a] for a, alt in enumerate(report.alternatives)},
-        "ranking": list(report.ranking),
-    }
+def _array(indent: str, values: Iterable[str]) -> str:
+    """A JSON array of rendered ``values``, opening on a line at ``indent``."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(values)
+    return "[" + inner + body + "\n" + indent + "]" if body else "[]"
+
+
+def _object(indent: str, keys: Iterable[str], values: Iterable[str]) -> str:
+    """A JSON object as :func:`_array`; each key is escaped and ends in ': '."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(map(str.__add__, keys, values))
+    return "{" + inner + body + "\n" + indent + "}" if body else "{}"
+
+
+def _keys(labels: Iterable[str]) -> list[str]:
+    return [_str(x) + ": " for x in labels]
+
+
+def _pair(indent: str) -> str:
+    return _object(indent, _keys(("left", "right")), [_array(indent + "  ", ["%r"] * 3)] * 2)
+
+
+def _masses(template: str, values: tuple[float, ...]) -> str:
+    """``template % values``, each -0.0 as 0.0: a MassFunction stores +0.0."""
+    text = template % values
+    return template % tuple(x + 0.0 for x in values) if "-0.0" in text else text
+
+
+def _render_json(report: RankingReport, mode: str) -> str:
+    bets = {alt: report.bets[a] for a, alt in enumerate(report.alternatives)}
+    keys = ["report_version", "mode", "frame", "alternatives", "bets", "ranking"]
+    values = [
+        _str(REPORT_VERSION),
+        _str(mode),
+        _array("  ", map(_str, FRAME)),
+        _array("  ", map(_str, report.alternatives)),
+        _object("  ", _keys(bets), map(json.dumps, bets.values())),
+        _array("  ", map(_str, report.ranking)),
+    ]
     if mode == FULL_TRACE:
-        doc["criterion_normalization"] = report.criterion_normalization
-        doc["normalized_criterion_weights"] = {
-            dm: {
-                crit: [iv.lo, iv.hi]
-                for crit, iv in zip(report.criteria, report.normalized_criterion_weights[d])
-            }
-            for d, dm in enumerate(report.decision_makers)
-        }
-        doc["normalized_dm_weights"] = {
-            dm: [report.normalized_dm_weights[d].lo, report.normalized_dm_weights[d].hi]
-            for d, dm in enumerate(report.decision_makers)
-        }
-        doc["cells"] = {
-            dm: {
-                alt: {
-                    crit: _bpa_dict(report.cell_bpas[d][a][c])
-                    for c, crit in enumerate(report.criteria)
-                }
-                for a, alt in enumerate(report.alternatives)
-            }
-            for d, dm in enumerate(report.decision_makers)
-        }
-        doc["fused_per_dm"] = {
-            dm: {alt: _bpa_dict(report.dm_fused[d][a]) for a, alt in enumerate(report.alternatives)}
-            for d, dm in enumerate(report.decision_makers)
-        }
-        doc["final"] = {alt: _bpa_dict(report.final_bpas[a]) for a, alt in enumerate(report.alternatives)}
-        doc["collapsed"] = {
-            alt: list(report.collapsed[a].masses) for a, alt in enumerate(report.alternatives)
-        }
-    return doc
+        cells, dm_fused, final, collapsed = report._tables
+        dms, alts, crits = map(_keys, (report.decision_makers, report.alternatives, report.criteria))
+        crit_weight, dm_weight = _array(" " * 6, ["%r"] * 2), _array(" " * 4, ["%r"] * 2)
+        triple = _array(" " * 4, ["%r"] * 3)
+        cell, fused, last = _pair(" " * 8), _pair(" " * 6), _pair(" " * 4)
+        keys += ["criterion_normalization", "normalized_criterion_weights", "normalized_dm_weights"]
+        keys += ["cells", "fused_per_dm", "final", "collapsed"]
+        values += [
+            _str(report.criterion_normalization),
+            _object("  ", dms, (
+                _object("    ", crits, (crit_weight % (iv.lo, iv.hi) for iv in ws))
+                for ws in report.normalized_criterion_weights
+            )),
+            _object("  ", dms, (dm_weight % (iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
+            _object("  ", dms, (
+                _object("    ", alts, (
+                    _object("      ", crits, (_masses(cell, lt + rt) for lt, rt in zip(*row)))
+                    for row in dm
+                ))
+                for dm in cells
+            )),
+            _object("  ", dms, (
+                _object("    ", alts, (_masses(fused, lt + rt) for lt, rt in dm)) for dm in dm_fused
+            )),
+            _object("  ", alts, (_masses(last, lt + rt) for lt, rt in final)),
+            _object("  ", alts, (_masses(triple, t) for t in collapsed)),
+        ]
+    return _object("", _keys(keys), values)

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intervalfusion import MassFunction, bet_ideal, combine_all
 from intervalfusion.errors import (
@@ -13,7 +13,7 @@ from intervalfusion.errors import (
     NegativeMass,
     TotalConflict,
 )
-from intervalfusion.evidence import FRAME
+from intervalfusion.evidence import FRAME, _divisor
 
 from reference import brute_combine, brute_pignistic
 from test_properties import by_labels
@@ -95,6 +95,54 @@ class TestConstruction:
         assert m.masses == (0.5, 0.5, 0.0)
         assert math.copysign(1.0, m.masses[2]) == 1.0
         assert m == triple(0.5, 0.5, 0)
+
+
+def fsum_policy(a, b, c):
+    """The sum policy without the plain-sum shortcut: reject a sum more than
+    1e-6 from 1 (by ``math.fsum``), return one more than 1e-12 from 1 to
+    divide by, else 1.0."""
+    total = math.fsum((a, b, c))
+    if abs(total - 1.0) > 1e-6:
+        raise MassSumViolation(f"masses sum to {total!r}, expected 1")
+    return total if abs(total - 1.0) > 1e-12 else 1.0
+
+
+def policy_outcome(policy, t):
+    try:
+        return policy(*t).hex()
+    except MassSumViolation as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def near_policy_edges(draw):
+    """Non-negative triples whose exact sum lies within a few ulp of a
+    tolerance edge of the sum policy: 1 +- 1e-12, 1 +- 1e-6, or the edge
+    1 +- (1e-12 - 1e-15) of the plain-sum shortcut."""
+    edge = draw(st.sampled_from([1e-12, 1e-6, 1e-12 - 1e-15]))
+    target = 1.0 + draw(st.sampled_from([edge, -edge]))
+    a = draw(st.floats(0.0, 1.0)) * target
+    b = draw(st.floats(0.0, 1.0)) * (target - a)
+    c = target - a - b
+    for _ in range(abs(steps := draw(st.integers(-6, 6)))):
+        c = math.nextafter(c, math.copysign(math.inf, steps))
+    assume(c >= 0.0)
+    return draw(st.permutations((a, b, c)))
+
+
+class TestSumPolicy:
+    @settings(max_examples=400, deadline=None)
+    @given(t=near_policy_edges())
+    # plain sums within 1e-12 of 1 whose exact sums are not: a shortcut
+    # bound of EXACT_SUM_TOLERANCE itself would keep them where fsum divides
+    @example(t=tuple(map(float.fromhex, ("0x1.f79dbd74f5eaap-2", "0x1.ae2cc770f1c6ep-3", "0x1.314bded29597dp-2"))))
+    @example(t=tuple(map(float.fromhex, ("0x1.91fb0547ce95cp-2", "0x1.f14305c5411e6p-3", "0x1.756377d58c752p-2"))))
+    @example(t=(0.5, 0.25, 0.25 + 1e-12))
+    @example(t=(0.5, 0.25, 0.25 - 1e-6))
+    @example(t=(0.0, 0.0, 1.0 + 2e-6))
+    def test_shortcut_matches_fsum_policy(self, t):
+        # the same divisor bit for bit, or the same error and message
+        assert policy_outcome(_divisor, t) == policy_outcome(fsum_policy, t)
 
 
 class TestConflict:

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intervalfusion import Interval, MassFunction, TriangularFuzzyNumber, crisp_to_interval
-from intervalfusion.errors import DivisionByZero, InvalidFuzzyNumber, InvalidInterval, NegativeMass
+from intervalfusion.errors import (
+    DivisionByZero,
+    InvalidAlpha,
+    InvalidFuzzyNumber,
+    InvalidInterval,
+    NegativeMass,
+)
 
 APPROX = dict(abs=1e-9)
 
@@ -40,6 +46,33 @@ class TestConstruction:
         with pytest.raises(error) as err:
             build()
         assert "finite" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "build, error, named",
+        [
+            (lambda: Interval(0, 10**5000), InvalidInterval, "[0, <int of 16610 bits>]"),
+            (lambda: crisp_to_interval(10**5000), InvalidInterval, "got <int of 16610 bits>"),
+            (
+                lambda: TriangularFuzzyNumber(0, 1, 10**5000),
+                InvalidFuzzyNumber,
+                "(0, 1, <int of 16610 bits>)",
+            ),
+            (lambda: MassFunction((10**5000, 0, 0)), NegativeMass, "got <int of 16610 bits>"),
+            (lambda: Interval(0, 1) / -(10**5000), DivisionByZero, "got <negative int of 16610 bits>"),
+            (
+                lambda: TriangularFuzzyNumber(0, 1, 2).alpha_cut(10**5000),
+                InvalidAlpha,
+                "got <int of 16610 bits>",
+            ),
+        ],
+        ids=["interval", "crisp", "tfn", "mass", "divisor", "alpha"],
+    )
+    def test_int_too_long_for_repr_named_in_message(self, build, error, named):
+        # repr() of an int over the interpreter's digit limit (4300 by
+        # default) raises ValueError, so the message names its bit length
+        with pytest.raises(error) as err:
+            build()
+        assert named in str(err.value)
 
     def test_tiny_inversion_clamped(self):
         iv = Interval(0.5 + 5e-13, 0.5)

@@ -410,26 +410,49 @@ def built_directly(report):
     return type(report)(**{f: getattr(report, f) for f in fields})
 
 
+@pytest.fixture
+def mass_builds(monkeypatch):
+    """The MassFunction values built while the test runs; every one is built
+    through its __post_init__."""
+    built = []
+    post_init = MassFunction.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(MassFunction, "__post_init__", counting_post_init)
+    return built
+
+
 class TestTraceOnDemand:
-    def test_summary_builds_no_mass_functions(self, supplier_problem, monkeypatch):
-        # every MassFunction is built through its __post_init__
-        built = []
-        post_init = MassFunction.__post_init__
+    # reading the trace builds each of its parts once: two per cell, two per
+    # fused row, two per final interval BPA, one per collapsed BPA
+    N_DM, N_ALT, N_CRIT = 3, 6, 4
+    TRACE_BUILDS = 2 * N_DM * N_ALT * N_CRIT + 2 * N_DM * N_ALT + 3 * N_ALT
 
-        def counting_post_init(self):
-            post_init(self)
-            built.append(self)
-
-        monkeypatch.setattr(MassFunction, "__post_init__", counting_post_init)
+    def test_summary_builds_no_mass_functions(self, supplier_problem, mass_builds):
         report = rank_alternatives(supplier_problem)
         emit_report(report, SUMMARY, HUMAN_TABLE)
         emit_report(report, SUMMARY, JSON_FORMAT)
-        assert built == []
-        # reading the trace builds each of its parts once: two per cell, two
-        # per fused row, two per final interval BPA, one per collapsed BPA
+        assert mass_builds == []
         report.collapsed
-        n_dm, n_alt, n_crit = 3, 6, 4
-        assert len(built) == 2 * n_dm * n_alt * n_crit + 2 * n_dm * n_alt + 3 * n_alt
+        assert len(mass_builds) == self.TRACE_BUILDS
+
+    def test_full_trace_emit_builds_no_mass_functions(self, supplier_problem, mass_builds):
+        # both formats render the trace from the kernel's triple tables
+        report = rank_alternatives(supplier_problem)
+        emit_report(report, FULL_TRACE, HUMAN_TABLE)
+        emit_report(report, FULL_TRACE, JSON_FORMAT)
+        assert mass_builds == []
+        # the library view is still built whole, once, on first access
+        report.collapsed
+        assert len(mass_builds) == self.TRACE_BUILDS
+        report.cell_bpas
+        emit_report(report, FULL_TRACE, JSON_FORMAT)
+        assert len(mass_builds) == self.TRACE_BUILDS
+        with pytest.raises(ValueError, match="no trace"):
+            emit_report(built_directly(report), FULL_TRACE, JSON_FORMAT)
 
     def test_full_trace_bytes_repeat(self, supplier_problem):
         first = rank_alternatives(supplier_problem)

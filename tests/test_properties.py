@@ -382,8 +382,8 @@ def reference_masses(t):
     """Each mass in (IS, NS, full frame) order is ``float()``-ed, an int
     beyond float range reading as inf, and a non-finite or negative one is
     rejected; then the sum policy: reject a sum more than 1e-6 from 1 (by
-    ``math.fsum``), divide by one more than 1e-12 from 1. A zero mass reads
-    as +0.0."""
+    ``math.fsum``, a sum beyond float range reading as inf), divide by one
+    more than 1e-12 from 1. A zero mass reads as +0.0."""
     values = []
     for focal_set, x in zip(("{'IS'}", "{'NS'}", "{'IS', 'NS'}"), t):
         try:
@@ -393,7 +393,10 @@ def reference_masses(t):
         if not math.isfinite(v) or v < 0.0:
             return "NegativeMass", f"mass for {focal_set} must be finite and non-negative, got {x!r}"
         values.append(v)
-    total = math.fsum(values)
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # a sum beyond float range
+        total = math.inf
     if abs(total - 1.0) > 1e-6:
         return "MassSumViolation", f"masses sum to {total!r}, expected 1"
     if abs(total - 1.0) > 1e-12:
@@ -436,5 +439,6 @@ def built(t):
 @example(t=(0.5, float("nan"), 0.5))
 @example(t=(True, 0.0, 0.0))
 @example(t=(10**400, 0.0, -1.0))
+@example(t=(0.0, 8.988465674311579e307, 8.98846567431158e307))
 def test_constructor_matches_reference(t):
     assert built(t) == reference_masses(t)

@@ -1,9 +1,23 @@
 import json
+import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from intervalfusion import emit_report
+from intervalfusion import (
+    DecisionProblem,
+    Interval,
+    MassFunction,
+    emit_report,
+    load_problem,
+    rank_alternatives,
+)
+from intervalfusion.errors import IntervalFusionError
+from intervalfusion.evidence import FRAME
+from intervalfusion.loading import bundled_dataset_bytes
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY
+
+from test_pipeline import built_directly
 
 
 class TestHumanTables:
@@ -81,3 +95,206 @@ class TestJsonReports:
         lo, hi = doc["normalized_dm_weights"]["DM1"]
         assert lo == supplier_report.normalized_dm_weights[0].lo
         assert hi == supplier_report.normalized_dm_weights[0].hi
+
+
+# --- the JSON writer against json.dumps ---------------------------------------
+#
+# reference_doc is the document the package rendered with
+# json.dumps(doc, indent=2) before it wrote JSON directly; it reads the trace
+# through the MassFunction library view, an independent path to the values.
+
+
+def _bpa_dict(ib):
+    lt, rt = ib.triples()
+    return {"left": list(lt), "right": list(rt)}
+
+
+def reference_doc(report, mode):
+    doc = {
+        "report_version": "1",
+        "mode": mode,
+        "frame": list(FRAME),
+        "alternatives": list(report.alternatives),
+        "bets": {alt: report.bets[a] for a, alt in enumerate(report.alternatives)},
+        "ranking": list(report.ranking),
+    }
+    if mode == FULL_TRACE:
+        doc["criterion_normalization"] = report.criterion_normalization
+        doc["normalized_criterion_weights"] = {
+            dm: {
+                crit: [iv.lo, iv.hi]
+                for crit, iv in zip(report.criteria, report.normalized_criterion_weights[d])
+            }
+            for d, dm in enumerate(report.decision_makers)
+        }
+        doc["normalized_dm_weights"] = {
+            dm: [report.normalized_dm_weights[d].lo, report.normalized_dm_weights[d].hi]
+            for d, dm in enumerate(report.decision_makers)
+        }
+        doc["cells"] = {
+            dm: {
+                alt: {
+                    crit: _bpa_dict(report.cell_bpas[d][a][c])
+                    for c, crit in enumerate(report.criteria)
+                }
+                for a, alt in enumerate(report.alternatives)
+            }
+            for d, dm in enumerate(report.decision_makers)
+        }
+        doc["fused_per_dm"] = {
+            dm: {alt: _bpa_dict(report.dm_fused[d][a]) for a, alt in enumerate(report.alternatives)}
+            for d, dm in enumerate(report.decision_makers)
+        }
+        doc["final"] = {alt: _bpa_dict(report.final_bpas[a]) for a, alt in enumerate(report.alternatives)}
+        doc["collapsed"] = {
+            alt: list(report.collapsed[a].masses) for a, alt in enumerate(report.alternatives)
+        }
+    return doc
+
+
+def assert_writer_matches_reference(report):
+    for mode in (SUMMARY, FULL_TRACE):
+        expected = (json.dumps(reference_doc(report, mode), indent=2) + "\n").encode()
+        assert emit_report(report, mode, JSON_FORMAT) == expected
+
+
+def kernel_negative_zeros(report):
+    """How many -0.0 masses the kernel's trace tables hold; each renders as
+    0.0, as the MassFunction built from it stores it."""
+    cells, dm_fused, final, collapsed = report._tables
+    triples = [t for dm in cells for row in dm for part in row for t in part]
+    triples += [t for dm in dm_fused for pair in dm for t in pair]
+    triples += [t for pair in final for t in pair] + list(collapsed)
+    return sum(x == 0.0 and math.copysign(1.0, x) < 0.0 for t in triples for x in t)
+
+
+def problem(labels, dm_weights, criterion_weights, ratings):
+    alternatives, criteria, decision_makers = labels
+    return DecisionProblem(
+        alternatives=alternatives,
+        criteria=criteria,
+        decision_makers=decision_makers,
+        dm_weights=[Interval(*w) for w in dm_weights],
+        criterion_weights=[[Interval(*w) for w in ws] for ws in criterion_weights],
+        ratings=[[[MassFunction(r) for r in row] for row in dm] for dm in ratings],
+    )
+
+
+SUBNORMAL = 5e-324
+DIGITS_17 = 0.1 + 0.2  # 0.30000000000000004
+# labels that json escapes: a quote, a backslash, a newline, non-ASCII text,
+# an astral character (a surrogate pair), a control character; and labels
+# that look like the writer's own pieces
+ESCAPED = (
+    'say "when"',
+    "back\\slash",
+    "new\nline",
+    "Zürich ≻ Köln",
+    "\U0001F600 astral",
+    "tab\there\x01",
+    "%r",
+    "-0.0",
+)
+
+
+class TestWriterMatchesJsonDumps:
+    def test_bundled_dataset(self):
+        problem_ = load_problem(bundled_dataset_bytes())
+        for normalization in ("pooled", "per-dm"):
+            assert_writer_matches_reference(
+                rank_alternatives(problem_, criterion_normalization=normalization)
+            )
+
+    def test_escaped_labels_negative_zero_subnormal_and_17_digits(self):
+        prob = problem(
+            (ESCAPED[:3], ESCAPED[3:5], ESCAPED[5:]),
+            [(-0.0, 0.5), (DIGITS_17, 1.0), (SUBNORMAL, 0.7)],
+            [[(-0.0, 1.0), (0.25, DIGITS_17)], [(SUBNORMAL, 0.5), (-0.0, -0.0)],
+             [(0.1, 0.9), (1e-310, 0.2)]],
+            [
+                [[(SUBNORMAL, 0.5, 0.5 - SUBNORMAL), (DIGITS_17, 0.1, 0.6 - 2 ** -53)],
+                 [(0.0, 1.0, 0.0), (0.12345678901234568, 0.0, 0.8765432109876543)],
+                 [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]],
+            ] * 3,
+        )
+        for normalization in ("pooled", "per-dm"):
+            report = rank_alternatives(prob, criterion_normalization=normalization)
+            assert report.normalized_dm_weights[0].lo == 0.0
+            assert math.copysign(1.0, report.normalized_dm_weights[0].lo) == -1.0
+            assert kernel_negative_zeros(report) > 0
+            assert_writer_matches_reference(report)
+            assert b"-0.0" in emit_report(report, FULL_TRACE, JSON_FORMAT)
+
+    def test_one_by_one_by_one(self):
+        for weight in ((-0.0, 1.0), (SUBNORMAL, SUBNORMAL), (0.25, DIGITS_17)):
+            for dm_weight in ((-0.0, 1.0), (1.0, 1.0)):
+                report = rank_alternatives(
+                    problem((["A"], ["C"], ["D"]), [dm_weight], [[weight]], [[[(0.6, 0.3, 0.1)]]])
+                )
+                assert_writer_matches_reference(report)
+
+    def test_one_by_n_by_one_with_a_negative_zero_weight(self):
+        # one criterion and one decision maker: each cell is its own fused
+        # row and final part, so the kernel's -0.0 reaches every table
+        report = rank_alternatives(
+            problem(
+                (list(ESCAPED), ["C"], ["D"]),
+                [(0.5, 1.0)],
+                [[(-0.0, 1.0)]],
+                [[[(0.1 * i, DIGITS_17 / 2, 1.0 - 0.1 * i - DIGITS_17 / 2)] for i in range(8)]],
+            )
+        )
+        assert kernel_negative_zeros(report) >= 8 * 3
+        assert_writer_matches_reference(report)
+
+    def test_summary_of_a_report_built_directly(self, supplier_report):
+        report = built_directly(supplier_report)
+        expected = (json.dumps(reference_doc(report, SUMMARY), indent=2) + "\n").encode()
+        assert emit_report(report, SUMMARY, JSON_FORMAT) == expected
+
+
+_label = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+_value = st.one_of(
+    st.sampled_from([0.0, -0.0, SUBNORMAL, 1e-310, DIGITS_17, 0.12345678901234568, 1.0]),
+    st.floats(0.0, 1.0),
+)
+_weight = st.tuples(_value, _value).map(sorted)
+
+
+@st.composite
+def _rating(draw):
+    first = draw(_value) + 0.0
+    second = draw(_value) * (1.0 - first) + 0.0
+    return first, second, 1.0 - first - second
+
+
+@st.composite
+def ranked_reports(draw):
+    n_dm, n_alt, n_crit = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def labels(n):
+        return draw(st.lists(_label, min_size=n, max_size=n, unique=True))
+
+    def grid(strategy, *shape):
+        if not shape:
+            return draw(strategy)
+        return [grid(strategy, *shape[1:]) for _ in range(shape[0])]
+
+    try:
+        return rank_alternatives(
+            problem(
+                (labels(n_alt), labels(n_crit), labels(n_dm)),
+                grid(_weight, n_dm),
+                grid(_weight, n_dm, n_crit),
+                grid(_rating(), n_dm, n_alt, n_crit),
+            ),
+            criterion_normalization=draw(st.sampled_from(["pooled", "per-dm"])),
+        )
+    except IntervalFusionError:  # all-zero weights, total conflict
+        assume(False)
+
+
+@settings(max_examples=250, deadline=None)
+@given(report=ranked_reports())
+def test_writer_matches_json_dumps_on_generated_problems(report):
+    assert_writer_matches_reference(report)
