@@ -8,7 +8,7 @@ and ranked by pignistic belief in the ideal hypothesis.
 
 from . import errors
 from .errors import IntervalFusionError
-from .evidence import MassFunction, combine_all, part_triple
+from .evidence import MassFunction, combine_all
 from .fuzzy import (
     INTERVAL_DEFAULT_SCALE,
     KAUFMANN_TFN_SCALE,
@@ -16,7 +16,6 @@ from .fuzzy import (
     TriangularFuzzyNumber,
     as_interval,
     builtin_scales,
-    crisp_to_interval,
 )
 from .intervals import Interval
 from .loading import bundled_dataset_bytes, load_problem
@@ -61,7 +60,6 @@ __all__ = [
     "bundled_dataset_bytes",
     "collapse_interval_bpa",
     "combine_all",
-    "crisp_to_interval",
     "discount_interval_bpa",
     "discount_to_interval_bpa",
     "emit_report",
@@ -69,7 +67,6 @@ __all__ = [
     "fuse_interval_bpas",
     "load_problem",
     "normalize_weight_group",
-    "part_triple",
     "rank_alternatives",
     "__version__",
 ]

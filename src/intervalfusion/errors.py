@@ -9,14 +9,10 @@ class IntervalFusionError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- interval arithmetic ---------------------------------------------------
+# --- intervals -------------------------------------------------------------
 
 class InvalidInterval(IntervalFusionError):
     """Endpoints are non-finite or ordered lo > hi beyond tolerance."""
-
-
-class DivisionByZero(IntervalFusionError):
-    """A divisor must be strictly positive."""
 
 
 # --- fuzzy numbers and linguistic scales -----------------------------------

@@ -61,7 +61,7 @@ _FOCAL_SETS = tuple("{" + ", ".join(map(repr, s)) + "}" for s in (FRAME[:1], FRA
 
 _INF = math.inf
 
-#: A plain sum this close to 1 is bound to pass as exact (see _divisor).
+#: A plain sum this close to 1 is bound to pass as exact (see _settle).
 _PLAIN_SUM_TOLERANCE = EXACT_SUM_TOLERANCE - 1e-15
 
 
@@ -78,26 +78,28 @@ def _mass(value, focal_set: str) -> float:
     raise NegativeMass(f"mass for {focal_set} must be finite and non-negative, got {describe(value)}")
 
 
-def _divisor(a: float, b: float, c: float) -> float:
+def _settle(a: float, b: float, c: float) -> Triple:
     """The sum policy on three non-negative finite masses: raise if they
-    miss a unit sum by more than RENORMALIZATION_TOLERANCE; return their
-    sum, to divide them by, if they miss it by more than
-    EXACT_SUM_TOLERANCE; return 1.0 otherwise, so they are kept bit-exact.
+    miss a unit sum by more than RENORMALIZATION_TOLERANCE; divide each by
+    their sum if they miss it by more than EXACT_SUM_TOLERANCE; return them
+    as they are otherwise, so they are kept bit-exact.
 
     The plain sum ``a + b + c`` rounds twice, each time by at most half an
     ulp of a value below 2, so it is within about 2.3e-16 of the exact sum.
     When it lies within 1 +- (EXACT_SUM_TOLERANCE - 1e-15), the exact sum,
     and so its correctly rounded ``math.fsum``, lies within
-    EXACT_SUM_TOLERANCE of 1, and the answer is 1.0 without ``fsum``."""
+    EXACT_SUM_TOLERANCE of 1, and they are kept without ``fsum``."""
     if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:
-        return 1.0
+        return a, b, c
     try:
         total = math.fsum((a, b, c))
     except OverflowError:  # finite masses whose sum is beyond float range
         total = _INF
     if abs(total - 1.0) > RENORMALIZATION_TOLERANCE:
         raise MassSumViolation(f"masses sum to {total!r}, expected 1")
-    return total if abs(total - 1.0) > EXACT_SUM_TOLERANCE else 1.0
+    if abs(total - 1.0) > EXACT_SUM_TOLERANCE:
+        return a / total, b / total, c / total
+    return a, b, c
 
 
 def discount(p: float, q: float, w: float) -> Triple:
@@ -112,10 +114,7 @@ def discount(p: float, q: float, w: float) -> Triple:
         if c < -COMPLEMENT_EPS:
             raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
         c = 0.0
-    total = _divisor(a, b, c)
-    if total != 1.0:
-        return a / total, b / total, c / total
-    return a, b, c
+    return _settle(a, b, c)
 
 
 def dempster(x: Triple, y: Triple) -> Triple:
@@ -131,10 +130,7 @@ def dempster(x: Triple, y: Triple) -> Triple:
     a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
     b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
     c = c1 * c2 / norm
-    total = _divisor(a, b, c)
-    if total != 1.0:
-        return a / total, b / total, c / total
-    return a, b, c
+    return _settle(a, b, c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +146,8 @@ class MassFunction:
 
     def __post_init__(self) -> None:
         x, y, z = self.masses
-        a, b, c = _mass(x, _FOCAL_SETS[0]), _mass(y, _FOCAL_SETS[1]), _mass(z, _FOCAL_SETS[2])
-        total = _divisor(a, b, c)
-        if total != 1.0:
-            a, b, c = a / total, b / total, c / total
-        object.__setattr__(self, "masses", (a, b, c))
+        settled = _settle(_mass(x, _FOCAL_SETS[0]), _mass(y, _FOCAL_SETS[1]), _mass(z, _FOCAL_SETS[2]))
+        object.__setattr__(self, "masses", settled)
 
     @classmethod
     def vacuous(cls) -> MassFunction:
@@ -169,11 +162,6 @@ class MassFunction:
     def combine(self, other: MassFunction) -> MassFunction:
         """Dempster's rule (:func:`dempster`) of two independent sources."""
         return MassFunction(dempster(self.masses, other.masses))
-
-
-def part_triple(m: MassFunction) -> Triple:
-    """Masses of ({first}, {second}, {first, second})."""
-    return m.masses
 
 
 def combine_all(masses: Iterable[MassFunction]) -> MassFunction:

@@ -1,10 +1,11 @@
 """Triangular fuzzy numbers and linguistic rating scales.
 
-Qualitative ratings ("High", "Medium", ...) enter the pipeline through a
+Linguistic weights ("High", "Medium", ...) enter the pipeline through a
 :class:`LinguisticScale` that maps each term either to an interval or to a
-triangular fuzzy number. Fuzzy values are bridged to intervals with an
-alpha-cut; alpha = 0 takes the full support, which makes the bundled TFN
-scale consistent with the bundled interval scale.
+triangular fuzzy number. A fuzzy value is only ever read as an interval,
+through its alpha-cut (:func:`as_interval`); alpha = 0 takes the full
+support, which makes the bundled TFN scale consistent with the bundled
+interval scale.
 """
 
 from __future__ import annotations
@@ -13,16 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import InvalidAlpha, InvalidFuzzyNumber, InvalidInterval, UnknownTerm
+from .errors import InvalidAlpha, InvalidFuzzyNumber, UnknownTerm
 from .intervals import Interval, describe, to_float
 
 
 @dataclass(frozen=True)
 class TriangularFuzzyNumber:
-    """Triplet ``(a, b, c)`` with ``a <= b <= c``; membership peaks at ``b``.
+    """Triplet ``(a, b, c)`` with ``a <= b <= c``: membership rises linearly
+    from ``a`` to 1 at the peak ``b`` and falls back to 0 at ``c``.
 
-    Degenerate flanks (``a == b`` or ``b == c``) are legal; membership at the
-    shared point is 1.
+    Degenerate flanks (``a == b`` or ``b == c``) are legal.
     """
 
     a: float
@@ -40,16 +41,6 @@ class TriangularFuzzyNumber:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    def membership(self, x: float) -> float:
-        """Piecewise-linear membership degree of ``x``, in [0, 1]."""
-        if x < self.a or x > self.c:
-            return 0.0
-        if x == self.b:
-            return 1.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.c - x) / (self.c - self.b)
-
     def alpha_cut(self, alpha: float) -> Interval:
         """The interval of points with membership >= ``alpha``.
 
@@ -62,10 +53,6 @@ class TriangularFuzzyNumber:
         lo = min(self.a + alpha * (self.b - self.a), self.b)
         hi = max(self.c - alpha * (self.c - self.b), self.b)
         return Interval(lo, hi)
-
-    @property
-    def support(self) -> Interval:
-        return Interval(self.a, self.c)
 
 
 ScaleValue = Union[Interval, TriangularFuzzyNumber]
@@ -101,17 +88,12 @@ class LinguisticScale:
                 )
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.terms)
-
     def lookup(self, term: str) -> ScaleValue:
         for label, value in self.terms:
             if label == term:
                 return value
-        raise UnknownTerm(
-            f"unknown term {term!r} in scale {self.name!r}; valid terms: {', '.join(self.labels)}"
-        )
+        valid = ", ".join(repr(label) for label, _ in self.terms)
+        raise UnknownTerm(f"unknown term {term!r} in scale {self.name!r}; valid terms: {valid}")
 
 
 #: Five-term interval scale for importance weights.
@@ -145,15 +127,6 @@ KAUFMANN_TFN_SCALE = LinguisticScale(
 def builtin_scales() -> dict[str, LinguisticScale]:
     """Fresh name -> scale mapping of the bundled scales."""
     return {s.name: s for s in (INTERVAL_DEFAULT_SCALE, KAUFMANN_TFN_SCALE)}
-
-
-def crisp_to_interval(x: float) -> Interval:
-    """Embed a crisp non-negative number as the degenerate interval ``[x, x]``."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InvalidInterval(f"expected a number, got {x!r}")
-    if not math.isfinite(to_float(x)) or x < 0:
-        raise InvalidInterval(f"crisp value must be finite and non-negative, got {describe(x)}")
-    return Interval(x, x)
 
 
 def as_interval(value: ScaleValue, alpha: float = 0.0) -> Interval:

@@ -1,8 +1,8 @@
 """Closed real intervals.
 
-The pipeline needs one operation on weights: endpoint-wise division by a
-positive real, which normalizes a weight group by its largest endpoint and
-cannot invert the endpoints of a valid interval.
+A weight is a validated pair ``[lo, hi]`` and nothing more: the one
+operation on weights, normalizing a group by its largest endpoint, is
+endpoint-wise division in ``pipeline.normalize_weight_group``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, InvalidInterval
+from .errors import InvalidInterval
 
 #: Endpoints ordered lo > hi by at most this much are collapsed to [lo, lo];
 #: larger inversions are rejected.
@@ -58,11 +58,3 @@ class Interval:
                 raise InvalidInterval(f"lower endpoint {lo} exceeds upper endpoint {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __truediv__(self, k: float | int) -> Interval:
-        """``[lo/k, hi/k]`` for a strictly positive real ``k``."""
-        if isinstance(k, bool) or not isinstance(k, (int, float)):
-            return NotImplemented
-        if k <= 0.0:
-            raise DivisionByZero(f"divisor must be strictly positive, got {describe(k)}")
-        return Interval(self.lo / k, self.hi / k)

@@ -42,7 +42,6 @@ import sys
 from .errors import (
     IntervalFusionError,
     InvalidAlpha,
-    InvalidInterval,
     ParseError,
     SchemaError,
     UnknownTerm,
@@ -56,7 +55,6 @@ from .fuzzy import (
     TriangularFuzzyNumber,
     as_interval,
     builtin_scales,
-    crisp_to_interval,
 )
 from .intervals import Interval
 from .pipeline import DecisionProblem
@@ -193,14 +191,17 @@ def _label_list(value, where: str) -> tuple[str, ...]:
     return labels
 
 
-def _check_keys(obj: dict, required: frozenset, optional: frozenset, where: str) -> None:
+def _check_keys(obj: dict, expected, where: str, what: str, optional=frozenset()) -> None:
+    """SchemaError unless ``obj`` has every key of ``expected`` and no other
+    key outside ``optional``; ``what`` names a key in the message."""
     keys = set(obj)
-    missing = sorted(required - keys)
+    wanted = set(expected)
+    missing = sorted(wanted - keys)
     if missing:
-        raise SchemaError(f"{where}: missing required field(s): {', '.join(map(repr, missing))}")
-    extra = sorted(keys - required - optional)
+        raise SchemaError(f"{where}: missing {what}(s): {', '.join(map(repr, missing))}")
+    extra = sorted(keys - wanted - optional)
     if extra:
-        raise SchemaError(f"{where}: unknown field(s): {', '.join(map(repr, extra))}")
+        raise SchemaError(f"{where}: unknown {what}(s): {', '.join(map(repr, extra))}")
 
 
 # --- scales -------------------------------------------------------------------
@@ -215,7 +216,7 @@ def _parse_scales(value, where: str) -> dict[str, LinguisticScale]:
         if name in scales:
             raise SchemaError(f"{scale_where}: shadows a built-in scale")
         body = _expect_dict(body, scale_where)
-        _check_keys(body, frozenset({"kind", "terms"}), frozenset(), scale_where)
+        _check_keys(body, ("kind", "terms"), scale_where, "field")
         kind = _expect_str(body["kind"], f"{scale_where}.kind")
         if kind not in (INTERVAL_KIND, TFN_KIND):
             raise SchemaError(
@@ -251,45 +252,40 @@ def _number_list(value, arity: int, where: str) -> list[float]:
 
 
 def _parse_weight(value, scales: dict[str, LinguisticScale], alpha: float, where: str) -> Interval:
+    """A crisp number ``x`` as ``[x, x]``, an interval pair, or a term
+    reference bridged by ``alpha``; every form must be non-negative."""
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a weight, got a boolean")
     if isinstance(value, (int, float)):
         x = _expect_number(value, where)
-        try:
-            return crisp_to_interval(x)
-        except InvalidInterval as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-    if isinstance(value, list):
+        iv = Interval(x, x)
+    elif isinstance(value, list):
         lo, hi = _number_list(value, 2, where)
         try:
             iv = Interval(lo, hi)
         except IntervalFusionError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
-        if iv.lo < 0:
-            raise ValidationError(f"{where}: weight must be non-negative, got [{iv.lo}, {iv.hi}]")
-        return iv
-    if isinstance(value, dict):
-        _check_keys(value, frozenset({"term", "scale"}), frozenset(), where)
+    elif isinstance(value, dict):
+        _check_keys(value, ("term", "scale"), where, "field")
         term = _expect_str(value["term"], f"{where}.term")
         scale_name = _expect_str(value["scale"], f"{where}.scale")
         scale = scales.get(scale_name)
         if scale is None:
             raise ValidationError(
                 f"{where}.scale: unknown scale {scale_name!r}; "
-                f"known scales: {', '.join(sorted(scales))}"
+                f"known scales: {', '.join(map(repr, sorted(scales)))}"
             )
         try:
             iv = as_interval(scale.lookup(term), alpha)
         except UnknownTerm as exc:
             raise ValidationError(f"{where}.term: {exc}") from exc
-        if iv.lo < 0:
-            raise ValidationError(
-                f"{where}: weight must be non-negative, got [{iv.lo}, {iv.hi}]"
-            )
-        return iv
-    raise SchemaError(
-        f"{where}: a weight must be a number, an interval pair, or a term reference"
-    )
+    else:
+        raise SchemaError(
+            f"{where}: a weight must be a number, an interval pair, or a term reference"
+        )
+    if iv.lo < 0:
+        raise ValidationError(f"{where}: weight must be non-negative, got [{iv.lo}, {iv.hi}]")
+    return iv
 
 
 # --- ratings ------------------------------------------------------------------
@@ -332,7 +328,7 @@ def _parse_rating(value, name: str, alt: str, crit: str) -> MassFunction:
 
 def _build_problem(doc, alpha: float) -> DecisionProblem:
     root = _expect_dict(doc, "document")
-    _check_keys(root, _REQUIRED_KEYS, _OPTIONAL_KEYS, "document")
+    _check_keys(root, _REQUIRED_KEYS, "document", "field", _OPTIONAL_KEYS)
 
     version = _expect_str(root["schema_version"], "schema_version")
     if version != SCHEMA_VERSION:
@@ -354,7 +350,7 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
     for i, entry in enumerate(dm_entries):
         where = f"decision_makers[{i}]"
         entry = _expect_dict(entry, where)
-        _check_keys(entry, frozenset({"name", "weight", "criterion_weights"}), frozenset(), where)
+        _check_keys(entry, ("name", "weight", "criterion_weights"), where, "field")
         name = _expect_str(entry["name"], f"{where}.name")
         if not name:
             raise SchemaError(f"{where}.name: must not be empty")
@@ -375,18 +371,18 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
         )
 
     ratings_obj = _expect_dict(root["ratings"], "ratings")
-    _require_exact_keys(ratings_obj, dm_names, "ratings", "decision maker")
+    _check_keys(ratings_obj, dm_names, "ratings", "decision maker")
     ratings: list[tuple[tuple[MassFunction, ...], ...]] = []
     criteria_set = set(criteria)
     for name in dm_names:
         dm_obj = _expect_dict(ratings_obj[name], f"ratings[{name!r}]")
-        _require_exact_keys(dm_obj, alternatives, f"ratings[{name!r}]", "alternative")
+        _check_keys(dm_obj, alternatives, f"ratings[{name!r}]", "alternative")
         rows: list[tuple[MassFunction, ...]] = []
         for alt in alternatives:
             alt_obj = dm_obj[alt]
             if not isinstance(alt_obj, dict) or alt_obj.keys() != criteria_set:
                 where = f"ratings[{name!r}][{alt!r}]"
-                _require_exact_keys(_expect_dict(alt_obj, where), criteria, where, "criterion")
+                _check_keys(_expect_dict(alt_obj, where), criteria, where, "criterion")
             rows.append(
                 tuple([_parse_rating(alt_obj[crit], name, alt, crit) for crit in criteria])
             )
@@ -400,14 +396,3 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
         criterion_weights=tuple(criterion_weights),
         ratings=tuple(ratings),
     )
-
-
-def _require_exact_keys(obj: dict, expected, where: str, what: str) -> None:
-    keys = set(obj)
-    wanted = set(expected)
-    missing = sorted(wanted - keys)
-    if missing:
-        raise SchemaError(f"{where}: missing {what}(s): {', '.join(map(repr, missing))}")
-    extra = sorted(keys - wanted)
-    if extra:
-        raise SchemaError(f"{where}: unknown {what}(s): {', '.join(map(repr, extra))}")

@@ -56,10 +56,6 @@ class IntervalBPA:
     left: MassFunction
     right: MassFunction
 
-    def triples(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        """Both parts as (first singleton, second singleton, full frame) triples."""
-        return self.left.masses, self.right.masses
-
 
 def bet_ideal(m: MassFunction) -> float:
     """Pignistic belief in the first frame element: m({first}) + m(full)/2."""
@@ -79,7 +75,7 @@ def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
     a_max = max(w.hi for w in group)
     if a_max <= 0.0:
         raise AllZeroWeights("all weights in the group are zero")
-    return [w / a_max for w in group]
+    return [Interval(w.lo / a_max, w.hi / a_max) for w in group]
 
 
 def _check_weight(w: Interval) -> None:

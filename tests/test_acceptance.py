@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from intervalfusion import load_problem, part_triple
+from intervalfusion import load_problem
 from intervalfusion.errors import ParseError, SchemaError, ValidationError
 from intervalfusion.loading import bundled_dataset_bytes
 
@@ -128,8 +128,8 @@ def test_criterion_1_weight_normalization(supplier_report):
 
 def test_criterion_2_discounting(supplier_report):
     cell = supplier_report.cell_bpas[0][0][0]  # DM1 / Supplier1 / C1
-    assert part_triple(cell.left) == pytest.approx((0.1714, 0.0571, 0.7715), abs=1e-4)
-    assert part_triple(cell.right) == pytest.approx((0.3, 0.1, 0.6), abs=1e-4)
+    assert cell.left.masses == pytest.approx((0.1714, 0.0571, 0.7715), abs=1e-4)
+    assert cell.right.masses == pytest.approx((0.3, 0.1, 0.6), abs=1e-4)
 
 
 def test_criterion_3_per_dm_fusion(supplier_report, golden):
@@ -139,8 +139,8 @@ def test_criterion_3_per_dm_fusion(supplier_report, golden):
         for a, supplier in enumerate(SUPPLIERS):
             got = report.dm_fused[d][a]
             oracle = golden["per_dm_fused"][dm][supplier]
-            assert part_triple(got.left) == pytest.approx(oracle["left"], abs=2e-3), (dm, supplier)
-            assert part_triple(got.right) == pytest.approx(oracle["right"], abs=2e-3), (dm, supplier)
+            assert got.left.masses == pytest.approx(oracle["left"], abs=2e-3), (dm, supplier)
+            assert got.right.masses == pytest.approx(oracle["right"], abs=2e-3), (dm, supplier)
     # the printed tables agree with the oracle except exactly the documented typos
     for d, dm in enumerate(DMS):
         for a, supplier in enumerate(SUPPLIERS):
@@ -154,8 +154,8 @@ def test_criterion_3_per_dm_fusion(supplier_report, golden):
                     assert deviation <= 2e-3, f"{(dm, supplier, side)} deviates by {deviation}"
     # documented slip in the decision-maker-level fusion table: the printed
     # Supplier1 right part belongs to Supplier2
-    s1_right = part_triple(report.final_bpas[0].right)
-    s2_right = part_triple(report.final_bpas[1].right)
+    s1_right = report.final_bpas[0].right.masses
+    s2_right = report.final_bpas[1].right.masses
     assert s1_right == pytest.approx((0.9696, 0.0201, 0.0103), abs=2e-3)
     assert s2_right == pytest.approx((0.8849, 0.1017, 0.0135), abs=2e-3)
 
@@ -163,7 +163,7 @@ def test_criterion_3_per_dm_fusion(supplier_report, golden):
 def test_criterion_4_final_bpas_and_ranking(supplier_report):
     report = supplier_report
     for a, supplier in enumerate(SUPPLIERS):
-        assert part_triple(report.collapsed[a]) == pytest.approx(
+        assert report.collapsed[a].masses == pytest.approx(
             PRINTED_COLLAPSED[supplier], abs=2e-3
         ), supplier
         assert report.bets[a] == pytest.approx(PRINTED_BETS[supplier], abs=2e-3), supplier
@@ -172,7 +172,7 @@ def test_criterion_4_final_bpas_and_ranking(supplier_report):
     # with the collapsed ranking on this dataset
     def order_by(part):
         def bet(ib):
-            triple = part_triple(getattr(ib, part))
+            triple = getattr(ib, part).masses
             return triple[0] + triple[2] / 2.0
 
         ranked = sorted(
@@ -185,7 +185,8 @@ def test_criterion_4_final_bpas_and_ranking(supplier_report):
 
 
 def test_criterion_5_property_suites():
-    # each suite runs >= 200 randomized cases (see tests/test_properties.py)
+    # each suite runs >= 200 randomized cases, once per session: its own item
+    # in tests/test_properties.py reports the same outcome without a rerun
     test_properties.test_combine_commutative()
     test_properties.test_combine_associative()
     test_properties.test_vacuous_neutral_exact()

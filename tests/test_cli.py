@@ -186,15 +186,38 @@ class TestValidate:
             "'Supplier1\\ud800'"
         ]
 
-    def test_field_name_with_newline_gives_one_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra, weight, line",
+        [
+            ({"x\ny": 1}, None, "error (SchemaError): document: unknown field(s): 'x\\ny'"),
+            (
+                {"scales": {"x\ny": {"kind": "interval", "terms": {"A": [0, 1]}}}},
+                {"term": "A", "scale": "nope"},
+                "error (ValidationError): decision_makers[0].weight.scale: unknown scale 'nope'; "
+                "known scales: 'interval-default', 'kaufmann-tfn', 'x\\ny'",
+            ),
+            (
+                {"scales": {"s": {"kind": "interval", "terms": {"p\nq": [0, 1]}}}},
+                {"term": "r", "scale": "s"},
+                "error (ValidationError): decision_makers[0].weight.term: unknown term 'r' in "
+                "scale 's'; valid terms: 'p\\nq'",
+            ),
+        ],
+        ids=["field", "scale", "term"],
+    )
+    def test_field_name_with_newline_gives_one_error_line(self, tmp_path, capsys, extra, weight, line):
+        # every name a diagnostic lists is quoted, so a newline in one
+        # cannot split the message
         doc = json.loads(bundled_dataset_bytes())
-        doc["x\ny"] = 1
+        doc.update(extra)
+        if weight is not None:
+            doc["decision_makers"][0]["weight"] = weight
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--input", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["error (SchemaError): document: unknown field(s): 'x\\ny'"]
+        assert err.splitlines() == [line]
 
 
 class TestUsage:

@@ -13,7 +13,7 @@ from intervalfusion.errors import (
     NegativeMass,
     TotalConflict,
 )
-from intervalfusion.evidence import FRAME, _divisor
+from intervalfusion.evidence import FRAME, _settle
 
 from reference import brute_combine, brute_pignistic
 from test_properties import by_labels
@@ -99,17 +99,19 @@ class TestConstruction:
 
 def fsum_policy(a, b, c):
     """The sum policy without the plain-sum shortcut: reject a sum more than
-    1e-6 from 1 (by ``math.fsum``), return one more than 1e-12 from 1 to
-    divide by, else 1.0."""
+    1e-6 from 1 (by ``math.fsum``), divide each mass by one more than 1e-12
+    from 1, else keep the masses."""
     total = math.fsum((a, b, c))
     if abs(total - 1.0) > 1e-6:
         raise MassSumViolation(f"masses sum to {total!r}, expected 1")
-    return total if abs(total - 1.0) > 1e-12 else 1.0
+    if abs(total - 1.0) > 1e-12:
+        return a / total, b / total, c / total
+    return a, b, c
 
 
 def policy_outcome(policy, t):
     try:
-        return policy(*t).hex()
+        return [v.hex() for v in policy(*t)]
     except MassSumViolation as exc:
         return type(exc).__name__, str(exc)
 
@@ -141,8 +143,8 @@ class TestSumPolicy:
     @example(t=(0.5, 0.25, 0.25 - 1e-6))
     @example(t=(0.0, 0.0, 1.0 + 2e-6))
     def test_shortcut_matches_fsum_policy(self, t):
-        # the same divisor bit for bit, or the same error and message
-        assert policy_outcome(_divisor, t) == policy_outcome(fsum_policy, t)
+        # the same settled masses bit for bit, or the same error and message
+        assert policy_outcome(_settle, t) == policy_outcome(fsum_policy, t)
 
 
 class TestConflict:

@@ -181,8 +181,42 @@ class TestWeightForms:
                 {"name": "DM1", "weight": -0.5, "criterion_weights": [[0.2, 0.4]]}
             ]
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             load(doc)
+        assert str(err.value) == (
+            "decision_makers[0].weight: weight must be non-negative, got [-0.5, -0.5]"
+        )
+
+    @staticmethod
+    def with_crisp_weight(literal):
+        """The text of a document whose second decision maker weighs
+        ``literal``, written as is, so that 1e400 and -0.0 reach the loader."""
+        doc = minimal_doc()
+        doc["decision_makers"].append({"name": "DM2", "weight": "W", "criterion_weights": [[0.2, 0.4]]})
+        doc["ratings"]["DM2"] = doc["ratings"]["DM1"]
+        return json.dumps(doc).replace('"weight": "W"', f'"weight": {literal}')
+
+    @pytest.mark.parametrize("literal", ["0", "0.95", "-0.0"])
+    def test_crisp_weight_is_a_point_interval(self, literal):
+        w = load_problem(self.with_crisp_weight(literal)).dm_weights[1]
+        x = float(literal)
+        # bit for bit, so -0.0 is kept as -0.0
+        assert (w.lo.hex(), w.hi.hex()) == (x.hex(), x.hex())
+
+    @pytest.mark.parametrize(
+        "literal, error, message",
+        [
+            ("-0.1", ValidationError, "weight must be non-negative, got [-0.1, -0.1]"),
+            ("true", SchemaError, "expected a weight, got a boolean"),
+            ("1e400", ValidationError, "number must be finite, got inf"),
+            ('"0.5"', SchemaError, "a weight must be a number, an interval pair, or a term reference"),
+        ],
+        ids=["-0.1", "true", "1e400", "string"],
+    )
+    def test_crisp_weight_rejected(self, literal, error, message):
+        with pytest.raises(error) as err:
+            load_problem(self.with_crisp_weight(literal))
+        assert str(err.value) == f"decision_makers[1].weight: {message}"
 
     def test_negative_scale_term_weight(self):
         doc = minimal_doc(

@@ -19,7 +19,6 @@ from intervalfusion import (
     emit_report,
     fuse_interval_bpas,
     normalize_weight_group,
-    part_triple,
     rank_alternatives,
 )
 from intervalfusion.errors import (
@@ -42,7 +41,7 @@ def bpa(left, right):
 
 
 def assert_triple(m, expected, abs=1e-9):
-    assert part_triple(m) == pytest.approx(expected, abs=abs)
+    assert m.masses == pytest.approx(expected, abs=abs)
 
 
 class TestNormalizeWeightGroup:
@@ -117,14 +116,14 @@ class TestDiscountToIntervalBPA:
 
     def test_ordering_of_fresh_parts(self):
         got = discount_to_interval_bpa(triple(0.6, 0.2, 0.2), Interval(0.3, 0.8))
-        lt, rt = got.triples()
+        lt, rt = got.left.masses, got.right.masses
         assert lt[0] <= rt[0]
         assert lt[1] <= rt[1]
 
     def test_complement_relation_exact(self):
         got = discount_to_interval_bpa(triple(0.6429, 0.0714, 0.2857), Interval(0.25, 0.75))
         for part in (got.left, got.right):
-            a, b, c = part_triple(part)
+            a, b, c = part.masses
             assert c == pytest.approx(1.0 - a - b, abs=1e-12)
 
 

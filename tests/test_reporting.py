@@ -85,8 +85,8 @@ class TestJsonReports:
         assert set(doc["final"]) == set(supplier_report.alternatives)
         cell = doc["cells"]["DM1"]["Supplier1"]["C1"]
         got = supplier_report.cell_bpas[0][0][0]
-        assert cell["left"] == list(got.triples()[0])
-        assert cell["right"] == list(got.triples()[1])
+        assert cell["left"] == list(got.left.masses)
+        assert cell["right"] == list(got.right.masses)
         triple = doc["collapsed"]["Supplier1"]
         assert triple == pytest.approx([0.9833, 0.0119, 0.0048], abs=2e-3)
 
@@ -105,8 +105,7 @@ class TestJsonReports:
 
 
 def _bpa_dict(ib):
-    lt, rt = ib.triples()
-    return {"left": list(lt), "right": list(rt)}
+    return {"left": list(ib.left.masses), "right": list(ib.right.masses)}
 
 
 def reference_doc(report, mode):
