@@ -120,17 +120,21 @@ def discount(p: float, q: float, w: float) -> Triple:
 def dempster(x: Triple, y: Triple) -> Triple:
     """Dempster's rule of two independent sources, summed in a fixed order:
     for each singleton its own product, then singleton times full frame,
-    then full frame times singleton."""
+    then full frame times singleton. Near total conflict, where the rounding
+    of ``1 - K`` leaves a sum the policy rejects, it raises TotalConflict."""
     a1, b1, c1 = x
     a2, b2, c2 = y
     k = a1 * b2 + b1 * a2
-    if k >= 1.0 - TOTAL_CONFLICT_EPS:
-        raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
-    norm = 1.0 - k
-    a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
-    b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
-    c = c1 * c2 / norm
-    return _settle(a, b, c)
+    if k < 1.0 - TOTAL_CONFLICT_EPS:
+        norm = 1.0 - k
+        a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
+        b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
+        c = c1 * c2 / norm
+        try:
+            return _settle(a, b, c)
+        except MassSumViolation:
+            pass
+    raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
 
 
 @dataclass(frozen=True, slots=True)

@@ -196,12 +196,14 @@ class RankingReport:
     """Output of :func:`rank_alternatives`.
 
     ``ranking`` lists alternative labels by non-increasing ``bets`` value,
-    ties broken by input order. The intermediate tables are indexed like the
-    problem: ``cell_bpas[d][a][c]``, ``dm_fused[d][a]``, ``final_bpas[a]``,
-    ``collapsed[a]``. They are built from the ranked problem on first access;
-    the computation is deterministic, so they hold exactly the values the
-    bets came from. A report constructed directly has no problem and no
-    trace.
+    ties broken by input order. The trace is four tables of the kernel's
+    (IS, NS, full frame) triples, named as in a full-trace JSON report and
+    indexed like the problem: ``cells[d][a][c]``, ``fused_per_dm[d][a]`` and
+    ``final[a]`` hold (left, right) pairs of triples, ``collapsed[a]`` one
+    triple. Each triple is the one ``MassFunction(t).masses`` would store.
+    The tables are tuples, built together on first access by a rerun of the
+    deterministic kernel, so they hold exactly the values the bets came
+    from. A report constructed directly has no problem and no trace.
     """
 
     alternatives: tuple[str, ...]
@@ -223,11 +225,7 @@ class RankingReport:
             raise ValidationError("bet values along the ranking must be non-increasing")
 
     @cached_property
-    def _tables(self) -> tuple:
-        """The trace as triples, from a rerun of the kernel: each cell's
-        (left parts, right parts) ``[d][a]``, ``dm_fused[d][a]`` and
-        ``final[a]`` as (left, right) pairs, and ``collapsed[a]``. A kernel
-        triple may hold -0.0 where a MassFunction built from it holds +0.0."""
+    def _rerun(self) -> tuple:
         if self._problem is None:
             raise ValueError("this report was not built by rank_alternatives and has no trace")
         rows: list[tuple[list[Triple], list[Triple]]] = []
@@ -235,33 +233,15 @@ class RankingReport:
             self._problem, self.normalized_criterion_weights, self.normalized_dm_weights, rows
         )
         n = len(self.alternatives)
-        return [rows[i : i + n] for i in range(0, len(rows), n)], dm_fused, final, collapsed
-
-    @cached_property
-    def _trace(self) -> tuple:
-        cells, dm_fused, final, collapsed = self._tables
-        return (
-            tuple(tuple(tuple(map(_interval_bpa, zip(*row))) for row in dm) for dm in cells),
-            tuple(tuple(_interval_bpa(pair) for pair in dm) for dm in dm_fused),
-            tuple(_interval_bpa(pair) for pair in final),
-            tuple(MassFunction(t) for t in collapsed),
+        cells = tuple(
+            tuple(tuple(zip(*row)) for row in rows[i : i + n]) for i in range(0, len(rows), n)
         )
+        return cells, tuple(map(tuple, dm_fused)), tuple(final), tuple(collapsed)
 
-    @property
-    def cell_bpas(self) -> tuple[tuple[tuple[IntervalBPA, ...], ...], ...]:
-        return self._trace[0]
-
-    @property
-    def dm_fused(self) -> tuple[tuple[IntervalBPA, ...], ...]:
-        return self._trace[1]
-
-    @property
-    def final_bpas(self) -> tuple[IntervalBPA, ...]:
-        return self._trace[2]
-
-    @property
-    def collapsed(self) -> tuple[MassFunction, ...]:
-        return self._trace[3]
+    cells = property(lambda self: self._rerun[0])
+    fused_per_dm = property(lambda self: self._rerun[1])
+    final = property(lambda self: self._rerun[2])
+    collapsed = property(lambda self: self._rerun[3])
 
 
 def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
@@ -285,11 +265,12 @@ def _kernel(
     BPAs ``[a]`` as (left, right) pairs, and the collapsed triples ``[a]``.
     If ``rows`` is given, each (decision maker, alternative) row's
     discounted (left parts, right parts) is appended to it. Errors carry the
-    coordinates of the failing step.
+    coordinates of the failing step. A weight endpoint enters as ``x + 0.0``:
+    a -0.0 weight discounts to the +0.0 masses a MassFunction stores.
     """
     dm_fused: list[list[tuple[Triple, Triple]]] = []
     for d, dm in enumerate(problem.decision_makers):
-        bounds = [(w.lo, w.hi) for w in crit_weights[d]]
+        bounds = [(w.lo + 0.0, w.hi + 0.0) for w in crit_weights[d]]
         fused_row: list[tuple[Triple, Triple]] = []
         for a, alt in enumerate(problem.alternatives):
             lefts: list[Triple] = []
@@ -311,15 +292,16 @@ def _kernel(
                 rows.append((lefts, rights))
         dm_fused.append(fused_row)
 
+    dm_bounds = [(w.lo + 0.0, w.hi + 0.0) for w in dm_weights]
     final: list[tuple[Triple, Triple]] = []
     collapsed: list[Triple] = []
     for a, alt in enumerate(problem.alternatives):
         lefts, rights = [], []
-        for dm, w, row in zip(problem.decision_makers, dm_weights, dm_fused):
+        for dm, (lo, hi), row in zip(problem.decision_makers, dm_bounds, dm_fused):
             left, right = row[a]
             try:
-                lefts.append(discount(left[0], left[1], w.lo))
-                rights.append(discount(right[0], right[1], w.hi))
+                lefts.append(discount(left[0], left[1], lo))
+                rights.append(discount(right[0], right[1], hi))
             except IntervalFusionError as exc:
                 raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
         try:
@@ -329,10 +311,6 @@ def _kernel(
             raise _located(exc, f"alternative {alt!r}") from exc
         final.append(pair)
     return dm_fused, final, collapsed
-
-
-def _interval_bpa(pair: tuple[Triple, Triple]) -> IntervalBPA:
-    return IntervalBPA(*map(MassFunction, pair))
 
 
 def rank_alternatives(

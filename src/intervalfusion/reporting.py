@@ -3,7 +3,9 @@
 Human tables round to 4 fractional digits (the formatter rounds to nearest,
 ties to even); JSON output carries full float precision and round-trips
 bit-exactly through ``json.loads``. Both render a full trace from the
-report's triple tables, without building a mass function.
+report's triple tables, without building a mass function. A human table
+writes a label that is not printable as its ``repr``, so a label cannot
+break or forge a line.
 """
 
 from __future__ import annotations
@@ -51,42 +53,47 @@ def _bpa_str(lt: Triple, rt: Triple) -> str:
     return f"left {_triple_str(lt)}  right {_triple_str(rt)}"
 
 
+def _labels(labels: Iterable[str]) -> list[str]:
+    return [x if x.isprintable() else repr(x) for x in labels]
+
+
 def _render_human(report: RankingReport, mode: str) -> str:
     lines: list[str] = []
     e0, e1 = FRAME
+    alts = _labels(report.alternatives)
 
     if mode == FULL_TRACE:
-        cells, dm_fused, final, collapsed = report._tables
+        dms, crits = _labels(report.decision_makers), _labels(report.criteria)
         lines.append("Normalized criterion weights")
-        for dm, ws in zip(report.decision_makers, report.normalized_criterion_weights):
-            weights = "  ".join(f"{crit} {_interval_str(iv)}" for crit, iv in zip(report.criteria, ws))
+        for dm, ws in zip(dms, report.normalized_criterion_weights):
+            weights = "  ".join(f"{crit} {_interval_str(iv)}" for crit, iv in zip(crits, ws))
             lines.append(f"  {dm}: {weights}")
         lines += ["", "Normalized decision-maker weights"]
-        for dm, iv in zip(report.decision_makers, report.normalized_dm_weights):
+        for dm, iv in zip(dms, report.normalized_dm_weights):
             lines.append(f"  {dm}: {_interval_str(iv)}")
         lines += ["", f"Discounted interval BPAs ({{{e0}}}, {{{e1}}}, {{{e0}, {e1}}})"]
-        for d, dm in enumerate(report.decision_makers):
-            for a, alt in enumerate(report.alternatives):
-                for crit, lt, rt in zip(report.criteria, *cells[d][a]):
-                    lines.append(f"  {dm} / {alt} / {crit}: {_bpa_str(lt, rt)}")
+        for dm, dm_cells in zip(dms, report.cells):
+            for alt, row in zip(alts, dm_cells):
+                for crit, pair in zip(crits, row):
+                    lines.append(f"  {dm} / {alt} / {crit}: {_bpa_str(*pair)}")
         lines += ["", "Fused per decision maker"]
-        for d, dm in enumerate(report.decision_makers):
-            for a, alt in enumerate(report.alternatives):
-                lines.append(f"  {dm} / {alt}: {_bpa_str(*dm_fused[d][a])}")
+        for dm, fused in zip(dms, report.fused_per_dm):
+            for alt, pair in zip(alts, fused):
+                lines.append(f"  {dm} / {alt}: {_bpa_str(*pair)}")
         lines += ["", "Final interval BPAs"]
-        for a, alt in enumerate(report.alternatives):
-            lines.append(f"  {alt}: {_bpa_str(*final[a])}")
+        for alt, pair in zip(alts, report.final):
+            lines.append(f"  {alt}: {_bpa_str(*pair)}")
         lines += ["", "Collapsed BPAs"]
-        for a, alt in enumerate(report.alternatives):
-            lines.append(f"  {alt}: {_triple_str(collapsed[a])} bet={_fmt(report.bets[a])}")
+        for alt, t, bet in zip(alts, report.collapsed, report.bets):
+            lines.append(f"  {alt}: {_triple_str(t)} bet={_fmt(bet)}")
         lines.append("")
 
-    width = max(len("Alternative"), max(len(a) for a in report.alternatives))
+    width = max(len("Alternative"), max(map(len, alts)))
     header = f"bet({e0})"
     lines.append(f"{'Alternative':<{width}}  {header}")
-    for a, alt in enumerate(report.alternatives):
-        lines.append(f"{alt:<{width}}  {_fmt(report.bets[a]):>{len(header)}}")
-    lines += ["", "Ranking: " + " ≻ ".join(report.ranking)]
+    for alt, bet in zip(alts, report.bets):
+        lines.append(f"{alt:<{width}}  {_fmt(bet):>{len(header)}}")
+    lines += ["", "Ranking: " + " ≻ ".join(_labels(report.ranking))]
     return "\n".join(lines)
 
 
@@ -118,12 +125,6 @@ def _pair(indent: str) -> str:
     return _object(indent, _keys(("left", "right")), [_array(indent + "  ", ["%r"] * 3)] * 2)
 
 
-def _masses(template: str, values: tuple[float, ...]) -> str:
-    """``template % values``, each -0.0 as 0.0: a MassFunction stores +0.0."""
-    text = template % values
-    return template % tuple(x + 0.0 for x in values) if "-0.0" in text else text
-
-
 def _render_json(report: RankingReport, mode: str) -> str:
     bets = {alt: report.bets[a] for a, alt in enumerate(report.alternatives)}
     keys = ["report_version", "mode", "frame", "alternatives", "bets", "ranking"]
@@ -136,7 +137,6 @@ def _render_json(report: RankingReport, mode: str) -> str:
         _array("  ", map(_str, report.ranking)),
     ]
     if mode == FULL_TRACE:
-        cells, dm_fused, final, collapsed = report._tables
         dms, alts, crits = map(_keys, (report.decision_makers, report.alternatives, report.criteria))
         crit_weight, dm_weight = _array(" " * 6, ["%r"] * 2), _array(" " * 4, ["%r"] * 2)
         triple = _array(" " * 4, ["%r"] * 3)
@@ -152,15 +152,16 @@ def _render_json(report: RankingReport, mode: str) -> str:
             _object("  ", dms, (dm_weight % (iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
             _object("  ", dms, (
                 _object("    ", alts, (
-                    _object("      ", crits, (_masses(cell, lt + rt) for lt, rt in zip(*row)))
+                    _object("      ", crits, (cell % (lt + rt) for lt, rt in row))
                     for row in dm
                 ))
-                for dm in cells
+                for dm in report.cells
             )),
             _object("  ", dms, (
-                _object("    ", alts, (_masses(fused, lt + rt) for lt, rt in dm)) for dm in dm_fused
+                _object("    ", alts, (fused % (lt + rt) for lt, rt in dm))
+                for dm in report.fused_per_dm
             )),
-            _object("  ", alts, (_masses(last, lt + rt) for lt, rt in final)),
-            _object("  ", alts, (_masses(triple, t) for t in collapsed)),
+            _object("  ", alts, (last % (lt + rt) for lt, rt in report.final)),
+            _object("  ", alts, (triple % t for t in report.collapsed)),
         ]
     return _object("", _keys(keys), values)

@@ -127,9 +127,9 @@ def test_criterion_1_weight_normalization(supplier_report):
 
 
 def test_criterion_2_discounting(supplier_report):
-    cell = supplier_report.cell_bpas[0][0][0]  # DM1 / Supplier1 / C1
-    assert cell.left.masses == pytest.approx((0.1714, 0.0571, 0.7715), abs=1e-4)
-    assert cell.right.masses == pytest.approx((0.3, 0.1, 0.6), abs=1e-4)
+    left, right = supplier_report.cells[0][0][0]  # DM1 / Supplier1 / C1
+    assert left == pytest.approx((0.1714, 0.0571, 0.7715), abs=1e-4)
+    assert right == pytest.approx((0.3, 0.1, 0.6), abs=1e-4)
 
 
 def test_criterion_3_per_dm_fusion(supplier_report, golden):
@@ -137,10 +137,10 @@ def test_criterion_3_per_dm_fusion(supplier_report, golden):
     # every row matches the recomputed oracle within 2e-3 (in fact far tighter)
     for d, dm in enumerate(DMS):
         for a, supplier in enumerate(SUPPLIERS):
-            got = report.dm_fused[d][a]
+            left, right = report.fused_per_dm[d][a]
             oracle = golden["per_dm_fused"][dm][supplier]
-            assert got.left.masses == pytest.approx(oracle["left"], abs=2e-3), (dm, supplier)
-            assert got.right.masses == pytest.approx(oracle["right"], abs=2e-3), (dm, supplier)
+            assert left == pytest.approx(oracle["left"], abs=2e-3), (dm, supplier)
+            assert right == pytest.approx(oracle["right"], abs=2e-3), (dm, supplier)
     # the printed tables agree with the oracle except exactly the documented typos
     for d, dm in enumerate(DMS):
         for a, supplier in enumerate(SUPPLIERS):
@@ -154,8 +154,8 @@ def test_criterion_3_per_dm_fusion(supplier_report, golden):
                     assert deviation <= 2e-3, f"{(dm, supplier, side)} deviates by {deviation}"
     # documented slip in the decision-maker-level fusion table: the printed
     # Supplier1 right part belongs to Supplier2
-    s1_right = report.final_bpas[0].right.masses
-    s2_right = report.final_bpas[1].right.masses
+    _, s1_right = report.final[0]
+    _, s2_right = report.final[1]
     assert s1_right == pytest.approx((0.9696, 0.0201, 0.0103), abs=2e-3)
     assert s2_right == pytest.approx((0.8849, 0.1017, 0.0135), abs=2e-3)
 
@@ -163,7 +163,7 @@ def test_criterion_3_per_dm_fusion(supplier_report, golden):
 def test_criterion_4_final_bpas_and_ranking(supplier_report):
     report = supplier_report
     for a, supplier in enumerate(SUPPLIERS):
-        assert report.collapsed[a].masses == pytest.approx(
+        assert report.collapsed[a] == pytest.approx(
             PRINTED_COLLAPSED[supplier], abs=2e-3
         ), supplier
         assert report.bets[a] == pytest.approx(PRINTED_BETS[supplier], abs=2e-3), supplier
@@ -171,17 +171,17 @@ def test_criterion_4_final_bpas_and_ranking(supplier_report):
     # ranking by the left part alone and by the right part alone coincide
     # with the collapsed ranking on this dataset
     def order_by(part):
-        def bet(ib):
-            triple = getattr(ib, part).masses
+        def bet(pair):
+            triple = pair[part]
             return triple[0] + triple[2] / 2.0
 
         ranked = sorted(
-            range(len(SUPPLIERS)), key=lambda i: -bet(report.final_bpas[i])
+            range(len(SUPPLIERS)), key=lambda i: -bet(report.final[i])
         )
         return [SUPPLIERS[i] for i in ranked]
 
-    assert order_by("left") == EXPECTED_RANKING
-    assert order_by("right") == EXPECTED_RANKING
+    assert order_by(0) == EXPECTED_RANKING  # left parts
+    assert order_by(1) == EXPECTED_RANKING  # right parts
 
 
 def test_criterion_5_property_suites():

@@ -120,6 +120,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "SchemaError" in err
 
+    def test_near_total_conflict_is_reported_as_conflict(self, tmp_path, capsys):
+        # every rating sums to 1; their fusion is all but total conflict
+        doc = {
+            "schema_version": "1",
+            "alternatives": ["A"],
+            "criteria": ["C1", "C2"],
+            "decision_makers": [{"name": "D", "weight": 1, "criterion_weights": [1, 1]}],
+            "ratings": {"D": {"A": {"C1": [0.999999999998, 2e-12, 0], "C2": [2e-12, 0.999999999998, 0]}}},
+        }
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error (TotalConflict): decision maker 'D', alternative 'A': "
+            "conflict coefficient is 0.9999999999960001; combination is undefined"
+        ]
+
     def test_alpha_usage_error(self, dataset_path):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--input", str(dataset_path), "--alpha", "2"])

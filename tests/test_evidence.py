@@ -13,7 +13,7 @@ from intervalfusion.errors import (
     NegativeMass,
     TotalConflict,
 )
-from intervalfusion.evidence import FRAME, _settle
+from intervalfusion.evidence import FRAME, _settle, dempster
 
 from reference import brute_combine, brute_pignistic
 from test_properties import by_labels
@@ -187,6 +187,18 @@ class TestCombine:
         m2 = triple(0.0, 1.0, 0.0)
         with pytest.raises(TotalConflict):
             m1.combine(m2)
+
+    def test_near_total_conflict_is_total_conflict(self):
+        # K = 1 - 4e-12 is under the refusal threshold, but 1 - K cancels so
+        # badly that the normalized masses miss a unit sum by 2e-5
+        x, y = (0.999999999998, 2e-12, 0.0), (2e-12, 0.999999999998, 0.0)
+        message = "conflict coefficient is 0.9999999999960001; combination is undefined"
+        with pytest.raises(TotalConflict) as err:
+            dempster(x, y)
+        assert str(err.value) == message
+        with pytest.raises(TotalConflict) as err:
+            MassFunction(x).combine(MassFunction(y))
+        assert str(err.value) == message
 
     def test_matches_brute_force(self):
         m1 = triple(0.1080, 0.0206, 0.8714)

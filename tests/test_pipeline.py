@@ -30,7 +30,7 @@ from intervalfusion.errors import (
 )
 
 from reference import brute_pignistic
-from test_properties import by_labels
+from test_properties import TABLES, by_labels, trace_triples
 
 def triple(a, b, c):
     return MassFunction((a, b, c))
@@ -252,58 +252,38 @@ class TestRankAlternatives:
             got = report.normalized_dm_weights[d]
             assert got.lo == pytest.approx(lo, abs=1e-9)
             assert got.hi == pytest.approx(hi, abs=1e-9)
+        def assert_pair(pair, expected):
+            left, right = pair
+            assert left == pytest.approx(tuple(expected["left"]), abs=1e-9)
+            assert right == pytest.approx(tuple(expected["right"]), abs=1e-9)
+
         for d, dm in enumerate(report.decision_makers):
             for a, alt in enumerate(report.alternatives):
                 for c, crit in enumerate(report.criteria):
-                    cell = golden["cells"][dm][alt][crit]
-                    got = report.cell_bpas[d][a][c]
-                    assert_triple(got.left, tuple(cell["left"]))
-                    assert_triple(got.right, tuple(cell["right"]))
-                fused = golden["per_dm_fused"][dm][alt]
-                got = report.dm_fused[d][a]
-                assert_triple(got.left, tuple(fused["left"]))
-                assert_triple(got.right, tuple(fused["right"]))
+                    assert_pair(report.cells[d][a][c], golden["cells"][dm][alt][crit])
+                assert_pair(report.fused_per_dm[d][a], golden["per_dm_fused"][dm][alt])
         for a, alt in enumerate(report.alternatives):
-            final = golden["final"][alt]
-            assert_triple(report.final_bpas[a].left, tuple(final["left"]))
-            assert_triple(report.final_bpas[a].right, tuple(final["right"]))
-            assert_triple(report.collapsed[a], tuple(golden["collapsed"][alt]))
+            assert_pair(report.final[a], golden["final"][alt])
+            assert report.collapsed[a] == pytest.approx(tuple(golden["collapsed"][alt]), abs=1e-9)
             assert report.bets[a] == pytest.approx(golden["bets"][alt], abs=1e-9)
 
     def test_bet_matches_general_pignistic(self, supplier_report):
-        for a in range(len(supplier_report.alternatives)):
-            m = supplier_report.collapsed[a]
-            expected = brute_pignistic(("IS", "NS"), by_labels(m))["IS"]
+        for a, t in enumerate(supplier_report.collapsed):
+            expected = brute_pignistic(("IS", "NS"), by_labels(t))["IS"]
             assert supplier_report.bets[a] == pytest.approx(expected, abs=1e-12)
 
     def test_bets_over_two_hypotheses_sum_to_one(self, supplier_report):
-        for m in supplier_report.collapsed:
-            bet_ns = m.masses[1] + m.masses[2] / 2.0
-            assert bet_ideal(m) + bet_ns == pytest.approx(1.0, abs=1e-12)
+        for a, (_, ns, full) in enumerate(supplier_report.collapsed):
+            assert supplier_report.bets[a] + ns + full / 2.0 == pytest.approx(1.0, abs=1e-12)
 
     def test_every_intermediate_part_is_valid(self, supplier_report):
-        report = supplier_report
-
-        def check(m):
-            total = sum(m.masses)
-            assert total == pytest.approx(1.0, abs=1e-9)
+        def check(t):
+            assert sum(t) == pytest.approx(1.0, abs=1e-9)
             # non-negative, and a zero mass is +0.0
-            assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in m.masses)
+            assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in t)
 
-        for dm in report.cell_bpas:
-            for row in dm:
-                for cell in row:
-                    check(cell.left)
-                    check(cell.right)
-        for dm in report.dm_fused:
-            for ib in dm:
-                check(ib.left)
-                check(ib.right)
-        for ib in report.final_bpas:
-            check(ib.left)
-            check(ib.right)
-        for m in report.collapsed:
-            check(m)
+        for t in trace_triples(supplier_report):
+            check(t)
 
     def test_deterministic(self, supplier_problem, supplier_report):
         again = rank_alternatives(supplier_problem)
@@ -425,31 +405,21 @@ def mass_builds(monkeypatch):
 
 
 class TestTraceOnDemand:
-    # reading the trace builds each of its parts once: two per cell, two per
-    # fused row, two per final interval BPA, one per collapsed BPA
-    N_DM, N_ALT, N_CRIT = 3, 6, 4
-    TRACE_BUILDS = 2 * N_DM * N_ALT * N_CRIT + 2 * N_DM * N_ALT + 3 * N_ALT
-
     def test_summary_builds_no_mass_functions(self, supplier_problem, mass_builds):
         report = rank_alternatives(supplier_problem)
         emit_report(report, SUMMARY, HUMAN_TABLE)
         emit_report(report, SUMMARY, JSON_FORMAT)
         assert mass_builds == []
-        report.collapsed
-        assert len(mass_builds) == self.TRACE_BUILDS
 
     def test_full_trace_emit_builds_no_mass_functions(self, supplier_problem, mass_builds):
-        # both formats render the trace from the kernel's triple tables
+        # both formats render the trace from the kernel's triple tables, and
+        # reading the tables builds nothing either
         report = rank_alternatives(supplier_problem)
         emit_report(report, FULL_TRACE, HUMAN_TABLE)
         emit_report(report, FULL_TRACE, JSON_FORMAT)
+        for table in TABLES:
+            getattr(report, table)
         assert mass_builds == []
-        # the library view is still built whole, once, on first access
-        report.collapsed
-        assert len(mass_builds) == self.TRACE_BUILDS
-        report.cell_bpas
-        emit_report(report, FULL_TRACE, JSON_FORMAT)
-        assert len(mass_builds) == self.TRACE_BUILDS
         with pytest.raises(ValueError, match="no trace"):
             emit_report(built_directly(report), FULL_TRACE, JSON_FORMAT)
 
@@ -462,13 +432,19 @@ class TestTraceOnDemand:
             assert emit_report(second, FULL_TRACE, fmt) == once
 
     def test_trace_is_built_once(self, supplier_report):
-        assert supplier_report.cell_bpas is supplier_report.cell_bpas
-        assert supplier_report.collapsed is supplier_report.collapsed
+        # the tables are built together, once, and are immutable
+        for table in TABLES:
+            assert getattr(supplier_report, table) is getattr(supplier_report, table)
+            assert type(getattr(supplier_report, table)) is tuple
+            with pytest.raises(AttributeError):
+                setattr(supplier_report, table, ())
+        assert type(supplier_report.cells[0][0][0]) is tuple
 
     def test_report_built_directly_has_no_trace(self, supplier_report):
         report = built_directly(supplier_report)
-        with pytest.raises(ValueError, match="no trace"):
-            report.cell_bpas
+        for table in TABLES:
+            with pytest.raises(ValueError, match="no trace"):
+                getattr(report, table)
 
     def test_report_built_directly_renders_a_summary(self, supplier_report):
         report = built_directly(supplier_report)

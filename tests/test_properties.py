@@ -107,9 +107,10 @@ _SUBSETS = (frozenset(FRAME[:1]), frozenset(FRAME[1:]), frozenset(FRAME))
 
 
 def by_labels(m):
-    """The non-zero masses of ``m`` keyed by label frozensets, as the oracles
-    take them."""
-    return {subset: v for subset, v in zip(_SUBSETS, m.masses) if v}
+    """The non-zero masses of ``m``, a mass function or its triple, keyed by
+    label frozensets, as the oracles take them."""
+    masses = m.masses if isinstance(m, MassFunction) else m
+    return {subset: v for subset, v in zip(_SUBSETS, masses) if v}
 
 
 def assert_masses_close(m1, m2, tol):
@@ -266,12 +267,12 @@ def test_degenerate_weights_match_crisp_pipeline(data):
     )
     report = rank_alternatives(problem)
     # degenerate weights keep both parts identical at every stage
-    for dm in report.cell_bpas:
+    for dm in report.cells:
         for row in dm:
-            for cell in row:
-                assert cell.left == cell.right
-    for ib in report.final_bpas:
-        assert ib.left == ib.right
+            for left, right in row:
+                assert left == right
+    for left, right in report.final:
+        assert left == right
     expected = crisp_rank(dm_w, crit_w, ratings)
     for got, want in zip(report.bets, expected):
         assert got == pytest.approx(want, abs=1e-9)
@@ -281,7 +282,9 @@ def test_degenerate_weights_match_crisp_pipeline(data):
 # bit for bit: bets, every trace table, and the type and message of errors
 def per_object_rank(problem, normalization):
     """The pipeline folded over MassFunction and IntervalBPA values with the
-    public per-object functions, step by step in the kernel's order."""
+    public per-object functions, step by step in the kernel's order. Returns
+    the bets and the four trace tables, named and laid out as a report's:
+    each interval BPA as its (left, right) pair of triples."""
 
     def located(exc, where):
         return type(exc)(f"{where}: {exc}")
@@ -332,21 +335,43 @@ def per_object_rank(problem, normalization):
             collapsed.append(collapse_interval_bpa(final_bpas[-1]))
         except IntervalFusionError as exc:
             raise located(exc, f"alternative {alt!r}") from exc
+
+    def pair(ib):
+        return ib.left.masses, ib.right.masses
+
     return {
         "bets": tuple(bet_ideal(m) for m in collapsed),
-        "cell_bpas": tuple(cell_bpas),
-        "dm_fused": tuple(dm_fused),
-        "final_bpas": tuple(final_bpas),
-        "collapsed": tuple(collapsed),
+        "cells": tuple(tuple(tuple(map(pair, row)) for row in dm) for dm in cell_bpas),
+        "fused_per_dm": tuple(tuple(map(pair, dm)) for dm in dm_fused),
+        "final": tuple(map(pair, final_bpas)),
+        "collapsed": tuple(m.masses for m in collapsed),
     }
+
+
+TABLES = ("cells", "fused_per_dm", "final", "collapsed")
+
+
+def hexed(x):
+    """``x``, nested tuples of floats, with each float as its ``float.hex``:
+    equal only if bit for bit equal, the sign of a zero included."""
+    return x.hex() if isinstance(x, float) else tuple(map(hexed, x))
+
+
+def trace_triples(report):
+    """Every triple of the report's four trace tables."""
+    triples = [t for dm in report.cells for row in dm for pair in row for t in pair]
+    triples += [t for dm in report.fused_per_dm for pair in dm for t in pair]
+    return triples + [t for pair in report.final for t in pair] + list(report.collapsed)
 
 
 _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 _weights = st.one_of(
     st.just(0),
+    st.just(-0.0),
     st.just(1),
     st.just([1, 1]),
     _unit.map(lambda x: [0, x]),
+    _unit.map(lambda x: [-0.0, x]),
     _unit,
     st.tuples(_unit, _unit).map(sorted),
 )
@@ -403,11 +428,12 @@ def test_kernel_matches_per_object_fold(case):
     report, error = outcome(lambda: rank_alternatives(problem, criterion_normalization=normalization))
     assert error == expected_error
     if error is None:
-        assert report.bets == expected["bets"]
-        assert report.cell_bpas == expected["cell_bpas"]
-        assert report.dm_fused == expected["dm_fused"]
-        assert report.final_bpas == expected["final_bpas"]
-        assert report.collapsed == expected["collapsed"]
+        assert hexed(report.bets) == hexed(expected["bets"])
+        for table in TABLES:
+            assert hexed(getattr(report, table)) == hexed(expected[table]), table
+        # each triple is the one a MassFunction built from it stores
+        for t in trace_triples(report):
+            assert hexed(t) == hexed(MassFunction(t).masses)
 
 
 # 10. the constructor follows the rules of a package-free reference: the

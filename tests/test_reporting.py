@@ -18,6 +18,7 @@ from intervalfusion.loading import bundled_dataset_bytes
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY
 
 from test_pipeline import built_directly
+from test_properties import per_object_rank, trace_triples
 
 
 class TestHumanTables:
@@ -58,6 +59,29 @@ class TestHumanTables:
         # no negative zeros anywhere
         assert "-0.0000" not in text
 
+    def test_unprintable_labels_keep_one_line_per_row(self):
+        # a label holding a line break must not forge lines: it is written
+        # as its repr, while a printable label keeps its bytes
+        alts = ["S1", "S2\nRanking: S2 ≻ S1", "S3\rx", "Zürich ≻ Köln"]
+        crits, dms = ["C\n1", "C\t2"], ["D\r1", "D\t2"]
+        shown = ["S1", repr(alts[1]), repr(alts[2]), alts[3]] + list(map(repr, crits + dms))
+        ratings = [(0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.3, 0.3, 0.4), (0.1, 0.1, 0.8)]
+        report = rank_alternatives(problem(
+            (alts, crits, dms), [(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[r, r] for r in ratings]] * 2
+        ))
+        d, a, c = len(dms), len(alts), len(crits)
+        # the summary: a header, a row per alternative, a blank line, the
+        # ranking; the trace adds 6 titled sections and their rows
+        for mode, n_lines in ((SUMMARY, a + 3), (FULL_TRACE, a + 3 + 12 + 2 * d + d * a * c + d * a + 2 * a)):
+            text = emit_report(report, mode, HUMAN_TABLE).decode("utf-8")
+            lines = text.splitlines()
+            assert len(lines) == n_lines
+            assert [x for x in lines if x.startswith("Ranking:")] == [lines[-1]]
+            for label, row in zip(shown, lines[-a - 2 : -2]):
+                assert row.startswith(label + " ")
+            assert all(label in text for label in shown[: a if mode == SUMMARY else None])
+        assert json.loads(emit_report(report, FULL_TRACE, JSON_FORMAT))["alternatives"] == alts
+
     def test_invalid_mode_and_format(self, supplier_report):
         with pytest.raises(ValueError):
             emit_report(supplier_report, "verbose", HUMAN_TABLE)
@@ -84,9 +108,9 @@ class TestJsonReports:
         assert set(doc["cells"]) == set(supplier_report.decision_makers)
         assert set(doc["final"]) == set(supplier_report.alternatives)
         cell = doc["cells"]["DM1"]["Supplier1"]["C1"]
-        got = supplier_report.cell_bpas[0][0][0]
-        assert cell["left"] == list(got.left.masses)
-        assert cell["right"] == list(got.right.masses)
+        left, right = supplier_report.cells[0][0][0]
+        assert cell["left"] == list(left)
+        assert cell["right"] == list(right)
         triple = doc["collapsed"]["Supplier1"]
         assert triple == pytest.approx([0.9833, 0.0119, 0.0048], abs=2e-3)
 
@@ -100,15 +124,17 @@ class TestJsonReports:
 # --- the JSON writer against json.dumps ---------------------------------------
 #
 # reference_doc is the document the package rendered with
-# json.dumps(doc, indent=2) before it wrote JSON directly; it reads the trace
-# through the MassFunction library view, an independent path to the values.
+# json.dumps(doc, indent=2) before it wrote JSON directly; it takes the trace
+# from the per-object fold over MassFunction values (per_object_rank), an
+# independent path to the values.
 
 
-def _bpa_dict(ib):
-    return {"left": list(ib.left.masses), "right": list(ib.right.masses)}
+def _bpa_dict(pair):
+    left, right = pair
+    return {"left": list(left), "right": list(right)}
 
 
-def reference_doc(report, mode):
+def reference_doc(report, mode, problem=None):
     doc = {
         "report_version": "1",
         "mode": mode,
@@ -118,6 +144,7 @@ def reference_doc(report, mode):
         "ranking": list(report.ranking),
     }
     if mode == FULL_TRACE:
+        trace = per_object_rank(problem, report.criterion_normalization)
         doc["criterion_normalization"] = report.criterion_normalization
         doc["normalized_criterion_weights"] = {
             dm: {
@@ -133,7 +160,7 @@ def reference_doc(report, mode):
         doc["cells"] = {
             dm: {
                 alt: {
-                    crit: _bpa_dict(report.cell_bpas[d][a][c])
+                    crit: _bpa_dict(trace["cells"][d][a][c])
                     for c, crit in enumerate(report.criteria)
                 }
                 for a, alt in enumerate(report.alternatives)
@@ -141,29 +168,25 @@ def reference_doc(report, mode):
             for d, dm in enumerate(report.decision_makers)
         }
         doc["fused_per_dm"] = {
-            dm: {alt: _bpa_dict(report.dm_fused[d][a]) for a, alt in enumerate(report.alternatives)}
+            dm: {alt: _bpa_dict(trace["fused_per_dm"][d][a]) for a, alt in enumerate(report.alternatives)}
             for d, dm in enumerate(report.decision_makers)
         }
-        doc["final"] = {alt: _bpa_dict(report.final_bpas[a]) for a, alt in enumerate(report.alternatives)}
+        doc["final"] = {alt: _bpa_dict(trace["final"][a]) for a, alt in enumerate(report.alternatives)}
         doc["collapsed"] = {
-            alt: list(report.collapsed[a].masses) for a, alt in enumerate(report.alternatives)
+            alt: list(trace["collapsed"][a]) for a, alt in enumerate(report.alternatives)
         }
     return doc
 
 
-def assert_writer_matches_reference(report):
+def assert_writer_matches_reference(problem, report):
     for mode in (SUMMARY, FULL_TRACE):
-        expected = (json.dumps(reference_doc(report, mode), indent=2) + "\n").encode()
+        expected = (json.dumps(reference_doc(report, mode, problem), indent=2) + "\n").encode()
         assert emit_report(report, mode, JSON_FORMAT) == expected
 
 
 def kernel_negative_zeros(report):
-    """How many -0.0 masses the kernel's trace tables hold; each renders as
-    0.0, as the MassFunction built from it stores it."""
-    cells, dm_fused, final, collapsed = report._tables
-    triples = [t for dm in cells for row in dm for part in row for t in part]
-    triples += [t for dm in dm_fused for pair in dm for t in pair]
-    triples += [t for pair in final for t in pair] + list(collapsed)
+    """How many -0.0 masses the report's trace tables hold."""
+    triples = trace_triples(report)
     return sum(x == 0.0 and math.copysign(1.0, x) < 0.0 for t in triples for x in t)
 
 
@@ -201,7 +224,7 @@ class TestWriterMatchesJsonDumps:
         problem_ = load_problem(bundled_dataset_bytes())
         for normalization in ("pooled", "per-dm"):
             assert_writer_matches_reference(
-                rank_alternatives(problem_, criterion_normalization=normalization)
+                problem_, rank_alternatives(problem_, criterion_normalization=normalization)
             )
 
     def test_escaped_labels_negative_zero_subnormal_and_17_digits(self):
@@ -220,31 +243,29 @@ class TestWriterMatchesJsonDumps:
             report = rank_alternatives(prob, criterion_normalization=normalization)
             assert report.normalized_dm_weights[0].lo == 0.0
             assert math.copysign(1.0, report.normalized_dm_weights[0].lo) == -1.0
-            assert kernel_negative_zeros(report) > 0
-            assert_writer_matches_reference(report)
+            # a -0.0 weight discounts to +0.0 masses, as the fold gives them
+            assert kernel_negative_zeros(report) == 0
+            assert_writer_matches_reference(prob, report)
             assert b"-0.0" in emit_report(report, FULL_TRACE, JSON_FORMAT)
 
     def test_one_by_one_by_one(self):
         for weight in ((-0.0, 1.0), (SUBNORMAL, SUBNORMAL), (0.25, DIGITS_17)):
             for dm_weight in ((-0.0, 1.0), (1.0, 1.0)):
-                report = rank_alternatives(
-                    problem((["A"], ["C"], ["D"]), [dm_weight], [[weight]], [[[(0.6, 0.3, 0.1)]]])
-                )
-                assert_writer_matches_reference(report)
+                prob = problem((["A"], ["C"], ["D"]), [dm_weight], [[weight]], [[[(0.6, 0.3, 0.1)]]])
+                assert_writer_matches_reference(prob, rank_alternatives(prob))
 
     def test_one_by_n_by_one_with_a_negative_zero_weight(self):
         # one criterion and one decision maker: each cell is its own fused
-        # row and final part, so the kernel's -0.0 reaches every table
-        report = rank_alternatives(
-            problem(
-                (list(ESCAPED), ["C"], ["D"]),
-                [(0.5, 1.0)],
-                [[(-0.0, 1.0)]],
-                [[[(0.1 * i, DIGITS_17 / 2, 1.0 - 0.1 * i - DIGITS_17 / 2)] for i in range(8)]],
-            )
+        # row and final part, so a -0.0 mass would reach every table
+        prob = problem(
+            (list(ESCAPED), ["C"], ["D"]),
+            [(0.5, 1.0)],
+            [[(-0.0, 1.0)]],
+            [[[(0.1 * i, DIGITS_17 / 2, 1.0 - 0.1 * i - DIGITS_17 / 2)] for i in range(8)]],
         )
-        assert kernel_negative_zeros(report) >= 8 * 3
-        assert_writer_matches_reference(report)
+        report = rank_alternatives(prob)
+        assert kernel_negative_zeros(report) == 0
+        assert_writer_matches_reference(prob, report)
 
     def test_summary_of_a_report_built_directly(self, supplier_report):
         report = built_directly(supplier_report)
@@ -280,20 +301,19 @@ def ranked_reports(draw):
         return [grid(strategy, *shape[1:]) for _ in range(shape[0])]
 
     try:
-        return rank_alternatives(
-            problem(
-                (labels(n_alt), labels(n_crit), labels(n_dm)),
-                grid(_weight, n_dm),
-                grid(_weight, n_dm, n_crit),
-                grid(_rating(), n_dm, n_alt, n_crit),
-            ),
-            criterion_normalization=draw(st.sampled_from(["pooled", "per-dm"])),
+        prob = problem(
+            (labels(n_alt), labels(n_crit), labels(n_dm)),
+            grid(_weight, n_dm),
+            grid(_weight, n_dm, n_crit),
+            grid(_rating(), n_dm, n_alt, n_crit),
         )
+        normalization = draw(st.sampled_from(["pooled", "per-dm"]))
+        return prob, rank_alternatives(prob, criterion_normalization=normalization)
     except IntervalFusionError:  # all-zero weights, total conflict
         assume(False)
 
 
 @settings(max_examples=250, deadline=None)
-@given(report=ranked_reports())
-def test_writer_matches_json_dumps_on_generated_problems(report):
-    assert_writer_matches_reference(report)
+@given(case=ranked_reports())
+def test_writer_matches_json_dumps_on_generated_problems(case):
+    assert_writer_matches_reference(*case)
