@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AllZeroWeights,
@@ -128,13 +128,18 @@ def _unique_labels(labels: Sequence[str], what: str) -> None:
         raise ValidationError(f"{what} must be unique, got {labels!r}")
 
 
+def _wrong_type(value, expected: str, where: str) -> ValidationError:
+    return ValidationError(f"{where}: expected {expected}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class DecisionProblem:
     """A rectangular multi-decision-maker, multi-criterion rating problem.
 
     ``criterion_weights[d][c]`` weighs criterion ``c`` for decision maker
     ``d``; ``ratings[d][a][c]`` is the classical BPA rating alternative ``a``
-    on criterion ``c`` according to decision maker ``d``.
+    on criterion ``c`` according to decision maker ``d``. A weight or rating of
+    another type raises ValidationError naming it, as in ``ratings['D']['A']['C']``.
     """
 
     alternatives: tuple[str, ...]
@@ -162,27 +167,31 @@ class DecisionProblem:
 
         n_dm, n_alt, n_crit = len(self.decision_makers), len(self.alternatives), len(self.criteria)
         if len(self.dm_weights) != n_dm:
-            raise ValidationError(
-                f"expected {n_dm} decision maker weights, got {len(self.dm_weights)}"
-            )
-        if len(self.criterion_weights) != n_dm or any(
-            len(ws) != n_crit for ws in self.criterion_weights
-        ):
-            raise ValidationError(
-                f"criterion weights must be a {n_dm} x {n_crit} grid of intervals"
-            )
-        if len(self.ratings) != n_dm or any(
-            len(dm) != n_alt or any(len(row) != n_crit for row in dm) for dm in self.ratings
-        ):
-            raise ValidationError(
-                f"ratings must be a {n_dm} x {n_alt} x {n_crit} grid of mass functions"
-            )
+            raise ValidationError(f"expected {n_dm} decision maker weights, got {len(self.dm_weights)}")
+        if len(self.criterion_weights) != n_dm or any(len(ws) != n_crit for ws in self.criterion_weights):
+            raise ValidationError(f"criterion weights must be a {n_dm} x {n_crit} grid of intervals")
+        grid = f"ratings must be a {n_dm} x {n_alt} x {n_crit} grid of mass functions"
+        if len(self.ratings) != n_dm:
+            raise ValidationError(grid)
+        for dm, rows in zip(self.decision_makers, self.ratings):
+            if len(rows) != n_alt:
+                raise ValidationError(grid)
+            for alt, row in zip(self.alternatives, rows):
+                if len(row) != n_crit:
+                    raise ValidationError(grid)
+                for crit, m in zip(self.criteria, row):
+                    if not isinstance(m, MassFunction):
+                        raise _wrong_type(m, "a MassFunction", f"ratings[{dm!r}][{alt!r}][{crit!r}]")
 
-        for w in self.dm_weights:
+        for dm, w in zip(self.decision_makers, self.dm_weights):
+            if not isinstance(w, Interval):
+                raise _wrong_type(w, "an Interval", f"dm_weights[{dm!r}]")
             if w.lo < 0.0:
                 raise InvalidWeight(f"decision maker weights must be non-negative, got [{w.lo}, {w.hi}]")
-        for ws in self.criterion_weights:
-            for w in ws:
+        for dm, ws in zip(self.decision_makers, self.criterion_weights):
+            for crit, w in zip(self.criteria, ws):
+                if not isinstance(w, Interval):
+                    raise _wrong_type(w, "an Interval", f"criterion_weights[{dm!r}][{crit!r}]")
                 if w.lo < 0.0:
                     raise InvalidWeight(f"criterion weights must be non-negative, got [{w.lo}, {w.hi}]")
         if max(w.hi for w in self.dm_weights) <= 0.0:
@@ -228,14 +237,12 @@ class RankingReport:
     def _rerun(self) -> tuple:
         if self._problem is None:
             raise ValueError("this report was not built by rank_alternatives and has no trace")
-        rows: list[tuple[list[Triple], list[Triple]]] = []
+        rows: list[Iterator[tuple[Triple, Triple]]] = []
         dm_fused, final, collapsed = _kernel(
             self._problem, self.normalized_criterion_weights, self.normalized_dm_weights, rows
         )
         n = len(self.alternatives)
-        cells = tuple(
-            tuple(tuple(zip(*row)) for row in rows[i : i + n]) for i in range(0, len(rows), n)
-        )
+        cells = tuple(tuple(map(tuple, rows[i : i + n])) for i in range(0, len(rows), n))
         return cells, tuple(map(tuple, dm_fused)), tuple(final), tuple(collapsed)
 
     cells = property(lambda self: self._rerun[0])
@@ -249,8 +256,22 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 
 
 # --- closed-form kernel -------------------------------------------------------
-# The per-object steps above, on the triples their MassFunction values hold,
-# with the same evidence.py arithmetic in the same order: bit-identical.
+# One discount-and-fold stage at both levels: the per-object steps above on triples, bit-identical.
+
+
+def _fuse(
+    pairs: Iterable[tuple[Triple, Triple]], bounds: Iterable[tuple[float, float]]
+) -> tuple[Iterator[tuple[Triple, Triple]], tuple[Triple, Triple]]:
+    """Discount each (left, right) pair by its weight's (lo, hi) bound, then fold
+    each side under Dempster's rule. Returns an iterator over the discounted
+    pairs, and the fused pair."""
+    lefts, rights = [], []
+    for ((lp, lq, _), (rp, rq, _)), (lo, hi) in zip(pairs, bounds):
+        # Only a fold can raise: normalized endpoints lie in [0, 1] and every
+        # triple is settled, so a complement never falls below -COMPLEMENT_EPS.
+        lefts.append(discount(lp, lq, lo))
+        rights.append(discount(rp, rq, hi))
+    return zip(lefts, rights), (reduce(dempster, lefts), reduce(dempster, rights))
 
 
 def _kernel(
@@ -259,53 +280,30 @@ def _kernel(
     dm_weights: Sequence[Interval],
     rows: list | None = None,
 ) -> tuple[list[list[tuple[Triple, Triple]]], list[tuple[Triple, Triple]], list[Triple]]:
-    """Steps 2-4 on triples, in the order of the per-object pipeline.
-
-    Returns the per-decision-maker fusions ``[d][a]`` and the final interval
-    BPAs ``[a]`` as (left, right) pairs, and the collapsed triples ``[a]``.
-    If ``rows`` is given, each (decision maker, alternative) row's
-    discounted (left parts, right parts) is appended to it. Errors carry the
-    coordinates of the failing step. A weight endpoint enters as ``x + 0.0``:
-    a -0.0 weight discounts to the +0.0 masses a MassFunction stores.
-    """
+    """Steps 2-4: :func:`_fuse` over each (decision maker, alternative) row of
+    ratings, over each alternative's column of the row fusions, then the
+    collapse. Returns the fusions ``[d][a]``, final pairs ``[a]`` and collapsed
+    triples ``[a]``; appends each row's discounted pairs to ``rows`` if given.
+    A weight endpoint enters as ``x + 0.0``: -0.0 discounts to +0.0 masses."""
     dm_fused: list[list[tuple[Triple, Triple]]] = []
-    for d, dm in enumerate(problem.decision_makers):
-        bounds = [(w.lo + 0.0, w.hi + 0.0) for w in crit_weights[d]]
+    for dm, ws, dm_ratings in zip(problem.decision_makers, crit_weights, problem.ratings):
+        bounds = [(w.lo + 0.0, w.hi + 0.0) for w in ws]
         fused_row: list[tuple[Triple, Triple]] = []
-        for a, alt in enumerate(problem.alternatives):
-            lefts: list[Triple] = []
-            rights: list[Triple] = []
-            for c, m in enumerate(problem.ratings[d][a]):
-                lo, hi = bounds[c]
-                p, q, _ = m.masses
-                try:
-                    lefts.append(discount(p, q, lo))
-                    rights.append(discount(p, q, hi))
-                except IntervalFusionError as exc:
-                    where = f"decision maker {dm!r}, alternative {alt!r}, criterion {problem.criteria[c]!r}"
-                    raise _located(exc, where) from exc
+        for alt, ratings in zip(problem.alternatives, dm_ratings):
             try:
-                fused_row.append((reduce(dempster, lefts), reduce(dempster, rights)))
+                cells, pair = _fuse([(m.masses, m.masses) for m in ratings], bounds)
             except IntervalFusionError as exc:
                 raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+            fused_row.append(pair)
             if rows is not None:
-                rows.append((lefts, rights))
+                rows.append(cells)
         dm_fused.append(fused_row)
 
     dm_bounds = [(w.lo + 0.0, w.hi + 0.0) for w in dm_weights]
-    final: list[tuple[Triple, Triple]] = []
-    collapsed: list[Triple] = []
-    for a, alt in enumerate(problem.alternatives):
-        lefts, rights = [], []
-        for dm, (lo, hi), row in zip(problem.decision_makers, dm_bounds, dm_fused):
-            left, right = row[a]
-            try:
-                lefts.append(discount(left[0], left[1], lo))
-                rights.append(discount(right[0], right[1], hi))
-            except IntervalFusionError as exc:
-                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+    final, collapsed = [], []
+    for alt, column in zip(problem.alternatives, zip(*dm_fused)):
         try:
-            pair = (reduce(dempster, lefts), reduce(dempster, rights))
+            _, pair = _fuse(column, dm_bounds)
             collapsed.append(dempster(*pair))
         except IntervalFusionError as exc:
             raise _located(exc, f"alternative {alt!r}") from exc
@@ -322,9 +320,10 @@ def rank_alternatives(
     weights: ``"pooled"`` divides every decision maker's criterion weights by
     the single largest endpoint across all of them; ``"per-dm"`` normalizes
     each decision maker's weights within their own group. Decision-maker
-    weights always normalize as one group. Failures raise the underlying
-    error annotated with the (decision maker, alternative, criterion)
-    coordinates of the failing cell.
+    weights always normalize as one group. A failure raises the underlying
+    error prefixed by its place: the decision maker of a per-dm weight group,
+    the decision maker and alternative of a fold over the criteria, or the
+    alternative of the fold over the decision makers or of the collapse.
     """
     if criterion_normalization not in (POOLED, PER_DM):
         raise ValueError(

@@ -4,8 +4,8 @@ Human tables round to 4 fractional digits (the formatter rounds to nearest,
 ties to even); JSON output carries full float precision and round-trips
 bit-exactly through ``json.loads``. Both render a full trace from the
 report's triple tables, without building a mass function. A human table
-writes a label that is not printable as its ``repr``, so a label cannot
-break or forge a line.
+writes a label as its ``repr`` if it is not printable, holds the ranking's
+"≻" or starts with a quote, so a label cannot break, forge or split a line.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _bpa_str(lt: Triple, rt: Triple) -> str:
 
 
 def _labels(labels: Iterable[str]) -> list[str]:
-    return [x if x.isprintable() else repr(x) for x in labels]
+    return [repr(x) if not x.isprintable() or "≻" in x or x[:1] in "'\"" else x for x in labels]
 
 
 def _render_human(report: RankingReport, mode: str) -> str:

@@ -13,7 +13,7 @@ from intervalfusion.errors import (
     NegativeMass,
     TotalConflict,
 )
-from intervalfusion.evidence import FRAME, _settle, dempster
+from intervalfusion.evidence import FRAME, _settle, dempster, discount
 
 from reference import brute_combine, brute_pignistic
 from test_properties import by_labels
@@ -145,6 +145,36 @@ class TestSumPolicy:
     def test_shortcut_matches_fsum_policy(self, t):
         # the same settled masses bit for bit, or the same error and message
         assert policy_outcome(_settle, t) == policy_outcome(fsum_policy, t)
+
+
+_unit_sums = st.builds(lambda a, b: (a, (1.0 - a) * b, 1.0 - a - (1.0 - a) * b), st.floats(0, 1), st.floats(0, 1))
+# no uncommitted mass and a sum kept just above 1: at w near 1 the complement
+# falls below zero and is clamped
+_over_one = st.builds(lambda a, d: (a, 1.0 - a + d, 0.0), st.floats(0, 1), st.sampled_from([1e-13, 5e-13, 9e-13]))
+
+
+class TestDiscount:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        t=st.one_of(near_policy_edges(), _unit_sums, _over_one),
+        w=st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(t=(0.5, 0.5, 0.0), w=-0.0 + 0.0)
+    @example(t=(1.0, 0.0, 0.0), w=5e-324)
+    @example(t=(0.5, 0.5 + 1e-6, 0.0), w=1.0)
+    @example(t=(0.5, 0.5 + 1e-12, 0.0), w=1.0)
+    @example(t=(0.5, 0.5 + 5e-13, 0.0), w=1.0)  # complement -5e-13, clamped
+    @example(t=(0.5, 0.5 - 1e-6, 0.0), w=1.0)
+    def test_never_raises_on_a_mass_function(self, t, w):
+        # the kernel discounts only stored triples, by weights in [0, 1], and
+        # relies on this to call discount without an error handler
+        try:
+            p, q, _ = MassFunction(t).masses
+        except MassSumViolation:
+            assume(False)
+        got = discount(p, q, w)
+        assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in got)
+        assert policy_outcome(_settle, got) == [v.hex() for v in got]
 
 
 class TestConflict:

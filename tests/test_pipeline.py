@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from intervalfusion import (
     IntervalBPA,
     MassFunction,
     PER_DM,
+    POOLED,
     bet_ideal,
     collapse_interval_bpa,
     discount_interval_bpa,
@@ -207,6 +209,59 @@ def build_problem(dm_weights, criterion_weights, ratings, **kw):
     )
 
 
+MILD = (0.5, 0.3, 0.2)
+# C1 is certain of IS but weighs [0, 1], so only right parts see it; thirteen
+# NS-leaning criteria drive the left part to within 1e-13 of certain NS. Both
+# folds succeed and the collapse cannot.
+N_NS = 13
+LOCATED_FAILURES = {
+    # two certain, opposed ratings under unit weights, fused over criteria
+    "per-dm-fold": (
+        build_problem(
+            [(1, 1), (1, 1)],
+            [[(1, 1), (1, 1)]] * 2,
+            [[[MILD, MILD]] * 2, [[MILD, MILD], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]]],
+        ),
+        POOLED,
+        TotalConflict,
+        "decision maker 'DM2', alternative 'A2': conflict coefficient is 1.0; combination is undefined",
+    ),
+    # each decision maker is certain of the opposite hypothesis
+    "cross-dm-fold": (
+        build_problem(
+            [(1, 1), (1, 1)],
+            [[(1, 1)], [(1, 1)]],
+            [[[MILD], [(1.0, 0.0, 0.0)]], [[MILD], [(0.0, 1.0, 0.0)]]],
+        ),
+        POOLED,
+        TotalConflict,
+        "alternative 'A2': conflict coefficient is 1.0; combination is undefined",
+    ),
+    "collapse": (
+        build_problem(
+            [(1, 1)],
+            [[(0, 1)] + [(1, 1)] * N_NS],
+            [[[MILD] * (1 + N_NS), [(1.0, 0.0, 0.0)] + [(0.0, 0.9, 0.1)] * N_NS]],
+        ),
+        POOLED,
+        TotalConflict,
+        "alternative 'A2': conflict coefficient is 0.9999999999998999; combination is undefined",
+    ),
+    # passes construction (the pooled group is positive), but per-dm
+    # normalization cannot divide DM2's own all-zero group
+    "per-dm-normalization": (
+        build_problem(
+            [(1, 1), (1, 1)],
+            [[(0.5, 0.5)], [(0.0, 0.0)]],
+            [[[(0.6, 0.2, 0.2)], [(0.3, 0.5, 0.2)]], [[(0.4, 0.4, 0.2)], [(0.2, 0.6, 0.2)]]],
+        ),
+        PER_DM,
+        AllZeroWeights,
+        "decision maker 'DM2' criterion weights: all weights in the group are zero",
+    ),
+}
+
+
 class TestDecisionProblem:
     def test_shape_checks(self):
         with pytest.raises(ValidationError):
@@ -236,6 +291,28 @@ class TestDecisionProblem:
     def test_all_zero_dm_weights(self):
         with pytest.raises(AllZeroWeights):
             build_problem([(0, 0)], [[(1, 1)]], [[[(0.6, 0.2, 0.2)]]])
+
+    @pytest.mark.parametrize("field, path, value, message", [
+        ("ratings", (1, 0, 1), (0.6, 0.2, 0.2),
+         "ratings['DM2']['A1']['C2']: expected a MassFunction, got tuple"),
+        ("ratings", (0, 1, 0), [0.6, 0.2, 0.2],
+         "ratings['DM1']['A2']['C1']: expected a MassFunction, got list"),
+        ("ratings", (1, 1, 1), None,
+         "ratings['DM2']['A2']['C2']: expected a MassFunction, got NoneType"),
+        ("dm_weights", (1,), 0.5, "dm_weights['DM2']: expected an Interval, got float"),
+        ("criterion_weights", (0, 1), (0.2, 0.5),
+         "criterion_weights['DM1']['C2']: expected an Interval, got tuple"),
+    ], ids=["rating-tuple", "rating-list", "rating-None", "dm-weight-float", "criterion-weight-tuple"])
+    def test_wrong_typed_field_is_named(self, field, path, value, message):
+        valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
+
+        def replaced(grid, path):
+            i, *rest = path
+            return grid[:i] + (replaced(grid[i], rest) if rest else value,) + grid[i + 1 :]
+
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path)})
+        assert str(err.value) == message
 
 
 class TestRankAlternatives:
@@ -328,40 +405,28 @@ class TestRankAlternatives:
         assert per_dm.normalized_criterion_weights[0][0].lo == pytest.approx(0.4)
         assert per_dm.normalized_criterion_weights[1][0].hi == pytest.approx(1.0)
 
-    def test_per_dm_all_zero_group_names_decision_maker(self):
-        # passes construction (the pooled group is positive) but the per-dm
-        # mode cannot normalize DM1's own all-zero group
-        problem = build_problem(
-            [(1, 1), (1, 1)],
-            [[(0.0, 0.0)], [(0.5, 0.5)]],
-            [
-                [[(0.6, 0.2, 0.2)], [(0.3, 0.5, 0.2)]],
-                [[(0.4, 0.4, 0.2)], [(0.2, 0.6, 0.2)]],
-            ],
-        )
-        assert rank_alternatives(problem).ranking  # pooled mode is fine
-        with pytest.raises(AllZeroWeights) as err:
-            rank_alternatives(problem, criterion_normalization=PER_DM)
-        assert "DM1" in str(err.value)
-
     def test_unknown_normalization_mode(self):
         problem = build_problem([(1, 1)], [[(1, 1)]], [[[(0.6, 0.2, 0.2)]]])
         with pytest.raises(ValueError):
             rank_alternatives(problem, criterion_normalization="global")
 
-    def test_total_conflict_names_coordinates(self):
-        # two fully contradictory certain ratings under unit weights conflict
-        # while fusing across criteria
-        problem = build_problem(
-            [(1, 1)],
-            [[(1, 1), (1, 1)]],
-            [[[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]]],
-        )
-        with pytest.raises(TotalConflict) as err:
-            rank_alternatives(problem)
-        message = str(err.value)
-        assert "DM1" in message
-        assert "A1" in message
+    @pytest.mark.parametrize("stage", sorted(LOCATED_FAILURES))
+    def test_failure_names_its_coordinates(self, stage):
+        # each step that can fail on a valid problem, failing at a later
+        # decision maker or alternative than the first
+        problem, normalization, error, message = LOCATED_FAILURES[stage]
+        with pytest.raises(error) as err:
+            rank_alternatives(problem, criterion_normalization=normalization)
+        assert str(err.value) == message
+        if stage == "per-dm-normalization":
+            assert rank_alternatives(problem).ranking  # pooled mode is fine
+        if stage == "collapse":  # the per-object steps also fail only there
+            weights = normalize_weight_group(problem.criterion_weights[0])
+            fused = fuse_interval_bpas(
+                discount_to_interval_bpa(m, w) for m, w in zip(problem.ratings[0][1], weights)
+            )
+            with pytest.raises(TotalConflict):
+                collapse_interval_bpa(fused)
 
     def test_report_invariants_enforced(self, supplier_report):
         with pytest.raises(ValidationError):
@@ -452,34 +517,3 @@ class TestTraceOnDemand:
             assert emit_report(report, SUMMARY, fmt) == emit_report(supplier_report, SUMMARY, fmt)
             with pytest.raises(ValueError, match="no trace"):
                 emit_report(report, FULL_TRACE, fmt)
-
-    def test_total_conflict_across_decision_makers_raises_at_rank(self):
-        # each decision maker is certain of the opposite hypothesis
-        problem = build_problem(
-            [(1, 1), (1, 1)], [[(1, 1)], [(1, 1)]], [[[(1.0, 0.0, 0.0)]], [[(0.0, 1.0, 0.0)]]]
-        )
-        with pytest.raises(TotalConflict) as err:
-            rank_alternatives(problem)
-        assert str(err.value) == (
-            "alternative 'A1': conflict coefficient is 1.0; combination is undefined"
-        )
-
-    def test_total_conflict_at_collapse_raises_at_rank(self):
-        # C1 is certain of IS but weighs [0, 1], so only right parts see it;
-        # thirteen NS-leaning criteria drive the left part to within 1e-13
-        # of certain NS. Both folds succeed and the collapse cannot.
-        n_ns = 13
-        problem = build_problem(
-            [(1, 1)],
-            [[(0, 1)] + [(1, 1)] * n_ns],
-            [[[(1.0, 0.0, 0.0)] + [(0.0, 0.9, 0.1)] * n_ns]],
-        )
-        weights = normalize_weight_group(problem.criterion_weights[0])
-        fused = fuse_interval_bpas(
-            discount_to_interval_bpa(m, w) for m, w in zip(problem.ratings[0][0], weights)
-        )
-        with pytest.raises(TotalConflict):
-            collapse_interval_bpa(fused)
-        with pytest.raises(TotalConflict) as err:
-            rank_alternatives(problem)
-        assert str(err.value).startswith("alternative 'A1': conflict coefficient is 0.9999999999998")

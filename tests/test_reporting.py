@@ -59,13 +59,27 @@ class TestHumanTables:
         # no negative zeros anywhere
         assert "-0.0000" not in text
 
+    def test_ranking_line_splits_one_way(self):
+        # unquoted, "S1 ≻ S3" would read as two alternatives, "S2" and "≻ S4"
+        # as "S2 ≻" and "S4", and "'S1" and "S3'" ranked next to each other
+        # as the quoted "S1 ≻ S3"; a label is a repr exactly when it starts
+        # with a quote
+        alts = ["S2", "S1 ≻ S3", "'S1", "S3'", "≻ S4"]
+        ratings = [(0.2, 0.6, 0.2), (0.6, 0.2, 0.2), (0.5, 0.3, 0.2), (0.4, 0.4, 0.2), (0.1, 0.7, 0.2)]
+        report = rank_alternatives(problem((alts, ["C"], ["D"]), [(1, 1)], [[(1, 1)]], [[[r] for r in ratings]]))
+        lines = emit_report(report, SUMMARY, HUMAN_TABLE).decode("utf-8").splitlines()
+        assert lines[-1] == "Ranking: 'S1 ≻ S3' ≻ \"'S1\" ≻ S3' ≻ S2 ≻ '≻ S4'"
+        assert [row.split("  ")[0] for row in lines[1:6]] == ["S2", "'S1 ≻ S3'", "\"'S1\"", "S3'", "'≻ S4'"]
+        assert json.loads(emit_report(report, SUMMARY, JSON_FORMAT))["ranking"] == alts[1:4] + alts[:1] + alts[4:]
+
     def test_unprintable_labels_keep_one_line_per_row(self):
         # a label holding a line break must not forge lines: it is written
-        # as its repr, while a printable label keeps its bytes
-        alts = ["S1", "S2\nRanking: S2 ≻ S1", "S3\rx", "Zürich ≻ Köln"]
+        # as its repr, as is one holding the ranking's separator, while any
+        # other printable label keeps its bytes
+        alts = ["S1", "S2\nRanking: S2 ≻ S1", "S3\rx", "Zürich ≻ Köln", "Zürich"]
         crits, dms = ["C\n1", "C\t2"], ["D\r1", "D\t2"]
-        shown = ["S1", repr(alts[1]), repr(alts[2]), alts[3]] + list(map(repr, crits + dms))
-        ratings = [(0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.3, 0.3, 0.4), (0.1, 0.1, 0.8)]
+        shown = ["S1"] + list(map(repr, alts[1:4])) + ["Zürich"] + list(map(repr, crits + dms))
+        ratings = [(0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.3, 0.3, 0.4), (0.1, 0.1, 0.8), (0.1, 0.2, 0.7)]
         report = rank_alternatives(problem(
             (alts, crits, dms), [(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[r, r] for r in ratings]] * 2
         ))
