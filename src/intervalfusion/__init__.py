@@ -9,14 +9,6 @@ and ranked by pignistic belief in the ideal hypothesis.
 from . import errors
 from .errors import IntervalFusionError
 from .evidence import MassFunction, combine_all
-from .fuzzy import (
-    INTERVAL_DEFAULT_SCALE,
-    KAUFMANN_TFN_SCALE,
-    LinguisticScale,
-    TriangularFuzzyNumber,
-    as_interval,
-    builtin_scales,
-)
 from .intervals import Interval
 from .loading import bundled_dataset_bytes, load_problem
 from .pipeline import (
@@ -41,22 +33,16 @@ __all__ = [
     "DecisionProblem",
     "FULL_TRACE",
     "HUMAN_TABLE",
-    "INTERVAL_DEFAULT_SCALE",
     "Interval",
     "IntervalBPA",
     "IntervalFusionError",
     "JSON_FORMAT",
-    "KAUFMANN_TFN_SCALE",
-    "LinguisticScale",
     "MassFunction",
     "PER_DM",
     "POOLED",
     "RankingReport",
     "SUMMARY",
-    "TriangularFuzzyNumber",
-    "as_interval",
     "bet_ideal",
-    "builtin_scales",
     "bundled_dataset_bytes",
     "collapse_interval_bpa",
     "combine_all",

@@ -15,18 +15,10 @@ class InvalidInterval(IntervalFusionError):
     """Endpoints are non-finite or ordered lo > hi beyond tolerance."""
 
 
-# --- fuzzy numbers and linguistic scales -----------------------------------
-
-class InvalidFuzzyNumber(IntervalFusionError):
-    """Triangular fuzzy number violates a <= b <= c or is non-finite."""
-
+# --- linguistic terms -------------------------------------------------------
 
 class InvalidAlpha(IntervalFusionError):
     """Alpha-cut level must lie in [0, 1]."""
-
-
-class UnknownTerm(IntervalFusionError):
-    """Linguistic term is not defined by the scale."""
 
 
 # --- mass functions and combination ----------------------------------------

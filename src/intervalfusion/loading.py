@@ -8,8 +8,9 @@ Document schema (version "1"), field by field:
 * ``criteria`` — required, non-empty list of unique labels.
 * ``scales`` — optional mapping of user-defined linguistic scales:
   ``{name: {"kind": "interval" | "tfn", "terms": {label: value}}}`` where an
-  interval value is ``[lo, hi]`` and a tfn value is ``[a, b, c]``. Names may
-  not shadow the built-in scales (``interval-default``, ``kaufmann-tfn``).
+  interval value is ``[lo, hi]`` and a tfn value is ``[a, b, c]``, with
+  ``a <= b <= c`` and a finite ``c - a``. Names may not shadow the built-in
+  scales (``interval-default``, ``kaufmann-tfn``).
 * ``decision_makers`` — required, non-empty list of
   ``{"name": ..., "weight": W, "criterion_weights": [W, ...]}`` with one
   criterion weight per criterion.
@@ -18,8 +19,12 @@ Document schema (version "1"), field by field:
 
 A weight ``W`` is a crisp number ``x`` (read as ``[x, x]``), an interval
 ``[lo, hi]``, or a linguistic reference ``{"term": ..., "scale": ...}``.
-Terms from tfn scales are bridged to intervals by the alpha-cut passed to
-:func:`load_problem`.
+An interval term is read as it is. A tfn term is a triangular fuzzy number
+``(a, b, c)`` and is read as its alpha-cut at the level passed to
+:func:`load_problem` (:func:`as_interval`): the points whose membership is at
+least alpha, so alpha 0 gives the support ``[a, c]`` and alpha 1 the peak
+``[b, b]``. Each term of the built-in ``kaufmann-tfn`` has the support of
+the same term of ``interval-default``.
 
 Rating triples rounded to the few decimals typical of published tables may
 miss a unit sum by up to 1e-3; they are rescaled on ingestion. Larger
@@ -44,19 +49,10 @@ from .errors import (
     InvalidAlpha,
     ParseError,
     SchemaError,
-    UnknownTerm,
     ValidationError,
 )
 from .evidence import FRAME, MassFunction
-from .fuzzy import (
-    INTERVAL_KIND,
-    TFN_KIND,
-    LinguisticScale,
-    TriangularFuzzyNumber,
-    as_interval,
-    builtin_scales,
-)
-from .intervals import Interval
+from .intervals import Interval, describe
 from .pipeline import DecisionProblem
 
 SCHEMA_VERSION = "1"
@@ -103,7 +99,7 @@ def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
     ``alpha`` is the alpha-cut level used to bridge tfn-scale terms.
     """
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha!r}")
+        raise InvalidAlpha(f"alpha must lie in [0, 1], got {describe(alpha)}")
 
     if hasattr(source, "read"):
         source = source.read()
@@ -206,9 +202,41 @@ def _check_keys(obj: dict, expected, where: str, what: str, optional=frozenset()
 
 # --- scales -------------------------------------------------------------------
 
+INTERVAL_KIND = "interval"
+TFN_KIND = "tfn"
 
-def _parse_scales(value, where: str) -> dict[str, LinguisticScale]:
-    scales = builtin_scales()
+#: Scale name -> term -> value: an ``Interval``, or the vertices ``(a, b, c)``
+#: of a triangular fuzzy number.
+_BUILTIN_SCALES = {
+    "interval-default": {
+        "Very low (VL)": Interval(0.0, 0.3),
+        "Low (L)": Interval(0.1, 0.5),
+        "Medium (M)": Interval(0.3, 0.7),
+        "High (H)": Interval(0.5, 0.9),
+        "Very high (VH)": Interval(0.7, 1.0),
+    },
+    "kaufmann-tfn": {
+        "Very low (VL)": (0.0, 0.1, 0.3),
+        "Low (L)": (0.1, 0.3, 0.5),
+        "Medium (M)": (0.3, 0.5, 0.7),
+        "High (H)": (0.5, 0.7, 0.9),
+        "Very high (VH)": (0.7, 0.9, 1.0),
+    },
+}
+
+
+def as_interval(value, alpha: float) -> Interval:
+    """A scale value as an interval: an ``Interval`` as it is, vertices
+    ``a <= b <= c`` with a finite ``c - a`` as their alpha-cut."""
+    if isinstance(value, Interval):
+        return value
+    a, b, c = value
+    # rounding may carry an endpoint past the peak, which the cut contains
+    return Interval(min(a + alpha * (b - a), b), max(c - alpha * (c - b), b))
+
+
+def _parse_scales(value, where: str) -> dict[str, dict]:
+    scales = dict(_BUILTIN_SCALES)
     for name, body in _expect_dict(value, where).items():
         scale_where = f"{where}[{name!r}]"
         if not name:
@@ -225,19 +253,23 @@ def _parse_scales(value, where: str) -> dict[str, LinguisticScale]:
         terms_obj = _expect_dict(body["terms"], f"{scale_where}.terms")
         if not terms_obj:
             raise SchemaError(f"{scale_where}.terms: must not be empty")
-        terms = []
+        terms = scales[name] = {}
         for label, raw in terms_obj.items():
             term_where = f"{scale_where}.terms[{label!r}]"
-            arity = 2 if kind == INTERVAL_KIND else 3
-            numbers = _number_list(raw, arity, term_where)
-            try:
-                if kind == INTERVAL_KIND:
-                    terms.append((label, Interval(*numbers)))
-                else:
-                    terms.append((label, TriangularFuzzyNumber(*numbers)))
-            except IntervalFusionError as exc:
-                raise ValidationError(f"{term_where}: {exc}") from exc
-        scales[name] = LinguisticScale(name=name, kind=kind, terms=tuple(terms))
+            if kind == INTERVAL_KIND:
+                lo, hi = _number_list(raw, 2, term_where)
+                try:
+                    terms[label] = Interval(lo, hi)
+                except IntervalFusionError as exc:
+                    raise ValidationError(f"{term_where}: {exc}") from exc
+            else:
+                a, b, c = _number_list(raw, 3, term_where)
+                vertices = f"({a}, {b}, {c})"
+                if not a <= b <= c:
+                    raise ValidationError(f"{term_where}: vertices must satisfy a <= b <= c, got {vertices}")
+                if not math.isfinite(c - a):  # else the cut's arithmetic overflows
+                    raise ValidationError(f"{term_where}: vertices must have a finite c - a, got {vertices}")
+                terms[label] = (a, b, c)
     return scales
 
 
@@ -251,7 +283,7 @@ def _number_list(value, arity: int, where: str) -> list[float]:
 # --- weights ------------------------------------------------------------------
 
 
-def _parse_weight(value, scales: dict[str, LinguisticScale], alpha: float, where: str) -> Interval:
+def _parse_weight(value, scales: dict[str, dict], alpha: float, where: str) -> Interval:
     """A crisp number ``x`` as ``[x, x]``, an interval pair, or a term
     reference bridged by ``alpha``; every form must be non-negative."""
     if isinstance(value, bool):
@@ -269,16 +301,18 @@ def _parse_weight(value, scales: dict[str, LinguisticScale], alpha: float, where
         _check_keys(value, ("term", "scale"), where, "field")
         term = _expect_str(value["term"], f"{where}.term")
         scale_name = _expect_str(value["scale"], f"{where}.scale")
-        scale = scales.get(scale_name)
-        if scale is None:
+        terms = scales.get(scale_name)
+        if terms is None:
             raise ValidationError(
                 f"{where}.scale: unknown scale {scale_name!r}; "
                 f"known scales: {', '.join(map(repr, sorted(scales)))}"
             )
-        try:
-            iv = as_interval(scale.lookup(term), alpha)
-        except UnknownTerm as exc:
-            raise ValidationError(f"{where}.term: {exc}") from exc
+        if term not in terms:
+            raise ValidationError(
+                f"{where}.term: unknown term {term!r} in scale {scale_name!r}; "
+                f"valid terms: {', '.join(map(repr, terms))}"
+            )
+        iv = as_interval(terms[term], alpha)
     else:
         raise SchemaError(
             f"{where}: a weight must be a number, an interval pair, or a term reference"

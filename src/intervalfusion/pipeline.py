@@ -132,6 +132,35 @@ def _wrong_type(value, expected: str, where: str) -> ValidationError:
     return ValidationError(f"{where}: expected {expected}, got {type(value).__name__}")
 
 
+def _grid(value, field: str, shape_error: str = "", *axes: tuple, at: tuple = ()) -> tuple:
+    """``value`` as nested tuples, one level per label tuple in ``axes`` and
+    as long as it, else ValidationError ``shape_error``. A level that is not
+    iterable raises ValidationError naming ``field`` and the labels ``at``
+    which it lies."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        where = field + "".join(f"[{label!r}]" for label in at)
+        raise _wrong_type(value, "a sequence", where) from None
+    if not axes:
+        return items
+    labels, *inner = axes
+    if len(items) != len(labels):
+        raise ValidationError(shape_error)
+    if not inner:
+        return items
+    if len(inner) == 1:
+        try:
+            rows = tuple(map(tuple, items))  # a _grid call per row costs more
+        except TypeError:
+            pass  # the walk below names the row
+        else:
+            if any(len(row) != len(inner[0]) for row in rows):
+                raise ValidationError(shape_error)
+            return rows
+    return tuple([_grid(v, field, shape_error, *inner, at=(*at, label)) for label, v in zip(labels, items)])
+
+
 @dataclass(frozen=True)
 class DecisionProblem:
     """A rectangular multi-decision-maker, multi-criterion rating problem.
@@ -139,7 +168,8 @@ class DecisionProblem:
     ``criterion_weights[d][c]`` weighs criterion ``c`` for decision maker
     ``d``; ``ratings[d][a][c]`` is the classical BPA rating alternative ``a``
     on criterion ``c`` according to decision maker ``d``. A weight or rating of
-    another type raises ValidationError naming it, as in ``ratings['D']['A']['C']``.
+    another type raises ValidationError naming it, as in ``ratings['D']['A']['C']``,
+    and so does a field or grid row that is not a sequence.
     """
 
     alternatives: tuple[str, ...]
@@ -150,36 +180,23 @@ class DecisionProblem:
     ratings: tuple[tuple[tuple[MassFunction, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "decision_makers", tuple(self.decision_makers))
-        object.__setattr__(self, "dm_weights", tuple(self.dm_weights))
-        object.__setattr__(
-            self, "criterion_weights", tuple(tuple(ws) for ws in self.criterion_weights)
-        )
-        object.__setattr__(
-            self, "ratings", tuple(tuple(tuple(row) for row in dm) for dm in self.ratings)
-        )
-
+        for name in ("alternatives", "criteria", "decision_makers", "dm_weights"):
+            object.__setattr__(self, name, _grid(getattr(self, name), name))
         _unique_labels(self.alternatives, "alternative labels")
         _unique_labels(self.criteria, "criterion labels")
         _unique_labels(self.decision_makers, "decision maker labels")
 
-        n_dm, n_alt, n_crit = len(self.decision_makers), len(self.alternatives), len(self.criteria)
-        if len(self.dm_weights) != n_dm:
-            raise ValidationError(f"expected {n_dm} decision maker weights, got {len(self.dm_weights)}")
-        if len(self.criterion_weights) != n_dm or any(len(ws) != n_crit for ws in self.criterion_weights):
-            raise ValidationError(f"criterion weights must be a {n_dm} x {n_crit} grid of intervals")
-        grid = f"ratings must be a {n_dm} x {n_alt} x {n_crit} grid of mass functions"
-        if len(self.ratings) != n_dm:
-            raise ValidationError(grid)
-        for dm, rows in zip(self.decision_makers, self.ratings):
-            if len(rows) != n_alt:
-                raise ValidationError(grid)
-            for alt, row in zip(self.alternatives, rows):
-                if len(row) != n_crit:
-                    raise ValidationError(grid)
-                for crit, m in zip(self.criteria, row):
+        dms, alts, crits = self.decision_makers, self.alternatives, self.criteria
+        if len(self.dm_weights) != len(dms):
+            raise ValidationError(f"expected {len(dms)} decision maker weights, got {len(self.dm_weights)}")
+        grid = f"criterion weights must be a {len(dms)} x {len(crits)} grid of intervals"
+        weights = _grid(self.criterion_weights, "criterion_weights", grid, dms, crits)
+        object.__setattr__(self, "criterion_weights", weights)
+        grid = f"ratings must be a {len(dms)} x {len(alts)} x {len(crits)} grid of mass functions"
+        object.__setattr__(self, "ratings", _grid(self.ratings, "ratings", grid, dms, alts, crits))
+        for dm, rows in zip(dms, self.ratings):
+            for alt, row in zip(alts, rows):
+                for crit, m in zip(crits, row):
                     if not isinstance(m, MassFunction):
                         raise _wrong_type(m, "a MassFunction", f"ratings[{dm!r}][{alt!r}][{crit!r}]")
 

@@ -7,6 +7,7 @@ of a traced benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import intervalfusion
@@ -35,3 +36,29 @@ def test_tracer_wraps_the_package_and_restores_it(supplier_report):
     assert tracer.calls["loading.load"] == 1
     assert tracer.calls["pipeline.rank"] == 1
     assert (intervalfusion.load_problem, intervalfusion.rank_alternatives) == entry_points
+
+
+def test_tracer_counts_one_cut_per_term_reference():
+    # three term references, the same tfn term twice; crisp and interval
+    # weights are not terms
+    tfn_term = {"term": "High (H)", "scale": "kaufmann-tfn"}
+    doc = json.dumps({
+        "schema_version": "1",
+        "alternatives": ["A1"],
+        "criteria": ["C1", "C2"],
+        "decision_makers": [
+            {"name": "DM1", "weight": tfn_term,
+             "criterion_weights": [{"term": "Low (L)", "scale": "interval-default"}, 0.5]},
+            {"name": "DM2", "weight": [0.2, 0.4], "criterion_weights": [tfn_term, [0.1, 0.3]]},
+        ],
+        "ratings": {dm: {"A1": {"C1": [0.6, 0.2, 0.2], "C2": [0.5, 0.3, 0.2]}} for dm in ("DM1", "DM2")},
+    })
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, intervalfusion)
+        problem = intervalfusion.load_problem(doc, alpha=0.5)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fuzzy.as_interval"] == 3
+    assert problem == intervalfusion.load_problem(doc, alpha=0.5)

@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from intervalfusion import Interval, MassFunction, TriangularFuzzyNumber
+from intervalfusion import Interval, MassFunction, bundled_dataset_bytes, load_problem
 from intervalfusion.errors import (
     InvalidAlpha,
-    InvalidFuzzyNumber,
     InvalidInterval,
     NegativeMass,
 )
@@ -27,10 +26,9 @@ class TestConstruction:
         "build, error",
         [
             (lambda: Interval(0, 10**400), InvalidInterval),
-            (lambda: TriangularFuzzyNumber(0, 10**400, 10**401), InvalidFuzzyNumber),
             (lambda: MassFunction((10**400, 0, 0)), NegativeMass),
         ],
-        ids=["interval", "tfn", "mass"],
+        ids=["interval", "mass"],
     )
     def test_int_beyond_float_range_rejected(self, build, error):
         # float() of such an int raises OverflowError; it is non-finite here
@@ -42,11 +40,6 @@ class TestConstruction:
         "build, error, named",
         [
             (lambda: Interval(0, 10**5000), InvalidInterval, "[0, <int of 16610 bits>]"),
-            (
-                lambda: TriangularFuzzyNumber(0, 1, 10**5000),
-                InvalidFuzzyNumber,
-                "(0, 1, <int of 16610 bits>)",
-            ),
             (lambda: MassFunction((10**5000, 0, 0)), NegativeMass, "got <int of 16610 bits>"),
             (
                 lambda: MassFunction((-(10**5000), 0, 0)),
@@ -54,12 +47,12 @@ class TestConstruction:
                 "got <negative int of 16610 bits>",
             ),
             (
-                lambda: TriangularFuzzyNumber(0, 1, 2).alpha_cut(10**5000),
+                lambda: load_problem(bundled_dataset_bytes(), alpha=10**5000),
                 InvalidAlpha,
                 "got <int of 16610 bits>",
             ),
         ],
-        ids=["interval", "tfn", "mass", "negative-mass", "alpha"],
+        ids=["interval", "mass", "negative-mass", "alpha"],
     )
     def test_int_too_long_for_repr_named_in_message(self, build, error, named):
         # repr() of an int over the interpreter's digit limit (4300 by

@@ -302,13 +302,23 @@ class TestDecisionProblem:
         ("dm_weights", (1,), 0.5, "dm_weights['DM2']: expected an Interval, got float"),
         ("criterion_weights", (0, 1), (0.2, 0.5),
          "criterion_weights['DM1']['C2']: expected an Interval, got tuple"),
-    ], ids=["rating-tuple", "rating-list", "rating-None", "dm-weight-float", "criterion-weight-tuple"])
+        # a field or grid row that is not a sequence
+        ("ratings", (1,), None, "ratings['DM2']: expected a sequence, got NoneType"),
+        ("ratings", (0, 1), None, "ratings['DM1']['A2']: expected a sequence, got NoneType"),
+        ("criterion_weights", (1,), None, "criterion_weights['DM2']: expected a sequence, got NoneType"),
+        ("dm_weights", (), None, "dm_weights: expected a sequence, got NoneType"),
+        ("alternatives", (), None, "alternatives: expected a sequence, got NoneType"),
+    ], ids=["rating-tuple", "rating-list", "rating-None", "dm-weight-float", "criterion-weight-tuple",
+            "ratings-row-None", "ratings-alternative-row-None", "criterion-weights-row-None",
+            "dm-weights-None", "alternatives-None"])
     def test_wrong_typed_field_is_named(self, field, path, value, message):
         valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
 
         def replaced(grid, path):
+            if not path:
+                return value
             i, *rest = path
-            return grid[:i] + (replaced(grid[i], rest) if rest else value,) + grid[i + 1 :]
+            return grid[:i] + (replaced(grid[i], rest),) + grid[i + 1 :]
 
         with pytest.raises(ValidationError) as err:
             dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path)})
