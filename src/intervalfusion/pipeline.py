@@ -132,33 +132,32 @@ def _wrong_type(value, expected: str, where: str) -> ValidationError:
     return ValidationError(f"{where}: expected {expected}, got {type(value).__name__}")
 
 
-def _grid(value, field: str, shape_error: str = "", *axes: tuple, at: tuple = ()) -> tuple:
+def _where(field: str, at: tuple) -> str:
+    return field + "".join(f"[{label!r}]" for label in at)
+
+
+def _grid(value, field: str, shape_error: str = "", *axes: tuple, leaf: type | None = None, at: tuple = ()) -> tuple:
     """``value`` as nested tuples, one level per label tuple in ``axes`` and
     as long as it, else ValidationError ``shape_error``. A level that is not
-    iterable raises ValidationError naming ``field`` and the labels ``at``
-    which it lies."""
+    iterable, or a cell of the innermost level that is not a ``leaf``, raises
+    ValidationError naming ``field`` and the labels ``at`` which it lies. The
+    walk is depth-first, so the first fault in label order is the one raised."""
     try:
         items = tuple(value)
     except TypeError:
-        where = field + "".join(f"[{label!r}]" for label in at)
-        raise _wrong_type(value, "a sequence", where) from None
+        raise _wrong_type(value, "a sequence", _where(field, at)) from None
     if not axes:
         return items
     labels, *inner = axes
     if len(items) != len(labels):
         raise ValidationError(shape_error)
-    if not inner:
-        return items
-    if len(inner) == 1:
-        try:
-            rows = tuple(map(tuple, items))  # a _grid call per row costs more
-        except TypeError:
-            pass  # the walk below names the row
-        else:
-            if any(len(row) != len(inner[0]) for row in rows):
-                raise ValidationError(shape_error)
-            return rows
-    return tuple([_grid(v, field, shape_error, *inner, at=(*at, label)) for label, v in zip(labels, items)])
+    if inner:
+        return tuple([_grid(v, field, shape_error, *inner, leaf=leaf, at=(*at, label)) for label, v in zip(labels, items)])
+    if leaf is not None:
+        for label, v in zip(labels, items):
+            if not isinstance(v, leaf):
+                raise _wrong_type(v, f"a {leaf.__name__}", _where(field, (*at, label)))
+    return items
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,9 @@ class DecisionProblem:
     ``d``; ``ratings[d][a][c]`` is the classical BPA rating alternative ``a``
     on criterion ``c`` according to decision maker ``d``. A weight or rating of
     another type raises ValidationError naming it, as in ``ratings['D']['A']['C']``,
-    and so does a field or grid row that is not a sequence.
+    and so does a field or grid row that is not a sequence. Ratings are walked
+    in label order, each row's length before its cells' types, and the first
+    fault met is the one raised.
     """
 
     alternatives: tuple[str, ...]
@@ -193,12 +194,8 @@ class DecisionProblem:
         weights = _grid(self.criterion_weights, "criterion_weights", grid, dms, crits)
         object.__setattr__(self, "criterion_weights", weights)
         grid = f"ratings must be a {len(dms)} x {len(alts)} x {len(crits)} grid of mass functions"
-        object.__setattr__(self, "ratings", _grid(self.ratings, "ratings", grid, dms, alts, crits))
-        for dm, rows in zip(dms, self.ratings):
-            for alt, row in zip(alts, rows):
-                for crit, m in zip(crits, row):
-                    if not isinstance(m, MassFunction):
-                        raise _wrong_type(m, "a MassFunction", f"ratings[{dm!r}][{alt!r}][{crit!r}]")
+        ratings = _grid(self.ratings, "ratings", grid, dms, alts, crits, leaf=MassFunction)
+        object.__setattr__(self, "ratings", ratings)
 
         for dm, w in zip(self.decision_makers, self.dm_weights):
             if not isinstance(w, Interval):

@@ -324,6 +324,20 @@ class TestDecisionProblem:
             dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path)})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("ratings, message", [
+        (lambda m: [[[(0.6, 0.2, 0.2), m], [m, m]], [[m, m], [m]]],
+         "ratings['DM1']['A1']['C1']: expected a MassFunction, got tuple"),
+        (lambda m: [[[m, m], [m]], [[(0.6, 0.2, 0.2), m], [m, m]]],
+         "ratings must be a 2 x 2 x 2 grid of mass functions"),
+        (lambda m: [[iter([m, m]), None], [[m, m], [m, m]]],
+         "ratings['DM1']['A2']: expected a sequence, got NoneType"),
+    ], ids=["cell-type-before-later-shape", "shape-before-later-cell-type", "iterator-row-then-None"])
+    def test_first_ratings_fault_in_label_order_is_named(self, ratings, message):
+        valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(valid, ratings=ratings(valid.ratings[0][0][0]))
+        assert str(err.value) == message
+
 
 class TestRankAlternatives:
     def test_supplier_dataset_matches_golden(self, supplier_problem, supplier_report, golden):
