@@ -144,6 +144,7 @@ class MassFunction:
     ``masses`` is the triple of the masses of {IS}, {NS} and the full frame.
     Invariants: every mass is a finite, non-negative float, a zero mass is
     +0.0, and the total is 1 (after the renormalization policy above).
+    Direct construction checks them; loaded cells come from :func:`_from_settled`.
     """
 
     masses: Triple
@@ -166,6 +167,21 @@ class MassFunction:
     def combine(self, other: MassFunction) -> MassFunction:
         """Dempster's rule (:func:`dempster`) of two independent sources."""
         return MassFunction(dempster(self.masses, other.masses))
+
+
+_new = object.__new__
+_set_masses = MassFunction.masses.__set__  # the slot, past the frozen __setattr__
+
+
+def _from_settled(a: float, b: float, c: float) -> MassFunction:
+    """The MassFunction of finite, non-negative floats with a plain sum within
+    _PLAIN_SUM_TOLERANCE of 1, built without ``__post_init__``: ``_settle``
+    keeps them, and ``+ 0.0`` is all ``_mass`` would change. A loaded rating
+    has an ``fsum`` of exactly 1, or was divided by that correctly rounded
+    sum, so its plain sum lies within about 5e-16 of 1."""
+    m = _new(MassFunction)
+    _set_masses(m, (a + 0.0, b + 0.0, c + 0.0))
+    return m
 
 
 def combine_all(masses: Iterable[MassFunction]) -> MassFunction:

@@ -26,9 +26,11 @@ least alpha, so alpha 0 gives the support ``[a, c]`` and alpha 1 the peak
 ``[b, b]``. Each term of the built-in ``kaufmann-tfn`` has the support of
 the same term of ``interval-default``.
 
-Rating triples rounded to the few decimals typical of published tables may
-miss a unit sum by up to 1e-3; they are rescaled on ingestion. Larger
-deviations are rejected.
+Each rating is checked once, here. Triples rounded to the few decimals of
+published tables may miss a unit sum by up to 1e-3 (by ``math.fsum``, a sum
+beyond float range reading as inf); they are divided by that sum, which
+leaves them a sum the mass-sum policy keeps as it is. Larger misses are
+rejected.
 
 Errors: :class:`ParseError` for malformed input (with line/column), a key
 repeated within one object, or an integer literal too long to read;
@@ -51,7 +53,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .evidence import FRAME, MassFunction
+from .evidence import _INF, FRAME, MassFunction, _from_settled
 from .intervals import Interval, describe
 from .pipeline import DecisionProblem
 
@@ -329,35 +331,30 @@ def _cell_where(name: str, alt: str, crit: str) -> str:
     return f"ratings[{name!r}][{alt!r}][{crit!r}]"
 
 
-def _finite_nonnegative_floats(a, b, c) -> bool:
-    """Whether ``a``, ``b`` and ``c`` are all of type ``float``, finite and
-    non-negative: numbers that every check of a rating cell accepts."""
-    return (
-        type(a) is type(b) is type(c) is float
-        and 0.0 <= a < math.inf
-        and 0.0 <= b < math.inf
-        and 0.0 <= c < math.inf
-    )
-
-
-def _parse_rating(value, name: str, alt: str, crit: str) -> MassFunction:
-    """The rating cell ``ratings[name][alt][crit]``; its coordinates are
-    formatted only when it is rejected."""
-    a, b, c = value if type(value) is list and len(value) == 3 else (None, None, None)
-    if not _finite_nonnegative_floats(a, b, c):
-        # such floats pass every check below; any other cell, ints
-        # included, takes them
-        where = _cell_where(name, alt, crit)
-        a, b, c = _number_list(value, 3, where)
-        for i, x in enumerate((a, b, c)):
-            if x < 0:
-                raise ValidationError(f"{where}[{i}]: mass must be non-negative, got {x}")
-    total = math.fsum((a, b, c))
-    if abs(total - 1.0) > RATING_SUM_TOLERANCE:
-        raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
-    if total != 1.0:
-        return MassFunction((a / total, b / total, c / total))
-    return MassFunction((a, b, c))
+def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[MassFunction, ...]:
+    """The cells ``ratings[name][alt][crit]``, one per criterion; their
+    coordinates are formatted only when one is rejected."""
+    row = []
+    for crit in criteria:
+        value = alt_obj[crit]
+        a, b, c = value if type(value) is list and len(value) == 3 else (None, None, None)
+        if not (type(a) is type(b) is type(c) is float and 0.0 <= a < _INF and 0.0 <= b < _INF and 0.0 <= c < _INF):
+            # such floats pass every check here; any other cell, ints included, takes them
+            where = _cell_where(name, alt, crit)
+            a, b, c = _number_list(value, 3, where)
+            for i, x in enumerate((a, b, c)):
+                if x < 0:
+                    raise ValidationError(f"{where}[{i}]: mass must be non-negative, got {x}")
+        try:
+            total = math.fsum((a, b, c))
+        except OverflowError:  # finite masses whose sum is beyond float range
+            total = _INF
+        if abs(total - 1.0) > RATING_SUM_TOLERANCE:
+            raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
+        if total != 1.0:
+            a, b, c = a / total, b / total, c / total
+        row.append(_from_settled(a, b, c))
+    return tuple(row)
 
 
 def _build_problem(doc, alpha: float) -> DecisionProblem:
@@ -417,9 +414,7 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
             if not isinstance(alt_obj, dict) or alt_obj.keys() != criteria_set:
                 where = f"ratings[{name!r}][{alt!r}]"
                 _check_keys(_expect_dict(alt_obj, where), criteria, where, "criterion")
-            rows.append(
-                tuple([_parse_rating(alt_obj[crit], name, alt, crit) for crit in criteria])
-            )
+            rows.append(_parse_row(alt_obj, criteria, name, alt))
         ratings.append(tuple(rows))
 
     return DecisionProblem(

@@ -168,6 +168,19 @@ class TestValidate:
         assert "ValidationError" in err
         assert "'Supplier3'" in err
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_rating_sum_beyond_float_range_rejected(self, tmp_path, capsys, command):
+        doc = json.loads(bundled_dataset_bytes())
+        doc["ratings"]["DM2"]["Supplier3"]["C2"] = [1e308, 1e308, 0.0]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error (ValidationError): ratings['DM2']['Supplier3']['C2']: masses sum to inf, expected 1"
+        ]
+
     @pytest.mark.parametrize(
         "args, code",
         [

@@ -297,6 +297,8 @@ CELL_REJECTIONS = [
     ("[0.7, 0.7, -0.4]", ValidationError, f"{CELL}[2]: mass must be non-negative, got -0.4"),
     ("[0.5, 0.5, 0.1]", ValidationError, f"{CELL}: masses sum to 1.1, expected 1"),
     ("[0.5, 0.4, 0.0989]", ValidationError, f"{CELL}: masses sum to 0.9989, expected 1"),
+    # finite masses whose sum is beyond float range
+    ("[1e308, 1e308, 0.0]", ValidationError, f"{CELL}: masses sum to inf, expected 1"),
     # every number is checked to be finite before any is checked for sign
     ("[-0.5, 1e400, 0.2]", ValidationError, f"{CELL}[1]: number must be finite, got inf"),
 ]

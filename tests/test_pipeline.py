@@ -15,11 +15,13 @@ from intervalfusion import (
     PER_DM,
     POOLED,
     bet_ideal,
+    bundled_dataset_bytes,
     collapse_interval_bpa,
     discount_interval_bpa,
     discount_to_interval_bpa,
     emit_report,
     fuse_interval_bpas,
+    load_problem,
     normalize_weight_group,
     rank_alternatives,
 )
@@ -480,8 +482,8 @@ def built_directly(report):
 
 @pytest.fixture
 def mass_builds(monkeypatch):
-    """The MassFunction values built while the test runs; every one is built
-    through its __post_init__."""
+    """The MassFunction values built through __post_init__ while the test
+    runs. The loader builds its cells without it (evidence._from_settled)."""
     built = []
     post_init = MassFunction.__post_init__
 
@@ -491,6 +493,13 @@ def mass_builds(monkeypatch):
 
     monkeypatch.setattr(MassFunction, "__post_init__", counting_post_init)
     return built
+
+
+def test_loading_checks_each_cell_once(mass_builds):
+    # the loader checks a rating and builds its cell; the constructor's
+    # checks would only repeat them
+    load_problem(bundled_dataset_bytes())
+    assert mass_builds == []
 
 
 class TestTraceOnDemand:

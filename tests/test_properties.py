@@ -502,3 +502,45 @@ def built(t):
 @example(t=(0.0, 8.988465674311579e307, 8.98846567431158e307))
 def test_constructor_matches_reference(t):
     assert built(t) == reference_masses(t)
+
+
+# 11. a loaded cell is a fixed point of the constructor: the loader checks
+# each rating once and builds its cell without the constructor's checks, so
+# the cell must be what the constructor would make of it, bit for bit
+_rating_masses = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 5e-324, 2.2250738585072014e-308, 1e-300]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_sum_misses = st.sampled_from(
+    [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3 - 1e-12, -(1e-3 - 1e-12), 1e-3 - 2e-16, -(1e-3 - 2e-16)]
+)
+
+
+@st.composite
+def raw_ratings(draw):
+    """Rating literals in any order: two drawn masses and the rest of a unit
+    sum, missed by up to just under the loader's 1e-3."""
+    x, y = draw(_rating_masses), draw(_rating_masses)
+    return draw(st.permutations([x, y, 1.0 - x - y + draw(_sum_misses)]))
+
+
+@RUNS
+@given(t=raw_ratings())
+@example(t=[-0.0, 1, 0])
+@example(t=[0.0, -0.0, 1.0])
+@example(t=[5e-324, 0.3333, 0.6667])
+@example(t=[0.3333, 0.3333, 0.3333])
+def test_loaded_cells_are_constructor_fixed_points(t):
+    doc = {
+        "schema_version": "1",
+        "alternatives": ["A"],
+        "criteria": ["C"],
+        "decision_makers": [{"name": "D", "weight": 1, "criterion_weights": [1]}],
+        "ratings": {"D": {"A": {"C": t}}},
+    }
+    try:
+        cell = load_problem(json.dumps(doc)).ratings[0][0][0]
+    except IntervalFusionError:
+        return  # a negative rest, or a sum the loader rejects
+    assert hexed(cell.masses) == hexed(MassFunction(cell.masses).masses)
+    assert all(math.copysign(1.0, v) == 1.0 for v in cell.masses)
