@@ -12,22 +12,20 @@ All arithmetic on mass functions is defined here once, on triples, and both
 * the sum policy (the tolerances below) keeps a triple that sums to 1
   within EXACT_SUM_TOLERANCE, divides one within RENORMALIZATION_TOLERANCE
   by its sum, and rejects the rest;
-* :func:`discount` is Shafer discounting by a reliability ``w``;
-* :func:`dempster` is the conjunctive, normalized rule in the closed form it
-  has on two elements (Barnett 1981): the conflict coefficient is
-  ``K = a1*b2 + b1*a2``, each focal set collects the products of the pairs
-  whose intersection it is, and all masses are divided by ``1 - K``.
-  ``K = 0`` means fully consistent sources; at ``K = 1`` the rule is
-  undefined and :class:`TotalConflict` is raised.
-
-Several sources combine by a left fold (``functools.reduce``) of the rule.
+* :func:`discount` is Shafer discounting of a row of triples by their
+  reliabilities;
+* :func:`fold` folds sources left to right under the conjunctive, normalized
+  rule in the closed form it has on two elements (Barnett 1981): the
+  conflict coefficient is ``K = a1*b2 + b1*a2``, each focal set collects the
+  products of the pairs whose intersection it is, and all masses are divided
+  by ``1 - K``. ``K = 0`` means fully consistent sources; at ``K = 1`` the
+  rule is undefined and :class:`TotalConflict` is raised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 from .errors import EmptyEvidenceList, MassSumViolation, NegativeMass, TotalConflict
@@ -102,39 +100,58 @@ def _settle(a: float, b: float, c: float) -> Triple:
     return a, b, c
 
 
-def discount(p: float, q: float, w: float) -> Triple:
-    """Shafer discounting of the singleton masses ``p`` and ``q`` by ``w``:
-    both are scaled by ``w`` and the remainder goes to the full frame,
-    (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero by at
-    most COMPLEMENT_EPS is clamped to zero."""
-    a = p * w
-    b = q * w
-    c = 1.0 - a - b
-    if c < 0.0:
-        if c < -COMPLEMENT_EPS:
-            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
-        c = 0.0
-    return _settle(a, b, c)
+def discount(triples: Iterable[Triple], weights: Iterable[float]) -> list[Triple]:
+    """Shafer discounting of each triple by its reliability ``w``: both
+    singleton masses are scaled by ``w`` and the remainder goes to the full
+    frame, (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero by
+    at most COMPLEMENT_EPS is clamped to zero. A triple that _settle would
+    keep as it is is kept inline; only the others go through it."""
+    out = []
+    for (p, q, _), w in zip(triples, weights):
+        a = p * w
+        b = q * w
+        c = 1.0 - a - b
+        if c >= 0.0 and abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:
+            out.append((a, b, c))
+            continue
+        if c < 0.0:
+            if c < -COMPLEMENT_EPS:
+                raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
+            c = 0.0
+        out.append(_settle(a, b, c))
+    return out
 
 
-def dempster(x: Triple, y: Triple) -> Triple:
-    """Dempster's rule of two independent sources, summed in a fixed order:
-    for each singleton its own product, then singleton times full frame,
-    then full frame times singleton. Near total conflict, where the rounding
-    of ``1 - K`` leaves a sum the policy rejects, it raises TotalConflict."""
-    a1, b1, c1 = x
-    a2, b2, c2 = y
-    k = a1 * b2 + b1 * a2
-    if k < 1.0 - TOTAL_CONFLICT_EPS:
-        norm = 1.0 - k
-        a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
-        b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
-        c = c1 * c2 / norm
-        try:
-            return _settle(a, b, c)
-        except MassSumViolation:
-            pass
-    raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
+def fold(triples: Iterable[Triple]) -> Triple:
+    """Dempster's rule of independent sources, folded left to right. Each
+    step is summed in a fixed order: for each singleton its own product,
+    then singleton times full frame, then full frame times singleton. A step
+    that _settle would keep as it is is kept inline; only the others go
+    through it. Near total conflict, where the rounding of ``1 - K`` leaves
+    a sum the policy rejects, it raises TotalConflict; on no sources,
+    EmptyEvidenceList."""
+    it = iter(triples)
+    for a1, b1, c1 in it:
+        break
+    else:
+        raise EmptyEvidenceList("need at least one mass function to combine")
+    for a2, b2, c2 in it:
+        k = a1 * b2 + b1 * a2
+        if k < 1.0 - TOTAL_CONFLICT_EPS:
+            norm = 1.0 - k
+            a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
+            b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
+            c = c1 * c2 / norm
+            if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:
+                a1, b1, c1 = a, b, c
+                continue
+            try:
+                a1, b1, c1 = _settle(a, b, c)
+                continue
+            except MassSumViolation:
+                pass
+        raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
+    return a1, b1, c1
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +182,8 @@ class MassFunction:
         return self.masses[mask - 1] if 1 <= mask <= 3 else 0.0
 
     def combine(self, other: MassFunction) -> MassFunction:
-        """Dempster's rule (:func:`dempster`) of two independent sources."""
-        return MassFunction(dempster(self.masses, other.masses))
+        """Dempster's rule (:func:`fold`) of two independent sources."""
+        return MassFunction(fold((self.masses, other.masses)))
 
 
 _new = object.__new__
@@ -185,9 +202,6 @@ def _from_settled(a: float, b: float, c: float) -> MassFunction:
 
 
 def combine_all(masses: Iterable[MassFunction]) -> MassFunction:
-    """Left fold of pairwise combination; the rule is associative, so the
-    fold order only affects floating-point residue."""
-    items = list(masses)
-    if not items:
-        raise EmptyEvidenceList("need at least one mass function to combine")
-    return reduce(MassFunction.combine, items)
+    """Left fold of pairwise combination (:func:`fold`); the rule is
+    associative, so the fold order only affects floating-point residue."""
+    return MassFunction(fold(m.masses for m in masses))

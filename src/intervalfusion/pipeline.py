@@ -23,7 +23,7 @@ always ordered (first singleton, second singleton, full frame).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     InvalidWeight,
     ValidationError,
 )
-from .evidence import MassFunction, Triple, combine_all, dempster, discount
+from .evidence import MassFunction, Triple, combine_all, discount, fold
 from .intervals import Interval
 
 #: Criterion weights pooled across all decision makers form one
@@ -84,8 +84,7 @@ def _check_weight(w: Interval) -> None:
 
 
 def _discount_part(m: MassFunction, w: float) -> MassFunction:
-    first, second, _ = m.masses
-    return MassFunction(discount(first, second, w))
+    return MassFunction(discount((m.masses,), (w,))[0])
 
 
 def discount_to_interval_bpa(m: MassFunction, w: Interval) -> IntervalBPA:
@@ -274,18 +273,16 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 
 
 def _fuse(
-    pairs: Iterable[tuple[Triple, Triple]], bounds: Iterable[tuple[float, float]]
+    lefts: Sequence[Triple], rights: Sequence[Triple], los: Sequence[float], his: Sequence[float]
 ) -> tuple[Iterator[tuple[Triple, Triple]], tuple[Triple, Triple]]:
-    """Discount each (left, right) pair by its weight's (lo, hi) bound, then fold
-    each side under Dempster's rule. Returns an iterator over the discounted
-    pairs, and the fused pair."""
-    lefts, rights = [], []
-    for ((lp, lq, _), (rp, rq, _)), (lo, hi) in zip(pairs, bounds):
-        # Only a fold can raise: normalized endpoints lie in [0, 1] and every
-        # triple is settled, so a complement never falls below -COMPLEMENT_EPS.
-        lefts.append(discount(lp, lq, lo))
-        rights.append(discount(rp, rq, hi))
-    return zip(lefts, rights), (reduce(dempster, lefts), reduce(dempster, rights))
+    """Discount each left triple by its weight's lower bound ``los`` and each
+    right triple by its upper bound ``his``, then fold each side under
+    Dempster's rule. Returns an iterator over the discounted (left, right)
+    pairs, and the fused pair. Only a fold can raise: normalized endpoints
+    lie in [0, 1] and every triple is settled, so a complement never falls
+    below -COMPLEMENT_EPS."""
+    lefts, rights = discount(lefts, los), discount(rights, his)
+    return zip(lefts, rights), (fold(lefts), fold(rights))
 
 
 def _kernel(
@@ -301,11 +298,12 @@ def _kernel(
     A weight endpoint enters as ``x + 0.0``: -0.0 discounts to +0.0 masses."""
     dm_fused: list[list[tuple[Triple, Triple]]] = []
     for dm, ws, dm_ratings in zip(problem.decision_makers, crit_weights, problem.ratings):
-        bounds = [(w.lo + 0.0, w.hi + 0.0) for w in ws]
+        los, his = [w.lo + 0.0 for w in ws], [w.hi + 0.0 for w in ws]
         fused_row: list[tuple[Triple, Triple]] = []
         for alt, ratings in zip(problem.alternatives, dm_ratings):
+            masses = [m.masses for m in ratings]
             try:
-                cells, pair = _fuse([(m.masses, m.masses) for m in ratings], bounds)
+                cells, pair = _fuse(masses, masses, los, his)
             except IntervalFusionError as exc:
                 raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
             fused_row.append(pair)
@@ -313,12 +311,12 @@ def _kernel(
                 rows.append(cells)
         dm_fused.append(fused_row)
 
-    dm_bounds = [(w.lo + 0.0, w.hi + 0.0) for w in dm_weights]
+    dm_los, dm_his = [w.lo + 0.0 for w in dm_weights], [w.hi + 0.0 for w in dm_weights]
     final, collapsed = [], []
     for alt, column in zip(problem.alternatives, zip(*dm_fused)):
         try:
-            _, pair = _fuse(column, dm_bounds)
-            collapsed.append(dempster(*pair))
+            _, pair = _fuse(*zip(*column), dm_los, dm_his)
+            collapsed.append(fold(pair))
         except IntervalFusionError as exc:
             raise _located(exc, f"alternative {alt!r}") from exc
         final.append(pair)

@@ -2,18 +2,19 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intervalfusion import MassFunction, bet_ideal, combine_all
+from intervalfusion import MassFunction, bet_ideal, combine_all, evidence, rank_alternatives
 from intervalfusion.errors import (
     EmptyEvidenceList,
     MassSumViolation,
     NegativeMass,
     TotalConflict,
 )
-from intervalfusion.evidence import FRAME, _settle, dempster, discount
+from intervalfusion.evidence import COMPLEMENT_EPS, FRAME, TOTAL_CONFLICT_EPS, _settle, discount, fold
 
 from reference import brute_combine, brute_pignistic
 from test_properties import by_labels
@@ -169,12 +170,104 @@ class TestDiscount:
         # the kernel discounts only stored triples, by weights in [0, 1], and
         # relies on this to call discount without an error handler
         try:
-            p, q, _ = MassFunction(t).masses
+            masses = MassFunction(t).masses
         except MassSumViolation:
             assume(False)
-        got = discount(p, q, w)
+        (got,) = discount([masses], [w])
         assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in got)
         assert policy_outcome(_settle, got) == [v.hex() for v in got]
+
+
+# The scalar discount and the two-source rule that discount and fold replaced,
+# kept as they were to pin the row kernel to them bit for bit.
+
+
+def reference_discount(p: float, q: float, w: float):
+    """Shafer discounting of the singleton masses ``p`` and ``q`` by ``w``:
+    both are scaled by ``w`` and the remainder goes to the full frame,
+    (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero by at
+    most COMPLEMENT_EPS is clamped to zero."""
+    a = p * w
+    b = q * w
+    c = 1.0 - a - b
+    if c < 0.0:
+        if c < -COMPLEMENT_EPS:
+            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
+        c = 0.0
+    return _settle(a, b, c)
+
+
+def reference_dempster(x, y):
+    """Dempster's rule of two independent sources, summed in a fixed order:
+    for each singleton its own product, then singleton times full frame,
+    then full frame times singleton. Near total conflict, where the rounding
+    of ``1 - K`` leaves a sum the policy rejects, it raises TotalConflict."""
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    k = a1 * b2 + b1 * a2
+    if k < 1.0 - TOTAL_CONFLICT_EPS:
+        norm = 1.0 - k
+        a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
+        b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
+        c = c1 * c2 / norm
+        try:
+            return _settle(a, b, c)
+        except MassSumViolation:
+            pass
+    raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
+
+
+def outcome(compute):
+    """The hex digits of every mass ``compute()`` returns, or the error it raises."""
+    try:
+        return [[v.hex() for v in t] for t in compute()]
+    except (MassSumViolation, TotalConflict) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_sharp = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.999999999998, 2e-12, 0.0), (2e-12, 0.999999999998, 0.0))
+_sources = st.one_of(near_policy_edges(), _unit_sums, _over_one, st.sampled_from(_sharp))
+_weights = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestRowKernelParity:
+    """The row discount and ``fold`` give the scalar discount's and the
+    reduced two-source rule's masses bit for bit, or their error and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(_sources, _weights), min_size=1, max_size=6))
+    @example(rows=[((0.5, 0.5 + 5e-13, 0.0), 1.0)])  # complement clamped, sum kept
+    @example(rows=[((0.5, 0.5 + 5e-10, 0.0), 1.0)])  # complement clamped, sum renormalized
+    @example(rows=[((0.6, 0.2, 0.2), 1.0), ((0.5, 0.5 + 2e-9, 0.0), 1.0)])  # deficit too large
+    @example(rows=[((0.5, 0.5, 0.0), -0.0), ((1.0, 0.0, 0.0), 5e-324), ((0.0, 1.0, 0.0), 5e-324)])
+    def test_discount(self, rows):
+        triples, weights = [t for t, _ in rows], [w for _, w in rows]
+        expected = outcome(lambda: [reference_discount(p, q, w) for (p, q, _), w in rows])
+        assert outcome(lambda: discount(triples, weights)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(triples=st.lists(_sources, min_size=1, max_size=6))
+    @example(triples=[(0.6, 0.2, 0.2 + 1e-9), (0.0, 0.0, 1.0)])  # sum renormalized
+    # plain sums within 1e-12 of 1 whose exact sums are not (see TestSumPolicy)
+    @example(triples=[tuple(map(float.fromhex, ("0x1.f79dbd74f5eaap-2", "0x1.ae2cc770f1c6ep-3", "0x1.314bded29597dp-2"))), (0.0, 0.0, 1.0)])
+    @example(triples=[(0.0, 0.0, 1.0), tuple(map(float.fromhex, ("0x1.91fb0547ce95cp-2", "0x1.f14305c5411e6p-3", "0x1.756377d58c752p-2")))])
+    @example(triples=[(0.3, 0.2, 0.5), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])  # K = 1
+    @example(triples=[(0.999999999998, 2e-12, 0.0), (2e-12, 0.999999999998, 0.0)])  # near-total conflict
+    def test_fold(self, triples):
+        expected = outcome(lambda: [reduce(reference_dempster, triples)])
+        assert outcome(lambda: [fold(triples)]) == expected
+
+
+def test_bundled_dataset_takes_the_inline_sum_check(supplier_problem, monkeypatch):
+    # every discount and combination of the bundled ranking is kept by the
+    # inline check but one: the complement of (0.7903.., 0.2097.., 0.0) at
+    # weight 1 is below zero and clamped
+    calls = []
+    monkeypatch.setattr(evidence, "_settle", lambda *t: calls.append(t) or _settle(*t))
+    rank_alternatives(supplier_problem)
+    assert calls == [(0.7903387270104062, 0.20966127298959386, 0.0)]
+    a, b, _ = calls[0]
+    assert 1.0 - a - b < 0.0
 
 
 class TestConflict:
@@ -224,7 +317,7 @@ class TestCombine:
         x, y = (0.999999999998, 2e-12, 0.0), (2e-12, 0.999999999998, 0.0)
         message = "conflict coefficient is 0.9999999999960001; combination is undefined"
         with pytest.raises(TotalConflict) as err:
-            dempster(x, y)
+            fold((x, y))
         assert str(err.value) == message
         with pytest.raises(TotalConflict) as err:
             MassFunction(x).combine(MassFunction(y))

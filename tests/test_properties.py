@@ -212,7 +212,7 @@ def test_normalization_scale_invariant(raw, k):
         assert a.hi == pytest.approx(b.hi, abs=1e-12)
 
 
-# 7. combination (the closed form of evidence.dempster) agrees with the
+# 7. combination (the closed form of evidence.fold) agrees with the
 # exhaustive subset-pair oracle
 @once
 @RUNS
