@@ -266,13 +266,20 @@ LOCATED_FAILURES = {
 
 class TestDecisionProblem:
     def test_shape_checks(self):
-        with pytest.raises(ValidationError):
-            build_problem(
-                [(1, 1)],
-                [[(1, 1), (1, 1)]],
-                [[[(0.6, 0.2, 0.2)]]],  # one rating but two criteria
-            )
-
+        unit, mild = (1, 1), (0.6, 0.2, 0.2)
+        valid = build_problem([unit] * 2, [[unit]] * 2, [[[mild]]] * 2)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(valid, dm_weights=valid.dm_weights[:1])
+        assert str(err.value) == "expected 2 decision maker weights, got 1"
+        cases = [
+            (([unit], [[unit], [unit]], [[[mild]]]), "criterion weights must be a 1 x 1 grid of intervals"),
+            # one rating but two criteria
+            (([unit], [[unit, unit]], [[[mild]]]), "ratings must be a 1 x 1 x 2 grid of mass functions"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValidationError) as err:
+                build_problem(*args)
+            assert str(err.value) == message
     def test_duplicate_labels(self):
         with pytest.raises(ValidationError):
             DecisionProblem(
@@ -285,14 +292,32 @@ class TestDecisionProblem:
             )
 
     def test_negative_weight(self):
-        with pytest.raises(InvalidWeight):
-            build_problem(
-                [(-0.5, 1)], [[(1, 1)]], [[[(0.6, 0.2, 0.2)]]]
-            )
+        mild = [[[(0.6, 0.2, 0.2)]]]
+        with pytest.raises(InvalidWeight) as err:
+            build_problem([(-0.5, 1)], [[(1, 1)]], mild)
+        assert str(err.value) == "decision maker weights must be non-negative, got [-0.5, 1.0]"
+        with pytest.raises(InvalidWeight) as err:
+            build_problem([(1, 1)], [[(-0.5, 1)]], mild)
+        assert str(err.value) == "criterion weights must be non-negative, got [-0.5, 1.0]"
 
     def test_all_zero_dm_weights(self):
-        with pytest.raises(AllZeroWeights):
-            build_problem([(0, 0)], [[(1, 1)]], [[[(0.6, 0.2, 0.2)]]])
+        mild = [[[(0.6, 0.2, 0.2)]]]
+        with pytest.raises(AllZeroWeights) as err:
+            build_problem([(0, 0)], [[(1, 1)]], mild)
+        assert str(err.value) == "decision maker weights are all zero"
+        with pytest.raises(AllZeroWeights) as err:
+            build_problem([(1, 1)], [[(0, 0)]], mild)
+        assert str(err.value) == "criterion weights are all zero"
+
+    def test_all_zero_weights_in_a_document(self):
+        doc = (
+            '{"schema_version": "1", "alternatives": ["A1"], "criteria": ["C1"], '
+            '"decision_makers": [{"name": "DM1", "weight": 0, "criterion_weights": [[0.2, 0.4]]}], '
+            '"ratings": {"DM1": {"A1": {"C1": [0.6, 0.2, 0.2]}}}}'
+        )
+        with pytest.raises(ValidationError) as err:
+            load_problem(doc)
+        assert str(err.value) == "decision maker weights are all zero"
 
     @pytest.mark.parametrize("field, path, value, message", [
         ("ratings", (1, 0, 1), (0.6, 0.2, 0.2),
