@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyEvidenceList, MassSumViolation, NegativeMass, TotalConflict
-from .intervals import describe
+from .intervals import describe, to_float
 
 #: Mass vectors whose sum deviates from 1 by more than this are rejected.
 #: Smaller deviations (typical of published tables rounded to 4 decimals)
@@ -65,12 +65,8 @@ _PLAIN_SUM_TOLERANCE = EXACT_SUM_TOLERANCE - 1e-15
 
 def _mass(value, focal_set: str) -> float:
     """``float(value)`` if it is finite and non-negative, with -0.0 read as
-    +0.0; else NegativeMass naming ``focal_set``. (``intervals.to_float``,
-    inlined: every cell is built here.)"""
-    try:
-        v = float(value) + 0.0
-    except OverflowError:  # an int beyond float range
-        v = _INF
+    +0.0; else NegativeMass naming ``focal_set``."""
+    v = to_float(value) + 0.0
     if 0.0 <= v < _INF:
         return v
     raise NegativeMass(f"mass for {focal_set} must be finite and non-negative, got {describe(value)}")

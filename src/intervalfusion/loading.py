@@ -259,11 +259,7 @@ def _parse_scales(value, where: str) -> dict[str, dict]:
         for label, raw in terms_obj.items():
             term_where = f"{scale_where}.terms[{label!r}]"
             if kind == INTERVAL_KIND:
-                lo, hi = _number_list(raw, 2, term_where)
-                try:
-                    terms[label] = Interval(lo, hi)
-                except IntervalFusionError as exc:
-                    raise ValidationError(f"{term_where}: {exc}") from exc
+                terms[label] = _interval(raw, term_where)
             else:
                 a, b, c = _number_list(raw, 3, term_where)
                 vertices = f"({a}, {b}, {c})"
@@ -282,6 +278,15 @@ def _number_list(value, arity: int, where: str) -> list[float]:
     return [_expect_number(item, f"{where}[{i}]") for i, item in enumerate(items)]
 
 
+def _interval(value, where: str) -> Interval:
+    """A ``[lo, hi]`` list as an Interval; a bad pair raises at ``where``."""
+    lo, hi = _number_list(value, 2, where)
+    try:
+        return Interval(lo, hi)
+    except IntervalFusionError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 # --- weights ------------------------------------------------------------------
 
 
@@ -294,11 +299,7 @@ def _parse_weight(value, scales: dict[str, dict], alpha: float, where: str) -> I
         x = _expect_number(value, where)
         iv = Interval(x, x)
     elif isinstance(value, list):
-        lo, hi = _number_list(value, 2, where)
-        try:
-            iv = Interval(lo, hi)
-        except IntervalFusionError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        iv = _interval(value, where)
     elif isinstance(value, dict):
         _check_keys(value, ("term", "scale"), where, "field")
         term = _expect_str(value["term"], f"{where}.term")

@@ -135,28 +135,27 @@ def _where(field: str, at: tuple) -> str:
     return field + "".join(f"[{label!r}]" for label in at)
 
 
-def _grid(value, field: str, shape_error: str = "", *axes: tuple, leaf: type | None = None, at: tuple = ()) -> tuple:
+def _grid(value, field: str, shape_error: str = "", *axes: tuple, leaf: type = object, at: tuple = ()) -> tuple:
     """``value`` as nested tuples, one level per label tuple in ``axes`` and
-    as long as it, else ValidationError ``shape_error``. A level that is not
-    iterable, or a cell of the innermost level that is not a ``leaf``, raises
-    ValidationError naming ``field`` and the labels ``at`` which it lies. The
-    walk is depth-first, so the first fault in label order is the one raised."""
-    try:
-        items = tuple(value)
-    except TypeError:
-        raise _wrong_type(value, "a sequence", _where(field, at)) from None
+    as long as it, else ValidationError ``shape_error``. A level that is not a
+    tuple or list, or a cell of the innermost level that is not a ``leaf``,
+    raises ValidationError naming ``field`` and the labels ``at`` which it
+    lies. The walk is depth-first, so the first fault in label order is the
+    one raised."""
+    if not isinstance(value, (tuple, list)):
+        raise _wrong_type(value, "a sequence", _where(field, at))
     if not axes:
-        return items
+        return tuple(value)
     labels, *inner = axes
-    if len(items) != len(labels):
+    if len(value) != len(labels):
         raise ValidationError(shape_error)
     if inner:
-        return tuple([_grid(v, field, shape_error, *inner, leaf=leaf, at=(*at, label)) for label, v in zip(labels, items)])
-    if leaf is not None:
-        for label, v in zip(labels, items):
-            if not isinstance(v, leaf):
-                raise _wrong_type(v, f"a {leaf.__name__}", _where(field, (*at, label)))
-    return items
+        return tuple([_grid(v, field, shape_error, *inner, leaf=leaf, at=(*at, label)) for label, v in zip(labels, value)])
+    for label, v in zip(labels, value):
+        if not isinstance(v, leaf):
+            article = "an" if leaf.__name__[0] in "AEIOU" else "a"
+            raise _wrong_type(v, f"{article} {leaf.__name__}", _where(field, (*at, label)))
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -165,11 +164,13 @@ class DecisionProblem:
 
     ``criterion_weights[d][c]`` weighs criterion ``c`` for decision maker
     ``d``; ``ratings[d][a][c]`` is the classical BPA rating alternative ``a``
-    on criterion ``c`` according to decision maker ``d``. A weight or rating of
-    another type raises ValidationError naming it, as in ``ratings['D']['A']['C']``,
-    and so does a field or grid row that is not a sequence. Ratings are walked
-    in label order, each row's length before its cells' types, and the first
-    fault met is the one raised.
+    on criterion ``c`` according to decision maker ``d``. Every field and
+    grid row is a tuple or a list (a string, set, dict or iterator is
+    rejected), and is stored as a tuple. A field, row, weight or rating of
+    another type raises ValidationError naming it, as in
+    ``ratings['D']['A']['C']``. Fields are checked in declaration order and
+    each grid in label order, a row's length before its cells' types, and
+    the first fault met is the one raised.
     """
 
     alternatives: tuple[str, ...]
@@ -180,33 +181,28 @@ class DecisionProblem:
     ratings: tuple[tuple[tuple[MassFunction, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        for name in ("alternatives", "criteria", "decision_makers", "dm_weights"):
+        for name in ("alternatives", "criteria", "decision_makers"):
             object.__setattr__(self, name, _grid(getattr(self, name), name))
         _unique_labels(self.alternatives, "alternative labels")
         _unique_labels(self.criteria, "criterion labels")
         _unique_labels(self.decision_makers, "decision maker labels")
 
         dms, alts, crits = self.decision_makers, self.alternatives, self.criteria
-        if len(self.dm_weights) != len(dms):
-            raise ValidationError(f"expected {len(dms)} decision maker weights, got {len(self.dm_weights)}")
-        grid = f"criterion weights must be a {len(dms)} x {len(crits)} grid of intervals"
-        weights = _grid(self.criterion_weights, "criterion_weights", grid, dms, crits)
-        object.__setattr__(self, "criterion_weights", weights)
-        grid = f"ratings must be a {len(dms)} x {len(alts)} x {len(crits)} grid of mass functions"
-        ratings = _grid(self.ratings, "ratings", grid, dms, alts, crits, leaf=MassFunction)
-        object.__setattr__(self, "ratings", ratings)
+        for name, shape_error, axes, leaf in (
+            ("dm_weights", f"decision maker weights must be a sequence of {len(dms)} intervals", (dms,), Interval),
+            ("criterion_weights", f"criterion weights must be a {len(dms)} x {len(crits)} grid of intervals",
+             (dms, crits), Interval),
+            ("ratings", f"ratings must be a {len(dms)} x {len(alts)} x {len(crits)} grid of mass functions",
+             (dms, alts, crits), MassFunction),
+        ):
+            object.__setattr__(self, name, _grid(getattr(self, name), name, shape_error, *axes, leaf=leaf))
 
-        for dm, w in zip(self.decision_makers, self.dm_weights):
-            if not isinstance(w, Interval):
-                raise _wrong_type(w, "an Interval", f"dm_weights[{dm!r}]")
+        for w in self.dm_weights:
             if w.lo < 0.0:
                 raise InvalidWeight(f"decision maker weights must be non-negative, got [{w.lo}, {w.hi}]")
-        for dm, ws in zip(self.decision_makers, self.criterion_weights):
-            for crit, w in zip(self.criteria, ws):
-                if not isinstance(w, Interval):
-                    raise _wrong_type(w, "an Interval", f"criterion_weights[{dm!r}][{crit!r}]")
-                if w.lo < 0.0:
-                    raise InvalidWeight(f"criterion weights must be non-negative, got [{w.lo}, {w.hi}]")
+        for w in (w for ws in self.criterion_weights for w in ws):
+            if w.lo < 0.0:
+                raise InvalidWeight(f"criterion weights must be non-negative, got [{w.lo}, {w.hi}]")
         if max(w.hi for w in self.dm_weights) <= 0.0:
             raise AllZeroWeights("decision maker weights are all zero")
         if max(w.hi for ws in self.criterion_weights for w in ws) <= 0.0:

@@ -270,7 +270,7 @@ class TestDecisionProblem:
         valid = build_problem([unit] * 2, [[unit]] * 2, [[[mild]]] * 2)
         with pytest.raises(ValidationError) as err:
             dataclasses.replace(valid, dm_weights=valid.dm_weights[:1])
-        assert str(err.value) == "expected 2 decision maker weights, got 1"
+        assert str(err.value) == "decision maker weights must be a sequence of 2 intervals"
         cases = [
             (([unit], [[unit], [unit]], [[[mild]]]), "criterion weights must be a 1 x 1 grid of intervals"),
             # one rating but two criteria
@@ -335,9 +335,17 @@ class TestDecisionProblem:
         ("criterion_weights", (1,), None, "criterion_weights['DM2']: expected a sequence, got NoneType"),
         ("dm_weights", (), None, "dm_weights: expected a sequence, got NoneType"),
         ("alternatives", (), None, "alternatives: expected a sequence, got NoneType"),
+        # only a tuple or a list is a sequence: a string is not split into labels or cells, and a
+        # set, dict or iterator has no reliable order for the positional grids
+        ("alternatives", (), "AB", "alternatives: expected a sequence, got str"),
+        ("decision_makers", (), "DM1", "decision_makers: expected a sequence, got str"),
+        ("criteria", (), {"C1", "C2"}, "criteria: expected a sequence, got set"),
+        ("ratings", (0, 1), "ab", "ratings['DM1']['A2']: expected a sequence, got str"),
+        ("dm_weights", (), {"DM1": None, "DM2": None}, "dm_weights: expected a sequence, got dict"),
     ], ids=["rating-tuple", "rating-list", "rating-None", "dm-weight-float", "criterion-weight-tuple",
             "ratings-row-None", "ratings-alternative-row-None", "criterion-weights-row-None",
-            "dm-weights-None", "alternatives-None"])
+            "dm-weights-None", "alternatives-None", "alternatives-str", "decision-makers-str",
+            "criteria-set", "ratings-row-str", "dm-weights-dict"])
     def test_wrong_typed_field_is_named(self, field, path, value, message):
         valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
 
@@ -357,7 +365,7 @@ class TestDecisionProblem:
         (lambda m: [[[m, m], [m]], [[(0.6, 0.2, 0.2), m], [m, m]]],
          "ratings must be a 2 x 2 x 2 grid of mass functions"),
         (lambda m: [[iter([m, m]), None], [[m, m], [m, m]]],
-         "ratings['DM1']['A2']: expected a sequence, got NoneType"),
+         "ratings['DM1']['A1']: expected a sequence, got list_iterator"),
     ], ids=["cell-type-before-later-shape", "shape-before-later-cell-type", "iterator-row-then-None"])
     def test_first_ratings_fault_in_label_order_is_named(self, ratings, message):
         valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
