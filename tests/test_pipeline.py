@@ -211,6 +211,14 @@ def build_problem(dm_weights, criterion_weights, ratings, **kw):
     )
 
 
+def replaced(grid, path, make):
+    """``grid`` with the level at index ``path`` replaced by ``make(level)``."""
+    if not path:
+        return make(grid)
+    i, *rest = path
+    return grid[:i] + (replaced(grid[i], rest, make),) + grid[i + 1 :]
+
+
 MILD = (0.5, 0.3, 0.2)
 # C1 is certain of IS but weighs [0, 1], so only right parts see it; thirteen
 # NS-leaning criteria drive the left part to within 1e-13 of certain NS. Both
@@ -335,29 +343,36 @@ class TestDecisionProblem:
         ("criterion_weights", (1,), None, "criterion_weights['DM2']: expected a sequence, got NoneType"),
         ("dm_weights", (), None, "dm_weights: expected a sequence, got NoneType"),
         ("alternatives", (), None, "alternatives: expected a sequence, got NoneType"),
-        # only a tuple or a list is a sequence: a string is not split into labels or cells, and a
-        # set, dict or iterator has no reliable order for the positional grids
+        # only a tuple or a list is a sequence: a string is not split into labels or cells, and
+        # labels given as a set cannot take a hash-seed order
         ("alternatives", (), "AB", "alternatives: expected a sequence, got str"),
         ("decision_makers", (), "DM1", "decision_makers: expected a sequence, got str"),
         ("criteria", (), {"C1", "C2"}, "criteria: expected a sequence, got set"),
         ("ratings", (0, 1), "ab", "ratings['DM1']['A2']: expected a sequence, got str"),
-        ("dm_weights", (), {"DM1": None, "DM2": None}, "dm_weights: expected a sequence, got dict"),
     ], ids=["rating-tuple", "rating-list", "rating-None", "dm-weight-float", "criterion-weight-tuple",
             "ratings-row-None", "ratings-alternative-row-None", "criterion-weights-row-None",
             "dm-weights-None", "alternatives-None", "alternatives-str", "decision-makers-str",
-            "criteria-set", "ratings-row-str", "dm-weights-dict"])
+            "criteria-set", "ratings-row-str"])
     def test_wrong_typed_field_is_named(self, field, path, value, message):
         valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
-
-        def replaced(grid, path):
-            if not path:
-                return value
-            i, *rest = path
-            return grid[:i] + (replaced(grid[i], rest),) + grid[i + 1 :]
-
         with pytest.raises(ValidationError) as err:
-            dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path)})
+            dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path, lambda _: value)})
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("make, got", [
+        (lambda v: "xy", "str"), (set, "set"), (dict.fromkeys, "dict"),
+        (lambda v: (x for x in v), "generator"), (lambda v: iter(list(v)), "list_iterator"),
+    ], ids=["str", "set", "dict", "generator", "iterator"])
+    def test_only_a_tuple_or_list_is_a_sequence(self, make, got):
+        valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
+        for field, path, where in [
+            ("alternatives", (), ""), ("criteria", (), ""), ("decision_makers", (), ""), ("dm_weights", (), ""),
+            ("criterion_weights", (), ""), ("criterion_weights", (1,), "['DM2']"),
+            ("ratings", (), ""), ("ratings", (1,), "['DM2']"), ("ratings", (1, 0), "['DM2']['A1']"),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path, make)})
+            assert str(err.value) == f"{field}{where}: expected a sequence, got {got}"
 
     @pytest.mark.parametrize("ratings, message", [
         (lambda m: [[[(0.6, 0.2, 0.2), m], [m, m]], [[m, m], [m]]],
