@@ -55,7 +55,7 @@ from .errors import (
 )
 from .evidence import _INF, FRAME, MassFunction, _from_settled
 from .intervals import Interval, describe
-from .pipeline import DecisionProblem
+from .pipeline import DecisionProblem, _nogc
 
 SCHEMA_VERSION = "1"
 
@@ -99,6 +99,8 @@ def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
 
     ``source`` may be bytes, text, or a readable binary/text stream.
     ``alpha`` is the alpha-cut level used to bridge tfn-scale terms.
+    The source is read and decoded first; the cyclic garbage collector is
+    then paused while the JSON is parsed and the problem built.
     """
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
         raise InvalidAlpha(f"alpha must lie in [0, 1], got {describe(alpha)}")
@@ -114,7 +116,13 @@ def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
         text = source
     else:
         raise TypeError(f"source must be bytes, str or a stream, got {type(source).__name__}")
+    return _parse(text, float(alpha))
 
+
+@_nogc
+def _parse(text: str, alpha: float) -> DecisionProblem:
+    """The problem ``text`` holds, decoded and built with the cyclic garbage
+    collector paused: a document decodes and builds into acyclic values only."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -130,7 +138,7 @@ def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
         raise ParseError("document nesting is too deep") from exc
 
     try:
-        return _build_problem(doc, float(alpha))
+        return _build_problem(doc, alpha)
     except (ParseError, SchemaError, ValidationError):
         raise
     except IntervalFusionError as exc:
@@ -401,6 +409,11 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
                 for c, w in enumerate(ws)
             )
         )
+
+    if max(w.hi for w in dm_weights) <= 0.0:
+        raise ValidationError("decision_makers[*].weight: weights must not all be zero")
+    if max(w.hi for ws in criterion_weights for w in ws) <= 0.0:
+        raise ValidationError("decision_makers[*].criterion_weights: weights must not all be zero")
 
     ratings_obj = _expect_dict(root["ratings"], "ratings")
     _check_keys(ratings_obj, dm_names, "ratings", "decision maker")

@@ -22,8 +22,9 @@ always ordered (first singleton, second singleton, full frame).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -41,6 +42,28 @@ from .intervals import Interval
 #: normalize within their own group.
 POOLED = "pooled"
 PER_DM = "per-dm"
+
+
+def _nogc(func):
+    """``func`` run with the cyclic garbage collector switched off, and
+    switched back on afterwards only if it was on when ``func`` was called.
+    The package builds only acyclic values (tuples, lists, dicts and
+    instances of its own types), which reference counting frees, so a
+    collection during a bulk build walks every new object and frees none.
+    The switch is process-wide: a ``gc.disable()`` made by another thread
+    while ``func`` runs is undone when it returns."""
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -220,8 +243,9 @@ class RankingReport:
     ``final[a]`` hold (left, right) pairs of triples, ``collapsed[a]`` one
     triple. Each triple is the one ``MassFunction(t).masses`` would store.
     The tables are tuples, built together on first access by a rerun of the
-    deterministic kernel, so they hold exactly the values the bets came
-    from. A report constructed directly has no problem and no trace.
+    deterministic kernel, with the cyclic garbage collector paused, so they
+    hold exactly the values the bets came from. A report constructed
+    directly has no problem and no trace.
     """
 
     alternatives: tuple[str, ...]
@@ -243,6 +267,7 @@ class RankingReport:
             raise ValidationError("bet values along the ranking must be non-increasing")
 
     @cached_property
+    @_nogc
     def _rerun(self) -> tuple:
         if self._problem is None:
             raise ValueError("this report was not built by rank_alternatives and has no trace")
@@ -281,6 +306,24 @@ def _fuse(
     return zip(lefts, rights), (fold(lefts), fold(rights))
 
 
+def _failed_step(
+    lefts: Sequence[Triple], rights: Sequence[Triple], los: Sequence[float], his: Sequence[float]
+) -> int | None:
+    """The index of the source at whose step a fold of :func:`_fuse` on the
+    same arguments raises, or None if both folds succeed. Each side is
+    discounted again and folded one step at a time: ``fold`` of the running
+    result and the next triple is the same step as in one whole ``fold``.
+    Only error paths call this, so a rank that succeeds pays nothing for it."""
+    for side in (discount(lefts, los), discount(rights, his)):
+        acc = side[0]
+        for i in range(1, len(side)):
+            try:
+                acc = fold((acc, side[i]))
+            except IntervalFusionError:
+                return i
+    return None
+
+
 def _kernel(
     problem: DecisionProblem,
     crit_weights: Sequence[Sequence[Interval]],
@@ -301,7 +344,8 @@ def _kernel(
             try:
                 cells, pair = _fuse(masses, masses, los, his)
             except IntervalFusionError as exc:
-                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+                crit = problem.criteria[_failed_step(masses, masses, los, his)]
+                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}") from exc
             fused_row.append(pair)
             if rows is not None:
                 rows.append(cells)
@@ -310,15 +354,19 @@ def _kernel(
     dm_los, dm_his = [w.lo + 0.0 for w in dm_weights], [w.hi + 0.0 for w in dm_weights]
     final, collapsed = [], []
     for alt, column in zip(problem.alternatives, zip(*dm_fused)):
+        lefts, rights = zip(*column)
         try:
-            _, pair = _fuse(*zip(*column), dm_los, dm_his)
+            _, pair = _fuse(lefts, rights, dm_los, dm_his)
             collapsed.append(fold(pair))
         except IntervalFusionError as exc:
-            raise _located(exc, f"alternative {alt!r}") from exc
+            step = _failed_step(lefts, rights, dm_los, dm_his)
+            where = "collapse" if step is None else f"decision maker {problem.decision_makers[step]!r}"
+            raise _located(exc, f"alternative {alt!r}, {where}") from exc
         final.append(pair)
     return dm_fused, final, collapsed
 
 
+@_nogc
 def rank_alternatives(
     problem: DecisionProblem, *, criterion_normalization: str = POOLED
 ) -> RankingReport:
@@ -329,9 +377,13 @@ def rank_alternatives(
     the single largest endpoint across all of them; ``"per-dm"`` normalizes
     each decision maker's weights within their own group. Decision-maker
     weights always normalize as one group. A failure raises the underlying
-    error prefixed by its place: the decision maker of a per-dm weight group,
-    the decision maker and alternative of a fold over the criteria, or the
-    alternative of the fold over the decision makers or of the collapse.
+    error prefixed by its place: the decision maker of a per-dm weight group;
+    the decision maker, alternative and criterion of a fold over the
+    criteria, as in ``decision maker 'D', alternative 'A', criterion 'C':``;
+    the alternative and decision maker of the fold over the decision makers;
+    or the alternative and ``collapse`` for the collapse. The criterion or
+    decision maker named is the source whose step of the fold raised.
+    The cyclic garbage collector is paused while it runs.
     """
     if criterion_normalization not in (POOLED, PER_DM):
         raise ValueError(

@@ -135,7 +135,7 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [
-            "error (TotalConflict): decision maker 'D', alternative 'A': "
+            "error (TotalConflict): decision maker 'D', alternative 'A', criterion 'C2': "
             "conflict coefficient is 0.9999999999960001; combination is undefined"
         ]
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import pytest
@@ -234,7 +235,7 @@ LOCATED_FAILURES = {
         ),
         POOLED,
         TotalConflict,
-        "decision maker 'DM2', alternative 'A2': conflict coefficient is 1.0; combination is undefined",
+        "decision maker 'DM2', alternative 'A2', criterion 'C2': conflict coefficient is 1.0; combination is undefined",
     ),
     # each decision maker is certain of the opposite hypothesis
     "cross-dm-fold": (
@@ -245,7 +246,7 @@ LOCATED_FAILURES = {
         ),
         POOLED,
         TotalConflict,
-        "alternative 'A2': conflict coefficient is 1.0; combination is undefined",
+        "alternative 'A2', decision maker 'DM2': conflict coefficient is 1.0; combination is undefined",
     ),
     "collapse": (
         build_problem(
@@ -255,7 +256,7 @@ LOCATED_FAILURES = {
         ),
         POOLED,
         TotalConflict,
-        "alternative 'A2': conflict coefficient is 0.9999999999998999; combination is undefined",
+        "alternative 'A2', collapse: conflict coefficient is 0.9999999999998999; combination is undefined",
     ),
     # passes construction (the pooled group is positive), but per-dm
     # normalization cannot divide DM2's own all-zero group
@@ -317,15 +318,30 @@ class TestDecisionProblem:
             build_problem([(1, 1)], [[(0, 0)]], mild)
         assert str(err.value) == "criterion weights are all zero"
 
-    def test_all_zero_weights_in_a_document(self):
-        doc = (
-            '{"schema_version": "1", "alternatives": ["A1"], "criteria": ["C1"], '
-            '"decision_makers": [{"name": "DM1", "weight": 0, "criterion_weights": [[0.2, 0.4]]}], '
-            '"ratings": {"DM1": {"A1": {"C1": [0.6, 0.2, 0.2]}}}}'
-        )
+    @pytest.mark.parametrize("weights, message", [
+        (([0, [0.0, 0]], ([[0.2, 0.4], 0.5], [0, 0.3])),
+         "decision_makers[*].weight: weights must not all be zero"),
+        (([1, [0.2, 0.4]], ([0.0, 0], [[0, 0.0], 0])),
+         "decision_makers[*].criterion_weights: weights must not all be zero"),
+    ], ids=["dm", "criterion"])
+    def test_all_zero_weights_in_a_document(self, weights, message):
+        # the loader names the all-zero group, before it reads a ratings
+        # fault (DM2's cell sums to 0.5)
+        (w1, w2), (cw1, cw2) = weights
+        doc = json.dumps({
+            "schema_version": "1", "alternatives": ["A1"], "criteria": ["C1", "C2"],
+            "decision_makers": [
+                {"name": "DM1", "weight": w1, "criterion_weights": cw1},
+                {"name": "DM2", "weight": w2, "criterion_weights": cw2},
+            ],
+            "ratings": {
+                "DM1": {"A1": {"C1": [0.6, 0.2, 0.2], "C2": [0.6, 0.2, 0.2]}},
+                "DM2": {"A1": {"C1": [0.3, 0.1, 0.1], "C2": [0.6, 0.2, 0.2]}},
+            },
+        })
         with pytest.raises(ValidationError) as err:
             load_problem(doc)
-        assert str(err.value) == "decision maker weights are all zero"
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("field, path, value, message", [
         ("ratings", (1, 0, 1), (0.6, 0.2, 0.2),

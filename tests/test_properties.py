@@ -280,6 +280,20 @@ def test_degenerate_weights_match_crisp_pipeline(data):
 
 # 9. the closed-form kernel of rank_alternatives equals the per-object fold,
 # bit for bit: bets, every trace table, and the type and message of errors
+def failed_step(ibs):
+    """The index of the interval BPA at whose step fusing ``ibs`` raises:
+    the left parts are combined one at a time, then the right parts. None
+    if neither side raises."""
+    for side in ([ib.left for ib in ibs], [ib.right for ib in ibs]):
+        acc = side[0]
+        for i, m in enumerate(side[1:], 1):
+            try:
+                acc = acc.combine(m)
+            except IntervalFusionError:
+                return i
+    return None
+
+
 def per_object_rank(problem, normalization):
     """The pipeline folded over MassFunction and IntervalBPA values with the
     public per-object functions, step by step in the kernel's order. Returns
@@ -317,7 +331,8 @@ def per_object_rank(problem, normalization):
             try:
                 dm_rows.append(fuse_interval_bpas(cells))
             except IntervalFusionError as exc:
-                raise located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
+                crit = problem.criteria[failed_step(cells)]
+                raise located(exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}") from exc
             dm_cells.append(tuple(cells))
         cell_bpas.append(tuple(dm_cells))
         dm_fused.append(tuple(dm_rows))
@@ -334,7 +349,9 @@ def per_object_rank(problem, normalization):
             final_bpas.append(fuse_interval_bpas(discounted))
             collapsed.append(collapse_interval_bpa(final_bpas[-1]))
         except IntervalFusionError as exc:
-            raise located(exc, f"alternative {alt!r}") from exc
+            step = failed_step(discounted)
+            where = "collapse" if step is None else f"decision maker {problem.decision_makers[step]!r}"
+            raise located(exc, f"alternative {alt!r}, {where}") from exc
 
     def pair(ib):
         return ib.left.masses, ib.right.masses
