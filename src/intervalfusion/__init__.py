@@ -8,20 +8,14 @@ and ranked by pignistic belief in the ideal hypothesis.
 
 from . import errors
 from .errors import IntervalFusionError
-from .evidence import MassFunction, combine_all
+from .evidence import MassFunction
 from .intervals import Interval
 from .loading import bundled_dataset_bytes, load_problem
 from .pipeline import (
     PER_DM,
     POOLED,
     DecisionProblem,
-    IntervalBPA,
     RankingReport,
-    bet_ideal,
-    collapse_interval_bpa,
-    discount_interval_bpa,
-    discount_to_interval_bpa,
-    fuse_interval_bpas,
     normalize_weight_group,
     rank_alternatives,
 )
@@ -34,7 +28,6 @@ __all__ = [
     "FULL_TRACE",
     "HUMAN_TABLE",
     "Interval",
-    "IntervalBPA",
     "IntervalFusionError",
     "JSON_FORMAT",
     "MassFunction",
@@ -42,15 +35,9 @@ __all__ = [
     "POOLED",
     "RankingReport",
     "SUMMARY",
-    "bet_ideal",
     "bundled_dataset_bytes",
-    "collapse_interval_bpa",
-    "combine_all",
-    "discount_interval_bpa",
-    "discount_to_interval_bpa",
     "emit_report",
     "errors",
-    "fuse_interval_bpas",
     "load_problem",
     "normalize_weight_group",
     "rank_alternatives",

@@ -196,8 +196,3 @@ def _from_settled(a: float, b: float, c: float) -> MassFunction:
     _set_masses(m, (a + 0.0, b + 0.0, c + 0.0))
     return m
 
-
-def combine_all(masses: Iterable[MassFunction]) -> MassFunction:
-    """Left fold of pairwise combination (:func:`fold`); the rule is
-    associative, so the fold order only affects floating-point residue."""
-    return MassFunction(fold(m.masses for m in masses))

@@ -68,11 +68,11 @@ _OPTIONAL_KEYS = frozenset({"frame", "scales"})
 BUNDLED_DATASET = "supplier-selection.json"
 
 
-def bundled_dataset_bytes(name: str = BUNDLED_DATASET) -> bytes:
-    """Raw bytes of a dataset shipped with the package."""
+def bundled_dataset_bytes() -> bytes:
+    """Raw bytes of the dataset shipped with the package."""
     from importlib.resources import files
 
-    return (files("intervalfusion") / "data" / name).read_bytes()
+    return (files("intervalfusion") / "data" / BUNDLED_DATASET).read_bytes()
 
 
 class _NonFiniteNumber(Exception):

@@ -1,23 +1,28 @@
 """Interval-weighted evidence fusion and ranking.
 
-The five-step method implemented here:
+The five-step method implemented here, each step by the named stage
+function that :func:`rank_alternatives` runs on (IS, NS, full frame) triples:
 
 1. ingest classical BPAs rating each alternative against each criterion
    (generation of those BPAs from raw performance data is out of scope);
 2. normalize criterion weights by the largest endpoint of the weight group
-   and discount each rating into an interval BPA — a pair of classical BPAs
-   built from the weight's lower and upper bound;
-3. fuse the interval BPAs across criteria (left parts together, right parts
-   together), then discount each decision maker's fused result by the
-   normalized decision-maker weight and fuse across decision makers;
+   (:func:`normalize_weight_group`) and discount each rating into an interval
+   BPA, a pair of classical BPAs built from the weight's lower and upper
+   bound (:func:`discount_to_interval_bpa`);
+3. fuse the interval BPAs across criteria, left parts together and right
+   parts together (:func:`fuse_interval_bpas`), then discount each decision
+   maker's fused result by the normalized decision-maker weight
+   (:func:`discount_interval_bpa`) and fuse across decision makers;
 4. collapse each alternative's final interval BPA by combining its left and
-   right part into one classical BPA;
-5. rank alternatives by pignistic belief in the ideal hypothesis.
+   right part into one classical BPA (:func:`collapse_interval_bpa`);
+5. rank alternatives by pignistic belief in the ideal hypothesis
+   (:func:`bet_ideal`).
 
 Every rating lives on the one frame ``evidence.FRAME`` = (IS, NS), whose
 first element is the "ideal" hypothesis and whose second is the "negative
 ideal" one; mass on the full frame is uncommitted belief. Rating triples are
-always ordered (first singleton, second singleton, full frame).
+always ordered (first singleton, second singleton, full frame). The stage
+functions are not public API.
 """
 
 from __future__ import annotations
@@ -27,14 +32,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    AllZeroWeights,
-    EmptyEvidenceList,
-    IntervalFusionError,
-    InvalidWeight,
-    ValidationError,
-)
-from .evidence import MassFunction, Triple, combine_all, discount, fold
+from .errors import AllZeroWeights, IntervalFusionError, InvalidWeight, ValidationError
+from .evidence import MassFunction, Triple, discount, fold
 from .intervals import Interval
 
 #: Criterion weights pooled across all decision makers form one
@@ -66,26 +65,6 @@ def _nogc(func):
     return paused
 
 
-@dataclass(frozen=True)
-class IntervalBPA:
-    """An interval-valued belief assignment, stored as its two bounding
-    classical BPAs.
-
-    ``left`` is built from the lower weight bound, ``right`` from the upper.
-    Freshly discounted pairs satisfy ``left(singleton) <= right(singleton)``;
-    fusion does not preserve that ordering, so it is not a type invariant.
-    """
-
-    left: MassFunction
-    right: MassFunction
-
-
-def bet_ideal(m: MassFunction) -> float:
-    """Pignistic belief in the first frame element: m({first}) + m(full)/2."""
-    first, _, full = m.masses
-    return first + full / 2.0
-
-
 def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
     """Divide every interval in the group by the largest endpoint found in
     the whole group, so all normalized upper bounds are <= 1."""
@@ -99,46 +78,6 @@ def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
     if a_max <= 0.0:
         raise AllZeroWeights("all weights in the group are zero")
     return [Interval(w.lo / a_max, w.hi / a_max) for w in group]
-
-
-def _check_weight(w: Interval) -> None:
-    if w.lo < 0.0 or w.hi > 1.0:
-        raise InvalidWeight(f"discount weight must lie within [0, 1], got [{w.lo}, {w.hi}]")
-
-
-def _discount_part(m: MassFunction, w: float) -> MassFunction:
-    return MassFunction(discount((m.masses,), (w,))[0])
-
-
-def discount_to_interval_bpa(m: MassFunction, w: Interval) -> IntervalBPA:
-    """Discount a classical BPA by an interval weight: the left part uses the
-    lower bound, the right part the upper bound."""
-    _check_weight(w)
-    return IntervalBPA(_discount_part(m, w.lo), _discount_part(m, w.hi))
-
-
-def discount_interval_bpa(ib: IntervalBPA, w: Interval) -> IntervalBPA:
-    """Discount an existing interval BPA: left part by the lower bound,
-    right part by the upper bound."""
-    _check_weight(w)
-    return IntervalBPA(_discount_part(ib.left, w.lo), _discount_part(ib.right, w.hi))
-
-
-def fuse_interval_bpas(ibs: Iterable[IntervalBPA]) -> IntervalBPA:
-    """Fuse interval BPAs from several sources: all left parts combine into
-    the new left part, all right parts into the new right part."""
-    items = list(ibs)
-    if not items:
-        raise EmptyEvidenceList("need at least one interval BPA to fuse")
-    return IntervalBPA(
-        combine_all(ib.left for ib in items),
-        combine_all(ib.right for ib in items),
-    )
-
-
-def collapse_interval_bpa(ib: IntervalBPA) -> MassFunction:
-    """Combine the left and right part into a single classical BPA."""
-    return ib.left.combine(ib.right)
 
 
 def _unique_labels(labels: Sequence[str], what: str) -> None:
@@ -290,31 +229,54 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 
 
 # --- closed-form kernel -------------------------------------------------------
-# One discount-and-fold stage at both levels: the per-object steps above on triples, bit-identical.
+# The steps as stages on triples. _kernel looks each stage up as a module
+# global at call time, so a wrapper set on this module sees every call. The
+# stages take settled triples and normalized weight endpoints, which lie in
+# [0, 1], so a discount never raises: only a fold can.
 
 
-def _fuse(
+def discount_to_interval_bpa(
+    triples: Sequence[Triple], los: Sequence[float], his: Sequence[float]
+) -> tuple[list[Triple], list[Triple]]:
+    """Discount a row of rating triples into interval BPAs: the left parts by
+    their weights' lower bounds ``los``, the right parts by the upper bounds
+    ``his``."""
+    return discount(triples, los), discount(triples, his)
+
+
+def discount_interval_bpa(
     lefts: Sequence[Triple], rights: Sequence[Triple], los: Sequence[float], his: Sequence[float]
-) -> tuple[Iterator[tuple[Triple, Triple]], tuple[Triple, Triple]]:
-    """Discount each left triple by its weight's lower bound ``los`` and each
-    right triple by its upper bound ``his``, then fold each side under
-    Dempster's rule. Returns an iterator over the discounted (left, right)
-    pairs, and the fused pair. Only a fold can raise: normalized endpoints
-    lie in [0, 1] and every triple is settled, so a complement never falls
-    below -COMPLEMENT_EPS."""
-    lefts, rights = discount(lefts, los), discount(rights, his)
-    return zip(lefts, rights), (fold(lefts), fold(rights))
+) -> tuple[list[Triple], list[Triple]]:
+    """Discount a row of interval BPAs, given as their left and right parts:
+    the left parts by the lower bounds ``los``, the right parts by the upper
+    bounds ``his``."""
+    return discount(lefts, los), discount(rights, his)
 
 
-def _failed_step(
-    lefts: Sequence[Triple], rights: Sequence[Triple], los: Sequence[float], his: Sequence[float]
-) -> int | None:
-    """The index of the source at whose step a fold of :func:`_fuse` on the
-    same arguments raises, or None if both folds succeed. Each side is
-    discounted again and folded one step at a time: ``fold`` of the running
-    result and the next triple is the same step as in one whole ``fold``.
-    Only error paths call this, so a rank that succeeds pays nothing for it."""
-    for side in (discount(lefts, los), discount(rights, his)):
+def fuse_interval_bpas(lefts: Sequence[Triple], rights: Sequence[Triple]) -> tuple[Triple, Triple]:
+    """Fuse interval BPAs from several sources: all left parts fold into the
+    new left part, then all right parts into the new right part."""
+    return fold(lefts), fold(rights)
+
+
+def collapse_interval_bpa(pair: tuple[Triple, Triple]) -> Triple:
+    """Combine the left and right part of an interval BPA into one triple."""
+    return fold(pair)
+
+
+def bet_ideal(m: Triple) -> float:
+    """Pignistic belief in the first frame element: m({first}) + m(full)/2."""
+    first, _, full = m
+    return first + full / 2.0
+
+
+def _failed_step(lefts: Sequence[Triple], rights: Sequence[Triple]) -> int | None:
+    """The index of the source at whose step :func:`fuse_interval_bpas` of
+    ``lefts`` and ``rights`` raises, or None if both folds succeed. Each side
+    is folded one step at a time: ``fold`` of the running result and the next
+    triple is the same step as in one whole ``fold``. Only error paths call
+    this, so a rank that succeeds pays nothing for it."""
+    for side in (lefts, rights):
         acc = side[0]
         for i in range(1, len(side)):
             try:
@@ -330,36 +292,36 @@ def _kernel(
     dm_weights: Sequence[Interval],
     rows: list | None = None,
 ) -> tuple[list[list[tuple[Triple, Triple]]], list[tuple[Triple, Triple]], list[Triple]]:
-    """Steps 2-4: :func:`_fuse` over each (decision maker, alternative) row of
-    ratings, over each alternative's column of the row fusions, then the
-    collapse. Returns the fusions ``[d][a]``, final pairs ``[a]`` and collapsed
-    triples ``[a]``; appends each row's discounted pairs to ``rows`` if given.
-    A weight endpoint enters as ``x + 0.0``: -0.0 discounts to +0.0 masses."""
+    """Steps 2-4: discount and fuse each (decision maker, alternative) row of
+    ratings, then discount and fuse each alternative's column of the row
+    fusions, then collapse. Returns the fusions ``[d][a]``, final pairs
+    ``[a]`` and collapsed triples ``[a]``; appends an iterator over each row's
+    discounted (left, right) pairs to ``rows`` if given. A weight endpoint
+    enters as ``x + 0.0``: -0.0 discounts to +0.0 masses."""
     dm_fused: list[list[tuple[Triple, Triple]]] = []
     for dm, ws, dm_ratings in zip(problem.decision_makers, crit_weights, problem.ratings):
         los, his = [w.lo + 0.0 for w in ws], [w.hi + 0.0 for w in ws]
         fused_row: list[tuple[Triple, Triple]] = []
         for alt, ratings in zip(problem.alternatives, dm_ratings):
-            masses = [m.masses for m in ratings]
+            lefts, rights = discount_to_interval_bpa([m.masses for m in ratings], los, his)
             try:
-                cells, pair = _fuse(masses, masses, los, his)
+                fused_row.append(fuse_interval_bpas(lefts, rights))
             except IntervalFusionError as exc:
-                crit = problem.criteria[_failed_step(masses, masses, los, his)]
+                crit = problem.criteria[_failed_step(lefts, rights)]
                 raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}") from exc
-            fused_row.append(pair)
             if rows is not None:
-                rows.append(cells)
+                rows.append(zip(lefts, rights))
         dm_fused.append(fused_row)
 
     dm_los, dm_his = [w.lo + 0.0 for w in dm_weights], [w.hi + 0.0 for w in dm_weights]
     final, collapsed = [], []
     for alt, column in zip(problem.alternatives, zip(*dm_fused)):
-        lefts, rights = zip(*column)
+        lefts, rights = discount_interval_bpa(*zip(*column), dm_los, dm_his)
         try:
-            _, pair = _fuse(lefts, rights, dm_los, dm_his)
-            collapsed.append(fold(pair))
+            pair = fuse_interval_bpas(lefts, rights)
+            collapsed.append(collapse_interval_bpa(pair))
         except IntervalFusionError as exc:
-            step = _failed_step(lefts, rights, dm_los, dm_his)
+            step = _failed_step(lefts, rights)
             where = "collapse" if step is None else f"decision maker {problem.decision_makers[step]!r}"
             raise _located(exc, f"alternative {alt!r}, {where}") from exc
         final.append(pair)
@@ -406,7 +368,7 @@ def rank_alternatives(
     dm_weights = tuple(normalize_weight_group(problem.dm_weights))
 
     _, _, collapsed = _kernel(problem, crit_weights, dm_weights)
-    bets = [first + full / 2.0 for first, _, full in collapsed]  # bet_ideal on a triple
+    bets = [bet_ideal(t) for t in collapsed]
 
     order = sorted(range(len(bets)), key=lambda i: -bets[i])
     ranking = tuple(problem.alternatives[i] for i in order)

@@ -38,6 +38,24 @@ def test_tracer_wraps_the_package_and_restores_it(supplier_report):
     assert (intervalfusion.load_problem, intervalfusion.rank_alternatives) == entry_points
 
 
+def test_tracer_times_every_stage_of_a_rank(supplier_problem):
+    # the bundled problem is 3 decision makers x 6 alternatives x 4 criteria:
+    # one discount and one fusion per (decision maker, alternative) row, then
+    # per alternative one discount and fusion across decision makers, one
+    # collapse and one bet; the trace tables are not read
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, intervalfusion)
+        intervalfusion.rank_alternatives(supplier_problem)
+    finally:
+        tracer.uninstall()
+    stages = ("discount", "fuse_dm", "discount_cross", "fuse_cross", "collapse", "bet")
+    assert {s: tracer.calls["pipeline." + s] for s in stages} == {
+        "discount": 18, "fuse_dm": 18, "discount_cross": 6, "fuse_cross": 6, "collapse": 6, "bet": 6,
+    }
+
+
 def test_tracer_counts_one_cut_per_term_reference():
     # three term references, the same tfn term twice; crisp and interval
     # weights are not terms

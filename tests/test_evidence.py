@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intervalfusion import MassFunction, bet_ideal, combine_all, evidence, rank_alternatives
+from intervalfusion import MassFunction, evidence, rank_alternatives
 from intervalfusion.errors import (
     EmptyEvidenceList,
     MassSumViolation,
@@ -15,6 +15,7 @@ from intervalfusion.errors import (
     TotalConflict,
 )
 from intervalfusion.evidence import COMPLEMENT_EPS, FRAME, TOTAL_CONFLICT_EPS, _settle, discount, fold
+from intervalfusion.pipeline import bet_ideal
 
 from reference import brute_combine, brute_pignistic
 from test_properties import by_labels
@@ -333,45 +334,46 @@ class TestCombine:
 
 
 class TestCombineAll:
+    """Dempster's rule over several sources, folded left to right, as the
+    fusion stage folds each side of a row."""
+
     def test_single_source(self):
-        m = triple(0.6, 0.2, 0.2)
-        assert combine_all([m]) == m
+        m = triple(0.6, 0.2, 0.2).masses
+        assert fold([m]) == m
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyEvidenceList):
-            combine_all([])
+            fold([])
 
     def test_four_discounted_left_parts(self):
         # one decision maker's four criterion-discounted left parts
         parts = [
-            triple(0.1714, 0.0571, 0.7715),
-            triple(0.2755, 0.0306, 0.6939),
-            triple(0.0428, 0.0143, 0.9429),
-            triple(0.2143, 0.0714, 0.7143),
+            triple(0.1714, 0.0571, 0.7715).masses,
+            triple(0.2755, 0.0306, 0.6939).masses,
+            triple(0.0428, 0.0143, 0.9429).masses,
+            triple(0.2143, 0.0714, 0.7143).masses,
         ]
-        got = combine_all(parts)
-        assert got.masses == pytest.approx((0.5133, 0.0980, 0.3887), abs=2e-3)
+        assert fold(parts) == pytest.approx((0.5133, 0.0980, 0.3887), abs=2e-3)
 
     def test_four_discounted_right_parts(self):
         parts = [
-            triple(0.3, 0.1, 0.6),
-            triple(0.5051, 0.0561, 0.4388),
-            triple(0.2572, 0.0857, 0.6571),
-            triple(0.4286, 0.1429, 0.4285),
+            triple(0.3, 0.1, 0.6).masses,
+            triple(0.5051, 0.0561, 0.4388).masses,
+            triple(0.2572, 0.0857, 0.6571).masses,
+            triple(0.4286, 0.1429, 0.4285).masses,
         ]
-        got = combine_all(parts)
-        assert got.masses == pytest.approx((0.8009, 0.0987, 0.1004), abs=2e-3)
+        assert fold(parts) == pytest.approx((0.8009, 0.0987, 0.1004), abs=2e-3)
 
 
 class TestPignistic:
     def test_vacuous_splits_evenly(self):
-        assert bet_ideal(MassFunction.vacuous()) == 0.5
+        assert bet_ideal(MassFunction.vacuous().masses) == 0.5
 
     def test_final_supplier_row(self):
         m = triple(0.9833, 0.0119, 0.0048)
-        assert bet_ideal(m) == pytest.approx(0.9857, abs=1e-4)
+        assert bet_ideal(m.masses) == pytest.approx(0.9857, abs=1e-4)
 
     def test_matches_brute_force(self):
         m = triple(0.5, 0.2, 0.3)
         expected = brute_pignistic(("IS", "NS"), by_labels(m))
-        assert bet_ideal(m) == pytest.approx(expected["IS"], abs=1e-12)
+        assert bet_ideal(m.masses) == pytest.approx(expected["IS"], abs=1e-12)

@@ -11,17 +11,11 @@ from intervalfusion import (
     SUMMARY,
     DecisionProblem,
     Interval,
-    IntervalBPA,
     MassFunction,
     PER_DM,
     POOLED,
-    bet_ideal,
     bundled_dataset_bytes,
-    collapse_interval_bpa,
-    discount_interval_bpa,
-    discount_to_interval_bpa,
     emit_report,
-    fuse_interval_bpas,
     load_problem,
     normalize_weight_group,
     rank_alternatives,
@@ -33,20 +27,32 @@ from intervalfusion.errors import (
     TotalConflict,
     ValidationError,
 )
+from intervalfusion.pipeline import (
+    bet_ideal,
+    collapse_interval_bpa,
+    discount_interval_bpa,
+    discount_to_interval_bpa,
+    fuse_interval_bpas,
+)
 
+from per_object import per_object_rank
 from reference import brute_pignistic
 from test_properties import TABLES, by_labels, trace_triples
+
+VACUOUS = (0.0, 0.0, 1.0)
+
 
 def triple(a, b, c):
     return MassFunction((a, b, c))
 
 
-def bpa(left, right):
-    return IntervalBPA(triple(*left), triple(*right))
+def settled(a, b, c):
+    """The triple a MassFunction stores for (a, b, c), as the stages take it."""
+    return triple(a, b, c).masses
 
 
-def assert_triple(m, expected, abs=1e-9):
-    assert m.masses == pytest.approx(expected, abs=abs)
+def assert_triple(t, expected, abs=1e-9):
+    assert t == pytest.approx(expected, abs=abs)
 
 
 class TestNormalizeWeightGroup:
@@ -97,104 +103,82 @@ class TestNormalizeWeightGroup:
 
 class TestDiscountToIntervalBPA:
     def test_worked_cell(self):
-        m = triple(0.60, 0.20, 0.20)
-        got = discount_to_interval_bpa(m, Interval(0.2857, 0.5))
-        assert_triple(got.left, (0.1714, 0.0571, 0.7715), abs=1e-4)
-        assert_triple(got.right, (0.3, 0.1, 0.6), abs=1e-4)
+        (left,), (right,) = discount_to_interval_bpa([settled(0.60, 0.20, 0.20)], [0.2857], [0.5])
+        assert_triple(left, (0.1714, 0.0571, 0.7715), abs=1e-4)
+        assert_triple(right, (0.3, 0.1, 0.6), abs=1e-4)
 
     def test_full_reliability_is_identity_exact(self):
-        m = triple(0.60, 0.20, 0.20)
-        got = discount_to_interval_bpa(m, Interval(1, 1))
-        assert got.left == m
-        assert got.right == m
+        m = settled(0.60, 0.20, 0.20)
+        assert discount_to_interval_bpa([m], [1.0], [1.0]) == ([m], [m])
 
     def test_zero_weight_is_vacuous_exact(self):
-        m = triple(0.60, 0.20, 0.20)
-        got = discount_to_interval_bpa(m, Interval(0, 0))
-        assert got.left == MassFunction.vacuous()
-        assert got.right == MassFunction.vacuous()
-
-    @pytest.mark.parametrize("w", [(-0.1, 0.5), (0.5, 1.2)])
-    def test_invalid_weight(self, w):
-        with pytest.raises(InvalidWeight):
-            discount_to_interval_bpa(triple(0.6, 0.2, 0.2), Interval(*w))
+        m = settled(0.60, 0.20, 0.20)
+        assert discount_to_interval_bpa([m], [0.0], [0.0]) == ([VACUOUS], [VACUOUS])
 
     def test_ordering_of_fresh_parts(self):
-        got = discount_to_interval_bpa(triple(0.6, 0.2, 0.2), Interval(0.3, 0.8))
-        lt, rt = got.left.masses, got.right.masses
+        (lt,), (rt,) = discount_to_interval_bpa([settled(0.6, 0.2, 0.2)], [0.3], [0.8])
         assert lt[0] <= rt[0]
         assert lt[1] <= rt[1]
 
     def test_complement_relation_exact(self):
-        got = discount_to_interval_bpa(triple(0.6429, 0.0714, 0.2857), Interval(0.25, 0.75))
-        for part in (got.left, got.right):
-            a, b, c = part.masses
+        lefts, rights = discount_to_interval_bpa([settled(0.6429, 0.0714, 0.2857)], [0.25], [0.75])
+        for a, b, c in lefts + rights:
             assert c == pytest.approx(1.0 - a - b, abs=1e-12)
 
 
 class TestDiscountIntervalBPA:
     def test_dm_level_row(self):
-        ib = bpa((0.5133, 0.0980, 0.3887), (0.8009, 0.0987, 0.1004))
-        got = discount_interval_bpa(ib, Interval(0.2105, 0.4739))
-        assert_triple(got.left, (0.1080, 0.0206, 0.8714), abs=2e-4)
-        assert_triple(got.right, (0.3795, 0.0468, 0.5737), abs=2e-4)
+        (left,), (right,) = discount_interval_bpa(
+            [settled(0.5133, 0.0980, 0.3887)], [settled(0.8009, 0.0987, 0.1004)], [0.2105], [0.4739]
+        )
+        assert_triple(left, (0.1080, 0.0206, 0.8714), abs=2e-4)
+        assert_triple(right, (0.3795, 0.0468, 0.5737), abs=2e-4)
 
     def test_identity(self):
         # exact identity requires complement-consistent parts (c == 1 - a - b
         # bitwise), which is how every part produced by the pipeline is built
-        ib = IntervalBPA(
-            triple(0.5133, 0.0980, 1.0 - 0.5133 - 0.0980),
-            triple(0.8009, 0.0987, 1.0 - 0.8009 - 0.0987),
-        )
-        got = discount_interval_bpa(ib, Interval(1, 1))
-        assert got == ib
+        lefts = [settled(0.5133, 0.0980, 1.0 - 0.5133 - 0.0980)]
+        rights = [settled(0.8009, 0.0987, 1.0 - 0.8009 - 0.0987)]
+        assert discount_interval_bpa(lefts, rights, [1.0], [1.0]) == (lefts, rights)
 
     def test_zero_reliability(self):
-        ib = bpa((0.5133, 0.0980, 0.3887), (0.8009, 0.0987, 0.1004))
-        got = discount_interval_bpa(ib, Interval(0, 0))
-        assert got.left == MassFunction.vacuous()
-        assert got.right == MassFunction.vacuous()
+        got = discount_interval_bpa([settled(0.5133, 0.0980, 0.3887)], [settled(0.8009, 0.0987, 0.1004)], [0.0], [0.0])
+        assert got == ([VACUOUS], [VACUOUS])
 
 
 class TestFuseAndCollapse:
     def test_fuse_across_decision_makers(self):
-        parts = [
-            bpa((0.1080, 0.0206, 0.8714), (0.3795, 0.0468, 0.5737)),
-            bpa((0.1659, 0.0416, 0.7925), (0.4694, 0.0734, 0.4572)),
-            bpa((0.3479, 0.0515, 0.6006), (0.9206, 0.0456, 0.0338)),
-        ]
-        got = fuse_interval_bpas(parts)
-        assert_triple(got.left, (0.4950, 0.0733, 0.4317), abs=2e-3)
-        assert_triple(got.right, (0.9696, 0.0201, 0.0103), abs=2e-3)
+        lefts = [settled(0.1080, 0.0206, 0.8714), settled(0.1659, 0.0416, 0.7925), settled(0.3479, 0.0515, 0.6006)]
+        rights = [settled(0.3795, 0.0468, 0.5737), settled(0.4694, 0.0734, 0.4572), settled(0.9206, 0.0456, 0.0338)]
+        left, right = fuse_interval_bpas(lefts, rights)
+        assert_triple(left, (0.4950, 0.0733, 0.4317), abs=2e-3)
+        assert_triple(right, (0.9696, 0.0201, 0.0103), abs=2e-3)
 
     def test_fuse_single_is_identity(self):
-        ib = bpa((0.5, 0.2, 0.3), (0.7, 0.1, 0.2))
-        assert fuse_interval_bpas([ib]) == ib
+        left, right = settled(0.5, 0.2, 0.3), settled(0.7, 0.1, 0.2)
+        assert fuse_interval_bpas([left], [right]) == (left, right)
 
     def test_fuse_empty_rejected(self):
         with pytest.raises(EmptyEvidenceList):
-            fuse_interval_bpas([])
+            fuse_interval_bpas([], [])
 
     def test_collapse_final_row(self):
-        ib = bpa((0.4950, 0.0733, 0.4317), (0.9696, 0.0201, 0.0103))
-        got = collapse_interval_bpa(ib)
+        got = collapse_interval_bpa((settled(0.4950, 0.0733, 0.4317), settled(0.9696, 0.0201, 0.0103)))
         assert_triple(got, (0.9833, 0.0119, 0.0048), abs=2e-3)
 
     def test_collapse_is_self_reinforcing(self):
         m = triple(0.6, 0.2, 0.2)
-        got = collapse_interval_bpa(IntervalBPA(m, m))
-        assert got == m.combine(m)
-        assert got != m
+        got = collapse_interval_bpa((m.masses, m.masses))
+        assert got == m.combine(m).masses
+        assert got != m.masses
 
     def test_collapse_with_vacuous_left(self):
-        m = triple(0.6, 0.2, 0.2)
-        got = collapse_interval_bpa(IntervalBPA(MassFunction.vacuous(), m))
-        assert got == m
+        m = settled(0.6, 0.2, 0.2)
+        assert collapse_interval_bpa((VACUOUS, m)) == m
 
     def test_collapse_total_conflict(self):
-        ib = IntervalBPA(triple(1.0, 0.0, 0.0), triple(0.0, 1.0, 0.0))
         with pytest.raises(TotalConflict):
-            collapse_interval_bpa(ib)
+            collapse_interval_bpa(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
 
 
 def build_problem(dm_weights, criterion_weights, ratings, **kw):
@@ -468,7 +452,7 @@ class TestRankAlternatives:
         report = rank_alternatives(problem)
         for i, r in enumerate(ratings):
             m = triple(*r)
-            expected = bet_ideal(m.combine(m))
+            expected = bet_ideal(m.combine(m).masses)
             assert report.bets[i] == pytest.approx(expected, abs=1e-12)
 
     def test_ties_break_by_input_order(self):
@@ -510,13 +494,10 @@ class TestRankAlternatives:
         assert str(err.value) == message
         if stage == "per-dm-normalization":
             assert rank_alternatives(problem).ranking  # pooled mode is fine
-        if stage == "collapse":  # the per-object steps also fail only there
-            weights = normalize_weight_group(problem.criterion_weights[0])
-            fused = fuse_interval_bpas(
-                discount_to_interval_bpa(m, w) for m, w in zip(problem.ratings[0][1], weights)
-            )
-            with pytest.raises(TotalConflict):
-                collapse_interval_bpa(fused)
+        # the per-object reference fails at the same step
+        with pytest.raises(error) as err:
+            per_object_rank(problem, normalization)
+        assert str(err.value) == message
 
     def test_report_invariants_enforced(self, supplier_report):
         with pytest.raises(ValidationError):
@@ -533,7 +514,7 @@ class TestRankAlternatives:
             )
 
     def test_bet_ideal_shortcut(self):
-        m = triple(0.9833, 0.0119, 0.0048)
+        m = settled(0.9833, 0.0119, 0.0048)
         assert bet_ideal(m) == pytest.approx(0.9833 + 0.0048 / 2, abs=1e-12)
 
 

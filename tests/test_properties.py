@@ -23,18 +23,15 @@ from intervalfusion import (
     Interval,
     IntervalFusionError,
     MassFunction,
-    bet_ideal,
-    collapse_interval_bpa,
-    discount_interval_bpa,
-    discount_to_interval_bpa,
-    fuse_interval_bpas,
     load_problem,
     normalize_weight_group,
     rank_alternatives,
 )
 from intervalfusion.errors import TotalConflict
 from intervalfusion.evidence import FRAME
+from intervalfusion.pipeline import bet_ideal, discount_to_interval_bpa
 
+from per_object import per_object_rank
 from reference import brute_combine, crisp_rank
 
 RUNS = settings(max_examples=200, deadline=None)
@@ -168,7 +165,7 @@ def test_vacuous_neutral_exact(pair):
 @given(pair=mass_pairs())
 def test_pignistic_is_probability_vector(pair):
     m, _ = pair
-    bets = (bet_ideal(m), m.masses[1] + m.masses[2] / 2.0)
+    bets = (bet_ideal(m.masses), m.masses[1] + m.masses[2] / 2.0)
     assert all(v >= 0.0 for v in bets)
     assert sum(bets) == pytest.approx(1.0, abs=1e-12)
 
@@ -178,13 +175,10 @@ def test_pignistic_is_probability_vector(pair):
 @RUNS
 @given(triple=rating_triples())
 def test_discount_identities_exact(triple):
-    m = as_mass(triple)
-    ib = discount_to_interval_bpa(m, Interval(1, 1))
-    assert ib.left == m
-    assert ib.right == m
-    vacuous = discount_to_interval_bpa(m, Interval(0, 0))
-    assert vacuous.left == MassFunction.vacuous()
-    assert vacuous.right == MassFunction.vacuous()
+    t = as_mass(triple).masses
+    assert discount_to_interval_bpa([t], [1.0], [1.0]) == ([t], [t])
+    vacuous = MassFunction.vacuous().masses
+    assert discount_to_interval_bpa([t], [0.0], [0.0]) == ([vacuous], [vacuous])
 
 
 # 6. normalization is invariant under common positive rescaling. Endpoints
@@ -278,91 +272,9 @@ def test_degenerate_weights_match_crisp_pipeline(data):
         assert got == pytest.approx(want, abs=1e-9)
 
 
-# 9. the closed-form kernel of rank_alternatives equals the per-object fold,
-# bit for bit: bets, every trace table, and the type and message of errors
-def failed_step(ibs):
-    """The index of the interval BPA at whose step fusing ``ibs`` raises:
-    the left parts are combined one at a time, then the right parts. None
-    if neither side raises."""
-    for side in ([ib.left for ib in ibs], [ib.right for ib in ibs]):
-        acc = side[0]
-        for i, m in enumerate(side[1:], 1):
-            try:
-                acc = acc.combine(m)
-            except IntervalFusionError:
-                return i
-    return None
-
-
-def per_object_rank(problem, normalization):
-    """The pipeline folded over MassFunction and IntervalBPA values with the
-    public per-object functions, step by step in the kernel's order. Returns
-    the bets and the four trace tables, named and laid out as a report's:
-    each interval BPA as its (left, right) pair of triples."""
-
-    def located(exc, where):
-        return type(exc)(f"{where}: {exc}")
-
-    n_crit = len(problem.criteria)
-    if normalization == POOLED:
-        flat = normalize_weight_group([w for ws in problem.criterion_weights for w in ws])
-        crit_weights = [flat[d * n_crit : (d + 1) * n_crit] for d in range(len(problem.decision_makers))]
-    else:
-        crit_weights = []
-        for dm, ws in zip(problem.decision_makers, problem.criterion_weights):
-            try:
-                crit_weights.append(normalize_weight_group(ws))
-            except IntervalFusionError as exc:
-                raise located(exc, f"decision maker {dm!r} criterion weights") from exc
-    dm_weights = normalize_weight_group(problem.dm_weights)
-
-    cell_bpas, dm_fused = [], []
-    for d, dm in enumerate(problem.decision_makers):
-        dm_cells, dm_rows = [], []
-        for a, alt in enumerate(problem.alternatives):
-            cells = []
-            for c, crit in enumerate(problem.criteria):
-                try:
-                    cells.append(discount_to_interval_bpa(problem.ratings[d][a][c], crit_weights[d][c]))
-                except IntervalFusionError as exc:
-                    raise located(
-                        exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}"
-                    ) from exc
-            try:
-                dm_rows.append(fuse_interval_bpas(cells))
-            except IntervalFusionError as exc:
-                crit = problem.criteria[failed_step(cells)]
-                raise located(exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}") from exc
-            dm_cells.append(tuple(cells))
-        cell_bpas.append(tuple(dm_cells))
-        dm_fused.append(tuple(dm_rows))
-
-    final_bpas, collapsed = [], []
-    for a, alt in enumerate(problem.alternatives):
-        discounted = []
-        for d, dm in enumerate(problem.decision_makers):
-            try:
-                discounted.append(discount_interval_bpa(dm_fused[d][a], dm_weights[d]))
-            except IntervalFusionError as exc:
-                raise located(exc, f"decision maker {dm!r}, alternative {alt!r}") from exc
-        try:
-            final_bpas.append(fuse_interval_bpas(discounted))
-            collapsed.append(collapse_interval_bpa(final_bpas[-1]))
-        except IntervalFusionError as exc:
-            step = failed_step(discounted)
-            where = "collapse" if step is None else f"decision maker {problem.decision_makers[step]!r}"
-            raise located(exc, f"alternative {alt!r}, {where}") from exc
-
-    def pair(ib):
-        return ib.left.masses, ib.right.masses
-
-    return {
-        "bets": tuple(bet_ideal(m) for m in collapsed),
-        "cells": tuple(tuple(tuple(map(pair, row)) for row in dm) for dm in cell_bpas),
-        "fused_per_dm": tuple(tuple(map(pair, dm)) for dm in dm_fused),
-        "final": tuple(map(pair, final_bpas)),
-        "collapsed": tuple(m.masses for m in collapsed),
-    }
+# 9. the closed-form kernel of rank_alternatives equals the per-object fold
+# of tests/per_object.py, bit for bit: bets, every trace table, and the type
+# and message of errors
 
 
 TABLES = ("cells", "fused_per_dm", "final", "collapsed")

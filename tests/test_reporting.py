@@ -17,8 +17,9 @@ from intervalfusion.evidence import FRAME
 from intervalfusion.loading import bundled_dataset_bytes
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY
 
+from per_object import per_object_rank
 from test_pipeline import built_directly
-from test_properties import per_object_rank, trace_triples
+from test_properties import trace_triples
 
 
 class TestHumanTables:
@@ -139,8 +140,8 @@ class TestJsonReports:
 #
 # reference_doc is the document the package rendered with
 # json.dumps(doc, indent=2) before it wrote JSON directly; it takes the trace
-# from the per-object fold over MassFunction values (per_object_rank), an
-# independent path to the values.
+# from the per-object fold over MassFunction values (per_object_rank in
+# tests/per_object.py), an independent path to the values.
 
 
 def _bpa_dict(pair):
