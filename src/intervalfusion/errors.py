@@ -24,7 +24,7 @@ class InvalidAlpha(IntervalFusionError):
 # --- mass functions and combination ----------------------------------------
 
 class NegativeMass(IntervalFusionError):
-    """Masses must be finite and non-negative."""
+    """Masses must be three finite, non-negative numbers."""
 
 
 class MassSumViolation(IntervalFusionError):

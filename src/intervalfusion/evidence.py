@@ -25,11 +25,10 @@ All arithmetic on mass functions is defined here once, on triples, and both
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import EmptyEvidenceList, MassSumViolation, NegativeMass, TotalConflict
-from .intervals import describe, to_float
+from .intervals import Value, describe, to_float
 
 #: Mass vectors whose sum deviates from 1 by more than this are rejected.
 #: Smaller deviations (typical of published tables rounded to 4 decimals)
@@ -150,8 +149,7 @@ def fold(triples: Iterable[Triple]) -> Triple:
     return a1, b1, c1
 
 
-@dataclass(frozen=True, slots=True)
-class MassFunction:
+class MassFunction(Value):
     """A basic probability assignment over :data:`FRAME`.
 
     ``masses`` is the triple of the masses of {IS}, {NS} and the full frame.
@@ -160,10 +158,19 @@ class MassFunction:
     Direct construction checks them; loaded cells come from :func:`_from_settled`.
     """
 
-    masses: Triple
+    __slots__ = ("masses",)
+
+    def __init__(self, masses: Triple) -> None:
+        self._init(masses)
+        self.__post_init__()  # looked up on the class: a tracer may wrap it
 
     def __post_init__(self) -> None:
-        x, y, z = self.masses
+        m = self.masses
+        try:
+            x, y, z = m
+        except (TypeError, ValueError):  # not an iterable of three
+            got = f"{len(m)} values" if isinstance(m, (tuple, list)) else f"a {type(m).__name__}"
+            raise NegativeMass(f"masses must be three numbers, got {got}") from None
         settled = _settle(_mass(x, _FOCAL_SETS[0]), _mass(y, _FOCAL_SETS[1]), _mass(z, _FOCAL_SETS[2]))
         object.__setattr__(self, "masses", settled)
 
@@ -183,7 +190,7 @@ class MassFunction:
 
 
 _new = object.__new__
-_set_masses = MassFunction.masses.__set__  # the slot, past the frozen __setattr__
+_set_masses = MassFunction.masses.__set__  # the slot, past the raising __setattr__
 
 
 def _from_settled(a: float, b: float, c: float) -> MassFunction:

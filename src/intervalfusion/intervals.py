@@ -1,4 +1,4 @@
-"""Closed real intervals.
+"""Closed real intervals, and :class:`Value`, the base of the value types.
 
 A weight is a validated pair ``[lo, hi]`` and nothing more: the one
 operation on weights, normalizing a group by its largest endpoint, is
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import InvalidInterval
 
@@ -19,10 +18,10 @@ ENDPOINT_TOLERANCE = 1e-12
 
 
 def to_float(x) -> float:
-    """``float(x)``, or inf for an int beyond float range, which finiteness
-    checks then reject instead of leaking OverflowError."""
+    """``float(x)`` of an int or float; inf for an int beyond float range and nan
+    for any other value, a bool included, which finiteness checks reject."""
     try:
-        return float(x)
+        return float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else math.nan
     except OverflowError:
         return math.inf
 
@@ -37,24 +36,49 @@ def describe(x) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Value:
+    """An immutable value whose fields are its ``__slots__`` but ``__dict__``, in
+    constructor order. It compares, hashes, pickles and copies as the call that
+    builds it, and its repr, as ``Interval(lo=0.2, hi=0.35)``, skips ``_`` fields."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__ if name != "__dict__"])
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Interval(Value):
     """A closed real interval ``[lo, hi]`` with finite ``lo <= hi``."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo = to_float(self.lo)
-        hi = to_float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidInterval(
-                f"endpoints must be finite, got [{describe(self.lo)}, {describe(self.hi)}]"
-            )
-        if lo > hi:
-            if lo - hi <= ENDPOINT_TOLERANCE:
-                hi = lo
+    def __init__(self, lo: float, hi: float) -> None:
+        a, b = to_float(lo), to_float(hi)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidInterval(f"endpoints must be finite numbers, got [{describe(lo)}, {describe(hi)}]")
+        if a > b:
+            if a - b <= ENDPOINT_TOLERANCE:
+                b = a
             else:
-                raise InvalidInterval(f"lower endpoint {lo} exceeds upper endpoint {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+                raise InvalidInterval(f"lower endpoint {a} exceeds upper endpoint {b}")
+        object.__setattr__(self, "lo", a)  # faster than _init; every rank builds its normalized weights
+        object.__setattr__(self, "hi", b)

@@ -28,13 +28,12 @@ functions are not public API.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, wraps
-from typing import Iterable, Iterator, Sequence
 
 from .errors import AllZeroWeights, IntervalFusionError, InvalidWeight, ValidationError
 from .evidence import MassFunction, Triple, discount, fold
-from .intervals import Interval
+from .intervals import Interval, Value
 
 #: Criterion weights pooled across all decision makers form one
 #: normalization group (the default), or each decision maker's weights
@@ -120,8 +119,7 @@ def _grid(value, field: str, shape_error: str = "", *axes: tuple, leaf: type = o
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class DecisionProblem:
+class DecisionProblem(Value):
     """A rectangular multi-decision-maker, multi-criterion rating problem.
 
     ``criterion_weights[d][c]`` weighs criterion ``c`` for decision maker
@@ -135,14 +133,12 @@ class DecisionProblem:
     the first fault met is the one raised.
     """
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[str, ...]
-    decision_makers: tuple[str, ...]
-    dm_weights: tuple[Interval, ...]
-    criterion_weights: tuple[tuple[Interval, ...], ...]
-    ratings: tuple[tuple[tuple[MassFunction, ...], ...], ...]
+    __slots__ = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "ratings")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alternatives: Sequence[str], criteria: Sequence[str], decision_makers: Sequence[str],
+                 dm_weights: Sequence[Interval], criterion_weights: Sequence[Sequence[Interval]],
+                 ratings: Sequence[Sequence[Sequence[MassFunction]]]) -> None:
+        self._init(alternatives, criteria, decision_makers, dm_weights, criterion_weights, ratings)
         for name in ("alternatives", "criteria", "decision_makers"):
             object.__setattr__(self, name, _grid(getattr(self, name), name))
         _unique_labels(self.alternatives, "alternative labels")
@@ -171,8 +167,7 @@ class DecisionProblem:
             raise AllZeroWeights("criterion weights are all zero")
 
 
-@dataclass(frozen=True)
-class RankingReport:
+class RankingReport(Value):
     """Output of :func:`rank_alternatives`.
 
     ``ranking`` lists alternative labels by non-increasing ``bets`` value,
@@ -187,19 +182,19 @@ class RankingReport:
     directly has no problem and no trace.
     """
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[str, ...]
-    decision_makers: tuple[str, ...]
-    criterion_normalization: str
-    normalized_criterion_weights: tuple[tuple[Interval, ...], ...]
-    normalized_dm_weights: tuple[Interval, ...]
-    bets: tuple[float, ...]
-    ranking: tuple[str, ...]
-    _problem: DecisionProblem | None = field(default=None, init=False, repr=False)
+    __slots__ = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
+                 "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking", "_problem", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alternatives: tuple[str, ...], criteria: tuple[str, ...], decision_makers: tuple[str, ...],
+                 criterion_normalization: str, normalized_criterion_weights: tuple[tuple[Interval, ...], ...],
+                 normalized_dm_weights: tuple[Interval, ...], bets: tuple[float, ...], ranking: tuple[str, ...],
+                 _problem: DecisionProblem | None = None) -> None:
+        self._init(alternatives, criteria, decision_makers, criterion_normalization, normalized_criterion_weights,
+                   normalized_dm_weights, bets, ranking, _problem)
         if sorted(self.ranking) != sorted(self.alternatives):
             raise ValidationError("ranking must be a permutation of the alternatives")
+        if len(self.bets) != len(self.alternatives):
+            raise ValidationError("bets must hold one value per alternative")
         by_label = dict(zip(self.alternatives, self.bets))
         ordered = [by_label[label] for label in self.ranking]
         if any(a < b for a, b in zip(ordered, ordered[1:])):
@@ -373,7 +368,7 @@ def rank_alternatives(
     order = sorted(range(len(bets)), key=lambda i: -bets[i])
     ranking = tuple(problem.alternatives[i] for i in order)
 
-    report = RankingReport(
+    return RankingReport(
         alternatives=problem.alternatives,
         criteria=problem.criteria,
         decision_makers=problem.decision_makers,
@@ -382,6 +377,5 @@ def rank_alternatives(
         normalized_dm_weights=dm_weights,
         bets=tuple(bets),
         ranking=ranking,
+        _problem=problem,
     )
-    object.__setattr__(report, "_problem", problem)
-    return report

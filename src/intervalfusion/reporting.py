@@ -11,8 +11,8 @@ writes a label as its ``repr`` if it is not printable, holds the ranking's
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _str
-from typing import Iterable
 
 from .evidence import FRAME, Triple
 from .pipeline import RankingReport

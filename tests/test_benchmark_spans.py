@@ -26,16 +26,20 @@ def load_spans():
 def test_tracer_wraps_the_package_and_restores_it(supplier_report):
     spans = load_spans()
     entry_points = (intervalfusion.load_problem, intervalfusion.rank_alternatives)
+    post_init = intervalfusion.MassFunction.__post_init__
     tracer = spans.Tracer()
     try:
         spans.install(tracer, intervalfusion)
         report = intervalfusion.rank_alternatives(intervalfusion.load_problem(bundled_dataset_bytes()))
+        intervalfusion.MassFunction((0.6, 0.2, 0.2))  # a direct build runs the wrapped __post_init__
     finally:
         tracer.uninstall()
     assert report.bets == supplier_report.bets
     assert tracer.calls["loading.load"] == 1
     assert tracer.calls["pipeline.rank"] == 1
+    assert tracer.calls["evidence.masses_built.other"] == 1
     assert (intervalfusion.load_problem, intervalfusion.rank_alternatives) == entry_points
+    assert intervalfusion.MassFunction.__post_init__ is post_init
 
 
 def test_tracer_times_every_stage_of_a_rank(supplier_problem):

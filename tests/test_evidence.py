@@ -79,8 +79,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("masses", [(0.5, 0.5), (0.5, 0.5, 0.0, 0.0)])
     def test_not_a_triple_rejected(self, masses):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeMass) as err:
             MassFunction(masses)
+        assert str(err.value) == f"masses must be three numbers, got {len(masses)} values"
 
     def test_rounded_table_row_renormalized(self):
         # four-decimal published data: sum deviates by well under 1e-6

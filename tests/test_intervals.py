@@ -61,6 +61,38 @@ class TestConstruction:
             build()
         assert named in str(err.value)
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Interval("0.1", "0.2"), InvalidInterval, "endpoints must be finite numbers, got ['0.1', '0.2']"),
+            (lambda: Interval("x", 1), InvalidInterval, "endpoints must be finite numbers, got ['x', 1]"),
+            (lambda: Interval(None, 1), InvalidInterval, "endpoints must be finite numbers, got [None, 1]"),
+            (lambda: Interval(0, True), InvalidInterval, "endpoints must be finite numbers, got [0, True]"),
+            (
+                lambda: MassFunction(("0.5", "0.5", "0")),
+                NegativeMass,
+                "mass for {'IS'} must be finite and non-negative, got '0.5'",
+            ),
+            (
+                lambda: MassFunction((0.0, None, 1.0)),
+                NegativeMass,
+                "mass for {'NS'} must be finite and non-negative, got None",
+            ),
+            (
+                lambda: MassFunction((0.0, 0.0, True)),
+                NegativeMass,
+                "mass for {'IS', 'NS'} must be finite and non-negative, got True",
+            ),
+            (lambda: MassFunction(None), NegativeMass, "masses must be three numbers, got a NoneType"),
+        ],
+        ids=["str-interval", "word", "none", "bool", "str-masses", "none-mass", "bool-mass", "no-masses"],
+    )
+    def test_not_a_number_rejected_and_named(self, build, error, message):
+        # a value that is not an int or float is not converted with float()
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
     def test_tiny_inversion_clamped(self):
         iv = Interval(0.5 + 5e-13, 0.5)
         assert iv.lo == iv.hi == 0.5 + 5e-13

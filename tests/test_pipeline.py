@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -196,6 +195,13 @@ def build_problem(dm_weights, criterion_weights, ratings, **kw):
     )
 
 
+def rebuilt(problem, **changes):
+    """A DecisionProblem built from the fields of ``problem``, with
+    ``changes`` in place of some of them."""
+    fields = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "ratings")
+    return DecisionProblem(**{f: changes.get(f, getattr(problem, f)) for f in fields})
+
+
 def replaced(grid, path, make):
     """``grid`` with the level at index ``path`` replaced by ``make(level)``."""
     if not path:
@@ -262,7 +268,7 @@ class TestDecisionProblem:
         unit, mild = (1, 1), (0.6, 0.2, 0.2)
         valid = build_problem([unit] * 2, [[unit]] * 2, [[[mild]]] * 2)
         with pytest.raises(ValidationError) as err:
-            dataclasses.replace(valid, dm_weights=valid.dm_weights[:1])
+            rebuilt(valid, dm_weights=valid.dm_weights[:1])
         assert str(err.value) == "decision maker weights must be a sequence of 2 intervals"
         cases = [
             (([unit], [[unit], [unit]], [[[mild]]]), "criterion weights must be a 1 x 1 grid of intervals"),
@@ -356,7 +362,7 @@ class TestDecisionProblem:
     def test_wrong_typed_field_is_named(self, field, path, value, message):
         valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
         with pytest.raises(ValidationError) as err:
-            dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path, lambda _: value)})
+            rebuilt(valid, **{field: replaced(getattr(valid, field), path, lambda _: value)})
         assert str(err.value) == message
 
     @pytest.mark.parametrize("make, got", [
@@ -371,7 +377,7 @@ class TestDecisionProblem:
             ("ratings", (), ""), ("ratings", (1,), "['DM2']"), ("ratings", (1, 0), "['DM2']['A1']"),
         ]:
             with pytest.raises(ValidationError) as err:
-                dataclasses.replace(valid, **{field: replaced(getattr(valid, field), path, make)})
+                rebuilt(valid, **{field: replaced(getattr(valid, field), path, make)})
             assert str(err.value) == f"{field}{where}: expected a sequence, got {got}"
 
     @pytest.mark.parametrize("ratings, message", [
@@ -385,7 +391,7 @@ class TestDecisionProblem:
     def test_first_ratings_fault_in_label_order_is_named(self, ratings, message):
         valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
         with pytest.raises(ValidationError) as err:
-            dataclasses.replace(valid, ratings=ratings(valid.ratings[0][0][0]))
+            rebuilt(valid, ratings=ratings(valid.ratings[0][0][0]))
         assert str(err.value) == message
 
 
@@ -513,16 +519,23 @@ class TestRankAlternatives:
                 ranking=supplier_report.alternatives,  # not sorted by bet
             )
 
+    @pytest.mark.parametrize("bets", [lambda b: b[:-1], lambda b: b + (0.0,)], ids=["fewer", "more"])
+    def test_report_needs_one_bet_per_alternative(self, supplier_report, bets):
+        with pytest.raises(ValidationError) as err:
+            built_directly(supplier_report, bets=bets(supplier_report.bets))
+        assert str(err.value) == "bets must hold one value per alternative"
+
     def test_bet_ideal_shortcut(self):
         m = settled(0.9833, 0.0119, 0.0048)
         assert bet_ideal(m) == pytest.approx(0.9833 + 0.0048 / 2, abs=1e-12)
 
 
-def built_directly(report):
-    """A copy of ``report`` made by its constructor, without a problem."""
+def built_directly(report, **changes):
+    """A copy of ``report`` made by its constructor, without a problem, with
+    ``changes`` in place of some of its fields."""
     fields = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
               "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking")
-    return type(report)(**{f: getattr(report, f) for f in fields})
+    return type(report)(**{f: changes.get(f, getattr(report, f)) for f in fields})
 
 
 @pytest.fixture

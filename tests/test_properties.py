@@ -370,13 +370,14 @@ def test_kernel_matches_per_object_fold(case):
 def reference_masses(t):
     """Each mass in (IS, NS, full frame) order is ``float()``-ed, an int
     beyond float range reading as inf, and a non-finite or negative one is
-    rejected; then the sum policy: reject a sum more than 1e-6 from 1 (by
-    ``math.fsum``, a sum beyond float range reading as inf), divide by one
-    more than 1e-12 from 1. A zero mass reads as +0.0."""
+    rejected, as is one that is not an int or float (a bool included); then
+    the sum policy: reject a sum more than 1e-6 from 1 (by ``math.fsum``, a
+    sum beyond float range reading as inf), divide by one more than 1e-12
+    from 1. A zero mass reads as +0.0."""
     values = []
     for focal_set, x in zip(("{'IS'}", "{'NS'}", "{'IS', 'NS'}"), t):
         try:
-            v = float(x)
+            v = float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else math.nan
         except OverflowError:
             v = math.inf
         if not math.isfinite(v) or v < 0.0:
