@@ -74,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _write_output(data: bytes, path: str | None) -> None:
     if path is None:
         # the report is UTF-8 whatever the encoding of text stdout
@@ -102,8 +98,7 @@ def _write_output(data: bytes, path: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    data = _read_input(args.input)
-    problem = load_problem(data, alpha=args.alpha)
+    problem = load_problem(Path(args.input).read_bytes(), alpha=args.alpha)
     report = rank_alternatives(problem, criterion_normalization=args.criterion_normalization)
     mode = FULL_TRACE if args.trace else SUMMARY
     fmt = JSON_FORMAT if args.format == "json" else HUMAN_TABLE
@@ -112,7 +107,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    problem = load_problem(_read_input(args.input), alpha=args.alpha)
+    problem = load_problem(Path(args.input).read_bytes(), alpha=args.alpha)
     print(
         f"valid: {len(problem.decision_makers)} decision makers, "
         f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives"

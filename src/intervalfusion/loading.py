@@ -26,11 +26,12 @@ least alpha, so alpha 0 gives the support ``[a, c]`` and alpha 1 the peak
 ``[b, b]``. Each term of the built-in ``kaufmann-tfn`` has the support of
 the same term of ``interval-default``.
 
-Each rating is checked once, here. Triples rounded to the few decimals of
-published tables may miss a unit sum by up to 1e-3 (by ``math.fsum``, a sum
-beyond float range reading as inf); they are divided by that sum, which
-leaves them a sum the mass-sum policy keeps as it is. Larger misses are
-rejected.
+Each rating is checked once, here, and the problem is built without the
+checks of the ``DecisionProblem`` constructor, which would only repeat them.
+Triples rounded to the few decimals of published tables may miss a unit sum
+by up to 1e-3 (by ``math.fsum``, a sum beyond float range reading as inf);
+they are divided by that sum, which leaves them a sum the mass-sum policy
+keeps as it is. Larger misses are rejected.
 
 Errors: :class:`ParseError` for malformed input (with line/column), a key
 repeated within one object, or an integer literal too long to read;
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 from .errors import (
@@ -53,9 +55,9 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .evidence import _INF, FRAME, MassFunction, _from_settled
+from .evidence import _INF, FRAME, MassFunction
 from .intervals import Interval, describe
-from .pipeline import DecisionProblem, _nogc
+from .pipeline import DecisionProblem, _loaded_problem, _nogc
 
 SCHEMA_VERSION = "1"
 
@@ -69,10 +71,9 @@ BUNDLED_DATASET = "supplier-selection.json"
 
 
 def bundled_dataset_bytes() -> bytes:
-    """Raw bytes of the dataset shipped with the package."""
-    from importlib.resources import files
-
-    return (files("intervalfusion") / "data" / BUNDLED_DATASET).read_bytes()
+    """Raw bytes of the dataset shipped with the package, read by the loader
+    that imported it (``importlib.resources`` would import some 38 modules)."""
+    return __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", BUNDLED_DATASET))
 
 
 class _NonFiniteNumber(Exception):
@@ -335,6 +336,9 @@ def _parse_weight(value, scales: dict[str, dict], alpha: float, where: str) -> I
 
 # --- ratings ------------------------------------------------------------------
 
+_new = object.__new__
+_set_masses = MassFunction.masses.__set__  # the slot, past the raising __setattr__
+
 
 def _cell_where(name: str, alt: str, crit: str) -> str:
     return f"ratings[{name!r}][{alt!r}][{crit!r}]"
@@ -342,27 +346,35 @@ def _cell_where(name: str, alt: str, crit: str) -> str:
 
 def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[MassFunction, ...]:
     """The cells ``ratings[name][alt][crit]``, one per criterion; their
-    coordinates are formatted only when one is rejected."""
+    coordinates are formatted only when one is rejected. Each cell is built
+    without ``MassFunction.__post_init__``: its masses, with an ``fsum`` of 1
+    or divided by it, have a plain sum within about 5e-16 of 1, which
+    ``_settle`` keeps, and ``+ 0.0`` is all ``_mass`` would change."""
     row = []
     for crit in criteria:
         value = alt_obj[crit]
-        a, b, c = value if type(value) is list and len(value) == 3 else (None, None, None)
+        try:
+            a, b, c = value
+        except (TypeError, ValueError):  # not three items: fails the check below
+            a = b = c = None
         if not (type(a) is type(b) is type(c) is float and 0.0 <= a < _INF and 0.0 <= b < _INF and 0.0 <= c < _INF):
             # such floats pass every check here; any other cell, ints included, takes them
             where = _cell_where(name, alt, crit)
-            a, b, c = _number_list(value, 3, where)
-            for i, x in enumerate((a, b, c)):
+            value = a, b, c = _number_list(value, 3, where)
+            for i, x in enumerate(value):
                 if x < 0:
                     raise ValidationError(f"{where}[{i}]: mass must be non-negative, got {x}")
         try:
-            total = math.fsum((a, b, c))
+            total = math.fsum(value)
         except OverflowError:  # finite masses whose sum is beyond float range
             total = _INF
-        if abs(total - 1.0) > RATING_SUM_TOLERANCE:
-            raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
         if total != 1.0:
+            if abs(total - 1.0) > RATING_SUM_TOLERANCE:
+                raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
             a, b, c = a / total, b / total, c / total
-        row.append(_from_settled(a, b, c))
+        m = _new(MassFunction)
+        _set_masses(m, (a + 0.0, b + 0.0, c + 0.0))
+        row.append(m)
     return tuple(row)
 
 
@@ -400,15 +412,9 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
         dm_weights.append(_parse_weight(entry["weight"], scales, alpha, f"{where}.weight"))
         ws = _expect_list(entry["criterion_weights"], f"{where}.criterion_weights")
         if len(ws) != len(criteria):
-            raise SchemaError(
-                f"{where}.criterion_weights: expected {len(criteria)} entries, got {len(ws)}"
-            )
-        criterion_weights.append(
-            tuple(
-                _parse_weight(w, scales, alpha, f"{where}.criterion_weights[{c}]")
-                for c, w in enumerate(ws)
-            )
-        )
+            raise SchemaError(f"{where}.criterion_weights: expected {len(criteria)} entries, got {len(ws)}")
+        weights = (_parse_weight(w, scales, alpha, f"{where}.criterion_weights[{c}]") for c, w in enumerate(ws))
+        criterion_weights.append(tuple(weights))
 
     if max(w.hi for w in dm_weights) <= 0.0:
         raise ValidationError("decision_makers[*].weight: weights must not all be zero")
@@ -431,11 +437,5 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
             rows.append(_parse_row(alt_obj, criteria, name, alt))
         ratings.append(tuple(rows))
 
-    return DecisionProblem(
-        alternatives=alternatives,
-        criteria=criteria,
-        decision_makers=tuple(dm_names),
-        dm_weights=tuple(dm_weights),
-        criterion_weights=tuple(criterion_weights),
-        ratings=tuple(ratings),
-    )
+    fields = alternatives, criteria, tuple(dm_names), tuple(dm_weights), tuple(criterion_weights), tuple(ratings)
+    return _loaded_problem(*fields)

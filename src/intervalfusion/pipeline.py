@@ -131,6 +131,9 @@ class DecisionProblem(Value):
     ``ratings['D']['A']['C']``. Fields are checked in declaration order and
     each grid in label order, a row's length before its cells' types, and
     the first fault met is the one raised.
+
+    :func:`load_problem` skips these checks (:func:`_loaded_problem`): the
+    loader has made each of them on the document, naming its coordinates.
     """
 
     __slots__ = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "ratings")
@@ -165,6 +168,22 @@ class DecisionProblem(Value):
             raise AllZeroWeights("decision maker weights are all zero")
         if max(w.hi for ws in self.criterion_weights for w in ws) <= 0.0:
             raise AllZeroWeights("criterion weights are all zero")
+
+
+def _loaded_problem(*fields) -> DecisionProblem:
+    """The DecisionProblem of the six ``fields``, in constructor order, that
+    ``loading._build_problem`` has checked, built without the constructor's
+    checks. The loader keeps each invariant those check. It builds every field
+    and row as a tuple. ``_label_list`` and the ``decision_makers`` name checks
+    make labels unique, non-empty strings. ``_parse_weight`` and the
+    ``criterion_weights`` length check give one non-negative ``Interval`` per
+    decision maker and per criterion of each. Two checks reject an all-zero
+    weight field. ``_check_keys`` on each level of ``ratings``, and
+    ``_parse_row``, give one ``MassFunction`` per decision maker, alternative
+    and criterion."""
+    problem = object.__new__(DecisionProblem)
+    problem._init(*fields)
+    return problem
 
 
 class RankingReport(Value):

@@ -55,11 +55,12 @@ def collector():
 
 
 def backstop(monkeypatch):
-    # nothing a document holds reaches the backstop today: fake a constructor error
-    def refuse(**fields):
+    # nothing a document holds reaches the backstop today: fake an error from
+    # the builder the loader hands its checked fields to
+    def refuse(*fields):
         raise InvalidWeight("refused")
 
-    monkeypatch.setattr(loading, "DecisionProblem", refuse)
+    monkeypatch.setattr(loading, "_loaded_problem", refuse)
     load_problem(document(1, 1, 1))
 
 

@@ -1,12 +1,26 @@
 import io
 import json
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+import zipfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from intervalfusion import JSON_FORMAT, Interval, emit_report, load_problem, rank_alternatives
+from intervalfusion import (
+    JSON_FORMAT,
+    DecisionProblem,
+    Interval,
+    MassFunction,
+    emit_report,
+    load_problem,
+    rank_alternatives,
+)
 from intervalfusion.errors import (
     InvalidAlpha,
     ParseError,
@@ -15,6 +29,8 @@ from intervalfusion.errors import (
 )
 from intervalfusion.cli import main
 from intervalfusion.loading import bundled_dataset_bytes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def minimal_doc(**overrides):
@@ -61,6 +77,41 @@ class TestBundledDataset:
         b = load_problem(io.BytesIO(raw))
         c = load_problem(raw.decode("utf-8"))
         assert a == b == c
+
+    def test_reading_imports_no_resource_machinery(self):
+        # -S: no site .pth file may import any of them first
+        code = (
+            "import sys; from intervalfusion.cli import bundled_dataset_bytes; bundled_dataset_bytes(); "
+            "print(sorted({'typing', 'importlib.resources', 'zipfile', 'tempfile'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
+
+    def test_reads_from_a_zip_archive(self, tmp_path):
+        archive = tmp_path / "intervalfusion.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in sorted((SRC / "intervalfusion").rglob("*")):
+                if path.suffix in (".py", ".json"):
+                    zf.write(path, path.relative_to(SRC).as_posix())
+        code = (
+            "import sys, intervalfusion; print(intervalfusion.__file__, file=sys.stderr); "
+            "sys.stdout.buffer.write(intervalfusion.bundled_dataset_bytes())"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(archive), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.decode().startswith(str(archive))
+        assert result.stdout == (SRC / "intervalfusion" / "data" / "supplier-selection.json").read_bytes()
 
 
 class TestWeightForms:
@@ -335,6 +386,79 @@ class TestRatingCellDiagnostics:
         assert m.masses == masses
         # every zero mass is +0.0, whatever the sign of its literal
         assert all(math.copysign(1.0, v) == 1.0 for v in m.masses)
+
+
+def edge_document(seed):
+    """A valid document whose cells take every path of the loader: rounded
+    triples it rescales, int masses, -0.0 masses and full-precision floats;
+    with crisp, interval, built-in tfn and user tfn weights."""
+    rng = random.Random(seed)
+    alts, crits, dms = ["A1", "A2", "A3"], ["C1", "C2", "C3", "C4"], ["D1", "D2"]
+    fixed = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-0.0, 0.5, 0.5], [0.25, -0.0, 0.75], [0.3333, 0.3333, 0.3333]]
+
+    def cell():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.choice(fixed)
+        a = rng.random() * 0.6
+        b = rng.random() * (1.0 - a)
+        if kind == 1:  # rounded: misses a unit sum by up to 1.5e-4
+            return [round(a, 4), round(b, 4), round(1.0 - a - b + rng.choice((-1e-4, 0.0, 1e-4)), 4)]
+        return [a, b, 1.0 - a - b]
+
+    def weight():
+        return rng.choice([
+            round(rng.random(), 3),
+            [0.1, round(0.1 + rng.random() * 0.9, 3)],
+            {"term": rng.choice(["Low (L)", "High (H)", "Very high (VH)"]), "scale": "kaufmann-tfn"},
+            {"term": rng.choice(["low", "high"]), "scale": "importance"},
+        ])
+
+    return json.dumps({
+        "schema_version": "1",
+        "alternatives": alts,
+        "criteria": crits,
+        "scales": {"importance": {"kind": "tfn", "terms": {"low": [0.0, 0.25, 0.5], "high": [0.4, 0.8, 1.0]}}},
+        "decision_makers": [{"name": d, "weight": [0.5, 1.0], "criterion_weights": [weight() for _ in crits]} for d in dms],
+        "ratings": {d: {a: {c: cell() for c in crits} for a in alts} for d in dms},
+    })
+
+
+LOADED = [("bundled", bundled_dataset_bytes(), 0.0)] + [
+    (f"seed{seed}-alpha{alpha}", edge_document(seed), alpha) for seed in range(4) for alpha in (0.0, 0.5, 1.0)
+]
+
+
+class TestLoaderEstablishesEveryInvariant:
+    """The loader builds its problem without the constructor's checks; the
+    problem it builds is the one those checks would accept and store."""
+
+    @pytest.fixture(params=LOADED, ids=[name for name, _, _ in LOADED])
+    def problem(self, request):
+        _, source, alpha = request.param
+        return load_problem(source, alpha=alpha)
+
+    def test_equals_the_checked_construction(self, problem):
+        fields = {name: getattr(problem, name) for name in DecisionProblem.__slots__}
+        assert DecisionProblem(**fields) == problem
+
+    def test_pickle_round_trip_rebuilds_it_through_the_checks(self, problem):
+        assert pickle.loads(pickle.dumps(problem)) == problem
+
+    def test_cells_are_bit_identical_to_checked_cells(self, problem):
+        for cell in (cell for dm in problem.ratings for row in dm for cell in row):
+            assert type(cell.masses) is tuple and all(type(x) is float for x in cell.masses)
+            assert [x.hex() for x in cell.masses] == [x.hex() for x in MassFunction(cell.masses).masses]
+            assert all(math.copysign(1.0, x) == 1.0 for x in cell.masses)
+
+    def test_documents_take_every_cell_path(self):
+        docs = [json.loads(source) for _, source, _ in LOADED[1:]]
+        cells = [cell for doc in docs for dm in doc["ratings"].values() for row in dm.values() for cell in row.values()]
+        assert any(math.fsum(cell) != 1.0 for cell in cells)  # rescaled
+        assert [1, 0, 0] in cells and [0, 0, 1] in cells
+        assert any(math.copysign(1.0, x) == -1.0 for cell in cells for x in cell)
+        scales = {w["scale"] for doc in docs for dm in doc["decision_makers"] for w in dm["criterion_weights"] if type(w) is dict}
+        assert scales == {"kaufmann-tfn", "importance"}
 
 
 class TestDocumentStructure:

@@ -26,6 +26,7 @@ from intervalfusion.errors import (
     TotalConflict,
     ValidationError,
 )
+from intervalfusion import pipeline
 from intervalfusion.pipeline import (
     bet_ideal,
     collapse_interval_bpa,
@@ -541,7 +542,7 @@ def built_directly(report, **changes):
 @pytest.fixture
 def mass_builds(monkeypatch):
     """The MassFunction values built through __post_init__ while the test
-    runs. The loader builds its cells without it (evidence._from_settled)."""
+    runs. The loader builds its cells without it, in loading._parse_row."""
     built = []
     post_init = MassFunction.__post_init__
 
@@ -558,6 +559,23 @@ def test_loading_checks_each_cell_once(mass_builds):
     # checks would only repeat them
     load_problem(bundled_dataset_bytes())
     assert mass_builds == []
+
+
+def test_loading_walks_no_grid(monkeypatch):
+    # the loader has checked every field; the constructor's walk would only
+    # repeat it, while a direct build still walks all six fields
+    walks = []
+    walk = pipeline._grid
+
+    def counting_grid(*args, **kwargs):
+        walks.append(args[1])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_grid", counting_grid)
+    problem = load_problem(bundled_dataset_bytes())
+    assert walks == []
+    rebuilt(problem)
+    assert set(walks) >= set(DecisionProblem.__slots__)
 
 
 class TestTraceOnDemand:
