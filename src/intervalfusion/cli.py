@@ -92,8 +92,10 @@ def _write_output(data: bytes, path: str | None) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # name the path given, not tmp
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -133,7 +135,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error (IO): {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

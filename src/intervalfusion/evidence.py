@@ -175,11 +175,6 @@ class MassFunction(Value):
         settled = _settle(_mass(x, _FOCAL_SETS[0]), _mass(y, _FOCAL_SETS[1]), _mass(z, _FOCAL_SETS[2]))
         object.__setattr__(self, "masses", settled)
 
-    @classmethod
-    def vacuous(cls) -> MassFunction:
-        """Total ignorance: all mass on the full frame."""
-        return cls((0.0, 0.0, 1.0))
-
     def mass_of_mask(self, mask: int) -> float:
         """The mass of the subset with bitmask ``mask`` (1 for {IS}, 2 for
         {NS}, 3 for the full frame), as ``benchmarks/run.py`` reads cells."""

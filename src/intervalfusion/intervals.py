@@ -80,5 +80,4 @@ class Interval(Value):
                 b = a
             else:
                 raise InvalidInterval(f"lower endpoint {a} exceeds upper endpoint {b}")
-        object.__setattr__(self, "lo", a)  # faster than _init; every rank builds its normalized weights
-        object.__setattr__(self, "hi", b)
+        self._init(a, b)

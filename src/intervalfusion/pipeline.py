@@ -6,9 +6,9 @@ function that :func:`rank_alternatives` runs on (IS, NS, full frame) triples:
 1. ingest classical BPAs rating each alternative against each criterion
    (generation of those BPAs from raw performance data is out of scope);
 2. normalize criterion weights by the largest endpoint of the weight group
-   (:func:`normalize_weight_group`) and discount each rating into an interval
-   BPA, a pair of classical BPAs built from the weight's lower and upper
-   bound (:func:`discount_to_interval_bpa`);
+   (:func:`normalize_weight_group`) and discount each rating r, as the
+   interval BPA (r, r), by the weight's lower and upper bound into a pair of
+   classical BPAs (:func:`discount_to_interval_bpa`);
 3. fuse the interval BPAs across criteria, left parts together and right
    parts together (:func:`fuse_interval_bpas`), then discount each decision
    maker's fused result by the normalized decision-maker weight
@@ -28,12 +28,13 @@ functions are not public API.
 from __future__ import annotations
 
 import gc
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, wraps
 
 from .errors import AllZeroWeights, IntervalFusionError, InvalidWeight, ValidationError
 from .evidence import MassFunction, Triple, discount, fold
-from .intervals import Interval, Value
+from .intervals import Interval, Value, describe, to_float
 
 #: Criterion weights pooled across all decision makers form one
 #: normalization group (the default), or each decision maker's weights
@@ -198,7 +199,7 @@ class RankingReport(Value):
     The tables are tuples, built together on first access by a rerun of the
     deterministic kernel, with the cyclic garbage collector paused, so they
     hold exactly the values the bets came from. A report constructed
-    directly has no problem and no trace.
+    directly has no problem and no trace. Every bet is a finite int or float.
     """
 
     __slots__ = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
@@ -215,6 +216,9 @@ class RankingReport(Value):
         if len(self.bets) != len(self.alternatives):
             raise ValidationError("bets must hold one value per alternative")
         by_label = dict(zip(self.alternatives, self.bets))
+        for label, bet in zip(self.alternatives, self.bets):
+            if not math.isfinite(to_float(bet)):
+                raise ValidationError(f"bet of alternative {label!r} must be a finite number, got {describe(bet)}")
         ordered = [by_label[label] for label in self.ranking]
         if any(a < b for a, b in zip(ordered, ordered[1:])):
             raise ValidationError("bet values along the ranking must be non-increasing")
@@ -249,22 +253,18 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 # [0, 1], so a discount never raises: only a fold can.
 
 
-def discount_to_interval_bpa(
-    triples: Sequence[Triple], los: Sequence[float], his: Sequence[float]
-) -> tuple[list[Triple], list[Triple]]:
-    """Discount a row of rating triples into interval BPAs: the left parts by
-    their weights' lower bounds ``los``, the right parts by the upper bounds
-    ``his``."""
-    return discount(triples, los), discount(triples, his)
-
-
 def discount_interval_bpa(
     lefts: Sequence[Triple], rights: Sequence[Triple], los: Sequence[float], his: Sequence[float]
 ) -> tuple[list[Triple], list[Triple]]:
     """Discount a row of interval BPAs, given as their left and right parts:
     the left parts by the lower bounds ``los``, the right parts by the upper
-    bounds ``his``."""
+    bounds ``his``. A classical rating ``t`` is the interval BPA (t, t)."""
     return discount(lefts, los), discount(rights, his)
+
+
+# The row-level name of the same stage: a wrapper set on one name sees only
+# the calls made through it.
+discount_to_interval_bpa = discount_interval_bpa
 
 
 def fuse_interval_bpas(lefts: Sequence[Triple], rights: Sequence[Triple]) -> tuple[Triple, Triple]:
@@ -317,7 +317,8 @@ def _kernel(
         los, his = [w.lo + 0.0 for w in ws], [w.hi + 0.0 for w in ws]
         fused_row: list[tuple[Triple, Triple]] = []
         for alt, ratings in zip(problem.alternatives, dm_ratings):
-            lefts, rights = discount_to_interval_bpa([m.masses for m in ratings], los, his)
+            triples = [m.masses for m in ratings]
+            lefts, rights = discount_to_interval_bpa(triples, triples, los, his)
             try:
                 fused_row.append(fuse_interval_bpas(lefts, rights))
             except IntervalFusionError as exc:

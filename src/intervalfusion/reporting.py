@@ -10,7 +10,6 @@ writes a label as its ``repr`` if it is not printable, holds the ranking's
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _str
 
@@ -100,7 +99,8 @@ def _render_human(report: RankingReport, mode: str) -> str:
 # --- JSON ---------------------------------------------------------------------
 # Laid out as json.dumps(doc, indent=2) lays out doc: one member a line, two
 # more spaces a level, ",\n" between members, keys and strings escaped to ASCII
-# by json's own function. Floats go through %r templates: float.__repr__.
+# by json's own function. Floats, all finite, go through repr and %r templates:
+# float.__repr__, as json.dumps writes a finite float.
 
 
 def _array(indent: str, values: Iterable[str]) -> str:
@@ -126,14 +126,13 @@ def _pair(indent: str) -> str:
 
 
 def _render_json(report: RankingReport, mode: str) -> str:
-    bets = {alt: report.bets[a] for a, alt in enumerate(report.alternatives)}
     keys = ["report_version", "mode", "frame", "alternatives", "bets", "ranking"]
     values = [
         _str(REPORT_VERSION),
         _str(mode),
         _array("  ", map(_str, FRAME)),
         _array("  ", map(_str, report.alternatives)),
-        _object("  ", _keys(bets), map(json.dumps, bets.values())),
+        _object("  ", _keys(report.alternatives), map(repr, report.bets)),
         _array("  ", map(_str, report.ranking)),
     ]
     if mode == FULL_TRACE:

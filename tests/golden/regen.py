@@ -9,10 +9,13 @@ for the pipeline.
 
 Run from the repository root:
 
-    python3 tests/golden/regen.py
+    python3 tests/golden/regen.py [OUTPUT]
+
+OUTPUT defaults to the committed ``supplier_selection_expected.json``.
 """
 
 import json
+import sys
 from itertools import chain, combinations
 from pathlib import Path
 
@@ -75,7 +78,7 @@ def as_triple(mass):
     return [mass.get(IS, 0.0), mass.get(NS, 0.0), mass.get(BOTH, 0.0)]
 
 
-def main():
+def main(output=OUTPUT):
     doc = json.loads(DATASET.read_text())
     dms = [entry["name"] for entry in doc["decision_makers"]]
     alts = doc["alternatives"]
@@ -150,9 +153,9 @@ def main():
         "ranking_by_left_part": sorted(alts, key=lambda a: -left_bets[a]),
         "ranking_by_right_part": sorted(alts, key=lambda a: -right_bets[a]),
     }
-    OUTPUT.write_text(json.dumps(expected, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
+    output.write_text(json.dumps(expected, indent=2) + "\n")
+    print(f"wrote {output}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUTPUT)

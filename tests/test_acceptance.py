@@ -14,6 +14,9 @@ A pass/fail line per criterion is printed in the pytest terminal summary
 
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +239,12 @@ def test_criterion_6_loader_fuzz():
 
     assert cases == 100_000
     assert rejected > 0
+
+
+def test_golden_oracle_reproduces_the_committed_file(tmp_path):
+    # the package-free oracle and its frozen output must not drift apart
+    golden_dir = Path(__file__).resolve().parent / "golden"
+    out = tmp_path / "expected.json"
+    subprocess.run([sys.executable, str(golden_dir / "regen.py"), str(out)], check=True, capture_output=True,
+                   timeout=60)
+    assert out.read_bytes() == (golden_dir / "supplier_selection_expected.json").read_bytes()

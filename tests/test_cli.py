@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from intervalfusion import load_problem, rank_alternatives
 from intervalfusion.cli import main
 from intervalfusion.loading import bundled_dataset_bytes
+from intervalfusion.reporting import JSON_FORMAT, emit_report
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -79,6 +82,40 @@ class TestSolve:
         assert out_path.read_bytes() == b"previous report\n"
         assert list(out_dir.iterdir()) == [out_path]
 
+    @pytest.mark.parametrize("failure", ["missing-directory", "rename-onto-a-directory"])
+    def test_failed_output_write_names_the_given_path(
+        self, dataset_path, tmp_path, monkeypatch, capsys, failure
+    ):
+        # the error names the --output argument as given, relative or not,
+        # and not the temporary file beside it
+        monkeypatch.chdir(tmp_path)
+        if failure == "missing-directory":
+            given, code = os.path.join("missing", "report.txt"), errno.ENOENT
+        else:
+            given, code = "report.txt", errno.EISDIR
+            real_replace = os.replace
+
+            def replace_onto_a_new_directory(src, dst):
+                os.mkdir(dst)  # the target turns into a directory after the check
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace_onto_a_new_directory)
+        assert main(["solve", "--input", str(dataset_path), "--output", given]) == 1
+        assert capsys.readouterr().err == f"error (IO): [Errno {code}] {os.strerror(code)}: {given!r}\n"
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_output_to_a_device_is_written_in_place(self, dataset_path):
+        # stdout a pipe, so /dev/stdout is no regular file (under capfd it is one)
+        result = subprocess.run(
+            [sys.executable, "-m", "intervalfusion", "solve", "--input", str(dataset_path),
+             "--format", "json", "--output", "/dev/stdout"],
+            capture_output=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        report = rank_alternatives(load_problem(bundled_dataset_bytes()))
+        assert result.stdout == emit_report(report, fmt=JSON_FORMAT)
+
     def test_output_through_symlink_replaces_the_linked_file(self, dataset_path, tmp_path):
         real = tmp_path / "real.txt"
         real.write_bytes(b"previous report\n")
@@ -139,10 +176,12 @@ class TestSolve:
             "conflict coefficient is 0.9999999999960001; combination is undefined"
         ]
 
-    def test_alpha_usage_error(self, dataset_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--input", str(dataset_path), "--alpha", "2"])
-        assert exc.value.code == 2
+    def test_alpha_usage_error(self, dataset_path, capsys):
+        for alpha, message in [("2", "alpha must lie in [0, 1], got 2"), ("abc", "invalid alpha 'abc'")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--input", str(dataset_path), "--alpha", alpha])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f": error: argument --alpha: {message}\n")
 
 
 class TestValidate:

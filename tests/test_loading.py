@@ -78,6 +78,12 @@ class TestBundledDataset:
         c = load_problem(raw.decode("utf-8"))
         assert a == b == c
 
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_other_source_types_rejected(self, kind):
+        with pytest.raises(TypeError) as err:
+            load_problem(kind(bundled_dataset_bytes()))
+        assert str(err.value) == f"source must be bytes, str or a stream, got {kind.__name__}"
+
     def test_reading_imports_no_resource_machinery(self):
         # -S: no site .pth file may import any of them first
         code = (
@@ -533,6 +539,22 @@ class TestDocumentStructure:
     def test_explicit_default_frame_accepted(self):
         report = rank_alternatives(load(minimal_doc(frame=["IS", "NS"])))
         assert json.loads(emit_report(report, fmt=JSON_FORMAT))["frame"] == ["IS", "NS"]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"criteria": []}, "criteria: must not be empty"),
+        ({"alternatives": ["A1", ""]}, "alternatives[1]: label must not be empty"),
+        ({"scales": {"": {"kind": "interval", "terms": {"L": [0.1, 0.2]}}}},
+         "scales: scale names must not be empty"),
+        ({"scales": {"s": {"kind": "interval", "terms": {}}}}, "scales['s'].terms: must not be empty"),
+        ({"decision_makers": []}, "decision_makers: must not be empty"),
+        ({"decision_makers": [{"name": "", "weight": 1.0, "criterion_weights": [0.5]}]},
+         "decision_makers[0].name: must not be empty"),
+    ], ids=["criteria", "alternative-label", "scale-name", "scale-terms", "decision-makers",
+            "decision-maker-name"])
+    def test_empty_field_rejected(self, changes, message):
+        with pytest.raises(SchemaError) as err:
+            load(minimal_doc(**changes))
+        assert str(err.value) == message
 
     def test_duplicate_alternatives(self):
         with pytest.raises(SchemaError):

@@ -27,6 +27,7 @@ from intervalfusion.errors import (
     ValidationError,
 )
 from intervalfusion import pipeline
+from intervalfusion.intervals import describe
 from intervalfusion.pipeline import (
     bet_ideal,
     collapse_interval_bpa,
@@ -102,26 +103,33 @@ class TestNormalizeWeightGroup:
 
 
 class TestDiscountToIntervalBPA:
+    def test_is_the_interval_bpa_discount_under_a_row_name(self):
+        # a rating t enters as the interval BPA (t, t)
+        assert pipeline.discount_to_interval_bpa is discount_interval_bpa
+
     def test_worked_cell(self):
-        (left,), (right,) = discount_to_interval_bpa([settled(0.60, 0.20, 0.20)], [0.2857], [0.5])
+        m = settled(0.60, 0.20, 0.20)
+        (left,), (right,) = discount_to_interval_bpa([m], [m], [0.2857], [0.5])
         assert_triple(left, (0.1714, 0.0571, 0.7715), abs=1e-4)
         assert_triple(right, (0.3, 0.1, 0.6), abs=1e-4)
 
     def test_full_reliability_is_identity_exact(self):
         m = settled(0.60, 0.20, 0.20)
-        assert discount_to_interval_bpa([m], [1.0], [1.0]) == ([m], [m])
+        assert discount_to_interval_bpa([m], [m], [1.0], [1.0]) == ([m], [m])
 
     def test_zero_weight_is_vacuous_exact(self):
         m = settled(0.60, 0.20, 0.20)
-        assert discount_to_interval_bpa([m], [0.0], [0.0]) == ([VACUOUS], [VACUOUS])
+        assert discount_to_interval_bpa([m], [m], [0.0], [0.0]) == ([VACUOUS], [VACUOUS])
 
     def test_ordering_of_fresh_parts(self):
-        (lt,), (rt,) = discount_to_interval_bpa([settled(0.6, 0.2, 0.2)], [0.3], [0.8])
+        m = settled(0.6, 0.2, 0.2)
+        (lt,), (rt,) = discount_to_interval_bpa([m], [m], [0.3], [0.8])
         assert lt[0] <= rt[0]
         assert lt[1] <= rt[1]
 
     def test_complement_relation_exact(self):
-        lefts, rights = discount_to_interval_bpa([settled(0.6429, 0.0714, 0.2857)], [0.25], [0.75])
+        m = settled(0.6429, 0.0714, 0.2857)
+        lefts, rights = discount_to_interval_bpa([m], [m], [0.25], [0.75])
         for a, b, c in lefts + rights:
             assert c == pytest.approx(1.0 - a - b, abs=1e-12)
 
@@ -356,10 +364,15 @@ class TestDecisionProblem:
         ("decision_makers", (), "DM1", "decision_makers: expected a sequence, got str"),
         ("criteria", (), {"C1", "C2"}, "criteria: expected a sequence, got set"),
         ("ratings", (0, 1), "ab", "ratings['DM1']['A2']: expected a sequence, got str"),
+        # a label sequence of the right type but no or wrong labels
+        ("alternatives", (), (), "alternative labels must not be empty"),
+        ("criteria", (1,), 5, "criterion labels must be non-empty strings"),
+        ("decision_makers", (0,), "", "decision maker labels must be non-empty strings"),
     ], ids=["rating-tuple", "rating-list", "rating-None", "dm-weight-float", "criterion-weight-tuple",
             "ratings-row-None", "ratings-alternative-row-None", "criterion-weights-row-None",
             "dm-weights-None", "alternatives-None", "alternatives-str", "decision-makers-str",
-            "criteria-set", "ratings-row-str"])
+            "criteria-set", "ratings-row-str", "alternatives-empty", "criterion-label-int",
+            "decision-maker-label-empty"])
     def test_wrong_typed_field_is_named(self, field, path, value, message):
         valid = build_problem([(1, 1)] * 2, [[(0.5, 1), (1, 1)]] * 2, [[[(0.6, 0.2, 0.2)] * 2] * 2] * 2)
         with pytest.raises(ValidationError) as err:
@@ -525,6 +538,31 @@ class TestRankAlternatives:
         with pytest.raises(ValidationError) as err:
             built_directly(supplier_report, bets=bets(supplier_report.bets))
         assert str(err.value) == "bets must hold one value per alternative"
+
+    @pytest.mark.parametrize("ranking", [lambda r: r[:-1] + r[:1], lambda r: r[:-1] + ("Supplier9",)],
+                             ids=["repeated", "unknown"])
+    def test_report_ranking_is_a_permutation(self, supplier_report, ranking):
+        with pytest.raises(ValidationError) as err:
+            built_directly(supplier_report, ranking=ranking(supplier_report.ranking))
+        assert str(err.value) == "ranking must be a permutation of the alternatives"
+
+    @pytest.mark.parametrize("place", ["first", "last"])
+    @pytest.mark.parametrize("bet", [math.nan, math.inf, -math.inf, True, "0.5", None, 10**400],
+                             ids=["nan", "inf", "-inf", "bool", "str", "None", "int-beyond-float"])
+    def test_report_bets_are_finite_numbers(self, supplier_report, bet, place):
+        # at the last place of the ranking a nan passes the non-increasing check
+        label = supplier_report.ranking[0 if place == "first" else -1]
+        i = supplier_report.alternatives.index(label)
+        bets = supplier_report.bets[:i] + (bet,) + supplier_report.bets[i + 1 :]
+        with pytest.raises(ValidationError) as err:
+            built_directly(supplier_report, bets=bets)
+        assert str(err.value) == f"bet of alternative {label!r} must be a finite number, got {describe(bet)}"
+
+    def test_report_keeps_each_bet_as_given(self, supplier_report):
+        bets = (1, 0.5, 1, 1, 0, 0)
+        report = built_directly(supplier_report, bets=bets, ranking=("Supplier1", "Supplier3", "Supplier4",
+                                                                     "Supplier2", "Supplier5", "Supplier6"))
+        assert [(type(b), b) for b in report.bets] == [(type(b), b) for b in bets]
 
     def test_bet_ideal_shortcut(self):
         m = settled(0.9833, 0.0119, 0.0048)

@@ -283,9 +283,12 @@ class TestWriterMatchesJsonDumps:
         assert_writer_matches_reference(prob, report)
 
     def test_summary_of_a_report_built_directly(self, supplier_report):
-        report = built_directly(supplier_report)
-        expected = (json.dumps(reference_doc(report, SUMMARY), indent=2) + "\n").encode()
-        assert emit_report(report, SUMMARY, JSON_FORMAT) == expected
+        int_bets = {"bets": (1, 0.5, 1, 10**20, 0, 0),
+                    "ranking": ("Supplier4", "Supplier1", "Supplier3", "Supplier2", "Supplier5", "Supplier6")}
+        for changes in ({}, int_bets):
+            report = built_directly(supplier_report, **changes)
+            expected = (json.dumps(reference_doc(report, SUMMARY), indent=2) + "\n").encode()
+            assert emit_report(report, SUMMARY, JSON_FORMAT) == expected
 
 
 _label = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
