@@ -30,42 +30,26 @@ def _alpha_level(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="intervalfusion",
-        description="Rank alternatives by fusing interval-weighted evidence.",
-    )
+    parser = argparse.ArgumentParser(prog="intervalfusion",
+                                     description="Rank alternatives by fusing interval-weighted evidence.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # solve and validate read a document with the same options
     document = argparse.ArgumentParser(add_help=False)
     document.add_argument("--input", required=True, help="path to a problem JSON document")
-    document.add_argument(
-        "--alpha",
-        type=_alpha_level,
-        default=0.0,
-        help="alpha-cut level for fuzzy linguistic terms (default 0: full support)",
-    )
+    document.add_argument("--alpha", type=_alpha_level, default=0.0,
+                          help="alpha-cut level for fuzzy linguistic terms (default 0: full support)")
 
-    solve = sub.add_parser(
-        "solve", parents=[document], help="solve a problem document and write a report"
-    )
+    solve = sub.add_parser("solve", parents=[document], help="solve a problem document and write a report")
     solve.add_argument("--output", help="write the report here instead of stdout")
-    solve.add_argument(
-        "--format", choices=("table", "json"), default="table", help="report format"
-    )
+    solve.add_argument("--format", choices=("table", "json"), default="table", help="report format")
     solve.add_argument("--trace", action="store_true", help="include all intermediate tables")
-    solve.add_argument(
-        "--criterion-normalization",
-        choices=(POOLED, PER_DM),
-        default=POOLED,
-        help="normalize criterion weights across all decision makers (pooled) "
-        "or within each decision maker (per-dm)",
-    )
+    solve.add_argument("--criterion-normalization", choices=(POOLED, PER_DM), default=POOLED,
+                       help="normalize criterion weights across all decision makers (pooled) "
+                       "or within each decision maker (per-dm)")
     solve.set_defaults(func=_cmd_solve)
 
-    validate = sub.add_parser(
-        "validate", parents=[document], help="parse and validate a problem document"
-    )
+    validate = sub.add_parser("validate", parents=[document], help="parse and validate a problem document")
     validate.set_defaults(func=_cmd_validate)
 
     demo = sub.add_parser("demo", help="run the bundled supplier-selection dataset with --trace")
@@ -74,27 +58,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _descriptor(path: str) -> int | None:
+    """The open descriptor of this process that ``path`` names, if any: ``N``
+    for ``/dev/fd/N`` or ``/proc/self/fd/N``, else 1 or 2 when ``path`` is the
+    file that stdout or stderr has open (the same ``st_dev`` and ``st_ino``)."""
+    head, _, name = os.path.abspath(path).rpartition("/")
+    if head in ("/dev/fd", "/proc/self/fd") and name.isdigit():
+        return int(name)
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return fd
+        except OSError:
+            pass
+    return None
+
+
 def _write_output(data: bytes, path: str | None) -> None:
     if path is None:
         # the report is UTF-8 whatever the encoding of text stdout
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
         return
-    target = Path(path)
-    if target.exists() and not target.is_file():  # a device or pipe, e.g. /dev/stdout
-        target.write_bytes(data)
-        return
-    # Write a temporary file beside the target and rename it over the target,
-    # so a failed run leaves any existing report as it was. A symlink keeps
-    # pointing where it did: the file it points to is the one replaced.
-    target = target.resolve()
-    tmp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fd, tmp = _descriptor(path), None
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
+        if fd is not None or os.path.exists(path) and not os.path.isfile(path):
+            # In place: through the descriptor, at its offset and with its
+            # flags (after `>> app.txt`, /dev/stdout appends to app.txt), or
+            # to a device or pipe named by its path.
+            sys.stdout.flush()
+            with open(path, "wb") if fd is None else open(fd, "wb", closefd=False) as out:
+                out.write(data)
+        else:
+            # Write a temporary file beside the target and rename it over the
+            # target, so a failed run leaves any existing report as it was. A
+            # symlink keeps pointing where it did: the file it points to is
+            # the one replaced.
+            target = Path(path).resolve()
+            tmp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+            tmp.write_bytes(data)
+            os.replace(tmp, target)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename is not None:  # name the path given, not tmp
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:  # name the path given, not tmp or fd
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
@@ -110,10 +117,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     problem = load_problem(Path(args.input).read_bytes(), alpha=args.alpha)
-    print(
-        f"valid: {len(problem.decision_makers)} decision makers, "
-        f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives"
-    )
+    print(f"valid: {len(problem.decision_makers)} decision makers, "
+          f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives")
     return 0
 
 
@@ -129,9 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IntervalFusionError as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error (IO): {exc}", file=sys.stderr)
+    except (IntervalFusionError, OSError) as exc:
+        kind = type(exc).__name__ if isinstance(exc, IntervalFusionError) else "IO"
+        print(f"error ({kind}): {exc}", file=sys.stderr)
         return 1

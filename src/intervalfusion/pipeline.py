@@ -30,7 +30,7 @@ from __future__ import annotations
 import gc
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, wraps
+from functools import wraps
 
 from .errors import AllZeroWeights, IntervalFusionError, InvalidWeight, ValidationError
 from .evidence import MassFunction, Triple, discount, fold
@@ -80,13 +80,18 @@ def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
     return [Interval(w.lo / a_max, w.hi / a_max) for w in group]
 
 
-def _unique_labels(labels: Sequence[str], what: str) -> None:
-    if not labels:
-        raise ValidationError(f"{what} must not be empty")
-    if any(not isinstance(x, str) or not x for x in labels):
-        raise ValidationError(f"{what} must be non-empty strings")
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"{what} must be unique, got {labels!r}")
+def _unique_labels(value: Value) -> None:
+    """ValidationError unless each label field of ``value`` holds unique,
+    non-empty strings, and at least one."""
+    for field, what in (("alternatives", "alternative"), ("criteria", "criterion"),
+                        ("decision_makers", "decision maker")):
+        labels = getattr(value, field)
+        if not labels:
+            raise ValidationError(f"{what} labels must not be empty")
+        if any(not isinstance(x, str) or not x for x in labels):
+            raise ValidationError(f"{what} labels must be non-empty strings")
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"{what} labels must be unique, got {labels!r}")
 
 
 def _wrong_type(value, expected: str, where: str) -> ValidationError:
@@ -145,9 +150,7 @@ class DecisionProblem(Value):
         self._init(alternatives, criteria, decision_makers, dm_weights, criterion_weights, ratings)
         for name in ("alternatives", "criteria", "decision_makers"):
             object.__setattr__(self, name, _grid(getattr(self, name), name))
-        _unique_labels(self.alternatives, "alternative labels")
-        _unique_labels(self.criteria, "criterion labels")
-        _unique_labels(self.decision_makers, "decision maker labels")
+        _unique_labels(self)
 
         dms, alts, crits = self.decision_makers, self.alternatives, self.criteria
         for name, shape_error, axes, leaf in (
@@ -196,21 +199,25 @@ class RankingReport(Value):
     indexed like the problem: ``cells[d][a][c]``, ``fused_per_dm[d][a]`` and
     ``final[a]`` hold (left, right) pairs of triples, ``collapsed[a]`` one
     triple. Each triple is the one ``MassFunction(t).masses`` would store.
-    The tables are tuples, built together on first access by a rerun of the
-    deterministic kernel, with the cyclic garbage collector paused, so they
-    hold exactly the values the bets came from. A report constructed
-    directly has no problem and no trace. Every bet is a finite int or float.
+    The tables are tuples. The rank keeps the last three, beside the problem
+    in ``_trace``, so equality, hashing, pickling and copying carry them.
+    ``cells`` is built on first access, with the cyclic garbage collector
+    paused, by discounting each rating row again with the normalized weights:
+    the same stage on the same inputs, so it holds exactly the values the bets
+    came from. A report constructed directly has no trace. Labels are unique,
+    and every bet is a finite int or float.
     """
 
     __slots__ = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
-                 "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking", "_problem", "__dict__")
+                 "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking", "_trace", "__dict__")
 
     def __init__(self, alternatives: tuple[str, ...], criteria: tuple[str, ...], decision_makers: tuple[str, ...],
                  criterion_normalization: str, normalized_criterion_weights: tuple[tuple[Interval, ...], ...],
                  normalized_dm_weights: tuple[Interval, ...], bets: tuple[float, ...], ranking: tuple[str, ...],
-                 _problem: DecisionProblem | None = None) -> None:
+                 _trace: tuple | None = None) -> None:
         self._init(alternatives, criteria, decision_makers, criterion_normalization, normalized_criterion_weights,
-                   normalized_dm_weights, bets, ranking, _problem)
+                   normalized_dm_weights, bets, ranking, _trace)
+        _unique_labels(self)
         if sorted(self.ranking) != sorted(self.alternatives):
             raise ValidationError("ranking must be a permutation of the alternatives")
         if len(self.bets) != len(self.alternatives):
@@ -223,23 +230,25 @@ class RankingReport(Value):
         if any(a < b for a, b in zip(ordered, ordered[1:])):
             raise ValidationError("bet values along the ranking must be non-increasing")
 
-    @cached_property
-    @_nogc
-    def _rerun(self) -> tuple:
-        if self._problem is None:
+    def _kept(self, i: int):
+        if self._trace is None:
             raise ValueError("this report was not built by rank_alternatives and has no trace")
-        rows: list[Iterator[tuple[Triple, Triple]]] = []
-        dm_fused, final, collapsed = _kernel(
-            self._problem, self.normalized_criterion_weights, self.normalized_dm_weights, rows
-        )
-        n = len(self.alternatives)
-        cells = tuple(tuple(map(tuple, rows[i : i + n])) for i in range(0, len(rows), n))
-        return cells, tuple(map(tuple, dm_fused)), tuple(final), tuple(collapsed)
+        return self._trace[i]
 
-    cells = property(lambda self: self._rerun[0])
-    fused_per_dm = property(lambda self: self._rerun[1])
-    final = property(lambda self: self._rerun[2])
-    collapsed = property(lambda self: self._rerun[3])
+    @property
+    @_nogc
+    def cells(self) -> tuple:
+        # Cached by hand inside the pause: functools.cached_property stores
+        # its value after the wrapped getter returns, when the collector is on.
+        cells = self.__dict__.get("cells")
+        if cells is None:
+            rows = [tuple(zip(*pair)) for pair in _discounted(self._kept(0), self.normalized_criterion_weights)]
+            cells = self.__dict__["cells"] = _split(rows, len(self.alternatives))
+        return cells
+
+    fused_per_dm = property(lambda self: self._kept(1))
+    final = property(lambda self: self._kept(2))
+    collapsed = property(lambda self: self._kept(3))
 
 
 def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
@@ -300,37 +309,46 @@ def _failed_step(lefts: Sequence[Triple], rights: Sequence[Triple]) -> int | Non
     return None
 
 
-def _kernel(
-    problem: DecisionProblem,
-    crit_weights: Sequence[Sequence[Interval]],
-    dm_weights: Sequence[Interval],
-    rows: list | None = None,
-) -> tuple[list[list[tuple[Triple, Triple]]], list[tuple[Triple, Triple]], list[Triple]]:
+def _endpoints(weights: Sequence[Interval]) -> tuple[list[float], list[float]]:
+    """The lower and upper bounds of ``weights``, -0.0 read as +0.0."""
+    return [w.lo + 0.0 for w in weights], [w.hi + 0.0 for w in weights]
+
+
+def _split(items: Sequence, n: int) -> tuple:
+    """``items`` as a tuple of consecutive tuples of ``n``."""
+    return tuple([tuple(items[i : i + n]) for i in range(0, len(items), n)])
+
+
+def _discounted(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]]) -> Iterator[tuple]:
+    """Step 2: the (left parts, right parts) of each (decision maker,
+    alternative) row of ratings, discounted in the problem's order."""
+    for ws, dm_ratings in zip(crit_weights, problem.ratings):
+        los, his = _endpoints(ws)
+        for ratings in dm_ratings:
+            triples = [m.masses for m in ratings]
+            yield discount_to_interval_bpa(triples, triples, los, his)
+
+
+def _kernel(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]], dm_weights: Sequence[Interval]):
     """Steps 2-4: discount and fuse each (decision maker, alternative) row of
     ratings, then discount and fuse each alternative's column of the row
     fusions, then collapse. Returns the fusions ``[d][a]``, final pairs
-    ``[a]`` and collapsed triples ``[a]``; appends an iterator over each row's
-    discounted (left, right) pairs to ``rows`` if given. A weight endpoint
-    enters as ``x + 0.0``: -0.0 discounts to +0.0 masses."""
-    dm_fused: list[list[tuple[Triple, Triple]]] = []
-    for dm, ws, dm_ratings in zip(problem.decision_makers, crit_weights, problem.ratings):
-        los, his = [w.lo + 0.0 for w in ws], [w.hi + 0.0 for w in ws]
-        fused_row: list[tuple[Triple, Triple]] = []
-        for alt, ratings in zip(problem.alternatives, dm_ratings):
-            triples = [m.masses for m in ratings]
-            lefts, rights = discount_to_interval_bpa(triples, triples, los, his)
-            try:
-                fused_row.append(fuse_interval_bpas(lefts, rights))
-            except IntervalFusionError as exc:
-                crit = problem.criteria[_failed_step(lefts, rights)]
-                raise _located(exc, f"decision maker {dm!r}, alternative {alt!r}, criterion {crit!r}") from exc
-            if rows is not None:
-                rows.append(zip(lefts, rights))
-        dm_fused.append(fused_row)
+    ``[a]`` and collapsed triples ``[a]`` as tuples."""
+    alts = problem.alternatives
+    fused: list[tuple[Triple, Triple]] = []
+    for lefts, rights in _discounted(problem, crit_weights):
+        try:
+            fused.append(fuse_interval_bpas(lefts, rights))
+        except IntervalFusionError as exc:
+            d, a = divmod(len(fused), len(alts))
+            crit = problem.criteria[_failed_step(lefts, rights)]
+            where = f"decision maker {problem.decision_makers[d]!r}, alternative {alts[a]!r}, criterion {crit!r}"
+            raise _located(exc, where) from exc
+    dm_fused = _split(fused, len(alts))
 
-    dm_los, dm_his = [w.lo + 0.0 for w in dm_weights], [w.hi + 0.0 for w in dm_weights]
+    dm_los, dm_his = _endpoints(dm_weights)
     final, collapsed = [], []
-    for alt, column in zip(problem.alternatives, zip(*dm_fused)):
+    for alt, column in zip(alts, zip(*dm_fused)):
         lefts, rights = discount_interval_bpa(*zip(*column), dm_los, dm_his)
         try:
             pair = fuse_interval_bpas(lefts, rights)
@@ -340,13 +358,11 @@ def _kernel(
             where = "collapse" if step is None else f"decision maker {problem.decision_makers[step]!r}"
             raise _located(exc, f"alternative {alt!r}, {where}") from exc
         final.append(pair)
-    return dm_fused, final, collapsed
+    return dm_fused, tuple(final), tuple(collapsed)
 
 
 @_nogc
-def rank_alternatives(
-    problem: DecisionProblem, *, criterion_normalization: str = POOLED
-) -> RankingReport:
+def rank_alternatives(problem: DecisionProblem, *, criterion_normalization: str = POOLED) -> RankingReport:
     """Run the full pipeline and rank the alternatives.
 
     ``criterion_normalization`` chooses the normalization group for criterion
@@ -363,15 +379,11 @@ def rank_alternatives(
     The cyclic garbage collector is paused while it runs.
     """
     if criterion_normalization not in (POOLED, PER_DM):
-        raise ValueError(
-            f"criterion_normalization must be {POOLED!r} or {PER_DM!r}, "
-            f"got {criterion_normalization!r}"
-        )
+        raise ValueError(f"criterion_normalization must be {POOLED!r} or {PER_DM!r}, got {criterion_normalization!r}")
 
     if criterion_normalization == POOLED:
         normalized = normalize_weight_group(w for ws in problem.criterion_weights for w in ws)
-        n = len(problem.criteria)
-        crit_weights = tuple(tuple(normalized[i : i + n]) for i in range(0, len(normalized), n))
+        crit_weights = _split(normalized, len(problem.criteria))
     else:
         per_dm: list[tuple[Interval, ...]] = []
         for d, dm in enumerate(problem.decision_makers):
@@ -382,20 +394,8 @@ def rank_alternatives(
         crit_weights = tuple(per_dm)
     dm_weights = tuple(normalize_weight_group(problem.dm_weights))
 
-    _, _, collapsed = _kernel(problem, crit_weights, dm_weights)
-    bets = [bet_ideal(t) for t in collapsed]
-
-    order = sorted(range(len(bets)), key=lambda i: -bets[i])
-    ranking = tuple(problem.alternatives[i] for i in order)
-
-    return RankingReport(
-        alternatives=problem.alternatives,
-        criteria=problem.criteria,
-        decision_makers=problem.decision_makers,
-        criterion_normalization=criterion_normalization,
-        normalized_criterion_weights=crit_weights,
-        normalized_dm_weights=dm_weights,
-        bets=tuple(bets),
-        ranking=ranking,
-        _problem=problem,
-    )
+    dm_fused, final, collapsed = _kernel(problem, crit_weights, dm_weights)
+    bets = tuple([bet_ideal(t) for t in collapsed])
+    ranking = tuple(problem.alternatives[i] for i in sorted(range(len(bets)), key=lambda i: -bets[i]))
+    return RankingReport(problem.alternatives, problem.criteria, problem.decision_makers, criterion_normalization,
+                         crit_weights, dm_weights, bets, ranking, (problem, dm_fused, final, collapsed))

@@ -11,6 +11,7 @@ writes a label as its ``repr`` if it is not printable, holds the ranking's
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _str
 
 from .evidence import FRAME, Triple
@@ -100,7 +101,9 @@ def _render_human(report: RankingReport, mode: str) -> str:
 # Laid out as json.dumps(doc, indent=2) lays out doc: one member a line, two
 # more spaces a level, ",\n" between members, keys and strings escaped to ASCII
 # by json's own function. Floats, all finite, go through repr and %r templates:
-# float.__repr__, as json.dumps writes a finite float.
+# float.__repr__, as json.dumps writes a finite float. Each trace table is one
+# template, each of its rows the same, its keys' "%" escaped as "%%"; it is
+# filled with the table's floats in order.
 
 
 def _array(indent: str, values: Iterable[str]) -> str:
@@ -117,8 +120,8 @@ def _object(indent: str, keys: Iterable[str], values: Iterable[str]) -> str:
     return "{" + inner + body + "\n" + indent + "}" if body else "{}"
 
 
-def _keys(labels: Iterable[str]) -> list[str]:
-    return [_str(x) + ": " for x in labels]
+def _keys(labels: Iterable[str], percent: str = "%") -> list[str]:
+    return [_str(x).replace("%", percent) + ": " for x in labels]
 
 
 def _pair(indent: str) -> str:
@@ -136,31 +139,23 @@ def _render_json(report: RankingReport, mode: str) -> str:
         _array("  ", map(_str, report.ranking)),
     ]
     if mode == FULL_TRACE:
-        dms, alts, crits = map(_keys, (report.decision_makers, report.alternatives, report.criteria))
-        crit_weight, dm_weight = _array(" " * 6, ["%r"] * 2), _array(" " * 4, ["%r"] * 2)
-        triple = _array(" " * 4, ["%r"] * 3)
-        cell, fused, last = _pair(" " * 8), _pair(" " * 6), _pair(" " * 4)
+        dms, alts, crits = (_keys(x, "%%") for x in (report.decision_makers, report.alternatives, report.criteria))
+        flat = chain.from_iterable
+        row = _object("      ", crits, repeat(_pair(" " * 8)))  # one (decision maker, alternative) row of cells
         keys += ["criterion_normalization", "normalized_criterion_weights", "normalized_dm_weights"]
         keys += ["cells", "fused_per_dm", "final", "collapsed"]
+        # each template is filled as soon as it is built, so that only one is alive at a time
         values += [
             _str(report.criterion_normalization),
-            _object("  ", dms, (
-                _object("    ", crits, (crit_weight % (iv.lo, iv.hi) for iv in ws))
-                for ws in report.normalized_criterion_weights
-            )),
-            _object("  ", dms, (dm_weight % (iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
-            _object("  ", dms, (
-                _object("    ", alts, (
-                    _object("      ", crits, (cell % (lt + rt) for lt, rt in row))
-                    for row in dm
-                ))
-                for dm in report.cells
-            )),
-            _object("  ", dms, (
-                _object("    ", alts, (fused % (lt + rt) for lt, rt in dm))
-                for dm in report.fused_per_dm
-            )),
-            _object("  ", alts, (last % (lt + rt) for lt, rt in report.final)),
-            _object("  ", alts, (triple % t for t in report.collapsed)),
+            _object("  ", dms, repeat(_object("    ", crits, repeat(_array(" " * 6, ["%r"] * 2)))))
+            % tuple(flat((iv.lo, iv.hi) for ws in report.normalized_criterion_weights for iv in ws)),
+            _object("  ", dms, repeat(_array(" " * 4, ["%r"] * 2)))
+            % tuple(flat((iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
+            _object("  ", dms, repeat(_object("    ", alts, repeat(row))))
+            % tuple(flat(flat(flat(flat(report.cells))))),
+            _object("  ", dms, repeat(_object("    ", alts, repeat(_pair(" " * 6)))))
+            % tuple(flat(flat(flat(report.fused_per_dm)))),
+            _object("  ", alts, repeat(_pair(" " * 4))) % tuple(flat(flat(report.final))),
+            _object("  ", alts, repeat(_array(" " * 4, ["%r"] * 3))) % tuple(flat(report.collapsed)),
         ]
     return _object("", _keys(keys), values)

@@ -116,6 +116,43 @@ class TestSolve:
         report = rank_alternatives(load_problem(bundled_dataset_bytes()))
         assert result.stdout == emit_report(report, fmt=JSON_FORMAT)
 
+    @pytest.mark.parametrize("target", ["/dev/stdout", "/dev/fd/1", "same-file"])
+    def test_output_to_stdout_opened_for_append_appends(self, dataset_path, tmp_path, target):
+        # `solve --output /dev/stdout >> app.txt` adds the report to app.txt
+        app = tmp_path / "app.txt"
+        app.write_bytes(b"previous line\n")
+        with open(app, "ab") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "intervalfusion", "solve", "--input", str(dataset_path),
+                 "--output", str(app) if target == "same-file" else target],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        assert (result.returncode, result.stderr) == (0, b"")
+        report = rank_alternatives(load_problem(bundled_dataset_bytes()))
+        assert app.read_bytes() == b"previous line\n" + emit_report(report)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["app.txt", "problem.json"]
+
+    def test_failed_write_to_stdout_leaves_the_file_and_no_temporary_file(self, dataset_path, tmp_path):
+        # stdout a regular file open for reading only: the write through it
+        # fails, and nothing is renamed over the file
+        app = tmp_path / "app.txt"
+        app.write_bytes(b"previous line\n")
+        with open(app, "rb") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "intervalfusion", "solve", "--input", str(dataset_path),
+                 "--output", "/dev/stdout"],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        code = errno.EBADF
+        assert (result.returncode, result.stderr) == (1, f"error (IO): [Errno {code}] {os.strerror(code)}: "
+                                                         f"'/dev/stdout'\n".encode())
+        assert app.read_bytes() == b"previous line\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["app.txt", "problem.json"]
+
     def test_output_through_symlink_replaces_the_linked_file(self, dataset_path, tmp_path):
         real = tmp_path / "real.txt"
         real.write_bytes(b"previous report\n")

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -546,6 +548,17 @@ class TestRankAlternatives:
             built_directly(supplier_report, ranking=ranking(supplier_report.ranking))
         assert str(err.value) == "ranking must be a permutation of the alternatives"
 
+    @pytest.mark.parametrize("field, what", [("alternatives", "alternative labels"), ("criteria", "criterion labels"),
+                                             ("decision_makers", "decision maker labels")])
+    def test_report_labels_are_unique(self, field, what):
+        # a repeated alternative would write its key twice in the JSON bets
+        labels = {"alternatives": ("A",), "criteria": ("C",), "decision_makers": ("D",)}
+        labels[field] *= 2
+        alts = labels["alternatives"]
+        with pytest.raises(ValidationError) as err:
+            pipeline.RankingReport(*labels.values(), "pooled", (), (), (0.5, 0.4)[: len(alts)], alts)
+        assert str(err.value) == f"{what} must be unique, got {labels[field]!r}"
+
     @pytest.mark.parametrize("place", ["first", "last"])
     @pytest.mark.parametrize("bet", [math.nan, math.inf, -math.inf, True, "0.5", None, 10**400],
                              ids=["nan", "inf", "-inf", "bool", "str", "None", "int-beyond-float"])
@@ -651,6 +664,38 @@ class TestTraceOnDemand:
             with pytest.raises(AttributeError):
                 setattr(supplier_report, table, ())
         assert type(supplier_report.cells[0][0][0]) is tuple
+
+    def test_reading_the_trace_only_discounts(self, supplier_problem, monkeypatch):
+        # rank keeps its fusion tables; the cells are the one table read
+        # again, one discount per (decision maker, alternative) row
+        report = rank_alternatives(supplier_problem)
+        calls = {name: 0 for name in ("discount_to_interval_bpa", "discount_interval_bpa", "fuse_interval_bpas",
+                                      "collapse_interval_bpa")}
+        for name in calls:
+            def counted(*args, _stage=getattr(pipeline, name), _name=name):
+                calls[_name] += 1
+                return _stage(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        tables = [getattr(report, table) for table in TABLES]
+        emit_report(report, FULL_TRACE, JSON_FORMAT)
+        emit_report(report, FULL_TRACE, HUMAN_TABLE)
+        rows = len(supplier_problem.decision_makers) * len(supplier_problem.alternatives)
+        assert calls == {"discount_to_interval_bpa": rows, "discount_interval_bpa": 0, "fuse_interval_bpas": 0,
+                         "collapse_interval_bpa": 0}
+        assert tables == [getattr(rank_alternatives(supplier_problem), table) for table in TABLES]
+
+    @pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("read_first", [True, False], ids=["traced", "untraced"])
+    def test_round_trip_keeps_the_trace(self, supplier_problem, round_trip, read_first):
+        report = rank_alternatives(supplier_problem)
+        if read_first:
+            assert report.cells
+        again = round_trip(report)
+        assert [getattr(again, table) for table in TABLES] == [getattr(report, table) for table in TABLES]
+        for fmt in (HUMAN_TABLE, JSON_FORMAT):
+            assert emit_report(again, FULL_TRACE, fmt) == emit_report(report, FULL_TRACE, fmt)
 
     def test_report_built_directly_has_no_trace(self, supplier_report):
         report = built_directly(supplier_report)

@@ -221,7 +221,7 @@ SUBNORMAL = 5e-324
 DIGITS_17 = 0.1 + 0.2  # 0.30000000000000004
 # labels that json escapes: a quote, a backslash, a newline, non-ASCII text,
 # an astral character (a surrogate pair), a control character; and labels
-# that look like the writer's own pieces
+# that look like the writer's own pieces, its %-templates' among them
 ESCAPED = (
     'say "when"',
     "back\\slash",
@@ -231,6 +231,9 @@ ESCAPED = (
     "tab\there\x01",
     "%r",
     "-0.0",
+    "%",
+    "%%",
+    "%(x)s",
 )
 
 
@@ -242,9 +245,13 @@ class TestWriterMatchesJsonDumps:
                 problem_, rank_alternatives(problem_, criterion_normalization=normalization)
             )
 
-    def test_escaped_labels_negative_zero_subnormal_and_17_digits(self):
+    @pytest.mark.parametrize("shift", range(0, len(ESCAPED), 2))
+    def test_escaped_labels_negative_zero_subnormal_and_17_digits(self, shift):
+        # eight labels from ESCAPED, turned by ``shift``: every label is in turn
+        # an alternative, a criterion and a decision maker
+        labels = (ESCAPED[shift:] + ESCAPED[:shift])[:8]
         prob = problem(
-            (ESCAPED[:3], ESCAPED[3:5], ESCAPED[5:]),
+            (labels[:3], labels[3:5], labels[5:]),
             [(-0.0, 0.5), (DIGITS_17, 1.0), (SUBNORMAL, 0.7)],
             [[(-0.0, 1.0), (0.25, DIGITS_17)], [(SUBNORMAL, 0.5), (-0.0, -0.0)],
              [(0.1, 0.9), (1e-310, 0.2)]],
@@ -276,7 +283,7 @@ class TestWriterMatchesJsonDumps:
             (list(ESCAPED), ["C"], ["D"]),
             [(0.5, 1.0)],
             [[(-0.0, 1.0)]],
-            [[[(0.1 * i, DIGITS_17 / 2, 1.0 - 0.1 * i - DIGITS_17 / 2)] for i in range(8)]],
+            [[[(0.1 * (i % 8), DIGITS_17 / 2, 1.0 - 0.1 * (i % 8) - DIGITS_17 / 2)] for i in range(len(ESCAPED))]],
         )
         report = rank_alternatives(prob)
         assert kernel_negative_zeros(report) == 0
