@@ -58,6 +58,9 @@ _FOCAL_SETS = tuple("{" + ", ".join(map(repr, s)) + "}" for s in (FRAME[:1], FRA
 
 _INF = math.inf
 
+#: Fold steps whose conflict K reaches this raise TotalConflict.
+_CONFLICT_LIMIT = 1.0 - TOTAL_CONFLICT_EPS
+
 #: A plain sum this close to 1 is bound to pass as exact (see _settle).
 _PLAIN_SUM_TOLERANCE = EXACT_SUM_TOLERANCE - 1e-15
 
@@ -99,21 +102,24 @@ def discount(triples: Iterable[Triple], weights: Iterable[float]) -> list[Triple
     """Shafer discounting of each triple by its reliability ``w``: both
     singleton masses are scaled by ``w`` and the remainder goes to the full
     frame, (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero by
-    at most COMPLEMENT_EPS is clamped to zero. A triple that _settle would
-    keep as it is is kept inline; only the others go through it."""
+    at most COMPLEMENT_EPS is clamped to zero, and the clamped triple goes
+    through _settle; a remainder further below zero is an input error.
+
+    Precondition: finite ``p, q >= 0`` and ``w >= 0``. Then a remainder
+    ``c >= 0`` puts all three masses in [0, 1], each sum rounds by at most
+    an ulp of 1, and the plain sum is within a few ulps of 1, far inside
+    _settle's exact band: the triple is kept with no sum test."""
     out = []
     for (p, q, _), w in zip(triples, weights):
         a = p * w
         b = q * w
         c = 1.0 - a - b
-        if c >= 0.0 and abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:
+        if c >= 0.0:
             out.append((a, b, c))
-            continue
-        if c < 0.0:
-            if c < -COMPLEMENT_EPS:
-                raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
-            c = 0.0
-        out.append(_settle(a, b, c))
+        elif c < -COMPLEMENT_EPS:
+            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
+        else:
+            out.append(_settle(a, b, 0.0))
     return out
 
 
@@ -132,7 +138,7 @@ def fold(triples: Iterable[Triple]) -> Triple:
         raise EmptyEvidenceList("need at least one mass function to combine")
     for a2, b2, c2 in it:
         k = a1 * b2 + b1 * a2
-        if k < 1.0 - TOTAL_CONFLICT_EPS:
+        if k < _CONFLICT_LIMIT:
             norm = 1.0 - k
             a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
             b = (b1 * b2 + b1 * c2 + c1 * b2) / norm

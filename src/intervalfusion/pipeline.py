@@ -267,7 +267,16 @@ def discount_interval_bpa(
 ) -> tuple[list[Triple], list[Triple]]:
     """Discount a row of interval BPAs, given as their left and right parts:
     the left parts by the lower bounds ``los``, the right parts by the upper
-    bounds ``his``. A classical rating ``t`` is the interval BPA (t, t)."""
+    bounds ``his``. A classical rating ``t`` is the interval BPA (t, t).
+
+    Degenerate BPAs under crisp weights (``lefts == rights``, ``los == his``)
+    are discounted once, and the one list is returned as both parts. Every
+    triple and endpoint the kernel passes is non-negative with its zeros
+    +0.0 (the loader, ``MassFunction``, ``_endpoints``, ``discount`` and
+    ``fold`` make no -0.0), so ``==`` on them means equal bits."""
+    if los == his and lefts == rights:
+        parts = discount(lefts, los)
+        return parts, parts
     return discount(lefts, los), discount(rights, his)
 
 
@@ -278,7 +287,11 @@ discount_to_interval_bpa = discount_interval_bpa
 
 def fuse_interval_bpas(lefts: Sequence[Triple], rights: Sequence[Triple]) -> tuple[Triple, Triple]:
     """Fuse interval BPAs from several sources: all left parts fold into the
-    new left part, then all right parts into the new right part."""
+    new left part, then all right parts into the new right part. When they
+    are one list, it is folded once and its fusion is both parts."""
+    if lefts is rights:
+        fused = fold(lefts)
+        return fused, fused
     return fold(lefts), fold(rights)
 
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _str
 
-from .evidence import FRAME, Triple
+from .evidence import FRAME
 from .pipeline import RankingReport
 
 SUMMARY = "summary"
@@ -41,18 +41,6 @@ def _fmt(x: float) -> str:
     return format(x + 0.0, ".4f")
 
 
-def _triple_str(triple: Triple) -> str:
-    return "(" + ", ".join(_fmt(x) for x in triple) + ")"
-
-
-def _interval_str(iv) -> str:
-    return f"[{_fmt(iv.lo)}, {_fmt(iv.hi)}]"
-
-
-def _bpa_str(lt: Triple, rt: Triple) -> str:
-    return f"left {_triple_str(lt)}  right {_triple_str(rt)}"
-
-
 def _labels(labels: Iterable[str]) -> list[str]:
     return [repr(x) if not x.isprintable() or "≻" in x or x[:1] in "'\"" else x for x in labels]
 
@@ -63,30 +51,28 @@ def _render_human(report: RankingReport, mode: str) -> str:
     alts = _labels(report.alternatives)
 
     if mode == FULL_TRACE:
-        dms, crits = _labels(report.decision_makers), _labels(report.criteria)
-        lines.append("Normalized criterion weights")
-        for dm, ws in zip(dms, report.normalized_criterion_weights):
-            weights = "  ".join(f"{crit} {_interval_str(iv)}" for crit, iv in zip(crits, ws))
-            lines.append(f"  {dm}: {weights}")
-        lines += ["", "Normalized decision-maker weights"]
-        for dm, iv in zip(dms, report.normalized_dm_weights):
-            lines.append(f"  {dm}: {_interval_str(iv)}")
-        lines += ["", f"Discounted interval BPAs ({{{e0}}}, {{{e1}}}, {{{e0}, {e1}}})"]
-        for dm, dm_cells in zip(dms, report.cells):
-            for alt, row in zip(alts, dm_cells):
-                for crit, pair in zip(crits, row):
-                    lines.append(f"  {dm} / {alt} / {crit}: {_bpa_str(*pair)}")
-        lines += ["", "Fused per decision maker"]
-        for dm, fused in zip(dms, report.fused_per_dm):
-            for alt, pair in zip(alts, fused):
-                lines.append(f"  {dm} / {alt}: {_bpa_str(*pair)}")
-        lines += ["", "Final interval BPAs"]
-        for alt, pair in zip(alts, report.final):
-            lines.append(f"  {alt}: {_bpa_str(*pair)}")
-        lines += ["", "Collapsed BPAs"]
-        for alt, t, bet in zip(alts, report.collapsed, report.bets):
-            lines.append(f"  {alt}: {_triple_str(t)} bet={_fmt(bet)}")
-        lines.append("")
+        # Each table is one %-template, its labels' "%" escaped as "%%", filled
+        # with the table's floats in order, each + 0.0 as in _fmt.
+        dms, talts, crits = ([x.replace("%", "%%") for x in _labels(labels)]
+                             for labels in (report.decision_makers, report.alternatives, report.criteria))
+        bpa = ": left (%.4f, %.4f, %.4f)  right (%.4f, %.4f, %.4f)"
+        flat = chain.from_iterable
+        for title, rows, floats in (
+            ("Normalized criterion weights",
+             ("  " + dm + ": " + "  ".join([c + " [%.4f, %.4f]" for c in crits]) for dm in dms),
+             flat((iv.lo, iv.hi) for ws in report.normalized_criterion_weights for iv in ws)),
+            ("Normalized decision-maker weights", ("  " + dm + ": [%.4f, %.4f]" for dm in dms),
+             flat((iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
+            (f"Discounted interval BPAs ({{{e0}}}, {{{e1}}}, {{{e0}, {e1}}})",
+             (f"  {dm} / {alt} / {c}{bpa}" for dm in dms for alt in talts for c in crits),
+             flat(flat(flat(flat(report.cells))))),
+            ("Fused per decision maker", (f"  {dm} / {alt}{bpa}" for dm in dms for alt in talts),
+             flat(flat(flat(report.fused_per_dm)))),
+            ("Final interval BPAs", (f"  {alt}{bpa}" for alt in talts), flat(flat(report.final))),
+            ("Collapsed BPAs", (f"  {alt}: (%.4f, %.4f, %.4f) bet=%.4f" for alt in talts),
+             flat((*t, bet) for t, bet in zip(report.collapsed, report.bets))),
+        ):
+            lines += [title, "\n".join(rows) % tuple([x + 0.0 for x in floats]), ""]
 
     width = max(len("Alternative"), max(map(len, alts)))
     header = f"bet({e0})"

@@ -153,6 +153,23 @@ class TestSolve:
         assert app.read_bytes() == b"previous line\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["app.txt", "problem.json"]
 
+    def test_output_naming_a_directory_fails_closed(self, dataset_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "reports").mkdir()
+        assert main(["solve", "--input", str(dataset_path), "--output", "reports"]) == 1
+        code = errno.EISDIR
+        assert capsys.readouterr() == ("", f"error (IO): [Errno {code}] {os.strerror(code)}: 'reports'\n")
+        assert list((tmp_path / "reports").iterdir()) == []
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_output_to_dev_null_is_written_in_place(self, dataset_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = set(Path("/dev").glob(".null.*"))
+        assert main(["solve", "--input", str(dataset_path), "--trace", "--output", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert set(Path("/dev").glob(".null.*")) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+
     def test_output_through_symlink_replaces_the_linked_file(self, dataset_path, tmp_path):
         real = tmp_path / "real.txt"
         real.write_bytes(b"previous report\n")

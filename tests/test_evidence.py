@@ -14,7 +14,16 @@ from intervalfusion.errors import (
     NegativeMass,
     TotalConflict,
 )
-from intervalfusion.evidence import COMPLEMENT_EPS, FRAME, TOTAL_CONFLICT_EPS, _settle, discount, fold
+from intervalfusion.evidence import (
+    _PLAIN_SUM_TOLERANCE,
+    COMPLEMENT_EPS,
+    EXACT_SUM_TOLERANCE,
+    FRAME,
+    TOTAL_CONFLICT_EPS,
+    _settle,
+    discount,
+    fold,
+)
 from intervalfusion.pipeline import bet_ideal
 
 from reference import brute_combine, brute_pignistic
@@ -178,6 +187,51 @@ class TestDiscount:
         (got,) = discount([masses], [w])
         assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in got)
         assert policy_outcome(_settle, got) == [v.hex() for v in got]
+
+    # Any finite p, q >= 0, not only a settled triple's, and any w in [0, 1]:
+    # a complement c >= 0 leaves a plain sum that _settle keeps, so discount
+    # keeps (a, b, c) with no sum test of its own.
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        p=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, allow_infinity=False)),
+        q=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, allow_infinity=False)),
+        w=st.one_of(st.sampled_from([0.0, 5e-324, 1e-308, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(p=1.0, q=0.0, w=5e-324)  # subnormal weight
+    @example(p=1e308, q=1e308, w=5e-324)
+    @example(p=0.25, q=0.75, w=1.0)
+    @example(p=1.0, q=0.0, w=1.0)
+    @example(p=0.5, q=math.nextafter(0.5, 1.0), w=1.0)  # p + q just above 1: c < 0
+    @example(p=0.5, q=math.nextafter(0.5, 1.0), w=math.nextafter(1.0, 0.0))
+    @example(p=0.5, q=0.5 + 1e-12, w=1.0 - 1e-12)
+    def test_a_non_negative_complement_needs_no_sum_test(self, p, q, w):
+        a, b = p * w, q * w
+        c = 1.0 - a - b
+        assume(c >= 0.0)
+        assert abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE
+        assert [x.hex() for x in discount([(p, q, 0.0)], [w])[0]] == [x.hex() for x in (a, b, c)]
+
+    @pytest.mark.parametrize("deficit, clamped", [(0.9e-9, True), (1.1e-9, False)])
+    def test_complement_eps_is_the_clamp_bound(self, deficit, clamped):
+        # README: a complement below zero by at most 1e-9 is clamped to zero
+        # and the triple renormalized; one further below is an input error
+        p, q = 0.5, 0.5 + deficit
+        assert 1.0 - p - q == pytest.approx(-deficit, rel=1e-6)
+        if clamped:
+            assert discount([(p, q, 0.0)], [1.0]) == [(p / (p + q), q / (p + q), 0.0)]
+        else:
+            with pytest.raises(MassSumViolation, match="discounted masses exceed 1"):
+                discount([(p, q, 0.0)], [1.0])
+
+
+def test_settle_never_meets_its_exact_band_edge():
+    # _settle compares |total - 1| > EXACT_SUM_TOLERANCE only after it has
+    # rejected |total - 1| > 1e-6. Such a total lies in [0.5, 2], so
+    # total - 1.0 is exact and a multiple of 2**-53, while the float 1e-12 is
+    # not one: "> 1e-12" and ">= 1e-12" cannot differ, so that mutant is
+    # equivalent. This pins the premise.
+    assert EXACT_SUM_TOLERANCE.hex() == "0x1.19799812dea11p-40"
+    assert (EXACT_SUM_TOLERANCE * 2.0**53) % 1.0 != 0.0
 
 
 # The scalar discount and the two-source rule that discount and fold replaced,

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,14 @@ class TestConstruction:
     def test_inverted_rejected(self):
         with pytest.raises(InvalidInterval):
             Interval(0.9, 0.1)
+
+    def test_inversion_collapses_up_to_the_endpoint_tolerance(self):
+        # README: lo > hi by at most 1e-12 is read as [lo, lo]; by more, rejected
+        inside, outside = 1e-12, math.nextafter(1e-12, 1.0)
+        iv = Interval(inside, 0.0)
+        assert (iv.lo, iv.hi) == (inside, inside)
+        with pytest.raises(InvalidInterval, match="exceeds upper endpoint"):
+            Interval(outside, 0.0)
 
     @pytest.mark.parametrize(
         "build, error",

@@ -275,6 +275,25 @@ class TestWeightForms:
             load_problem(self.with_crisp_weight(literal))
         assert str(err.value) == f"decision_makers[1].weight: {message}"
 
+    @pytest.mark.parametrize(
+        "weight, scales, shown",
+        [
+            (-5e-324, {}, "[-5e-324, -5e-324]"),
+            ([-5e-324, 0.5], {}, "[-5e-324, 0.5]"),
+            ({"term": "Sub", "scale": "odd"}, {"odd": {"kind": "interval", "terms": {"Sub": [-5e-324, 0.5]}}},
+             "[-5e-324, 0.5]"),
+        ],
+        ids=["crisp", "interval-lo", "user-scale-term"],
+    )
+    def test_smallest_negative_weight_rejected(self, weight, scales, shown):
+        # the sign test is lo < 0, not lo below some small negative bound
+        doc = minimal_doc(scales=scales, decision_makers=[
+            {"name": "DM1", "weight": 1.0, "criterion_weights": [weight]}
+        ])
+        with pytest.raises(ValidationError) as err:
+            load(doc)
+        assert str(err.value) == f"decision_makers[0].criterion_weights[0]: weight must be non-negative, got {shown}"
+
     def test_negative_scale_term_weight(self):
         doc = minimal_doc(
             scales={"odd": {"kind": "interval", "terms": {"Sub": [-0.2, 0.5]}}},

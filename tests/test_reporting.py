@@ -193,10 +193,55 @@ def reference_doc(report, mode, problem=None):
     return doc
 
 
+def human_reference(report, mode):
+    """The human table, written one float at a time with ``format``, each
+    float + 0.0 so that -0.0 is written as 0.0000."""
+
+    def f(x):
+        return format(x + 0.0, ".4f")
+
+    def tri(t):
+        return "(" + ", ".join(map(f, t)) + ")"
+
+    def bpa(pair):
+        return f"left {tri(pair[0])}  right {tri(pair[1])}"
+
+    def shown(labels):
+        return [repr(x) if not x.isprintable() or "≻" in x or x[:1] in "'\"" else x for x in labels]
+
+    dms, alts, crits = shown(report.decision_makers), shown(report.alternatives), shown(report.criteria)
+    lines = []
+    if mode == FULL_TRACE:
+        lines.append("Normalized criterion weights")
+        for dm, ws in zip(dms, report.normalized_criterion_weights):
+            lines.append(f"  {dm}: " + "  ".join(f"{c} [{f(w.lo)}, {f(w.hi)}]" for c, w in zip(crits, ws)))
+        lines += ["", "Normalized decision-maker weights"]
+        lines += [f"  {dm}: [{f(w.lo)}, {f(w.hi)}]" for dm, w in zip(dms, report.normalized_dm_weights)]
+        lines += ["", "Discounted interval BPAs ({IS}, {NS}, {IS, NS})"]
+        for dm, rows in zip(dms, report.cells):
+            for alt, row in zip(alts, rows):
+                lines += [f"  {dm} / {alt} / {c}: {bpa(pair)}" for c, pair in zip(crits, row)]
+        lines += ["", "Fused per decision maker"]
+        for dm, row in zip(dms, report.fused_per_dm):
+            lines += [f"  {dm} / {alt}: {bpa(pair)}" for alt, pair in zip(alts, row)]
+        lines += ["", "Final interval BPAs"] + [f"  {alt}: {bpa(pair)}" for alt, pair in zip(alts, report.final)]
+        lines += ["", "Collapsed BPAs"]
+        lines += [f"  {alt}: {tri(t)} bet={f(b)}" for alt, t, b in zip(alts, report.collapsed, report.bets)]
+        lines.append("")
+    width = max(len("Alternative"), *map(len, alts))
+    lines.append(f"{'Alternative':<{width}}  bet(IS)")
+    lines += [f"{alt:<{width}}  {f(b):>7}" for alt, b in zip(alts, report.bets)]
+    lines += ["", "Ranking: " + " ≻ ".join(shown(report.ranking))]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def assert_writer_matches_reference(problem, report):
+    """Both writers against their references: JSON against ``json.dumps``,
+    the human table against :func:`human_reference`."""
     for mode in (SUMMARY, FULL_TRACE):
         expected = (json.dumps(reference_doc(report, mode, problem), indent=2) + "\n").encode()
         assert emit_report(report, mode, JSON_FORMAT) == expected
+        assert emit_report(report, mode, HUMAN_TABLE) == human_reference(report, mode)
 
 
 def kernel_negative_zeros(report):
