@@ -53,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=_cmd_validate)
 
     demo = sub.add_parser("demo", help="run the bundled supplier-selection dataset with --trace")
-    demo.set_defaults(func=_cmd_demo)
+    # demo is solve --trace on the bundled dataset, with solve's defaults
+    demo.set_defaults(func=_cmd_solve, input=None, alpha=0.0, output=None, format="table", trace=True,
+                      criterion_normalization=POOLED)
 
     return parser
 
@@ -107,7 +109,8 @@ def _write_output(data: bytes, path: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    problem = load_problem(Path(args.input).read_bytes(), alpha=args.alpha)
+    source = bundled_dataset_bytes() if args.input is None else Path(args.input).read_bytes()
+    problem = load_problem(source, alpha=args.alpha)
     report = rank_alternatives(problem, criterion_normalization=args.criterion_normalization)
     mode = FULL_TRACE if args.trace else SUMMARY
     fmt = JSON_FORMAT if args.format == "json" else HUMAN_TABLE
@@ -119,13 +122,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     problem = load_problem(Path(args.input).read_bytes(), alpha=args.alpha)
     print(f"valid: {len(problem.decision_makers)} decision makers, "
           f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives")
-    return 0
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    problem = load_problem(bundled_dataset_bytes())
-    report = rank_alternatives(problem)
-    _write_output(emit_report(report, mode=FULL_TRACE, fmt=HUMAN_TABLE), None)
     return 0
 
 

@@ -23,8 +23,8 @@ An interval term is read as it is. A tfn term is a triangular fuzzy number
 ``(a, b, c)`` and is read as its alpha-cut at the level passed to
 :func:`load_problem` (:func:`as_interval`): the points whose membership is at
 least alpha, so alpha 0 gives the support ``[a, c]`` and alpha 1 the peak
-``[b, b]``. Each term of the built-in ``kaufmann-tfn`` has the support of
-the same term of ``interval-default``.
+``[b, b]``. The built-in ``interval-default`` is the supports of the
+built-in ``kaufmann-tfn``.
 
 Each rating is checked once, here, and the problem is built without the
 checks of the ``DecisionProblem`` constructor, which would only repeat them.
@@ -57,7 +57,7 @@ from .errors import (
 )
 from .evidence import _INF, FRAME, MassFunction
 from .intervals import Interval, describe
-from .pipeline import DecisionProblem, _loaded_problem, _nogc
+from .pipeline import DecisionProblem, _loaded_problem, _nogc, _where
 
 SCHEMA_VERSION = "1"
 
@@ -216,23 +216,19 @@ def _check_keys(obj: dict, expected, where: str, what: str, optional=frozenset()
 INTERVAL_KIND = "interval"
 TFN_KIND = "tfn"
 
+_KAUFMANN_TFN = {
+    "Very low (VL)": (0.0, 0.1, 0.3),
+    "Low (L)": (0.1, 0.3, 0.5),
+    "Medium (M)": (0.3, 0.5, 0.7),
+    "High (H)": (0.5, 0.7, 0.9),
+    "Very high (VH)": (0.7, 0.9, 1.0),
+}
+
 #: Scale name -> term -> value: an ``Interval``, or the vertices ``(a, b, c)``
 #: of a triangular fuzzy number.
 _BUILTIN_SCALES = {
-    "interval-default": {
-        "Very low (VL)": Interval(0.0, 0.3),
-        "Low (L)": Interval(0.1, 0.5),
-        "Medium (M)": Interval(0.3, 0.7),
-        "High (H)": Interval(0.5, 0.9),
-        "Very high (VH)": Interval(0.7, 1.0),
-    },
-    "kaufmann-tfn": {
-        "Very low (VL)": (0.0, 0.1, 0.3),
-        "Low (L)": (0.1, 0.3, 0.5),
-        "Medium (M)": (0.3, 0.5, 0.7),
-        "High (H)": (0.5, 0.7, 0.9),
-        "Very high (VH)": (0.7, 0.9, 1.0),
-    },
+    "interval-default": {term: Interval(a, c) for term, (a, _, c) in _KAUFMANN_TFN.items()},
+    "kaufmann-tfn": _KAUFMANN_TFN,
 }
 
 
@@ -340,10 +336,6 @@ _new = object.__new__
 _set_masses = MassFunction.masses.__set__  # the slot, past the raising __setattr__
 
 
-def _cell_where(name: str, alt: str, crit: str) -> str:
-    return f"ratings[{name!r}][{alt!r}][{crit!r}]"
-
-
 def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[MassFunction, ...]:
     """The cells ``ratings[name][alt][crit]``, one per criterion; their
     coordinates are formatted only when one is rejected. Each cell is built
@@ -359,7 +351,7 @@ def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[MassFuncti
             a = b = c = None
         if not (type(a) is type(b) is type(c) is float and 0.0 <= a < _INF and 0.0 <= b < _INF and 0.0 <= c < _INF):
             # such floats pass every check here; any other cell, ints included, takes them
-            where = _cell_where(name, alt, crit)
+            where = _where("ratings", (name, alt, crit))
             value = a, b, c = _number_list(value, 3, where)
             for i, x in enumerate(value):
                 if x < 0:
@@ -370,7 +362,7 @@ def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[MassFuncti
             total = _INF
         if total != 1.0:
             if abs(total - 1.0) > RATING_SUM_TOLERANCE:
-                raise ValidationError(f"{_cell_where(name, alt, crit)}: masses sum to {total!r}, expected 1")
+                raise ValidationError(f"{_where('ratings', (name, alt, crit))}: masses sum to {total!r}, expected 1")
             a, b, c = a / total, b / total, c / total
         m = _new(MassFunction)
         _set_masses(m, (a + 0.0, b + 0.0, c + 0.0))
@@ -416,10 +408,9 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
         weights = (_parse_weight(w, scales, alpha, f"{where}.criterion_weights[{c}]") for c, w in enumerate(ws))
         criterion_weights.append(tuple(weights))
 
-    if max(w.hi for w in dm_weights) <= 0.0:
-        raise ValidationError("decision_makers[*].weight: weights must not all be zero")
-    if max(w.hi for ws in criterion_weights for w in ws) <= 0.0:
-        raise ValidationError("decision_makers[*].criterion_weights: weights must not all be zero")
+    for field, group in ("weight", dm_weights), ("criterion_weights", [w for ws in criterion_weights for w in ws]):
+        if max(w.hi for w in group) <= 0.0:
+            raise ValidationError(f"decision_makers[*].{field}: weights must not all be zero")
 
     ratings_obj = _expect_dict(root["ratings"], "ratings")
     _check_keys(ratings_obj, dm_names, "ratings", "decision maker")

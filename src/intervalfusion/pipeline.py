@@ -162,16 +162,14 @@ class DecisionProblem(Value):
         ):
             object.__setattr__(self, name, _grid(getattr(self, name), name, shape_error, *axes, leaf=leaf))
 
-        for w in self.dm_weights:
-            if w.lo < 0.0:
-                raise InvalidWeight(f"decision maker weights must be non-negative, got [{w.lo}, {w.hi}]")
-        for w in (w for ws in self.criterion_weights for w in ws):
-            if w.lo < 0.0:
-                raise InvalidWeight(f"criterion weights must be non-negative, got [{w.lo}, {w.hi}]")
-        if max(w.hi for w in self.dm_weights) <= 0.0:
-            raise AllZeroWeights("decision maker weights are all zero")
-        if max(w.hi for ws in self.criterion_weights for w in ws) <= 0.0:
-            raise AllZeroWeights("criterion weights are all zero")
+        groups = ("decision maker", self.dm_weights), ("criterion", [w for ws in self.criterion_weights for w in ws])
+        for what, group in groups:  # every sign before either all-zero check
+            for w in group:
+                if w.lo < 0.0:
+                    raise InvalidWeight(f"{what} weights must be non-negative, got [{w.lo}, {w.hi}]")
+        for what, group in groups:
+            if max(w.hi for w in group) <= 0.0:
+                raise AllZeroWeights(f"{what} weights are all zero")
 
 
 def _loaded_problem(*fields) -> DecisionProblem:
@@ -394,17 +392,17 @@ def rank_alternatives(problem: DecisionProblem, *, criterion_normalization: str 
     if criterion_normalization not in (POOLED, PER_DM):
         raise ValueError(f"criterion_normalization must be {POOLED!r} or {PER_DM!r}, got {criterion_normalization!r}")
 
-    if criterion_normalization == POOLED:
-        normalized = normalize_weight_group(w for ws in problem.criterion_weights for w in ws)
-        crit_weights = _split(normalized, len(problem.criteria))
-    else:
-        per_dm: list[tuple[Interval, ...]] = []
-        for d, dm in enumerate(problem.decision_makers):
-            try:
-                per_dm.append(tuple(normalize_weight_group(problem.criterion_weights[d])))
-            except IntervalFusionError as exc:
-                raise _located(exc, f"decision maker {dm!r} criterion weights") from exc
-        crit_weights = tuple(per_dm)
+    pooled = criterion_normalization == POOLED
+    groups = [[w for ws in problem.criterion_weights for w in ws]] if pooled else problem.criterion_weights
+    normalized: list[Interval] = []
+    for d, group in enumerate(groups):
+        try:
+            normalized += normalize_weight_group(group)
+        except IntervalFusionError as exc:
+            if pooled:  # a checked problem's pooled group is positive: no decision maker to name
+                raise
+            raise _located(exc, f"decision maker {problem.decision_makers[d]!r} criterion weights") from exc
+    crit_weights = _split(normalized, len(problem.criteria))
     dm_weights = tuple(normalize_weight_group(problem.dm_weights))
 
     dm_fused, final, collapsed = _kernel(problem, crit_weights, dm_weights)

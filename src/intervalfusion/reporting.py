@@ -36,11 +36,6 @@ def emit_report(report: RankingReport, mode: str = SUMMARY, fmt: str = HUMAN_TAB
     return (text + "\n").encode("utf-8")
 
 
-def _fmt(x: float) -> str:
-    # x + 0.0 normalizes -0.0 away before formatting.
-    return format(x + 0.0, ".4f")
-
-
 def _labels(labels: Iterable[str]) -> list[str]:
     return [repr(x) if not x.isprintable() or "≻" in x or x[:1] in "'\"" else x for x in labels]
 
@@ -52,7 +47,7 @@ def _render_human(report: RankingReport, mode: str) -> str:
 
     if mode == FULL_TRACE:
         # Each table is one %-template, its labels' "%" escaped as "%%", filled
-        # with the table's floats in order, each + 0.0 as in _fmt.
+        # with the table's floats in order, each + 0.0 as in the summary rows.
         dms, talts, crits = ([x.replace("%", "%%") for x in _labels(labels)]
                              for labels in (report.decision_makers, report.alternatives, report.criteria))
         bpa = ": left (%.4f, %.4f, %.4f)  right (%.4f, %.4f, %.4f)"
@@ -78,7 +73,8 @@ def _render_human(report: RankingReport, mode: str) -> str:
     header = f"bet({e0})"
     lines.append(f"{'Alternative':<{width}}  {header}")
     for alt, bet in zip(alts, report.bets):
-        lines.append(f"{alt:<{width}}  {_fmt(bet):>{len(header)}}")
+        # bet + 0.0 normalizes -0.0 away before formatting.
+        lines.append(f"{alt:<{width}}  {format(bet + 0.0, '.4f'):>{len(header)}}")
     lines += ["", "Ranking: " + " ≻ ".join(_labels(report.ranking))]
     return "\n".join(lines)
 

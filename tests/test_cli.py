@@ -369,6 +369,27 @@ class TestDemo:
         golden = (GOLDEN_DIR / "demo-output.txt").read_text(encoding="utf-8")
         assert out == golden
 
+    def test_demo_is_solve_with_trace_on_the_bundled_dataset(self, dataset_path, capsysbinary):
+        assert main(["demo"]) == 0
+        demo = capsysbinary.readouterr()
+        assert main(["solve", "--input", str(dataset_path), "--trace"]) == 0
+        assert capsysbinary.readouterr() == demo
+
+    @pytest.mark.parametrize("option", [["--trace"], ["--input", "x"]])
+    def test_demo_takes_no_options(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", *option])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_demo_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (
+            "usage: intervalfusion demo [-h]\n\noptions:\n  -h, --help  show this help message and exit\n"
+        )
+
     def test_demo_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "intervalfusion", "demo"],

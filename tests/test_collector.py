@@ -11,8 +11,9 @@ from intervalfusion import load_problem, loading, rank_alternatives
 from intervalfusion.errors import InvalidWeight, ParseError, SchemaError, TotalConflict, ValidationError
 
 
-def document(n_dm, n_alt, n_crit, seed=0):
-    """A valid document of random rating triples and interval weights."""
+def document(n_dm, n_alt, n_crit, seed=0, crisp=False):
+    """A valid document of random rating triples and interval weights, or
+    with ``crisp`` each weight's upper endpoint as a crisp weight."""
     rng = random.Random(seed)
     alts = [f"A{i}" for i in range(n_alt)]
     crits = [f"C{i}" for i in range(n_crit)]
@@ -20,7 +21,8 @@ def document(n_dm, n_alt, n_crit, seed=0):
 
     def weight():
         lo = rng.random()
-        return [lo, lo + (1.0 - lo) * rng.random()]
+        hi = lo + (1.0 - lo) * rng.random()
+        return hi if crisp else [lo, hi]
 
     def triple():
         a, b = rng.random(), rng.random()
@@ -90,8 +92,9 @@ def test_collector_state_is_restored(collector, monkeypatch, name, enabled):
     assert gc.isenabled() is enabled
 
 
-def test_no_collection_runs_while_loading_ranking_or_tracing(collector):
-    source = document(5, 500, 20)  # 50,000 rating cells
+@pytest.mark.parametrize("crisp", [False, True], ids=["interval", "all-crisp"])
+def test_no_collection_runs_while_loading_ranking_or_tracing(collector, crisp):
+    source = document(5, 500, 20, crisp=crisp)  # 50,000 rating cells
     collections = []
 
     def count(phase, info):
@@ -117,3 +120,5 @@ def test_no_collection_runs_while_loading_ranking_or_tracing(collector):
     assert len(cells) * len(cells[0]) * len(cells[0][0]) == 50_000
     assert (during_load, during_rank, during_trace) == ([], [], [])
     assert gc.isenabled()
+    # crisp weights take the path where each interval BPA's two parts are one
+    assert all(left is right for left, right in report.final) is crisp

@@ -412,6 +412,24 @@ class TestRatingCellDiagnostics:
         # every zero mass is +0.0, whatever the sign of its literal
         assert all(math.copysign(1.0, v) == 1.0 for v in m.masses)
 
+    def test_loader_and_constructor_name_a_cell_alike(self):
+        # labels whose repr escapes a quote and a backslash, and keeps a
+        # non-ASCII letter
+        dm, alt, crit = "it's \"x\"", "back\\slash", "Zürich"
+        cell = r"""ratings['it\'s "x"']['back\\slash']['Zürich']"""
+        doc = {
+            "schema_version": "1", "alternatives": [alt], "criteria": [crit],
+            "decision_makers": [{"name": dm, "weight": 1, "criterion_weights": [1]}],
+            "ratings": {dm: {alt: {crit: [0.7, 0.7, -0.4]}}},
+        }
+        with pytest.raises(ValidationError) as loaded:
+            load(doc)
+        unit = Interval(1, 1)
+        with pytest.raises(ValidationError) as built:
+            DecisionProblem((alt,), (crit,), (dm,), (unit,), ((unit,),), ((((0.6, 0.2, 0.2),),),))
+        assert str(loaded.value) == cell + "[2]: mass must be non-negative, got -0.4"
+        assert str(built.value) == cell + ": expected a MassFunction, got tuple"
+
 
 def edge_document(seed):
     """A valid document whose cells take every path of the loader: rounded

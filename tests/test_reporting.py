@@ -8,6 +8,7 @@ from intervalfusion import (
     DecisionProblem,
     Interval,
     MassFunction,
+    RankingReport,
     emit_report,
     load_problem,
     rank_alternatives,
@@ -343,7 +344,9 @@ class TestWriterMatchesJsonDumps:
             assert emit_report(report, SUMMARY, JSON_FORMAT) == expected
 
 
-_label = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+_label = st.one_of(
+    st.sampled_from(ESCAPED), st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+)
 _value = st.one_of(
     st.sampled_from([0.0, -0.0, SUBNORMAL, 1e-310, DIGITS_17, 0.12345678901234568, 1.0]),
     st.floats(0.0, 1.0),
@@ -383,7 +386,61 @@ def ranked_reports(draw):
         assume(False)
 
 
+@st.composite
+def direct_reports(draw):
+    """Reports built by the constructor, without a problem: unique labels,
+    finite int or float bets and the ranking by bet, ties in input order."""
+
+    def labels(n):
+        return tuple(draw(st.lists(_label, min_size=n, max_size=n, unique=True)))
+
+    alts, crits, dms = labels(draw(st.integers(1, 5))), labels(draw(st.integers(1, 3))), labels(draw(st.integers(1, 3)))
+    bet = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**20, 10**20))
+    bets = tuple(draw(st.lists(bet, min_size=len(alts), max_size=len(alts))))
+    ranking = tuple(alts[i] for i in sorted(range(len(alts)), key=lambda i: -bets[i]))
+
+    def weights(n):
+        return tuple(draw(st.lists(_weight.map(lambda w: Interval(*w)), min_size=n, max_size=n)))
+
+    crit_weights = tuple(weights(len(crits)) for _ in dms)
+    normalization = draw(st.sampled_from(["pooled", "per-dm"]))
+    return RankingReport(alts, crits, dms, normalization, crit_weights, weights(len(dms)), bets, ranking)
+
+
+def _unique_keys(pairs):
+    keys = [key for key, _ in pairs]
+    assert len(set(keys)) == len(keys), f"repeated key in {keys}"
+    return dict(pairs)
+
+
+def assert_output_fails_closed(report, modes):
+    """Every JSON rendering of ``report`` in ``modes`` parses with no key
+    repeated, gives back each bet bit for bit and a ranking of unique labels;
+    the human summary has one row per alternative."""
+    for mode in modes:
+        doc = json.loads(emit_report(report, mode, JSON_FORMAT), object_pairs_hook=_unique_keys)
+        assert list(doc["bets"]) == list(report.alternatives)
+        assert [float.hex(float(b)) for b in doc["bets"].values()] == [float.hex(float(b)) for b in report.bets]
+        assert doc["ranking"] == list(report.ranking)
+        assert sorted(doc["ranking"]) == sorted(set(doc["alternatives"])) == sorted(report.alternatives)
+    summary = emit_report(report, SUMMARY, HUMAN_TABLE).decode()
+    header, *rows, blank, ranking = summary.splitlines()
+    assert (header.split(), blank, ranking[:9]) == (["Alternative", "bet(IS)"], "", "Ranking: ")
+    assert len(rows) == len(report.alternatives)
+    if FULL_TRACE in modes:
+        assert emit_report(report, FULL_TRACE, HUMAN_TABLE).decode().endswith("\n\n" + summary)
+
+
 @settings(max_examples=250, deadline=None)
-@given(case=ranked_reports())
-def test_writer_matches_json_dumps_on_generated_problems(case):
+@given(case=ranked_reports(), direct=direct_reports())
+def test_writer_matches_json_dumps_on_generated_problems(case, direct):
     assert_writer_matches_reference(*case)
+    assert_output_fails_closed(case[1], (SUMMARY, FULL_TRACE))
+    # a report built directly renders a summary only
+    expected = (json.dumps(reference_doc(direct, SUMMARY), indent=2) + "\n").encode()
+    assert emit_report(direct, SUMMARY, JSON_FORMAT) == expected
+    assert emit_report(direct, SUMMARY, HUMAN_TABLE) == human_reference(direct, SUMMARY)
+    assert_output_fails_closed(direct, (SUMMARY,))
+    for fmt in (HUMAN_TABLE, JSON_FORMAT):
+        with pytest.raises(ValueError):
+            emit_report(direct, FULL_TRACE, fmt)
