@@ -76,12 +76,8 @@ def bundled_dataset_bytes() -> bytes:
     return __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", BUNDLED_DATASET))
 
 
-class _NonFiniteNumber(Exception):
-    pass
-
-
 def _reject_constant(token: str):
-    raise _NonFiniteNumber(token)
+    raise ParseError(f"non-finite number literal {token!r} is not allowed")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -133,8 +129,6 @@ def _parse(text: str, alpha: float) -> DecisionProblem:
         raise ParseError(
             f"integer literal has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
-    except _NonFiniteNumber as exc:
-        raise ParseError(f"non-finite number literal {exc.args[0]!r} is not allowed") from exc
     except RecursionError as exc:
         raise ParseError("document nesting is too deep") from exc
 
@@ -417,14 +411,15 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
     ratings: list[tuple[tuple[MassFunction, ...], ...]] = []
     criteria_set = set(criteria)
     for name in dm_names:
-        dm_obj = _expect_dict(ratings_obj[name], f"ratings[{name!r}]")
-        _check_keys(dm_obj, alternatives, f"ratings[{name!r}]", "alternative")
+        where = _where("ratings", (name,))
+        dm_obj = _expect_dict(ratings_obj[name], where)
+        _check_keys(dm_obj, alternatives, where, "alternative")
         rows: list[tuple[MassFunction, ...]] = []
         for alt in alternatives:
             alt_obj = dm_obj[alt]
             if not isinstance(alt_obj, dict) or alt_obj.keys() != criteria_set:
-                where = f"ratings[{name!r}][{alt!r}]"
-                _check_keys(_expect_dict(alt_obj, where), criteria, where, "criterion")
+                alt_where = _where("ratings", (name, alt))
+                _check_keys(_expect_dict(alt_obj, alt_where), criteria, alt_where, "criterion")
             rows.append(_parse_row(alt_obj, criteria, name, alt))
         ratings.append(tuple(rows))
 

@@ -81,10 +81,13 @@ def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
 
 
 def _unique_labels(value: Value) -> None:
-    """ValidationError unless each label field of ``value`` holds unique,
-    non-empty strings, and at least one."""
-    for field, what in (("alternatives", "alternative"), ("criteria", "criterion"),
-                        ("decision_makers", "decision maker")):
+    """Store each label field of ``value`` as a tuple, every field converted
+    before any is checked; ValidationError unless each is a tuple or list of
+    unique, non-empty strings, and at least one."""
+    fields = ("alternatives", "alternative"), ("criteria", "criterion"), ("decision_makers", "decision maker")
+    for field, _ in fields:
+        object.__setattr__(value, field, _grid(getattr(value, field), field))
+    for field, what in fields:
         labels = getattr(value, field)
         if not labels:
             raise ValidationError(f"{what} labels must not be empty")
@@ -148,8 +151,6 @@ class DecisionProblem(Value):
                  dm_weights: Sequence[Interval], criterion_weights: Sequence[Sequence[Interval]],
                  ratings: Sequence[Sequence[Sequence[MassFunction]]]) -> None:
         self._init(alternatives, criteria, decision_makers, dm_weights, criterion_weights, ratings)
-        for name in ("alternatives", "criteria", "decision_makers"):
-            object.__setattr__(self, name, _grid(getattr(self, name), name))
         _unique_labels(self)
 
         dms, alts, crits = self.decision_makers, self.alternatives, self.criteria
@@ -202,8 +203,9 @@ class RankingReport(Value):
     ``cells`` is built on first access, with the cyclic garbage collector
     paused, by discounting each rating row again with the normalized weights:
     the same stage on the same inputs, so it holds exactly the values the bets
-    came from. A report constructed directly has no trace. Labels are unique,
-    and every bet is a finite int or float.
+    came from. A report constructed directly has no trace. Its label fields
+    and ranking follow the problem's rule: a tuple or list, stored as a tuple.
+    Labels are unique, and every bet is a finite int or float.
     """
 
     __slots__ = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
@@ -216,7 +218,8 @@ class RankingReport(Value):
         self._init(alternatives, criteria, decision_makers, criterion_normalization, normalized_criterion_weights,
                    normalized_dm_weights, bets, ranking, _trace)
         _unique_labels(self)
-        if sorted(self.ranking) != sorted(self.alternatives):
+        object.__setattr__(self, "ranking", _grid(self.ranking, "ranking"))
+        if not all(isinstance(x, str) for x in self.ranking) or sorted(self.ranking) != sorted(self.alternatives):
             raise ValidationError("ranking must be a permutation of the alternatives")
         if len(self.bets) != len(self.alternatives):
             raise ValidationError("bets must hold one value per alternative")

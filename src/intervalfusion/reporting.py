@@ -121,6 +121,7 @@ def _render_json(report: RankingReport, mode: str) -> str:
         _array("  ", map(_str, report.ranking)),
     ]
     if mode == FULL_TRACE:
+        cells = report.cells  # first, as in the human table: a report with no trace raises before any template
         dms, alts, crits = (_keys(x, "%%") for x in (report.decision_makers, report.alternatives, report.criteria))
         flat = chain.from_iterable
         row = _object("      ", crits, repeat(_pair(" " * 8)))  # one (decision maker, alternative) row of cells
@@ -134,7 +135,7 @@ def _render_json(report: RankingReport, mode: str) -> str:
             _object("  ", dms, repeat(_array(" " * 4, ["%r"] * 2)))
             % tuple(flat((iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
             _object("  ", dms, repeat(_object("    ", alts, repeat(row))))
-            % tuple(flat(flat(flat(flat(report.cells))))),
+            % tuple(flat(flat(flat(flat(cells))))),
             _object("  ", dms, repeat(_object("    ", alts, repeat(_pair(" " * 6)))))
             % tuple(flat(flat(flat(report.fused_per_dm)))),
             _object("  ", alts, repeat(_pair(" " * 4))) % tuple(flat(flat(report.final))),

@@ -514,9 +514,11 @@ class TestDocumentStructure:
         with pytest.raises(ParseError):
             load_problem(b'\xff\xfe{"a": 1}')
 
-    def test_nan_rejected(self):
-        with pytest.raises(ParseError):
-            load_problem(b'{"schema_version": NaN}')
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_nan_rejected(self, literal):
+        with pytest.raises(ParseError) as err:
+            load_problem('{"schema_version": %s}' % literal)
+        assert str(err.value) == f"non-finite number literal {literal!r} is not allowed"
 
     def test_overflowing_number_rejected(self):
         doc = minimal_doc()

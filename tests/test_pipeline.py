@@ -541,12 +541,36 @@ class TestRankAlternatives:
             built_directly(supplier_report, bets=bets(supplier_report.bets))
         assert str(err.value) == "bets must hold one value per alternative"
 
-    @pytest.mark.parametrize("ranking", [lambda r: r[:-1] + r[:1], lambda r: r[:-1] + ("Supplier9",)],
-                             ids=["repeated", "unknown"])
+    @pytest.mark.parametrize("ranking", [lambda r: r[:-1] + r[:1], lambda r: r[:-1] + ("Supplier9",),
+                                         lambda r: r[:-1] + (1,)], ids=["repeated", "unknown", "not-a-string"])
     def test_report_ranking_is_a_permutation(self, supplier_report, ranking):
         with pytest.raises(ValidationError) as err:
             built_directly(supplier_report, ranking=ranking(supplier_report.ranking))
         assert str(err.value) == "ranking must be a permutation of the alternatives"
+
+    def test_report_labels_take_the_problem_rule(self):
+        # a string is not split into labels, for a report as for a problem
+        with pytest.raises(ValidationError) as err:
+            pipeline.RankingReport("AB", ("C",), ("D",), "pooled", (), (), (0.5, 0.4), ("A", "B"))
+        assert str(err.value) == "alternatives: expected a sequence, got str"
+
+    @pytest.mark.parametrize("field", ["alternatives", "criteria", "decision_makers", "ranking"])
+    @pytest.mark.parametrize("make, got", [
+        (lambda v: "xy", "str"), (set, "set"), (dict.fromkeys, "dict"), (lambda v: iter(list(v)), "list_iterator"),
+    ], ids=["str", "set", "dict", "iterator"])
+    def test_report_labels_are_a_tuple_or_list(self, supplier_report, field, make, got):
+        with pytest.raises(ValidationError) as err:
+            built_directly(supplier_report, **{field: make(getattr(supplier_report, field))})
+        assert str(err.value) == f"{field}: expected a sequence, got {got}"
+
+    def test_report_stores_label_lists_as_tuples(self, supplier_report):
+        fields = ("alternatives", "criteria", "decision_makers", "ranking")
+        report = built_directly(supplier_report, **{f: list(getattr(supplier_report, f)) for f in fields})
+        for f in fields:
+            assert type(getattr(report, f)) is tuple
+            assert getattr(report, f) == getattr(supplier_report, f)
+        assert report == built_directly(supplier_report)
+        assert hash(report) == hash(built_directly(supplier_report))
 
     @pytest.mark.parametrize("field, what", [("alternatives", "alternative labels"), ("criteria", "criterion labels"),
                                              ("decision_makers", "decision maker labels")])

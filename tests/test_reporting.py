@@ -389,7 +389,9 @@ def ranked_reports(draw):
 @st.composite
 def direct_reports(draw):
     """Reports built by the constructor, without a problem: unique labels,
-    finite int or float bets and the ranking by bet, ties in input order."""
+    finite int or float bets and the ranking by bet, ties in input order.
+    The constructor checks neither the normalized weight tables nor the
+    normalization, so these take any shape and any value."""
 
     def labels(n):
         return tuple(draw(st.lists(_label, min_size=n, max_size=n, unique=True)))
@@ -399,12 +401,22 @@ def direct_reports(draw):
     bets = tuple(draw(st.lists(bet, min_size=len(alts), max_size=len(alts))))
     ranking = tuple(alts[i] for i in sorted(range(len(alts)), key=lambda i: -bets[i]))
 
+    def length(labels):  # the labels' length, or any
+        return draw(st.one_of(st.just(len(labels)), st.integers(0, 4)))
+
     def weights(n):
         return tuple(draw(st.lists(_weight.map(lambda w: Interval(*w)), min_size=n, max_size=n)))
 
-    crit_weights = tuple(weights(len(crits)) for _ in dms)
-    normalization = draw(st.sampled_from(["pooled", "per-dm"]))
-    return RankingReport(alts, crits, dms, normalization, crit_weights, weights(len(dms)), bets, ranking)
+    crit_weights = tuple(weights(length(crits)) for _ in range(length(dms)))
+    normalization = draw(st.one_of(st.sampled_from(["pooled", "per-dm"]), st.none(), st.integers(), st.text()))
+    return RankingReport(alts, crits, dms, normalization, crit_weights, weights(length(dms)), bets, ranking)
+
+
+# a report whose criterion weight row is shorter than the criteria: its JSON
+# full trace must raise the no-trace error before it fills the weight template
+_SHORT_ROW = RankingReport(("A",), ("C1", "C2"), ("D",), "pooled", ((Interval(0, 0),),), (Interval(0, 0),), (0.5,),
+                           ("A",))
+_ONE_CELL = problem((["A"], ["C"], ["D"]), [(1, 1)], [[(1, 1)]], [[[(0.5, 0.25, 0.25)]]])
 
 
 def _unique_keys(pairs):
@@ -433,6 +445,7 @@ def assert_output_fails_closed(report, modes):
 
 @settings(max_examples=250, deadline=None)
 @given(case=ranked_reports(), direct=direct_reports())
+@example(case=(_ONE_CELL, rank_alternatives(_ONE_CELL)), direct=_SHORT_ROW)
 def test_writer_matches_json_dumps_on_generated_problems(case, direct):
     assert_writer_matches_reference(*case)
     assert_output_fails_closed(case[1], (SUMMARY, FULL_TRACE))
