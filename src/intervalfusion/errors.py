@@ -35,10 +35,6 @@ class TotalConflict(IntervalFusionError):
     """Combination is undefined: the conflict coefficient reached 1."""
 
 
-class EmptyEvidenceList(IntervalFusionError):
-    """At least one mass function is required."""
-
-
 # --- weighting pipeline -----------------------------------------------------
 
 class AllZeroWeights(IntervalFusionError):
@@ -46,7 +42,7 @@ class AllZeroWeights(IntervalFusionError):
 
 
 class InvalidWeight(IntervalFusionError):
-    """Discount weights must be intervals within [0, 1]."""
+    """A weight interval has a negative lower bound."""
 
 
 # --- document handling -------------------------------------------------------

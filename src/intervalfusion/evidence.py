@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .errors import EmptyEvidenceList, MassSumViolation, NegativeMass, TotalConflict
+from .errors import MassSumViolation, NegativeMass, TotalConflict
 from .intervals import Value, describe, to_float
 
 #: Mass vectors whose sum deviates from 1 by more than this are rejected.
@@ -43,10 +43,6 @@ EXACT_SUM_TOLERANCE = 1e-12
 #: The normalizer 1 - K is numerically meaningless closer to zero than this.
 TOTAL_CONFLICT_EPS = 1e-12
 
-#: A discount complement may dip below zero by at most this much of
-#: floating-point residue before it is an input error.
-COMPLEMENT_EPS = 1e-9
-
 #: The frame of discernment: the ideal hypothesis first.
 FRAME = ("IS", "NS")
 
@@ -61,7 +57,11 @@ _INF = math.inf
 #: Fold steps whose conflict K reaches this raise TotalConflict.
 _CONFLICT_LIMIT = 1.0 - TOTAL_CONFLICT_EPS
 
-#: A plain sum this close to 1 is bound to pass as exact (see _settle).
+#: fold keeps a step whose plain sum is this close to 1 without _settle. The
+#: plain sum ``a + b + c`` rounds twice, each time by at most half an ulp of a
+#: value below 2, so it is within about 2.3e-16 of the exact sum. The exact
+#: sum, and so its correctly rounded ``math.fsum``, is then within
+#: EXACT_SUM_TOLERANCE of 1, and _settle would keep the masses as they are.
 _PLAIN_SUM_TOLERANCE = EXACT_SUM_TOLERANCE - 1e-15
 
 
@@ -78,15 +78,7 @@ def _settle(a: float, b: float, c: float) -> Triple:
     """The sum policy on three non-negative finite masses: raise if they
     miss a unit sum by more than RENORMALIZATION_TOLERANCE; divide each by
     their sum if they miss it by more than EXACT_SUM_TOLERANCE; return them
-    as they are otherwise, so they are kept bit-exact.
-
-    The plain sum ``a + b + c`` rounds twice, each time by at most half an
-    ulp of a value below 2, so it is within about 2.3e-16 of the exact sum.
-    When it lies within 1 +- (EXACT_SUM_TOLERANCE - 1e-15), the exact sum,
-    and so its correctly rounded ``math.fsum``, lies within
-    EXACT_SUM_TOLERANCE of 1, and they are kept without ``fsum``."""
-    if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:
-        return a, b, c
+    as they are otherwise, so they are kept bit-exact."""
     try:
         total = math.fsum((a, b, c))
     except OverflowError:  # finite masses whose sum is beyond float range
@@ -101,9 +93,8 @@ def _settle(a: float, b: float, c: float) -> Triple:
 def discount(triples: Iterable[Triple], weights: Iterable[float]) -> list[Triple]:
     """Shafer discounting of each triple by its reliability ``w``: both
     singleton masses are scaled by ``w`` and the remainder goes to the full
-    frame, (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero by
-    at most COMPLEMENT_EPS is clamped to zero, and the clamped triple goes
-    through _settle; a remainder further below zero is an input error.
+    frame, (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero is
+    clamped to zero, and the clamped triple goes through _settle.
 
     Precondition: finite ``p, q >= 0`` and ``w >= 0``. Then a remainder
     ``c >= 0`` puts all three masses in [0, 1], each sum rounds by at most
@@ -116,8 +107,6 @@ def discount(triples: Iterable[Triple], weights: Iterable[float]) -> list[Triple
         c = 1.0 - a - b
         if c >= 0.0:
             out.append((a, b, c))
-        elif c < -COMPLEMENT_EPS:
-            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
         else:
             out.append(_settle(a, b, 0.0))
     return out
@@ -129,13 +118,10 @@ def fold(triples: Iterable[Triple]) -> Triple:
     then singleton times full frame, then full frame times singleton. A step
     that _settle would keep as it is is kept inline; only the others go
     through it. Near total conflict, where the rounding of ``1 - K`` leaves
-    a sum the policy rejects, it raises TotalConflict; on no sources,
-    EmptyEvidenceList."""
+    a sum the policy rejects, it raises TotalConflict. ``triples`` must not
+    be empty."""
     it = iter(triples)
-    for a1, b1, c1 in it:
-        break
-    else:
-        raise EmptyEvidenceList("need at least one mass function to combine")
+    a1, b1, c1 = next(it)
     for a2, b2, c2 in it:
         k = a1 * b2 + b1 * a2
         if k < _CONFLICT_LIMIT:

@@ -56,7 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .evidence import _INF, FRAME, MassFunction
-from .intervals import Interval, describe
+from .intervals import Interval, describe, to_float
 from .pipeline import DecisionProblem, _loaded_problem, _nogc, _where
 
 SCHEMA_VERSION = "1"
@@ -99,7 +99,8 @@ def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
     The source is read and decoded first; the cyclic garbage collector is
     then paused while the JSON is parsed and the problem built.
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
+    level = to_float(alpha)
+    if not 0.0 <= level <= 1.0:
         raise InvalidAlpha(f"alpha must lie in [0, 1], got {describe(alpha)}")
 
     if hasattr(source, "read"):
@@ -113,7 +114,7 @@ def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
         text = source
     else:
         raise TypeError(f"source must be bytes, str or a stream, got {type(source).__name__}")
-    return _parse(text, float(alpha))
+    return _parse(text, level)
 
 
 @_nogc

@@ -203,9 +203,11 @@ class RankingReport(Value):
     ``cells`` is built on first access, with the cyclic garbage collector
     paused, by discounting each rating row again with the normalized weights:
     the same stage on the same inputs, so it holds exactly the values the bets
-    came from. A report constructed directly has no trace. Its label fields
-    and ranking follow the problem's rule: a tuple or list, stored as a tuple.
-    Labels are unique, and every bet is a finite int or float.
+    came from. A report constructed directly has no trace. Its label fields,
+    ranking, bets and normalized weight tables follow the problem's rule: a
+    tuple or list, stored as a tuple, each grid as long as its labels and each
+    weight an ``Interval``. Labels are unique, and every bet is a finite int
+    or float.
     """
 
     __slots__ = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
@@ -221,8 +223,15 @@ class RankingReport(Value):
         object.__setattr__(self, "ranking", _grid(self.ranking, "ranking"))
         if not all(isinstance(x, str) for x in self.ranking) or sorted(self.ranking) != sorted(self.alternatives):
             raise ValidationError("ranking must be a permutation of the alternatives")
-        if len(self.bets) != len(self.alternatives):
-            raise ValidationError("bets must hold one value per alternative")
+        dms, crits = self.decision_makers, self.criteria
+        for name, shape_error, axes, leaf in (
+            ("normalized_criterion_weights",
+             f"normalized criterion weights must be a {len(dms)} x {len(crits)} grid of intervals", (dms, crits), Interval),
+            ("normalized_dm_weights", f"normalized decision maker weights must be a sequence of {len(dms)} intervals",
+             (dms,), Interval),
+            ("bets", "bets must hold one value per alternative", (self.alternatives,), object),
+        ):
+            object.__setattr__(self, name, _grid(getattr(self, name), name, shape_error, *axes, leaf=leaf))
         by_label = dict(zip(self.alternatives, self.bets))
         for label, bet in zip(self.alternatives, self.bets):
             if not math.isfinite(to_float(bet)):

@@ -1,0 +1,198 @@
+#!/usr/bin/env python3
+"""Mutation testing: check that each guard in ``src/`` is pinned by a test or
+cannot change behaviour.
+
+Each mutant in :data:`MUTANTS` is one exact text edit of one source file.
+The script copies the checkout (the files git tracks, plus untracked ones it
+does not ignore, as they are in the working tree) to a temporary directory
+and applies the edit there. A mutant recorded as killed names a test; its
+verdict holds if that test, run alone, fails. A mutant recorded as
+equivalent holds if the whole tier-1 suite passes: its written argument
+says why no input can tell it apart.
+
+pytest does not collect this file and CI does not run it. Run it by hand
+from the repository root:
+
+    python3 tests/mutants.py
+
+It runs every mutant, two at a time, prints one line per mutant, and exits
+1 if any verdict does not hold or any edit no longer applies. To run one
+mutant, call :func:`run` on it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+MAX_JOBS = 2
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    killed_by: str | None = None  # a test id that fails on the mutant
+    equivalent: str | None = None  # why no input tells the mutant apart
+
+
+MUTANTS = [
+    # --- evidence.py: the sum policy, the clamp and fold's inline shortcut
+    Mutant(
+        "clamp-skips-policy", "src/intervalfusion/evidence.py",
+        "out.append(_settle(a, b, 0.0))", "out.append((a, b, 0.0))",
+        killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[0.9e-9]",
+    ),
+    Mutant(
+        "clamp-keeps-negative-remainder", "src/intervalfusion/evidence.py",
+        "out.append(_settle(a, b, 0.0))", "out.append(_settle(a, b, c))",
+        killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[1.1e-9]",
+    ),
+    Mutant(
+        "fold-band-is-exact-band", "src/intervalfusion/evidence.py",
+        "if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:", "if abs(a + b + c - 1.0) <= EXACT_SUM_TOLERANCE:",
+        killed_by="tests/test_evidence.py::TestRowKernelParity::test_fold",
+    ),
+    Mutant(
+        "fold-without-shortcut", "src/intervalfusion/evidence.py",
+        "if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:", "if False:",
+        # the masses are the same (test_shortcut_matches_fsum_policy pins the
+        # premise); the test that counts _settle's traffic tells it apart
+        killed_by="tests/test_evidence.py::test_bundled_dataset_takes_the_inline_sum_check",
+    ),
+    Mutant(
+        "settle-exact-edge-inclusive", "src/intervalfusion/evidence.py",
+        "if abs(total - 1.0) > EXACT_SUM_TOLERANCE:", "if abs(total - 1.0) >= EXACT_SUM_TOLERANCE:",
+        equivalent="The comparison runs only when |total - 1| <= 1e-6, so total lies in [0.5, 2] and total - 1.0 "
+        "is exact and a multiple of 2**-53. The float 1e-12 is not one, so > and >= cannot differ; "
+        "tests/test_evidence.py::test_settle_never_meets_its_exact_band_edge pins the premise.",
+    ),
+    # --- pipeline.py: a direct report's tables, the ranking and the bet
+    Mutant(
+        "report-walk-skips-dm-weights", "src/intervalfusion/pipeline.py",
+        '            ("normalized_dm_weights", f"normalized decision maker weights must be a sequence of {len(dms)} '
+        'intervals",\n             (dms,), Interval),\n',
+        "",
+        killed_by="tests/test_pipeline.py::TestRankAlternatives::test_report_stores_bets_and_weight_lists_as_tuples",
+    ),
+    Mutant(
+        "report-walk-skips-bets", "src/intervalfusion/pipeline.py",
+        '            ("bets", "bets must hold one value per alternative", (self.alternatives,), object),\n',
+        "",
+        killed_by="tests/test_pipeline.py::TestRankAlternatives::test_report_needs_one_bet_per_alternative[fewer]",
+    ),
+    Mutant(
+        "report-walk-any-weight-type", "src/intervalfusion/pipeline.py",
+        'grid of intervals", (dms, crits), Interval),', 'grid of intervals", (dms, crits), object),',
+        killed_by="tests/test_pipeline.py::TestRankAlternatives::"
+        "test_report_weight_tables_take_the_grid_rule[criterion-not-interval]",
+    ),
+    Mutant(
+        "pooled-failure-named-by-first-dm", "src/intervalfusion/pipeline.py",
+        "            if pooled:  # a checked problem's pooled group is positive: no decision maker to name\n"
+        "                raise\n",
+        "",
+        equivalent="Kept on purpose. The pooled group fails only on a negative or an all-zero weight, and both "
+        "DecisionProblem's constructor and the loader reject either in the criterion weights, so a problem from "
+        "a public entry point never fails there. If one did, no decision maker would be at fault, and the mutant "
+        "would name the first one.",
+    ),
+    Mutant(
+        "bet-halves-by-product", "src/intervalfusion/pipeline.py",
+        "return first + full / 2.0", "return first + full * 0.5",
+        equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
+        "for every float x.",
+    ),
+    # --- intervals.py and loading.py: endpoint order, weight sign, alpha
+    Mutant(
+        "endpoint-tolerance-widened", "src/intervalfusion/intervals.py",
+        "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
+        killed_by="tests/test_intervals.py::TestConstruction::test_inversion_collapses_up_to_the_endpoint_tolerance",
+    ),
+    Mutant(
+        "loader-weight-sign-loosened", "src/intervalfusion/loading.py",
+        "    if iv.lo < 0:", "    if iv.lo < -1e-300:",
+        killed_by="tests/test_loading.py::TestWeightForms::test_smallest_negative_weight_rejected[crisp]",
+    ),
+    Mutant(
+        "alpha-any-float", "src/intervalfusion/loading.py",
+        "level = to_float(alpha)", "level = float(alpha)",
+        killed_by="tests/test_intervals.py::TestConstruction::test_int_too_long_for_repr_named_in_message[alpha]",
+    ),
+    Mutant(
+        "alpha-no-lower-bound", "src/intervalfusion/loading.py",
+        "if not 0.0 <= level <= 1.0:", "if not level <= 1.0:",
+        killed_by="tests/test_terms.py::TestAlphaCut::test_invalid_alpha[below]",
+    ),
+    # --- cli.py: an inherited descriptor named by /dev/fd/N
+    Mutant(
+        "fd-path-not-a-descriptor", "src/intervalfusion/cli.py",
+        'if head in ("/dev/fd", "/proc/self/fd") and name.isdigit():', "if False:",
+        killed_by="tests/test_cli.py::TestSolve::test_output_to_an_inherited_descriptor_appends",
+    ),
+]
+
+
+def _checkout_files() -> list[str]:
+    out = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                         cwd=ROOT, capture_output=True, check=True).stdout
+    return [name for name in out.decode().split("\0") if name and (ROOT / name).is_file()]
+
+
+def run(mutant: Mutant, files: list[str]) -> tuple[bool, str]:
+    """Apply ``mutant`` to a fresh copy of the checkout and run its test, or
+    tier-1 for an equivalent mutant, there; whether its verdict holds, and
+    what was seen."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for name in files:
+            (copy / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, copy / name)
+        target = copy / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return False, f"edit does not apply: {text.count(mutant.old)} matches of its text"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        tests = [mutant.killed_by] if mutant.killed_by else ["-x"]
+        result = subprocess.run([sys.executable, *PYTEST, f"--basetemp={copy / '.pytest-tmp'}", *tests], cwd=copy,
+                                env=env, capture_output=True, text=True, timeout=1800)
+    if mutant.killed_by:
+        if result.returncode == 1:
+            return True, f"killed by {mutant.killed_by}"
+        return False, f"expected {mutant.killed_by} to fail; exit {result.returncode}"
+    if result.returncode == 0:
+        return True, "equivalent: tier-1 passes"
+    return False, f"recorded as equivalent, but tier-1 exits {result.returncode}"
+
+
+def main() -> int:
+    files = _checkout_files()
+    started = time.perf_counter()
+
+    def timed(mutant):
+        t0 = time.perf_counter()
+        held, seen = run(mutant, files)
+        return held, seen, time.perf_counter() - t0
+
+    failures = 0
+    with ThreadPoolExecutor(MAX_JOBS) as pool:
+        for mutant, (held, seen, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            failures += not held
+            print(f"{'ok ' if held else 'BAD'} {mutant.name} ({seconds:.1f} s): {seen}", flush=True)
+    print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} verdicts hold in {time.perf_counter() - started:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -134,6 +134,28 @@ class TestSolve:
         assert app.read_bytes() == b"previous line\n" + emit_report(report)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["app.txt", "problem.json"]
 
+    def test_output_to_an_inherited_descriptor_appends(self, dataset_path, tmp_path):
+        # README: --output /dev/fd/N writes through descriptor N, here one
+        # beyond stdout and stderr, opened for append by the caller
+        app = tmp_path / "app.txt"
+        app.write_bytes(b"previous line\n")
+        fd = os.open(app, os.O_WRONLY | os.O_APPEND)
+        try:
+            assert fd >= 3
+            result = subprocess.run(
+                [sys.executable, "-m", "intervalfusion", "solve", "--input", str(dataset_path),
+                 "--output", f"/dev/fd/{fd}"],
+                capture_output=True,
+                pass_fds=(fd,),
+                timeout=60,
+            )
+        finally:
+            os.close(fd)
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+        report = rank_alternatives(load_problem(bundled_dataset_bytes()))
+        assert app.read_bytes() == b"previous line\n" + emit_report(report)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["app.txt", "problem.json"]
+
     def test_failed_write_to_stdout_leaves_the_file_and_no_temporary_file(self, dataset_path, tmp_path):
         # stdout a regular file open for reading only: the write through it
         # fails, and nothing is renamed over the file

@@ -9,14 +9,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from intervalfusion import MassFunction, evidence, rank_alternatives
 from intervalfusion.errors import (
-    EmptyEvidenceList,
     MassSumViolation,
     NegativeMass,
     TotalConflict,
 )
 from intervalfusion.evidence import (
     _PLAIN_SUM_TOLERANCE,
-    COMPLEMENT_EPS,
     EXACT_SUM_TOLERANCE,
     FRAME,
     TOTAL_CONFLICT_EPS,
@@ -110,9 +108,9 @@ class TestConstruction:
 
 
 def fsum_policy(a, b, c):
-    """The sum policy without the plain-sum shortcut: reject a sum more than
-    1e-6 from 1 (by ``math.fsum``), divide each mass by one more than 1e-12
-    from 1, else keep the masses."""
+    """The sum policy, written out on its own: reject a sum more than 1e-6
+    from 1 (by ``math.fsum``), divide each mass by one more than 1e-12 from
+    1, else keep the masses."""
     total = math.fsum((a, b, c))
     if abs(total - 1.0) > 1e-6:
         raise MassSumViolation(f"masses sum to {total!r}, expected 1")
@@ -132,7 +130,7 @@ def policy_outcome(policy, t):
 def near_policy_edges(draw):
     """Non-negative triples whose exact sum lies within a few ulp of a
     tolerance edge of the sum policy: 1 +- 1e-12, 1 +- 1e-6, or the edge
-    1 +- (1e-12 - 1e-15) of the plain-sum shortcut."""
+    1 +- (1e-12 - 1e-15) of fold's plain-sum shortcut."""
     edge = draw(st.sampled_from([1e-12, 1e-6, 1e-12 - 1e-15]))
     target = 1.0 + draw(st.sampled_from([edge, -edge]))
     a = draw(st.floats(0.0, 1.0)) * target
@@ -147,7 +145,7 @@ def near_policy_edges(draw):
 class TestSumPolicy:
     @settings(max_examples=400, deadline=None)
     @given(t=near_policy_edges())
-    # plain sums within 1e-12 of 1 whose exact sums are not: a shortcut
+    # plain sums within 1e-12 of 1 whose exact sums are not: a plain-sum
     # bound of EXACT_SUM_TOLERANCE itself would keep them where fsum divides
     @example(t=tuple(map(float.fromhex, ("0x1.f79dbd74f5eaap-2", "0x1.ae2cc770f1c6ep-3", "0x1.314bded29597dp-2"))))
     @example(t=tuple(map(float.fromhex, ("0x1.91fb0547ce95cp-2", "0x1.f14305c5411e6p-3", "0x1.756377d58c752p-2"))))
@@ -157,12 +155,20 @@ class TestSumPolicy:
     def test_shortcut_matches_fsum_policy(self, t):
         # the same settled masses bit for bit, or the same error and message
         assert policy_outcome(_settle, t) == policy_outcome(fsum_policy, t)
+        # fold's premise: a plain sum within its band is kept as it is
+        if abs(t[0] + t[1] + t[2] - 1.0) <= _PLAIN_SUM_TOLERANCE:
+            assert policy_outcome(fsum_policy, t) == [v.hex() for v in t]
 
 
 _unit_sums = st.builds(lambda a, b: (a, (1.0 - a) * b, 1.0 - a - (1.0 - a) * b), st.floats(0, 1), st.floats(0, 1))
 # no uncommitted mass and a sum kept just above 1: at w near 1 the complement
 # falls below zero and is clamped
 _over_one = st.builds(lambda a, d: (a, 1.0 - a + d, 0.0), st.floats(0, 1), st.sampled_from([1e-13, 5e-13, 9e-13]))
+
+
+# The largest multiple of ulp(1) not above 1e-6: 0.5 + 0.5 + it is exact.
+_INSIDE_1E_6 = math.floor(1e-6 / math.ulp(1.0)) * math.ulp(1.0)
+assert _INSIDE_1E_6 < 1e-6 < _INSIDE_1E_6 + math.ulp(1.0)
 
 
 class TestDiscount:
@@ -211,16 +217,22 @@ class TestDiscount:
         assert abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE
         assert [x.hex() for x in discount([(p, q, 0.0)], [w])[0]] == [x.hex() for x in (a, b, c)]
 
-    @pytest.mark.parametrize("deficit, clamped", [(0.9e-9, True), (1.1e-9, False)])
-    def test_complement_eps_is_the_clamp_bound(self, deficit, clamped):
-        # README: a complement below zero by at most 1e-9 is clamped to zero
-        # and the triple renormalized; one further below is an input error
+    @pytest.mark.parametrize("deficit, settled", [
+        (0.9e-9, True),
+        (1.1e-9, True),
+        (_INSIDE_1E_6, True),
+        (_INSIDE_1E_6 + math.ulp(1.0), False),
+    ], ids=["0.9e-9", "1.1e-9", "inside-1e-6", "outside-1e-6"])
+    def test_a_negative_complement_is_clamped_and_settled(self, deficit, settled):
+        # README: a complement below zero is clamped to zero and the triple
+        # goes through the sum policy: renormalized while p + q is within
+        # 1e-6 of 1, rejected beyond
         p, q = 0.5, 0.5 + deficit
         assert 1.0 - p - q == pytest.approx(-deficit, rel=1e-6)
-        if clamped:
+        if settled:
             assert discount([(p, q, 0.0)], [1.0]) == [(p / (p + q), q / (p + q), 0.0)]
         else:
-            with pytest.raises(MassSumViolation, match="discounted masses exceed 1"):
+            with pytest.raises(MassSumViolation, match="masses sum to"):
                 discount([(p, q, 0.0)], [1.0])
 
 
@@ -241,14 +253,12 @@ def test_settle_never_meets_its_exact_band_edge():
 def reference_discount(p: float, q: float, w: float):
     """Shafer discounting of the singleton masses ``p`` and ``q`` by ``w``:
     both are scaled by ``w`` and the remainder goes to the full frame,
-    (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero by at
-    most COMPLEMENT_EPS is clamped to zero."""
+    (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero is
+    clamped to zero."""
     a = p * w
     b = q * w
     c = 1.0 - a - b
     if c < 0.0:
-        if c < -COMPLEMENT_EPS:
-            raise MassSumViolation(f"discounted masses exceed 1 ({a} + {b}); invalid input mass")
         c = 0.0
     return _settle(a, b, c)
 
@@ -294,7 +304,8 @@ class TestRowKernelParity:
     @given(rows=st.lists(st.tuples(_sources, _weights), min_size=1, max_size=6))
     @example(rows=[((0.5, 0.5 + 5e-13, 0.0), 1.0)])  # complement clamped, sum kept
     @example(rows=[((0.5, 0.5 + 5e-10, 0.0), 1.0)])  # complement clamped, sum renormalized
-    @example(rows=[((0.6, 0.2, 0.2), 1.0), ((0.5, 0.5 + 2e-9, 0.0), 1.0)])  # deficit too large
+    @example(rows=[((0.6, 0.2, 0.2), 1.0), ((0.5, 0.5 + 2e-9, 0.0), 1.0)])  # complement -2e-9, sum renormalized
+    @example(rows=[((0.6, 0.2, 0.2), 1.0), ((0.5, 0.5 + 2e-6, 0.0), 1.0)])  # complement -2e-6, sum rejected
     @example(rows=[((0.5, 0.5, 0.0), -0.0), ((1.0, 0.0, 0.0), 5e-324), ((0.0, 1.0, 0.0), 5e-324)])
     def test_discount(self, rows):
         triples, weights = [t for t, _ in rows], [w for _, w in rows]
@@ -395,10 +406,6 @@ class TestCombineAll:
     def test_single_source(self):
         m = triple(0.6, 0.2, 0.2).masses
         assert fold([m]) == m
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyEvidenceList):
-            fold([])
 
     def test_four_discounted_left_parts(self):
         # one decision maker's four criterion-discounted left parts

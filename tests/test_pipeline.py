@@ -23,7 +23,6 @@ from intervalfusion import (
 )
 from intervalfusion.errors import (
     AllZeroWeights,
-    EmptyEvidenceList,
     InvalidWeight,
     TotalConflict,
     ValidationError,
@@ -167,10 +166,6 @@ class TestFuseAndCollapse:
     def test_fuse_single_is_identity(self):
         left, right = settled(0.5, 0.2, 0.3), settled(0.7, 0.1, 0.2)
         assert fuse_interval_bpas([left], [right]) == (left, right)
-
-    def test_fuse_empty_rejected(self):
-        with pytest.raises(EmptyEvidenceList):
-            fuse_interval_bpas([], [])
 
     def test_collapse_final_row(self):
         got = collapse_interval_bpa((settled(0.4950, 0.0733, 0.4317), settled(0.9696, 0.0201, 0.0103)))
@@ -571,6 +566,36 @@ class TestRankAlternatives:
             assert getattr(report, f) == getattr(supplier_report, f)
         assert report == built_directly(supplier_report)
         assert hash(report) == hash(built_directly(supplier_report))
+
+    def test_report_stores_bets_and_weight_lists_as_tuples(self, supplier_report):
+        # a list in place of a tuple gives an equal report with an equal hash
+        lists = {"bets": list(supplier_report.bets), "normalized_dm_weights": list(supplier_report.normalized_dm_weights),
+                 "normalized_criterion_weights": [list(ws) for ws in supplier_report.normalized_criterion_weights]}
+        report = built_directly(supplier_report, **lists)
+        assert type(report.bets) is type(report.normalized_dm_weights) is tuple
+        assert {type(ws) for ws in (report.normalized_criterion_weights, *report.normalized_criterion_weights)} == {tuple}
+        assert report == built_directly(supplier_report)
+        assert hash(report) == hash(built_directly(supplier_report))
+
+    @pytest.mark.parametrize("field, change, message", [
+        ("normalized_dm_weights", lambda ws: ws[:-1], "normalized decision maker weights must be a sequence of 3 intervals"),
+        ("normalized_dm_weights", lambda ws: ws + ws[:1], "normalized decision maker weights must be a sequence of 3 intervals"),
+        ("normalized_criterion_weights", lambda ws: ws[:-1], "normalized criterion weights must be a 3 x 4 grid of intervals"),
+        ("normalized_criterion_weights", lambda ws: (ws[0][:-1], *ws[1:]),
+         "normalized criterion weights must be a 3 x 4 grid of intervals"),
+        ("normalized_dm_weights", lambda ws: (*ws[:-1], (0.5, 0.5)),
+         "normalized_dm_weights['DM3']: expected an Interval, got tuple"),
+        ("normalized_criterion_weights", lambda ws: (ws[0], (*ws[1][:-1], 0.5), *ws[2:]),
+         "normalized_criterion_weights['DM2']['C4']: expected an Interval, got float"),
+        ("bets", set, "bets: expected a sequence, got set"),
+    ], ids=["dm-short", "dm-long", "criterion-rows", "criterion-row", "dm-not-interval", "criterion-not-interval",
+            "bets-set"])
+    def test_report_weight_tables_take_the_grid_rule(self, supplier_report, field, change, message):
+        assert (supplier_report.decision_makers, supplier_report.criteria) == (("DM1", "DM2", "DM3"),
+                                                                               ("C1", "C2", "C3", "C4"))
+        with pytest.raises(ValidationError) as err:
+            built_directly(supplier_report, **{field: change(getattr(supplier_report, field))})
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("field, what", [("alternatives", "alternative labels"), ("criteria", "criterion labels"),
                                              ("decision_makers", "decision maker labels")])

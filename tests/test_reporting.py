@@ -13,7 +13,7 @@ from intervalfusion import (
     load_problem,
     rank_alternatives,
 )
-from intervalfusion.errors import IntervalFusionError
+from intervalfusion.errors import IntervalFusionError, ValidationError
 from intervalfusion.evidence import FRAME
 from intervalfusion.loading import bundled_dataset_bytes
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY
@@ -389,9 +389,11 @@ def ranked_reports(draw):
 @st.composite
 def direct_reports(draw):
     """Reports built by the constructor, without a problem: unique labels,
-    finite int or float bets and the ranking by bet, ties in input order.
-    The constructor checks neither the normalized weight tables nor the
-    normalization, so these take any shape and any value."""
+    finite int or float bets, the ranking by bet, ties in input order, and
+    weight tables of any value. The constructor does not check the
+    normalization, so it takes any value. A weight table drawn in a shape
+    that does not match the labels is rejected when the report is built, and
+    tables of the right shape are drawn in its place."""
 
     def labels(n):
         return tuple(draw(st.lists(_label, min_size=n, max_size=n, unique=True)))
@@ -407,15 +409,26 @@ def direct_reports(draw):
     def weights(n):
         return tuple(draw(st.lists(_weight.map(lambda w: Interval(*w)), min_size=n, max_size=n)))
 
-    crit_weights = tuple(weights(length(crits)) for _ in range(length(dms)))
     normalization = draw(st.one_of(st.sampled_from(["pooled", "per-dm"]), st.none(), st.integers(), st.text()))
-    return RankingReport(alts, crits, dms, normalization, crit_weights, weights(length(dms)), bets, ranking)
+    crit_weights = tuple(weights(length(crits)) for _ in range(length(dms)))
+    dm_weights = weights(length(dms))
+    if (len(dm_weights), len(crit_weights), {len(ws) for ws in crit_weights}) != (len(dms), len(dms), {len(crits)}):
+        with pytest.raises(ValidationError, match=r"^normalized (criterion|decision maker) weights must be a "):
+            RankingReport(alts, crits, dms, normalization, crit_weights, dm_weights, bets, ranking)
+        crit_weights, dm_weights = tuple(weights(len(crits)) for _ in dms), weights(len(dms))
+    return RankingReport(alts, crits, dms, normalization, crit_weights, dm_weights, bets, ranking)
 
 
-# a report whose criterion weight row is shorter than the criteria: its JSON
-# full trace must raise the no-trace error before it fills the weight template
-_SHORT_ROW = RankingReport(("A",), ("C1", "C2"), ("D",), "pooled", ((Interval(0, 0),),), (Interval(0, 0),), (0.5,),
-                           ("A",))
+def test_a_report_with_a_short_weight_row_is_rejected_when_built():
+    # before, it was built, and its JSON full trace had to raise the no-trace
+    # error before it filled the weight template
+    with pytest.raises(ValidationError) as err:
+        RankingReport(("A",), ("C1", "C2"), ("D",), "pooled", ((Interval(0, 0),),), (Interval(0, 0),), (0.5,), ("A",))
+    assert str(err.value) == "normalized criterion weights must be a 1 x 2 grid of intervals"
+
+
+_ONE_ROW = RankingReport(("A",), ("C1", "C2"), ("D",), "pooled", ((Interval(0, 0), Interval(0, 1)),), (Interval(0, 0),),
+                         (0.5,), ("A",))
 _ONE_CELL = problem((["A"], ["C"], ["D"]), [(1, 1)], [[(1, 1)]], [[[(0.5, 0.25, 0.25)]]])
 
 
@@ -445,7 +458,7 @@ def assert_output_fails_closed(report, modes):
 
 @settings(max_examples=250, deadline=None)
 @given(case=ranked_reports(), direct=direct_reports())
-@example(case=(_ONE_CELL, rank_alternatives(_ONE_CELL)), direct=_SHORT_ROW)
+@example(case=(_ONE_CELL, rank_alternatives(_ONE_CELL)), direct=_ONE_ROW)
 def test_writer_matches_json_dumps_on_generated_problems(case, direct):
     assert_writer_matches_reference(*case)
     assert_output_fails_closed(case[1], (SUMMARY, FULL_TRACE))

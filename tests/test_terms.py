@@ -3,6 +3,7 @@ and their diagnostics, and the alpha-cut that reads a tfn term, a triangular
 fuzzy number ``(a, b, c)``, as an interval."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -97,10 +98,12 @@ class TestAlphaCut:
         a, b, c = 3338795.472462671, 3360657.0086845933, 87707394.41313182
         assert as_interval((a, b, c), 1.0) == Interval(b, b)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.1])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, True, "0.5", 10**400, math.nan, math.inf],
+                             ids=["below", "above", "bool", "str", "int-beyond-float", "nan", "inf"])
     def test_invalid_alpha(self, alpha):
+        # alpha is a number as a mass or an endpoint is: a finite int or float
         message = rejection(InvalidAlpha, lambda: load_problem(document([0.5]), alpha=alpha))
-        assert message == f"alpha must lie in [0, 1], got {alpha}"
+        assert message == f"alpha must lie in [0, 1], got {alpha!r}"
 
     def test_as_interval_passthrough(self):
         iv = Interval(0.1, 0.2)
