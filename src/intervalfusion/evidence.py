@@ -147,11 +147,11 @@ class MassFunction(Value):
     ``masses`` is the triple of the masses of {IS}, {NS} and the full frame.
     Invariants: every mass is a finite, non-negative float, a zero mass is
     +0.0, and the total is 1 (after the renormalization policy above).
-    Direct construction checks them; the loader checks each rating itself and
-    builds its cell without ``__post_init__`` (``loading._parse_row``).
+    Direct construction checks them; the loader checks each rating itself, and
+    a loaded problem builds its cells without ``__post_init__`` (``pipeline._cell``).
     """
 
-    __slots__ = ("masses",)
+    __slots__ = _fields = ("masses",)
 
     def __init__(self, masses: Triple) -> None:
         self._init(masses)

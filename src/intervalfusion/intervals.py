@@ -37,18 +37,18 @@ def describe(x) -> str:
 
 
 class Value:
-    """An immutable value whose fields are its ``__slots__`` but ``__dict__``, in
-    constructor order. It compares, hashes, pickles and copies as the call that
-    builds it, and its repr, as ``Interval(lo=0.2, hi=0.35)``, skips ``_`` fields."""
+    """An immutable value whose fields are its ``_fields``, the constructor's
+    parameters in order. It compares, hashes, pickles and copies as the call
+    that builds it, and its repr, as ``Interval(lo=0.2, hi=0.35)``, skips ``_`` fields."""
 
     __slots__ = ()
 
     def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self.__slots__ if name != "__dict__"])
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
@@ -57,7 +57,7 @@ class Value:
         return hash(self.__reduce__())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value=None):
@@ -69,7 +69,7 @@ class Value:
 class Interval(Value):
     """A closed real interval ``[lo, hi]`` with finite ``lo <= hi``."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float) -> None:
         a, b = to_float(lo), to_float(hi)

@@ -55,7 +55,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .evidence import _INF, FRAME, MassFunction
+from .evidence import _INF, FRAME, Triple
 from .intervals import Interval, describe, to_float
 from .pipeline import DecisionProblem, _loaded_problem, _nogc, _where
 
@@ -327,16 +327,13 @@ def _parse_weight(value, scales: dict[str, dict], alpha: float, where: str) -> I
 
 # --- ratings ------------------------------------------------------------------
 
-_new = object.__new__
-_set_masses = MassFunction.masses.__set__  # the slot, past the raising __setattr__
-
-
-def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[MassFunction, ...]:
-    """The cells ``ratings[name][alt][crit]``, one per criterion; their
-    coordinates are formatted only when one is rejected. Each cell is built
-    without ``MassFunction.__post_init__``: its masses, with an ``fsum`` of 1
-    or divided by it, have a plain sum within about 5e-16 of 1, which
-    ``_settle`` keeps, and ``+ 0.0`` is all ``_mass`` would change."""
+def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[Triple, ...]:
+    """The triples of the cells ``ratings[name][alt][crit]``, one per
+    criterion; their coordinates are formatted only when one is rejected.
+    Each is the ``masses`` that ``MassFunction.__post_init__`` would store:
+    with an ``fsum`` of 1 or divided by it, the masses have a plain sum within
+    about 5e-16 of 1, which ``_settle`` keeps, and ``+ 0.0`` is all ``_mass``
+    would change."""
     row = []
     for crit in criteria:
         value = alt_obj[crit]
@@ -359,9 +356,7 @@ def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[MassFuncti
             if abs(total - 1.0) > RATING_SUM_TOLERANCE:
                 raise ValidationError(f"{_where('ratings', (name, alt, crit))}: masses sum to {total!r}, expected 1")
             a, b, c = a / total, b / total, c / total
-        m = _new(MassFunction)
-        _set_masses(m, (a + 0.0, b + 0.0, c + 0.0))
-        row.append(m)
+        row.append((a + 0.0, b + 0.0, c + 0.0))
     return tuple(row)
 
 
@@ -383,7 +378,7 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
     dm_entries = _expect_list(root["decision_makers"], "decision_makers")
     if not dm_entries:
         raise SchemaError("decision_makers: must not be empty")
-    dm_names: list[str] = []
+    dm_names: dict[str, None] = {}  # in document order, with a membership test in constant time
     dm_weights: list[Interval] = []
     criterion_weights: list[tuple[Interval, ...]] = []
     for i, entry in enumerate(dm_entries):
@@ -395,7 +390,7 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
             raise SchemaError(f"{where}.name: must not be empty")
         if name in dm_names:
             raise SchemaError(f"{where}.name: duplicate decision maker {name!r}")
-        dm_names.append(name)
+        dm_names[name] = None
         dm_weights.append(_parse_weight(entry["weight"], scales, alpha, f"{where}.weight"))
         ws = _expect_list(entry["criterion_weights"], f"{where}.criterion_weights")
         if len(ws) != len(criteria):
@@ -409,20 +404,20 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
 
     ratings_obj = _expect_dict(root["ratings"], "ratings")
     _check_keys(ratings_obj, dm_names, "ratings", "decision maker")
-    ratings: list[tuple[tuple[MassFunction, ...], ...]] = []
+    triples: list[tuple[tuple[Triple, ...], ...]] = []
     criteria_set = set(criteria)
     for name in dm_names:
         where = _where("ratings", (name,))
         dm_obj = _expect_dict(ratings_obj[name], where)
         _check_keys(dm_obj, alternatives, where, "alternative")
-        rows: list[tuple[MassFunction, ...]] = []
+        rows: list[tuple[Triple, ...]] = []
         for alt in alternatives:
             alt_obj = dm_obj[alt]
             if not isinstance(alt_obj, dict) or alt_obj.keys() != criteria_set:
                 alt_where = _where("ratings", (name, alt))
                 _check_keys(_expect_dict(alt_obj, alt_where), criteria, alt_where, "criterion")
             rows.append(_parse_row(alt_obj, criteria, name, alt))
-        ratings.append(tuple(rows))
+        triples.append(tuple(rows))
 
-    fields = alternatives, criteria, tuple(dm_names), tuple(dm_weights), tuple(criterion_weights), tuple(ratings)
+    fields = alternatives, criteria, tuple(dm_names), tuple(dm_weights), tuple(criterion_weights), tuple(triples)
     return _loaded_problem(*fields)

@@ -141,27 +141,34 @@ class DecisionProblem(Value):
     each grid in label order, a row's length before its cells' types, and
     the first fault met is the one raised.
 
-    :func:`load_problem` skips these checks (:func:`_loaded_problem`): the
-    loader has made each of them on the document, naming its coordinates.
+    The kernel reads ``_triples``, the grid of the ratings' ``masses``, and
+    ``ratings`` is a cached view of it. A direct build keeps the cells it was
+    given. :func:`load_problem` skips these checks (:func:`_loaded_problem`),
+    which the loader has made, naming coordinates, and its problem builds the
+    cells on first access, collector paused, each holding its very triple.
     """
 
-    __slots__ = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "ratings")
+    _fields = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "ratings")
+    __slots__ = (*_fields[:5], "_triples", "__dict__")
 
     def __init__(self, alternatives: Sequence[str], criteria: Sequence[str], decision_makers: Sequence[str],
                  dm_weights: Sequence[Interval], criterion_weights: Sequence[Sequence[Interval]],
                  ratings: Sequence[Sequence[Sequence[MassFunction]]]) -> None:
-        self._init(alternatives, criteria, decision_makers, dm_weights, criterion_weights, ratings)
+        self._init(alternatives, criteria, decision_makers)
         _unique_labels(self)
 
         dms, alts, crits = self.decision_makers, self.alternatives, self.criteria
-        for name, shape_error, axes, leaf in (
-            ("dm_weights", f"decision maker weights must be a sequence of {len(dms)} intervals", (dms,), Interval),
-            ("criterion_weights", f"criterion weights must be a {len(dms)} x {len(crits)} grid of intervals",
-             (dms, crits), Interval),
-            ("ratings", f"ratings must be a {len(dms)} x {len(alts)} x {len(crits)} grid of mass functions",
-             (dms, alts, crits), MassFunction),
-        ):
-            object.__setattr__(self, name, _grid(getattr(self, name), name, shape_error, *axes, leaf=leaf))
+        *weights, cells = [_grid(value, name, error, *axes, leaf=leaf) for name, value, axes, leaf, error in (
+            ("dm_weights", dm_weights, (dms,), Interval,
+             f"decision maker weights must be a sequence of {len(dms)} intervals"),
+            ("criterion_weights", criterion_weights, (dms, crits), Interval,
+             f"criterion weights must be a {len(dms)} x {len(crits)} grid of intervals"),
+            ("ratings", ratings, (dms, alts, crits), MassFunction,
+             f"ratings must be a {len(dms)} x {len(alts)} x {len(crits)} grid of mass functions"),
+        )]
+        self._init(self.alternatives, self.criteria, self.decision_makers, *weights)
+        object.__setattr__(self, "_triples", tuple([tuple([tuple([m.masses for m in r]) for r in dm]) for dm in cells]))
+        self.__dict__["ratings"] = cells
 
         groups = ("decision maker", self.dm_weights), ("criterion", [w for ws in self.criterion_weights for w in ws])
         for what, group in groups:  # every sign before either all-zero check
@@ -172,20 +179,38 @@ class DecisionProblem(Value):
             if max(w.hi for w in group) <= 0.0:
                 raise AllZeroWeights(f"{what} weights are all zero")
 
+    @property
+    @_nogc
+    def ratings(self) -> tuple:
+        # cached by hand inside the pause, as RankingReport.cells is
+        if "ratings" not in self.__dict__:
+            self.__dict__["ratings"] = tuple([tuple([tuple(map(_cell, row)) for row in dm]) for dm in self._triples])
+        return self.__dict__["ratings"]
+
+
+_set_masses = MassFunction.masses.__set__  # the slot, past the raising __setattr__
+
+
+def _cell(masses: Triple) -> MassFunction:
+    """The MassFunction holding the checked triple ``masses``, built past ``__post_init__``."""
+    _set_masses(m := object.__new__(MassFunction), masses)
+    return m
+
 
 def _loaded_problem(*fields) -> DecisionProblem:
-    """The DecisionProblem of the six ``fields``, in constructor order, that
-    ``loading._build_problem`` has checked, built without the constructor's
-    checks. The loader keeps each invariant those check. It builds every field
-    and row as a tuple. ``_label_list`` and the ``decision_makers`` name checks
-    make labels unique, non-empty strings. ``_parse_weight`` and the
-    ``criterion_weights`` length check give one non-negative ``Interval`` per
-    decision maker and per criterion of each. Two checks reject an all-zero
-    weight field. ``_check_keys`` on each level of ``ratings``, and
-    ``_parse_row``, give one ``MassFunction`` per decision maker, alternative
-    and criterion."""
+    """The DecisionProblem of the six ``fields``, in constructor order and with
+    the triple grid as ``ratings``, that ``loading._build_problem`` has
+    checked, built without the constructor's checks. The loader keeps each
+    invariant those check. It builds every field and row as a tuple.
+    ``_label_list`` and the ``decision_makers`` name checks make labels unique,
+    non-empty strings. ``_parse_weight`` and the ``criterion_weights`` length
+    check give one non-negative ``Interval`` per decision maker and per
+    criterion of each. Two checks reject an all-zero weight field.
+    ``_check_keys`` on each level of ``ratings``, and ``_parse_row``, give
+    one triple per decision maker, alternative and criterion."""
     problem = object.__new__(DecisionProblem)
-    problem._init(*fields)
+    problem._init(*fields[:5])
+    object.__setattr__(problem, "_triples", fields[5])
     return problem
 
 
@@ -210,8 +235,9 @@ class RankingReport(Value):
     or float.
     """
 
-    __slots__ = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
-                 "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking", "_trace", "__dict__")
+    _fields = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
+               "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking", "_trace")
+    __slots__ = (*_fields, "__dict__")
 
     def __init__(self, alternatives: tuple[str, ...], criteria: tuple[str, ...], decision_makers: tuple[str, ...],
                  criterion_normalization: str, normalized_criterion_weights: tuple[tuple[Interval, ...], ...],
@@ -345,11 +371,10 @@ def _split(items: Sequence, n: int) -> tuple:
 def _discounted(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]]) -> Iterator[tuple]:
     """Step 2: the (left parts, right parts) of each (decision maker,
     alternative) row of ratings, discounted in the problem's order."""
-    for ws, dm_ratings in zip(crit_weights, problem.ratings):
+    for ws, dm_triples in zip(crit_weights, problem._triples):
         los, his = _endpoints(ws)
-        for ratings in dm_ratings:
-            triples = [m.masses for m in ratings]
-            yield discount_to_interval_bpa(triples, triples, los, his)
+        for row in dm_triples:
+            yield discount_to_interval_bpa(row, row, los, his)
 
 
 def _kernel(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]], dm_weights: Sequence[Interval]):

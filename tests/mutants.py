@@ -47,7 +47,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # --- evidence.py: the sum policy, the clamp and fold's inline shortcut
+    # --- evidence.py: the sum policy, the clamp, fold's inline shortcut and its conflict bound
     Mutant(
         "clamp-skips-policy", "src/intervalfusion/evidence.py",
         "out.append(_settle(a, b, 0.0))", "out.append((a, b, 0.0))",
@@ -77,7 +77,17 @@ MUTANTS = [
         "is exact and a multiple of 2**-53. The float 1e-12 is not one, so > and >= cannot differ; "
         "tests/test_evidence.py::test_settle_never_meets_its_exact_band_edge pins the premise.",
     ),
-    # --- pipeline.py: a direct report's tables, the ranking and the bet
+    Mutant(
+        "conflict-limit-widened", "src/intervalfusion/evidence.py",
+        "_CONFLICT_LIMIT = 1.0 - TOTAL_CONFLICT_EPS", "_CONFLICT_LIMIT = 1.0 - 1e-9",
+        killed_by="tests/test_evidence.py::TestCombine::test_conflict_bound_is_one_minus_total_conflict_eps",
+    ),
+    # --- pipeline.py: the ratings view, a direct report's tables, the ranking and the bet
+    Mutant(
+        "ratings-view-uncached", "src/intervalfusion/pipeline.py",
+        'if "ratings" not in self.__dict__:', "if True:",
+        killed_by="tests/test_pipeline.py::TestRatingsView::test_second_read_is_the_first",
+    ),
     Mutant(
         "report-walk-skips-dm-weights", "src/intervalfusion/pipeline.py",
         '            ("normalized_dm_weights", f"normalized decision maker weights must be a sequence of {len(dms)} '
@@ -113,7 +123,7 @@ MUTANTS = [
         equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
         "for every float x.",
     ),
-    # --- intervals.py and loading.py: endpoint order, weight sign, alpha
+    # --- intervals.py and loading.py: endpoint order, weight sign, rating sum, alpha
     Mutant(
         "endpoint-tolerance-widened", "src/intervalfusion/intervals.py",
         "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
@@ -123,6 +133,13 @@ MUTANTS = [
         "loader-weight-sign-loosened", "src/intervalfusion/loading.py",
         "    if iv.lo < 0:", "    if iv.lo < -1e-300:",
         killed_by="tests/test_loading.py::TestWeightForms::test_smallest_negative_weight_rejected[crisp]",
+    ),
+    Mutant(
+        "loader-sum-edge-inclusive", "src/intervalfusion/loading.py",
+        "if abs(total - 1.0) > RATING_SUM_TOLERANCE:", "if abs(total - 1.0) >= RATING_SUM_TOLERANCE:",
+        equivalent="The two differ only on a total with abs(total - 1.0) == 1e-3. Such a total lies in [0.5, 2], "
+        "where total - 1.0 is exact and a multiple of 2**-53. The float 1e-3 is not one: times 2**53 it leaves a "
+        "denominator of 128. So no total meets the edge, as with _settle's exact band.",
     ),
     Mutant(
         "alpha-any-float", "src/intervalfusion/loading.py",

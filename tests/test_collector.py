@@ -1,5 +1,6 @@
 """The cyclic garbage collector is paused while a problem is loaded, ranked
-and traced, and its state is restored on every way out."""
+and traced, and while its ratings view is built, and its state is restored
+on every way out."""
 
 import gc
 import json
@@ -76,6 +77,7 @@ EXITS = {
     "rank": (lambda mp: rank_alternatives(load_problem(document(2, 3, 4))), None),
     "rank-conflict": (lambda mp: rank_alternatives(load_problem(CONFLICT)), TotalConflict),
     "trace": (lambda mp: rank_alternatives(load_problem(document(2, 3, 4))).cells, None),
+    "ratings-view": (lambda mp: load_problem(document(2, 3, 4)).ratings, None),
 }
 
 
@@ -117,8 +119,10 @@ def test_no_collection_runs_while_loading_ranking_or_tracing(collector, crisp):
     problem, during_load = collections_during(lambda: load_problem(source))
     report, during_rank = collections_during(lambda: rank_alternatives(problem))
     cells, during_trace = collections_during(lambda: report.cells)
+    ratings, during_view = collections_during(lambda: problem.ratings)
     assert len(cells) * len(cells[0]) * len(cells[0][0]) == 50_000
-    assert (during_load, during_rank, during_trace) == ([], [], [])
+    assert len(ratings) * len(ratings[0]) * len(ratings[0][0]) == 50_000
+    assert (during_load, during_rank, during_trace, during_view) == ([], [], [], [])
     assert gc.isenabled()
     # crisp weights take the path where each interval BPA's two parts are one
     assert all(left is right for left, right in report.final) is crisp

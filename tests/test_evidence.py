@@ -390,6 +390,15 @@ class TestCombine:
             MassFunction(x).combine(MassFunction(y))
         assert str(err.value) == message
 
+    def test_conflict_bound_is_one_minus_total_conflict_eps(self):
+        # K of (x, 1 - x, 0) and (0, 1, 0) is x, and below the bound their
+        # fusion is exact: (1 - x) / (1 - K) is 1
+        bound = 1.0 - TOTAL_CONFLICT_EPS
+        inside = math.nextafter(bound, 0.0)
+        assert fold(((inside, 1.0 - inside, 0.0), (0.0, 1.0, 0.0))) == (0.0, 1.0, 0.0)
+        with pytest.raises(TotalConflict):
+            fold(((bound, 1.0 - bound, 0.0), (0.0, 1.0, 0.0)))
+
     def test_matches_brute_force(self):
         m1 = triple(0.1080, 0.0206, 0.8714)
         m2 = triple(0.1659, 0.0416, 0.7925)

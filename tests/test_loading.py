@@ -482,7 +482,7 @@ class TestLoaderEstablishesEveryInvariant:
         return load_problem(source, alpha=alpha)
 
     def test_equals_the_checked_construction(self, problem):
-        fields = {name: getattr(problem, name) for name in DecisionProblem.__slots__}
+        fields = {name: getattr(problem, name) for name in DecisionProblem._fields}
         assert DecisionProblem(**fields) == problem
 
     def test_pickle_round_trip_rebuilds_it_through_the_checks(self, problem):

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import pickle
@@ -642,7 +643,8 @@ def built_directly(report, **changes):
 @pytest.fixture
 def mass_builds(monkeypatch):
     """The MassFunction values built through __post_init__ while the test
-    runs. The loader builds its cells without it, in loading._parse_row."""
+    runs. The loader builds no cell, and a loaded problem's ratings view
+    builds its cells without it, in pipeline._cell."""
     built = []
     post_init = MassFunction.__post_init__
 
@@ -675,7 +677,42 @@ def test_loading_walks_no_grid(monkeypatch):
     problem = load_problem(bundled_dataset_bytes())
     assert walks == []
     rebuilt(problem)
-    assert set(walks) >= set(DecisionProblem.__slots__)
+    assert set(walks) >= set(DecisionProblem._fields)
+
+
+class TestRatingsView:
+    """A problem holds its ratings as triples; ``ratings`` is a view of them."""
+
+    def test_load_rank_and_render_build_no_mass_function(self, mass_builds):
+        def live():
+            return {id(o): o for o in gc.get_objects() if type(o) is MassFunction}
+
+        before = live()
+        problem = load_problem(bundled_dataset_bytes())
+        report = rank_alternatives(problem)
+        emit_report(report, FULL_TRACE, HUMAN_TABLE)
+        emit_report(report, FULL_TRACE, JSON_FORMAT)
+        assert live().keys() - before.keys() == set()
+
+        ratings = problem.ratings
+        shape = len(problem.decision_makers), len(problem.alternatives), len(problem.criteria)
+        assert (len(ratings), len(ratings[0]), len(ratings[0][0])) == shape
+        assert len(live().keys() - before.keys()) == math.prod(shape)
+        for dm, dm_triples in zip(ratings, problem._triples):
+            for row, triples in zip(dm, dm_triples):
+                assert all(type(m) is MassFunction and m.masses is t for m, t in zip(row, triples, strict=True))
+        assert mass_builds == []
+
+    def test_second_read_is_the_first(self):
+        problem = load_problem(bundled_dataset_bytes())
+        assert problem.ratings is problem.ratings
+
+    def test_direct_build_keeps_the_cells_it_was_given(self, supplier_problem):
+        cells = supplier_problem.ratings
+        problem = rebuilt(supplier_problem)
+        for dm, dm_cells, dm_triples in zip(problem.ratings, cells, problem._triples):
+            for row, row_cells, triples in zip(dm, dm_cells, dm_triples):
+                assert all(m is c and t is c.masses for m, c, t in zip(row, row_cells, triples, strict=True))
 
 
 class TestTraceOnDemand:
