@@ -38,8 +38,9 @@ def describe(x) -> str:
 
 class Value:
     """An immutable value whose fields are its ``_fields``, the constructor's
-    parameters in order. It compares, hashes, pickles and copies as the call
-    that builds it, and its repr, as ``Interval(lo=0.2, hi=0.35)``, skips ``_`` fields."""
+    parameters in order. It pickles and copies as the call that builds it, and
+    compares and hashes by its ``_key``, that call unless a type says
+    otherwise. Its repr, as ``Interval(lo=0.2, hi=0.35)``, skips ``_`` fields."""
 
     __slots__ = ()
 
@@ -50,11 +51,14 @@ class Value:
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self._fields])
 
+    def _key(self) -> tuple:
+        return self.__reduce__()
+
     def __eq__(self, other):
-        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.__reduce__())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")

@@ -332,8 +332,10 @@ def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[Triple, ..
     criterion; their coordinates are formatted only when one is rejected.
     Each is the ``masses`` that ``MassFunction.__post_init__`` would store:
     with an ``fsum`` of 1 or divided by it, the masses have a plain sum within
-    about 5e-16 of 1, which ``_settle`` keeps, and ``+ 0.0`` is all ``_mass``
-    would change."""
+    about 5e-16 of 1, which ``_settle`` keeps, and -0.0 read as +0.0 is all
+    ``_mass`` would change. ``x or 0.0`` makes that change and returns every
+    other float as the very object decoded, so a triple adds no float to the
+    document's."""
     row = []
     for crit in criteria:
         value = alt_obj[crit]
@@ -356,7 +358,7 @@ def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[Triple, ..
             if abs(total - 1.0) > RATING_SUM_TOLERANCE:
                 raise ValidationError(f"{_where('ratings', (name, alt, crit))}: masses sum to {total!r}, expected 1")
             a, b, c = a / total, b / total, c / total
-        row.append((a + 0.0, b + 0.0, c + 0.0))
+        row.append((a or 0.0, b or 0.0, c or 0.0))
     return tuple(row)
 
 
@@ -417,6 +419,7 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
                 alt_where = _where("ratings", (name, alt))
                 _check_keys(_expect_dict(alt_obj, alt_where), criteria, alt_where, "criterion")
             rows.append(_parse_row(alt_obj, criteria, name, alt))
+            dm_obj[alt] = None  # the decoded row, freed: the document shrinks as the triples grow
         triples.append(tuple(rows))
 
     fields = alternatives, criteria, tuple(dm_names), tuple(dm_weights), tuple(criterion_weights), tuple(triples)

@@ -65,6 +65,24 @@ def _nogc(func):
     return paused
 
 
+class _cached:
+    """A field that ``build`` makes on the first read, with the collector
+    paused, and keeps in the instance's ``__dict__`` under its own name. A
+    later read finds it there before this descriptor, as with
+    ``functools.cached_property``, so it never switches the collector; that
+    one would store the value after the pause has ended."""
+
+    def __init__(self, build):
+        self.name, self.build = build.__name__, build
+
+    @_nogc
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
     """Divide every interval in the group by the largest endpoint found in
     the whole group, so all normalized upper bounds are <= 1."""
@@ -142,10 +160,12 @@ class DecisionProblem(Value):
     the first fault met is the one raised.
 
     The kernel reads ``_triples``, the grid of the ratings' ``masses``, and
-    ``ratings`` is a cached view of it. A direct build keeps the cells it was
-    given. :func:`load_problem` skips these checks (:func:`_loaded_problem`),
-    which the loader has made, naming coordinates, and its problem builds the
-    cells on first access, collector paused, each holding its very triple.
+    ``ratings`` is a cached view of it. Equality and hashing compare
+    ``_triples`` in place of the view, so they build no cell. A direct build
+    keeps the cells it was given. :func:`load_problem` skips these checks
+    (:func:`_loaded_problem`), which the loader has made, naming coordinates,
+    and its problem builds the cells on first access, collector paused, each
+    holding its very triple.
     """
 
     _fields = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "ratings")
@@ -179,13 +199,13 @@ class DecisionProblem(Value):
             if max(w.hi for w in group) <= 0.0:
                 raise AllZeroWeights(f"{what} weights are all zero")
 
-    @property
-    @_nogc
+    @_cached
     def ratings(self) -> tuple:
-        # cached by hand inside the pause, as RankingReport.cells is
-        if "ratings" not in self.__dict__:
-            self.__dict__["ratings"] = tuple([tuple([tuple(map(_cell, row)) for row in dm]) for dm in self._triples])
-        return self.__dict__["ratings"]
+        return tuple([tuple([tuple(map(_cell, row)) for row in dm]) for dm in self._triples])
+
+    def _key(self) -> tuple:
+        # the triples, not the view: comparing or hashing builds no cell
+        return DecisionProblem, tuple([getattr(self, name) for name in self._fields[:5]]), self._triples
 
 
 _set_masses = MassFunction.masses.__set__  # the slot, past the raising __setattr__
@@ -271,16 +291,10 @@ class RankingReport(Value):
             raise ValueError("this report was not built by rank_alternatives and has no trace")
         return self._trace[i]
 
-    @property
-    @_nogc
+    @_cached
     def cells(self) -> tuple:
-        # Cached by hand inside the pause: functools.cached_property stores
-        # its value after the wrapped getter returns, when the collector is on.
-        cells = self.__dict__.get("cells")
-        if cells is None:
-            rows = [tuple(zip(*pair)) for pair in _discounted(self._kept(0), self.normalized_criterion_weights)]
-            cells = self.__dict__["cells"] = _split(rows, len(self.alternatives))
-        return cells
+        rows = [tuple(zip(*pair)) for pair in _discounted(self._kept(0), self.normalized_criterion_weights)]
+        return _split(rows, len(self.alternatives))
 
     fused_per_dm = property(lambda self: self._kept(1))
     final = property(lambda self: self._kept(2))

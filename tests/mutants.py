@@ -10,8 +10,8 @@ verdict holds if that test, run alone, fails. A mutant recorded as
 equivalent holds if the whole tier-1 suite passes: its written argument
 says why no input can tell it apart.
 
-pytest does not collect this file and CI does not run it. Run it by hand
-from the repository root:
+pytest does not collect this file. CI runs it on one Python version,
+after tier-1; run it from the repository root:
 
     python3 tests/mutants.py
 
@@ -82,11 +82,29 @@ MUTANTS = [
         "_CONFLICT_LIMIT = 1.0 - TOTAL_CONFLICT_EPS", "_CONFLICT_LIMIT = 1.0 - 1e-9",
         killed_by="tests/test_evidence.py::TestCombine::test_conflict_bound_is_one_minus_total_conflict_eps",
     ),
-    # --- pipeline.py: the ratings view, a direct report's tables, the ranking and the bet
+    # --- pipeline.py: the cached views, problem equality, a direct report's tables, the ranking and the bet
     Mutant(
         "ratings-view-uncached", "src/intervalfusion/pipeline.py",
-        'if "ratings" not in self.__dict__:', "if True:",
+        "value = obj.__dict__[self.name] = self.build(obj)", "value = self.build(obj)",
         killed_by="tests/test_pipeline.py::TestRatingsView::test_second_read_is_the_first",
+    ),
+    Mutant(
+        # a data descriptor comes before the instance's __dict__, so every read
+        # enters the pause, even once the value is kept
+        "cached-read-pauses", "src/intervalfusion/pipeline.py",
+        "    @_nogc\n    def __get__(self, obj, cls=None):\n        if obj is None:\n            return self\n",
+        "    def __set__(self, obj, value):\n        raise AttributeError(self.name)\n\n"
+        "    @_nogc\n    def __get__(self, obj, cls=None):\n        if obj is None:\n            return self\n"
+        "        if self.name in obj.__dict__:\n            return obj.__dict__[self.name]\n",
+        killed_by="tests/test_pipeline.py::TestRatingsView::test_a_later_read_switches_no_collector",
+    ),
+    Mutant(
+        "problem-compares-ratings-view", "src/intervalfusion/pipeline.py",
+        "    def _key(self) -> tuple:\n"
+        "        # the triples, not the view: comparing or hashing builds no cell\n"
+        "        return DecisionProblem, tuple([getattr(self, name) for name in self._fields[:5]]), self._triples\n",
+        "",
+        killed_by="tests/test_pipeline.py::TestRatingsView::test_equality_and_hashing_build_no_cell",
     ),
     Mutant(
         "report-walk-skips-dm-weights", "src/intervalfusion/pipeline.py",
@@ -123,7 +141,7 @@ MUTANTS = [
         equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
         "for every float x.",
     ),
-    # --- intervals.py and loading.py: endpoint order, weight sign, rating sum, alpha
+    # --- intervals.py and loading.py: endpoint order, weight sign, rating sum, zero sign, decoded rows, alpha
     Mutant(
         "endpoint-tolerance-widened", "src/intervalfusion/intervals.py",
         "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
@@ -140,6 +158,16 @@ MUTANTS = [
         equivalent="The two differ only on a total with abs(total - 1.0) == 1e-3. Such a total lies in [0.5, 2], "
         "where total - 1.0 is exact and a multiple of 2**-53. The float 1e-3 is not one: times 2**53 it leaves a "
         "denominator of 128. So no total meets the edge, as with _settle's exact band.",
+    ),
+    Mutant(
+        "loader-keeps-negative-zero", "src/intervalfusion/loading.py",
+        "row.append((a or 0.0, b or 0.0, c or 0.0))", "row.append((a, b, c))",
+        killed_by="tests/test_loading.py::TestRatingCellDiagnostics::test_accepted_cell_masses[[-0.0, 1, 0]-masses2]",
+    ),
+    Mutant(
+        "loader-keeps-decoded-rows", "src/intervalfusion/loading.py",
+        "            dm_obj[alt] = None  # the decoded row, freed: the document shrinks as the triples grow\n", "",
+        killed_by="tests/test_loading.py::test_load_peaks_at_the_decoded_document[6000-cells]",
     ),
     Mutant(
         "alpha-any-float", "src/intervalfusion/loading.py",

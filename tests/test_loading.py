@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -431,12 +433,12 @@ class TestRatingCellDiagnostics:
         assert str(built.value) == cell + ": expected a MassFunction, got tuple"
 
 
-def edge_document(seed):
+def edge_document(seed, n_dm=2, n_alt=3, n_crit=4):
     """A valid document whose cells take every path of the loader: rounded
     triples it rescales, int masses, -0.0 masses and full-precision floats;
     with crisp, interval, built-in tfn and user tfn weights."""
     rng = random.Random(seed)
-    alts, crits, dms = ["A1", "A2", "A3"], ["C1", "C2", "C3", "C4"], ["D1", "D2"]
+    alts, crits, dms = ([f"{p}{i}" for i in range(1, n + 1)] for p, n in (("A", n_alt), ("C", n_crit), ("D", n_dm)))
     fixed = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-0.0, 0.5, 0.5], [0.25, -0.0, 0.75], [0.3333, 0.3333, 0.3333]]
 
     def cell():
@@ -502,6 +504,37 @@ class TestLoaderEstablishesEveryInvariant:
         assert any(math.copysign(1.0, x) == -1.0 for cell in cells for x in cell)
         scales = {w["scale"] for doc in docs for dm in doc["decision_makers"] for w in dm["criterion_weights"] if type(w) is dict}
         assert scales == {"kaufmann-tfn", "importance"}
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(3, 200, 10), (3, 400, 10)], ids=["6000-cells", "12000-cells"])
+def test_load_peaks_at_the_decoded_document(shape):
+    # Each triple holds the masses as decoded, and each decoded row is
+    # freed once its triples are built, so a load never holds a second
+    # copy of the ratings: its peak is that of decoding the same bytes.
+    source = edge_document(5, *shape).encode()
+    doc, decode_peak = traced_peak(lambda: json.loads(source.decode()))
+    problem, load_peak = traced_peak(lambda: load_problem(source))
+    assert load_peak <= 1.10 * decode_peak
+
+    def summed_to_one(cell):  # the rule the masses were read by: rescaled, then -0.0 as +0.0
+        total = math.fsum(map(float, cell))
+        return [((x / total if total != 1.0 else float(x)) + 0.0).hex() for x in cell]
+
+    cells = [cell for dm in doc["ratings"].values() for row in dm.values() for cell in row.values()]
+    triples = [t for dm in problem._triples for row in dm for t in row]
+    assert len(triples) == math.prod(shape)
+    assert [[x.hex() for x in t] for t in triples] == [summed_to_one(cell) for cell in cells]
+    assert any(math.copysign(1.0, x) == -1.0 for cell in cells for x in cell)
 
 
 class TestDocumentStructure:

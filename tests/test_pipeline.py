@@ -680,13 +680,15 @@ def test_loading_walks_no_grid(monkeypatch):
     assert set(walks) >= set(DecisionProblem._fields)
 
 
+def live():
+    """The live MassFunction values, by id."""
+    return {id(o): o for o in gc.get_objects() if type(o) is MassFunction}
+
+
 class TestRatingsView:
     """A problem holds its ratings as triples; ``ratings`` is a view of them."""
 
     def test_load_rank_and_render_build_no_mass_function(self, mass_builds):
-        def live():
-            return {id(o): o for o in gc.get_objects() if type(o) is MassFunction}
-
         before = live()
         problem = load_problem(bundled_dataset_bytes())
         report = rank_alternatives(problem)
@@ -706,6 +708,38 @@ class TestRatingsView:
     def test_second_read_is_the_first(self):
         problem = load_problem(bundled_dataset_bytes())
         assert problem.ratings is problem.ratings
+
+    def test_a_later_read_switches_no_collector(self, monkeypatch):
+        # the first read of the view and of the cells is built with the
+        # collector paused; a later read returns the kept value
+        problem = load_problem(bundled_dataset_bytes())
+        report = rank_alternatives(problem)
+        switches = []
+        disable = gc.disable
+        monkeypatch.setattr(gc, "disable", lambda: switches.append(disable()))
+        first = problem.ratings, report.cells
+        assert len(switches) == 2
+        assert problem.ratings is first[0] and report.cells is first[1]
+        assert len(switches) == 2
+
+    def test_equality_and_hashing_build_no_cell(self):
+        before = live()
+        source = bundled_dataset_bytes()
+        problems = load_problem(source), load_problem(source)
+        reports = [rank_alternatives(p) for p in problems]
+        for a, b in (problems, reports):
+            assert a == b and hash(a) == hash(b)
+        doc = json.loads(source)
+        doc["ratings"]["DM2"]["Supplier3"]["C2"] = [0.0, 0.0, 1.0]
+        changed = load_problem(json.dumps(doc))
+        assert changed != problems[0] and rank_alternatives(changed) != reports[0]
+        assert live().keys() - before.keys() == set()
+
+    def test_a_direct_build_equals_its_loaded_twin(self):
+        loaded = load_problem(bundled_dataset_bytes())
+        direct = rebuilt(loaded)
+        for a, b in ((direct, loaded), (rank_alternatives(direct), rank_alternatives(loaded))):
+            assert a == b and b == a and hash(a) == hash(b)
 
     def test_direct_build_keeps_the_cells_it_was_given(self, supplier_problem):
         cells = supplier_problem.ratings
