@@ -11,12 +11,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import IntervalFusionError
 from .loading import bundled_dataset_bytes, load_problem
 from .pipeline import PER_DM, POOLED, rank_alternatives
-from .reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY, emit_report
+from .reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY, emit_report, report_chunks  # noqa: F401
+
+# emit_report is not called here: the CLI writes the report as report_chunks
+# makes it. The name stays because benchmarks/spans.py wraps it on this module.
 
 
 def _alpha_level(text: str) -> float:
@@ -76,35 +81,52 @@ def _descriptor(path: str) -> int | None:
     return None
 
 
-def _write_output(data: bytes, path: str | None) -> None:
-    if path is None:
-        # the report is UTF-8 whatever the encoding of text stdout
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
-        return
-    fd, tmp = _descriptor(path), None
+def _stdout():
+    """A buffered writer on stdout's descriptor, which writes every chunk
+    whole and raises any error by the time it is closed, not at interpreter
+    exit; or, for an in-memory ``sys.stdout`` (as under a test's capture),
+    its binary buffer."""
     try:
-        if fd is not None or os.path.exists(path) and not os.path.isfile(path):
+        fd = sys.stdout.fileno()
+    except AttributeError:  # sys.stdout is None: descriptor 1 was closed at start
+        fd = 1
+    except ValueError:  # io.UnsupportedOperation, an in-memory stream
+        return nullcontext(sys.stdout.buffer)
+    return open(fd, "wb", closefd=False)
+
+
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Write each of ``chunks`` as it comes, UTF-8 encoded whatever the
+    encoding of text stdout, to stdout or to ``path``."""
+    tmp = None
+    try:
+        if sys.stdout:
+            sys.stdout.flush()
+        if path is None:
+            writer = _stdout()
+        elif (fd := _descriptor(path)) is not None or os.path.exists(path) and not os.path.isfile(path):
             # In place: through the descriptor, at its offset and with its
             # flags (after `>> app.txt`, /dev/stdout appends to app.txt), or
             # to a device or pipe named by its path.
-            sys.stdout.flush()
-            with open(path, "wb") if fd is None else open(fd, "wb", closefd=False) as out:
-                out.write(data)
+            writer = open(path, "wb") if fd is None else open(fd, "wb", closefd=False)
         else:
             # Write a temporary file beside the target and rename it over the
-            # target, so a failed run leaves any existing report as it was. A
-            # symlink keeps pointing where it did: the file it points to is
-            # the one replaced.
+            # target after the last chunk, so a failed run leaves any existing
+            # report as it was. A symlink keeps pointing where it did: the
+            # file it points to is the one replaced.
             target = Path(path).resolve()
             tmp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-            tmp.write_bytes(data)
+            writer = open(tmp, "xb")
+        with writer as out:
+            for chunk in chunks:
+                out.write(chunk.encode())
+        if tmp is not None:
             os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
             tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.errno is not None:  # name the path given, not tmp or fd
-            raise OSError(exc.errno, exc.strerror, path) from exc
+        if path is not None and isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc  # name the path given, not tmp or fd
         raise
 
 
@@ -114,14 +136,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = rank_alternatives(problem, criterion_normalization=args.criterion_normalization)
     mode = FULL_TRACE if args.trace else SUMMARY
     fmt = JSON_FORMAT if args.format == "json" else HUMAN_TABLE
-    _write_output(emit_report(report, mode=mode, fmt=fmt), args.output)
+    _write_output(report_chunks(report, mode=mode, fmt=fmt), args.output)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     problem = load_problem(Path(args.input).read_bytes(), alpha=args.alpha)
-    print(f"valid: {len(problem.decision_makers)} decision makers, "
-          f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives")
+    _write_output([f"valid: {len(problem.decision_makers)} decision makers, "
+                   f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives\n"], None)
     return 0
 
 

@@ -291,10 +291,15 @@ class RankingReport(Value):
             raise ValueError("this report was not built by rank_alternatives and has no trace")
         return self._trace[i]
 
+    def _cell_rows(self) -> Iterator[tuple]:
+        """The (left parts, right parts) of each (decision maker, alternative)
+        row of ``cells``, discounted again, in order; ValueError at once if the
+        report has no trace."""
+        return _discounted(self._kept(0), self.normalized_criterion_weights)
+
     @_cached
     def cells(self) -> tuple:
-        rows = [tuple(zip(*pair)) for pair in _discounted(self._kept(0), self.normalized_criterion_weights)]
-        return _split(rows, len(self.alternatives))
+        return _split([tuple(zip(*pair)) for pair in self._cell_rows()], len(self.alternatives))
 
     fused_per_dm = property(lambda self: self._kept(1))
     final = property(lambda self: self._kept(2))

@@ -82,7 +82,17 @@ MUTANTS = [
         "_CONFLICT_LIMIT = 1.0 - TOTAL_CONFLICT_EPS", "_CONFLICT_LIMIT = 1.0 - 1e-9",
         killed_by="tests/test_evidence.py::TestCombine::test_conflict_bound_is_one_minus_total_conflict_eps",
     ),
-    # --- pipeline.py: the cached views, problem equality, a direct report's tables, the ranking and the bet
+    Mutant(
+        "conflict-limit-is-one", "src/intervalfusion/evidence.py", "if k < _CONFLICT_LIMIT:", "if k < 1.0:",
+        killed_by="tests/test_evidence.py::TestCombine::test_conflict_bound_is_one_minus_total_conflict_eps",
+    ),
+    Mutant(
+        "renormalization-tolerance-widened", "src/intervalfusion/evidence.py",
+        "RENORMALIZATION_TOLERANCE = 1e-6", "RENORMALIZATION_TOLERANCE = 1e-5",
+        killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[outside-1e-6]",
+    ),
+    # --- pipeline.py: the grids' length check, the cached views, problem equality, a direct report's tables,
+    # the ranking and the bet
     Mutant(
         "ratings-view-uncached", "src/intervalfusion/pipeline.py",
         "value = obj.__dict__[self.name] = self.build(obj)", "value = self.build(obj)",
@@ -105,6 +115,11 @@ MUTANTS = [
         "        return DecisionProblem, tuple([getattr(self, name) for name in self._fields[:5]]), self._triples\n",
         "",
         killed_by="tests/test_pipeline.py::TestRatingsView::test_equality_and_hashing_build_no_cell",
+    ),
+    Mutant(
+        "grid-skips-length-check", "src/intervalfusion/pipeline.py",
+        "    if len(value) != len(labels):\n        raise ValidationError(shape_error)\n", "",
+        killed_by="tests/test_pipeline.py::TestDecisionProblem::test_shape_checks",
     ),
     Mutant(
         "report-walk-skips-dm-weights", "src/intervalfusion/pipeline.py",
@@ -141,7 +156,8 @@ MUTANTS = [
         equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
         "for every float x.",
     ),
-    # --- intervals.py and loading.py: endpoint order, weight sign, rating sum, zero sign, decoded rows, alpha
+    # --- intervals.py and loading.py: endpoint order, weight sign, rating sum, zero sign, decoded rows, the
+    # backstop, alpha
     Mutant(
         "endpoint-tolerance-widened", "src/intervalfusion/intervals.py",
         "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
@@ -151,6 +167,12 @@ MUTANTS = [
         "loader-weight-sign-loosened", "src/intervalfusion/loading.py",
         "    if iv.lo < 0:", "    if iv.lo < -1e-300:",
         killed_by="tests/test_loading.py::TestWeightForms::test_smallest_negative_weight_rejected[crisp]",
+    ),
+    Mutant(
+        "rating-sum-tolerance-widened", "src/intervalfusion/loading.py",
+        "RATING_SUM_TOLERANCE = 1e-3", "RATING_SUM_TOLERANCE = 2e-3",
+        killed_by="tests/test_loading.py::TestRatingCellDiagnostics::test_rejection_names_the_cell[[0.5, 0.4, 0.0989]-"
+        "ValidationError-ratings['DM2']['Supplier3']['C2']: masses sum to 0.9989, expected 1]",
     ),
     Mutant(
         "loader-sum-edge-inclusive", "src/intervalfusion/loading.py",
@@ -170,6 +192,12 @@ MUTANTS = [
         killed_by="tests/test_loading.py::test_load_peaks_at_the_decoded_document[6000-cells]",
     ),
     Mutant(
+        # an error of another class than the backstop's would escape the loader
+        "parse-backstop-narrowed", "src/intervalfusion/loading.py",
+        "    except IntervalFusionError as exc:\n        # Backstop:", "    except LookupError as exc:\n        # Backstop:",
+        killed_by="tests/test_collector.py::test_collector_state_is_restored[backstop-caller-enabled]",
+    ),
+    Mutant(
         "alpha-any-float", "src/intervalfusion/loading.py",
         "level = to_float(alpha)", "level = float(alpha)",
         killed_by="tests/test_intervals.py::TestConstruction::test_int_too_long_for_repr_named_in_message[alpha]",
@@ -179,7 +207,26 @@ MUTANTS = [
         "if not 0.0 <= level <= 1.0:", "if not level <= 1.0:",
         killed_by="tests/test_terms.py::TestAlphaCut::test_invalid_alpha[below]",
     ),
-    # --- cli.py: an inherited descriptor named by /dev/fd/N
+    # --- reporting.py: a full trace rendered one row at a time
+    Mutant(
+        # the same bytes, from the kept cells table in one template: memory
+        # that grows with the rows
+        "writer-renders-whole-cells-table", "src/intervalfusion/reporting.py",
+        '                  by_dm(_template("      ", crits, _pair(" " * 8)),\n'
+        "                        (tuple(_flat(_flat(zip(*pair)))) for pair in cell_rows))),",
+        '                  ["".join(_json("  ", ([dm.replace("%", "%%") + _template(\n'
+        '                      "    ", [a.replace("%", "%%") for a in alts], _template("      ", crits, _pair(" " * 8)))]\n'
+        "                      for dm in dms))) % tuple(_flat(_flat(_flat(_flat(report.cells)))))]),",
+        killed_by="tests/test_reporting.py::test_full_trace_renders_in_memory_that_does_not_grow_with_the_rows[json]",
+    ),
+    # --- cli.py: stdout through a writer of its own, an inherited descriptor named by /dev/fd/N
+    Mutant(
+        # stdout's own buffer holds the summary until the interpreter exits,
+        # and a failed flush there exits 120
+        "stdout-through-its-own-buffer", "src/intervalfusion/cli.py",
+        '    return open(fd, "wb", closefd=False)\n', "    return nullcontext(sys.stdout.buffer)\n",
+        killed_by="tests/test_cli.py::TestStdoutFailures::test_stdout_on_a_full_device[summary-buffered]",
+    ),
     Mutant(
         "fd-path-not-a-descriptor", "src/intervalfusion/cli.py",
         'if head in ("/dev/fd", "/proc/self/fd") and name.isdigit():', "if False:",

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import os
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 from intervalfusion import load_problem, rank_alternatives
+from intervalfusion import cli
 from intervalfusion.cli import main
 from intervalfusion.loading import bundled_dataset_bytes
-from intervalfusion.reporting import JSON_FORMAT, emit_report
+from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY, emit_report
+
+from test_collector import document
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -65,22 +69,28 @@ class TestSolve:
         out_path.write_bytes(b"previous report\n")
 
         def disk_full(*args):
-            raise OSError(28, "No space left on device")
+            raise OSError(errno.ENOSPC, "No space left on device")
 
+        written = []
         if step == "write":
-            real_write = Path.write_bytes
+            # the temporary file takes the report's first chunk, and the
+            # disk is full at the second
+            class DiskFullAfterFirstChunk(io.BufferedWriter):
+                def write(self, data):
+                    if written:
+                        disk_full()
+                    written.append(data)
+                    return super().write(data)
 
-            def half_then_disk_full(self, data):
-                real_write(self, data[: len(data) // 2])
-                disk_full()
-
-            monkeypatch.setattr(Path, "write_bytes", half_then_disk_full)
+            monkeypatch.setattr(cli, "open", lambda file, mode: DiskFullAfterFirstChunk(io.FileIO(file, mode[0])),
+                                raising=False)
         else:
             monkeypatch.setattr(os, "replace", disk_full)
-        assert main(["solve", "--input", str(dataset_path), "--output", str(out_path)]) == 1
+        assert main(["solve", "--input", str(dataset_path), "--trace", "--output", str(out_path)]) == 1
         assert "error (IO)" in capsys.readouterr().err
         assert out_path.read_bytes() == b"previous report\n"
         assert list(out_dir.iterdir()) == [out_path]
+        assert len(written) == (step == "write")
 
     @pytest.mark.parametrize("failure", ["missing-directory", "rename-onto-a-directory"])
     def test_failed_output_write_names_the_given_path(
@@ -175,6 +185,21 @@ class TestSolve:
         assert app.read_bytes() == b"previous line\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["app.txt", "problem.json"]
 
+    @pytest.mark.parametrize("args", [[], ["--trace"], ["--format", "json"], ["--trace", "--format", "json"]],
+                             ids=["summary", "trace", "json", "json-trace"])
+    def test_stdout_output_file_and_emit_report_agree(self, dataset_path, tmp_path, args):
+        # the report is written as it is rendered, to stdout or to the file
+        out_path = tmp_path / "report"
+        solve = [sys.executable, "-m", "intervalfusion", "solve", "--input", str(dataset_path), *args]
+        to_stdout = subprocess.run(solve, capture_output=True, timeout=60)
+        to_file = subprocess.run([*solve, "--output", str(out_path)], capture_output=True, timeout=60)
+        assert (to_stdout.returncode, to_stdout.stderr, to_file.returncode, to_file.stderr) == (0, b"", 0, b"")
+        report = rank_alternatives(load_problem(bundled_dataset_bytes()))
+        expected = emit_report(report, FULL_TRACE if "--trace" in args else SUMMARY,
+                               JSON_FORMAT if "json" in args else HUMAN_TABLE)
+        assert to_stdout.stdout == out_path.read_bytes() == expected
+        assert to_file.stdout == b""
+
     def test_output_naming_a_directory_fails_closed(self, dataset_path, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "reports").mkdir()
@@ -258,6 +283,57 @@ class TestSolve:
                 main(["solve", "--input", str(dataset_path), "--alpha", alpha])
             assert exc.value.code == 2
             assert capsys.readouterr().err.endswith(f": error: argument --alpha: {message}\n")
+
+
+def run_cli(args, unbuffered, **kwargs):
+    """Start the CLI in a new process with PYTHONUNBUFFERED set to 1 or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "intervalfusion", *args], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+class TestStdoutFailures:
+    """A write to stdout that fails, or a stdout closed at start, exits 1
+    with one line, with stdout's binary layer buffered or, under
+    PYTHONUNBUFFERED, raw: stdout is written through a buffered writer of the
+    CLI's own, which writes each chunk whole and is closed before the process
+    exits."""
+
+    def test_reader_that_closes_early(self, tmp_path, unbuffered):
+        # a full trace far larger than a pipe's 64 KiB buffer, so that the
+        # writes go on after the reader has gone
+        path = tmp_path / "problem.json"
+        path.write_bytes(document(2, 100, 20))
+        proc = run_cli(["solve", "--input", str(path), "--trace", "--format", "json"], unbuffered,
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with proc:
+            assert os.read(proc.stdout.fileno(), 10) == b'{\n  "repor'
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        code = errno.EPIPE
+        assert (proc.returncode, stderr) == (1, f"error (IO): [Errno {code}] {os.strerror(code)}\n".encode())
+
+    @pytest.mark.parametrize("args", [["solve"], ["solve", "--trace", "--format", "json"], ["validate"]],
+                             ids=["summary", "trace", "validate"])
+    def test_stdout_on_a_full_device(self, dataset_path, unbuffered, args):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli([*args, "--input", str(dataset_path)], unbuffered, stdout=full, stderr=subprocess.PIPE)
+            with proc:
+                stderr = proc.stderr.read()
+        code = errno.ENOSPC
+        assert (proc.returncode, stderr) == (1, f"error (IO): [Errno {code}] {os.strerror(code)}\n".encode())
+
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_stdout_closed_at_start(self, dataset_path, unbuffered, command):
+        # `intervalfusion validate ... >&-`: Python starts with sys.stdout None
+        proc = run_cli([command, "--input", str(dataset_path)], unbuffered, stderr=subprocess.PIPE,
+                       preexec_fn=lambda: os.close(1))
+        with proc:
+            stderr = proc.stderr.read()
+        code = errno.EBADF
+        assert (proc.returncode, stderr) == (1, f"error (IO): [Errno {code}] {os.strerror(code)}\n".encode())
 
 
 class TestValidate:

@@ -1,6 +1,6 @@
 """The cyclic garbage collector is paused while a problem is loaded, ranked
-and traced, and while its ratings view is built, and its state is restored
-on every way out."""
+and traced, while its ratings view is built and while a report is emitted,
+and its state is restored on every way out."""
 
 import gc
 import json
@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from intervalfusion import load_problem, loading, rank_alternatives
+from intervalfusion import Interval, RankingReport, emit_report, load_problem, loading, rank_alternatives
 from intervalfusion.errors import InvalidWeight, ParseError, SchemaError, TotalConflict, ValidationError
+from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT
 
 
 def document(n_dm, n_alt, n_crit, seed=0, crisp=False):
@@ -49,6 +50,10 @@ CONFLICT = json.dumps({
 })
 
 
+# a report built directly, with no trace to render
+NO_TRACE = RankingReport(("A",), ("C",), ("D",), "pooled", ((Interval(0, 1),),), (Interval(0, 1),), (0.5,), ("A",))
+
+
 @pytest.fixture
 def collector():
     """Puts the collector back in the state the test found it in."""
@@ -78,6 +83,8 @@ EXITS = {
     "rank-conflict": (lambda mp: rank_alternatives(load_problem(CONFLICT)), TotalConflict),
     "trace": (lambda mp: rank_alternatives(load_problem(document(2, 3, 4))).cells, None),
     "ratings-view": (lambda mp: load_problem(document(2, 3, 4)).ratings, None),
+    "emit": (lambda mp: emit_report(rank_alternatives(load_problem(document(2, 3, 4))), FULL_TRACE, JSON_FORMAT), None),
+    "emit-no-trace": (lambda mp: emit_report(NO_TRACE, FULL_TRACE, HUMAN_TABLE), ValueError),
 }
 
 
@@ -120,9 +127,15 @@ def test_no_collection_runs_while_loading_ranking_or_tracing(collector, crisp):
     report, during_rank = collections_during(lambda: rank_alternatives(problem))
     cells, during_trace = collections_during(lambda: report.cells)
     ratings, during_view = collections_during(lambda: problem.ratings)
+    # a full trace renders its cells row by row from the discounts, not from `cells`
+    human, during_human = collections_during(lambda: emit_report(report, FULL_TRACE, HUMAN_TABLE))
+    json_, during_json = collections_during(lambda: emit_report(report, FULL_TRACE, JSON_FORMAT))
     assert len(cells) * len(cells[0]) * len(cells[0][0]) == 50_000
     assert len(ratings) * len(ratings[0]) * len(ratings[0][0]) == 50_000
+    assert human.count(b" / ") == 2 * 50_000 + 5 * 500
+    assert len(json.loads(json_)["cells"]["D4"]["A499"]) == 20
     assert (during_load, during_rank, during_trace, during_view) == ([], [], [], [])
+    assert (during_human, during_json) == ([], [])
     assert gc.isenabled()
     # crisp weights take the path where each interval BPA's two parts are one
     assert all(left is right for left, right in report.final) is crisp

@@ -787,7 +787,9 @@ class TestTraceOnDemand:
 
     def test_reading_the_trace_only_discounts(self, supplier_problem, monkeypatch):
         # rank keeps its fusion tables; the cells are the one table read
-        # again, one discount per (decision maker, alternative) row
+        # again, one discount per (decision maker, alternative) row: once for
+        # the kept `cells`, and once more for each full-trace render, which
+        # fills its rows from the discounts and not from `cells`
         report = rank_alternatives(supplier_problem)
         calls = {name: 0 for name in ("discount_to_interval_bpa", "discount_interval_bpa", "fuse_interval_bpas",
                                       "collapse_interval_bpa")}
@@ -801,7 +803,7 @@ class TestTraceOnDemand:
         emit_report(report, FULL_TRACE, JSON_FORMAT)
         emit_report(report, FULL_TRACE, HUMAN_TABLE)
         rows = len(supplier_problem.decision_makers) * len(supplier_problem.alternatives)
-        assert calls == {"discount_to_interval_bpa": rows, "discount_interval_bpa": 0, "fuse_interval_bpas": 0,
+        assert calls == {"discount_to_interval_bpa": 3 * rows, "discount_interval_bpa": 0, "fuse_interval_bpas": 0,
                          "collapse_interval_bpa": 0}
         assert tables == [getattr(rank_alternatives(supplier_problem), table) for table in TABLES]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,9 +17,10 @@ from intervalfusion import (
 from intervalfusion.errors import IntervalFusionError, ValidationError
 from intervalfusion.evidence import FRAME
 from intervalfusion.loading import bundled_dataset_bytes
-from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY
+from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY, report_chunks
 
 from per_object import per_object_rank
+from test_collector import document
 from test_pipeline import built_directly
 from test_properties import trace_triples
 
@@ -470,3 +472,68 @@ def test_writer_matches_json_dumps_on_generated_problems(case, direct):
     for fmt in (HUMAN_TABLE, JSON_FORMAT):
         with pytest.raises(ValueError):
             emit_report(direct, FULL_TRACE, fmt)
+
+
+# --- streaming ------------------------------------------------------------------
+
+#: How much more the render of a full trace may hold at its peak, over what
+#: the report keeps, for 400 alternatives than for 100. It holds the label
+#: lists and the summary's bets, alternatives and ranking, about 140 bytes an
+#: alternative as JSON (40 KiB more for 300 more alternatives), and one row
+#: at a time. A JSON writer that fills the cells table from ``report.cells``
+#: in one template holds 10 MiB more (the mutant in tests/mutants.py).
+RENDER_GROWTH_BOUND = 64 * 1024
+
+
+def traced_peak(call):
+    """The tracemalloc peak of ``call()`` above the memory traced when it
+    starts, and its result."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+def consume(chunks):
+    """Encode each chunk and drop it, as the CLI writes them; their number."""
+    n = 0
+    for chunk in chunks:
+        chunk.encode()
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("fmt", [HUMAN_TABLE, JSON_FORMAT])
+def test_full_trace_renders_in_memory_that_does_not_grow_with_the_rows(fmt):
+    # two problems that differ only in their number of alternatives; each
+    # report keeps its trace before rendering starts
+    reports = [rank_alternatives(load_problem(document(4, n, 10))) for n in (100, 400)]
+    stream = [traced_peak(lambda: consume(report_chunks(report, FULL_TRACE, fmt)))[0] for report in reports]
+    assert stream[1] - stream[0] < RENDER_GROWTH_BOUND, stream
+    for report in reports:
+        peak, out = traced_peak(lambda: emit_report(report, FULL_TRACE, fmt))
+        assert peak <= 2 * len(out) + RENDER_GROWTH_BOUND, (peak, len(out))
+        assert b"".join(chunk.encode() for chunk in report_chunks(report, FULL_TRACE, fmt)) == out
+
+
+@pytest.mark.parametrize("fmt", [HUMAN_TABLE, JSON_FORMAT])
+@pytest.mark.parametrize("mode", [SUMMARY, FULL_TRACE])
+def test_chunks_are_rows_and_the_last_ends_the_report(supplier_report, mode, fmt):
+    chunks = list(report_chunks(supplier_report, mode, fmt))
+    assert "".join(chunks).encode() == emit_report(supplier_report, mode, fmt)
+    assert chunks[-1].endswith("\n") and all(chunks)
+    # a chunk holds at most one row: one (decision maker, alternative) row
+    # of four discounted cells
+    left = "left (" if fmt == HUMAN_TABLE else '"left": ['
+    assert max(chunk.count(left) for chunk in chunks) == (4 if mode == FULL_TRACE else 0)
+
+
+@pytest.mark.parametrize("fmt", [HUMAN_TABLE, JSON_FORMAT])
+def test_a_report_with_no_trace_makes_no_chunk(supplier_report, fmt):
+    made = []
+    with pytest.raises(ValueError, match="no trace"):
+        made.extend(report_chunks(built_directly(supplier_report), FULL_TRACE, fmt))
+    assert made == []
