@@ -8,8 +8,9 @@ writes a label as its ``repr`` if it is not printable, holds the ranking's
 "≻" or starts with a quote, so a label cannot break, forge or split a line.
 
 A report is rendered as a stream of str chunks (:func:`report_chunks`),
-each at most one row of a table: a (decision maker, alternative) row of
-discounted cells, say, is filled from the discount of that row alone. So
+each at most one row of a table. Both formats read the full trace from one
+list of its tables (:func:`_tables`), each row made as it is read: a row of
+discounted cells is filled from the discount of that row alone. So
 rendering holds one row at a time, not a table, and never builds
 ``report.cells``.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from io import BytesIO
-from itertools import chain, islice, product
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from .evidence import FRAME
@@ -63,41 +64,53 @@ def _labels(labels: Iterable[str]) -> list[str]:
     return [repr(x) if not x.isprintable() or "≻" in x or x[:1] in "'\"" else x for x in labels]
 
 
+def _tables(report: RankingReport, cell_rows: Iterator, dms: list[str], alts: list[str]) -> tuple:
+    """The full trace's tables in report order, each as its JSON key, its human
+    title, the label lists that key its rows, outer first (``dms`` and ``alts``
+    as the renderer writes them), and its rows' floats, made a tuple a row."""
+    return (
+        ("normalized_criterion_weights", "Normalized criterion weights", (dms,),
+         (tuple(_flat((iv.lo, iv.hi) for iv in ws)) for ws in report.normalized_criterion_weights)),
+        ("normalized_dm_weights", "Normalized decision-maker weights", (dms,),
+         ((iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
+        ("cells", "Discounted interval BPAs ({%s}, {%s}, {%s, %s})" % (FRAME + FRAME), (dms, alts),
+         (tuple(_flat(_flat(zip(*pair)))) for pair in cell_rows)),
+        # left + right, not tuple(): that resizes a small tuple, and keeps the freed one for reuse, one a row
+        ("fused_per_dm", "Fused per decision maker", (dms, alts), (lt + rt for lt, rt in _flat(report.fused_per_dm))),
+        ("final", "Final interval BPAs", (alts,), (lt + rt for lt, rt in report.final)),
+        # the bet last, which the human row shows and JSON gives in "bets"
+        ("collapsed", "Collapsed BPAs", (alts,), ((*t, bet) for t, bet in zip(report.collapsed, report.bets))),
+    )
+
+
 def _render_human(report: RankingReport, cell_rows: Iterator | None) -> Iterator[str]:
-    e0, e1 = FRAME
     alts = _labels(report.alternatives)
 
     if cell_rows is not None:
-        # Each row is a %-template, its labels' "%" escaped as "%%", filled
-        # with the row's floats in order, each + 0.0 as in the summary rows.
+        # A row's %-template is its head (labels' "%" escaped as "%%") joining its table's lines, the
+        # first "" so that the head leads each line; its floats fill it in order, each + 0.0 as in the summary.
         dms, talts, crits = ([x.replace("%", "%%") for x in _labels(labels)]
                              for labels in (report.decision_makers, report.alternatives, report.criteria))
-        bpa = ": left (%.4f, %.4f, %.4f)  right (%.4f, %.4f, %.4f)"
-        weights = "  ".join([c + " [%.4f, %.4f]" for c in crits]) + "\n"
-        cells = [c + bpa for c in crits]
-        for title, rows in (
-            ("Normalized criterion weights",
-             (("  " + dm + ": " + weights, _flat((iv.lo, iv.hi) for iv in ws))
-              for dm, ws in zip(dms, report.normalized_criterion_weights))),
-            ("Normalized decision-maker weights",
-             (("  " + dm + ": [%.4f, %.4f]\n", (iv.lo, iv.hi)) for dm, iv in zip(dms, report.normalized_dm_weights))),
-            (f"Discounted interval BPAs ({{{e0}}}, {{{e1}}}, {{{e0}, {e1}}})",
-             ((head + ("\n" + head).join(cells) + "\n", _flat(_flat(zip(*pair))))
-              for head, pair in zip((f"  {dm} / {alt} / " for dm, alt in product(dms, talts)), cell_rows))),
-            ("Fused per decision maker",
-             ((f"  {dm} / {alt}{bpa}\n", _flat(pair))
-              for (dm, alt), pair in zip(product(dms, talts), _flat(report.fused_per_dm)))),
-            ("Final interval BPAs", ((f"  {alt}{bpa}\n", _flat(pair)) for alt, pair in zip(talts, report.final))),
-            ("Collapsed BPAs", ((f"  {alt}: (%.4f, %.4f, %.4f) bet=%.4f\n", (*t, bet))
-                                for alt, t, bet in zip(talts, report.collapsed, report.bets))),
-        ):
+        bpa = ": left (%.4f, %.4f, %.4f)  right (%.4f, %.4f, %.4f)\n"
+        lines = {
+            "normalized_criterion_weights": ["", ": " + "  ".join([c + " [%.4f, %.4f]" for c in crits]) + "\n"],
+            "normalized_dm_weights": ["", ": [%.4f, %.4f]\n"],
+            "cells": ["", *[" / " + c + bpa for c in crits]],
+            "fused_per_dm": ["", bpa],
+            "final": ["", bpa],
+            "collapsed": ["", ": (%.4f, %.4f, %.4f) bet=%.4f\n"],
+        }
+        for name, title, labels, rows in _tables(report, cell_rows, dms, talts):
             yield title + "\n"
-            for template, floats in rows:
-                yield template % tuple([x + 0.0 for x in floats])
+            heads = ["  "]  # a row's head: two spaces, then its labels joined by " / "
+            for keys in labels[:-1]:
+                heads = [head + key + " / " for head in heads for key in keys]
+            for head, floats in zip((head + key for head in heads for key in labels[-1]), rows):
+                yield head.join(lines[name]) % tuple([x + 0.0 for x in floats])
             yield "\n"
 
     width = max(len("Alternative"), max(map(len, alts)))
-    header = f"bet({e0})"
+    header = f"bet({FRAME[0]})"
     yield f"{'Alternative':<{width}}  {header}\n"
     for alt, bet in zip(alts, report.bets):
         # bet + 0.0 normalizes -0.0 away before formatting.
@@ -109,62 +122,52 @@ def _render_human(report: RankingReport, cell_rows: Iterator | None) -> Iterator
 # Laid out as json.dumps(doc, indent=2) lays out doc: one member a line, two
 # more spaces a level, ",\n" between members, keys and strings escaped to ASCII
 # by json's own function. Floats, all finite, go through repr and %r templates:
-# float.__repr__, as json.dumps writes a finite float. Every row of a trace
-# table is its key and one template, the same for each row of the table, its
-# keys' "%" escaped as "%%", filled with the row's floats in order. Every array
-# and object has a member: labels are never empty.
+# float.__repr__, as json.dumps writes a finite float; a template's keys have
+# each "%" escaped as "%%". Every array and object has a member: labels are
+# never empty.
 
 
-def _json(indent: str, members: Iterable[Iterable[str]], end: str = "") -> Iterator[str]:
-    """The chunks of a JSON object that opens on a line at ``indent`` and is
-    followed by ``end``. Each member is given as its chunks; the separator
-    before it goes into its first one."""
-    sep = "{\n" + indent + "  "
+def _json(indent: str, members: Iterable[Iterable[str]], end: str = "", brackets: str = "{}") -> Iterator[str]:
+    """The chunks of a JSON object, or with ``brackets`` "[]" an array, that
+    opens on a line at ``indent`` and is followed by ``end``. Each member is
+    given as its chunks; the separator before it goes into its first one."""
+    sep, comma = brackets[0] + "\n" + indent + "  ", ",\n" + indent + "  "
     for member in members:
         member = iter(member)
         yield sep + next(member)
         yield from member
-        sep = ",\n" + indent + "  "
-    yield "\n" + indent + "}" + end
+        sep = comma
+    yield "\n" + indent + brackets[1] + end
 
 
 def _text(indent: str, members: Iterable[str], brackets: str = "{}") -> str:
-    """A JSON object, or with ``brackets`` "[]" an array, laid out as
-    :func:`_json` lays it out, as one string of the rendered ``members``."""
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(members) + "\n" + indent + brackets[1]
+    """:func:`_json` as one string, of ``members`` given as strings, joined as it separates them."""
+    return "".join(_json(indent, [[(",\n" + indent + "  ").join(members)]], brackets=brackets))
 
 
-def _key(label: str, percent: str = "%") -> str:
-    return _str(label).replace("%", percent) + ": "
+def _key(label: str) -> str:
+    return _str(label) + ": "
 
 
-def _template(indent: str, keys: Iterable[str], value: str) -> str:
-    """A JSON object template whose every member has the same ``value``."""
-    return _text(indent, [key + value for key in keys])
+def _object(indent: str, labels: tuple[list[str], ...], values: Iterator[str]) -> Iterator[str]:
+    """A JSON object keyed by the first of ``labels``: each member is one of
+    these over the rest or, keyed by the last, the next of ``values``."""
+    keys, *inner = labels
+    if inner:
+        return _json(indent, (chain([key], _object(indent + "  ", inner, values)) for key in keys))
+    return _json(indent, ([key + value] for key, value in zip(keys, values)))
 
 
-def _floats(indent: str, n: int) -> str:
-    """A JSON array template of ``n`` floats."""
-    return _text(indent, ["%r"] * n, "[]")
-
-
-def _pair(indent: str) -> str:
-    return _template(indent, map(_key, ("left", "right")), _floats(indent + "  ", 3))
+def _floats(indent: str, n: int, *labels: list[str]) -> str:
+    """A JSON template of an array of ``n`` floats, in objects keyed by each of ``labels``."""
+    if not labels:
+        return _text(indent, ["%r"] * n, "[]")
+    inner = _floats(indent + "  ", n, *labels[1:])
+    return _text(indent, [key + inner for key in labels[0]])
 
 
 def _render_json(report: RankingReport, mode: str, cell_rows: Iterator | None) -> Iterator[str]:
     alts = [_key(x) for x in report.alternatives]
-
-    def rows(indent: str, keys: Iterable[str], template: str, floats: Iterable[tuple]) -> Iterator[str]:
-        """A JSON object of one row a key: ``template`` filled with the tuple of that row's floats."""
-        return _json(indent, ([key + template % row] for key, row in zip(keys, floats)))
-
-    def by_dm(template: str, floats: Iterable[tuple]) -> Iterator[str]:
-        """A JSON object of a :func:`rows` object of alternatives a decision maker."""
-        floats = iter(floats)
-        return _json("  ", (chain([dm], rows("    ", alts, template, islice(floats, len(alts)))) for dm in dms))
-
     members = [
         [_key("report_version") + _str(REPORT_VERSION)],
         [_key("mode") + _str(mode)],
@@ -175,21 +178,17 @@ def _render_json(report: RankingReport, mode: str, cell_rows: Iterator | None) -
     ]
     if cell_rows is not None:
         dms = [_key(x) for x in report.decision_makers]
-        crits = [_key(x, "%%") for x in report.criteria]
-        members += [
-            [_key("criterion_normalization") + _str(report.criterion_normalization)],
-            chain([_key("normalized_criterion_weights")],
-                  rows("  ", dms, _template("    ", crits, _floats(" " * 6, 2)),
-                       (tuple(_flat((iv.lo, iv.hi) for iv in ws)) for ws in report.normalized_criterion_weights))),
-            chain([_key("normalized_dm_weights")],
-                  rows("  ", dms, _floats(" " * 4, 2), ((iv.lo, iv.hi) for iv in report.normalized_dm_weights))),
-            chain([_key("cells")],
-                  by_dm(_template("      ", crits, _pair(" " * 8)),
-                        (tuple(_flat(_flat(zip(*pair)))) for pair in cell_rows))),
-            # A pair's floats as left + right. tuple() of an iterator resizes a small
-            # tuple, and the interpreter keeps each freed one for reuse: one a row.
-            chain([_key("fused_per_dm")], by_dm(_pair(" " * 6), (lt + rt for lt, rt in _flat(report.fused_per_dm)))),
-            chain([_key("final")], rows("  ", alts, _pair(" " * 4), (lt + rt for lt, rt in report.final))),
-            chain([_key("collapsed")], rows("  ", alts, _floats(" " * 4, 3), report.collapsed)),
-        ]
+        crits = [_key(x).replace("%", "%%") for x in report.criteria]
+        sides = [_key("left"), _key("right")]
+        templates = {
+            "normalized_criterion_weights": _floats(" " * 4, 2, crits),
+            "normalized_dm_weights": _floats(" " * 4, 2),
+            "cells": _floats(" " * 6, 3, crits, sides),
+            "fused_per_dm": _floats(" " * 6, 3, sides),
+            "final": _floats(" " * 4, 3, sides),
+            "collapsed": _floats(" " * 4, 3) + "%.0r",  # %.0r takes the bet and writes nothing
+        }
+        members.append([_key("criterion_normalization") + _str(report.criterion_normalization)])
+        members += (chain([_key(key)], _object("  ", labels, map(templates[key].__mod__, rows)))
+                    for key, _, labels, rows in _tables(report, cell_rows, dms, alts))
     return _json("", members, end="\n")

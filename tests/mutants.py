@@ -207,19 +207,44 @@ MUTANTS = [
         "if not 0.0 <= level <= 1.0:", "if not level <= 1.0:",
         killed_by="tests/test_terms.py::TestAlphaCut::test_invalid_alpha[below]",
     ),
-    # --- reporting.py: a full trace rendered one row at a time
+    # --- reporting.py: a full trace rendered one row at a time, each row + 0.0 in a human table
     Mutant(
         # the same bytes, from the kept cells table in one template: memory
         # that grows with the rows
         "writer-renders-whole-cells-table", "src/intervalfusion/reporting.py",
-        '                  by_dm(_template("      ", crits, _pair(" " * 8)),\n'
-        "                        (tuple(_flat(_flat(zip(*pair)))) for pair in cell_rows))),",
-        '                  ["".join(_json("  ", ([dm.replace("%", "%%") + _template(\n'
-        '                      "    ", [a.replace("%", "%%") for a in alts], _template("      ", crits, _pair(" " * 8)))]\n'
-        "                      for dm in dms))) % tuple(_flat(_flat(_flat(_flat(report.cells)))))]),",
+        '        members += (chain([_key(key)], _object("  ", labels, map(templates[key].__mod__, rows)))\n',
+        '        members += (chain([_key(key)], _object("  ", labels, map(templates[key].__mod__, rows)))\n'
+        '                    if key != "cells" else [_key(key), _floats(\n'
+        '                        "  ", 3, *[[x.replace("%", "%%") for x in keys] for keys in labels], crits, sides)\n'
+        "                    % tuple(_flat(_flat(_flat(_flat(report.cells)))))]\n",
         killed_by="tests/test_reporting.py::test_full_trace_renders_in_memory_that_does_not_grow_with_the_rows[json]",
     ),
-    # --- cli.py: stdout through a writer of its own, an inherited descriptor named by /dev/fd/N
+    Mutant(
+        # its human twin
+        "human-renders-whole-cells-table", "src/intervalfusion/reporting.py",
+        "            for head, floats in zip((head + key for head in heads for key in labels[-1]), rows):\n",
+        "            heads = [head + key for head in heads for key in labels[-1]]\n"
+        '            if name == "cells":\n'
+        '                yield "".join([head.join(lines[name]) for head in heads]) % tuple(\n'
+        "                    [x + 0.0 for x in _flat(_flat(_flat(_flat(report.cells))))])\n"
+        "                heads = []\n"
+        "            for head, floats in zip(heads, rows):\n",
+        killed_by="tests/test_reporting.py::test_full_trace_renders_in_memory_that_does_not_grow_with_the_rows"
+        "[human-table]",
+    ),
+    Mutant(
+        "human-keeps-negative-zero", "src/intervalfusion/reporting.py",
+        "% tuple([x + 0.0 for x in floats])", "% tuple(floats)",
+        killed_by="tests/test_reporting.py::TestWriterMatchesJsonDumps::"
+        "test_escaped_labels_negative_zero_subnormal_and_17_digits[0]",
+    ),
+    # --- cli.py: alpha's range, stdout through a writer of its own, an open descriptor named by its path
+    Mutant(
+        # -0.5 would reach the loader and exit 1 as InvalidAlpha, not 2 as a usage error
+        "alpha-usage-no-lower-bound", "src/intervalfusion/cli.py",
+        "if not 0.0 <= value <= 1.0:", "if not value <= 1.0:",
+        killed_by="tests/test_cli.py::TestSolve::test_alpha_usage_error",
+    ),
     Mutant(
         # stdout's own buffer holds the summary until the interpreter exits,
         # and a failed flush there exits 120
@@ -231,6 +256,17 @@ MUTANTS = [
         "fd-path-not-a-descriptor", "src/intervalfusion/cli.py",
         'if head in ("/dev/fd", "/proc/self/fd") and name.isdigit():', "if False:",
         killed_by="tests/test_cli.py::TestSolve::test_output_to_an_inherited_descriptor_appends",
+    ),
+    Mutant(
+        # the file stderr has open would be replaced by a renamed temporary file
+        "descriptor-skips-stderr", "src/intervalfusion/cli.py", "for fd in (1, 2):", "for fd in (1,):",
+        killed_by="tests/test_cli.py::TestSolve::test_output_to_stderr_opened_for_append_appends[/dev/stderr]",
+    ),
+    Mutant(
+        # a line the caller printed would reach a buffered stdout after the CLI's own
+        "output-skips-stdout-flush", "src/intervalfusion/cli.py",
+        "        if sys.stdout:\n            sys.stdout.flush()\n", "",
+        killed_by="tests/test_cli.py::TestValidate::test_a_line_the_caller_printed_comes_first",
     ),
 ]
 

@@ -144,6 +144,26 @@ class TestSolve:
         assert app.read_bytes() == b"previous line\n" + emit_report(report)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["app.txt", "problem.json"]
 
+    @pytest.mark.parametrize("target", ["/dev/stderr", "same-file"])
+    def test_output_to_stderr_opened_for_append_appends(self, dataset_path, tmp_path, target):
+        # `solve --output /dev/stderr 2>> log` adds the report to log: the
+        # file that stderr has open is written through descriptor 2, not
+        # replaced by a renamed temporary file
+        log = tmp_path / "log"
+        log.write_bytes(b"previous line\n")
+        with open(log, "ab") as stderr:
+            result = subprocess.run(
+                [sys.executable, "-m", "intervalfusion", "solve", "--input", str(dataset_path),
+                 "--output", str(log) if target == "same-file" else target],
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                timeout=60,
+            )
+        assert (result.returncode, result.stdout) == (0, b"")
+        report = rank_alternatives(load_problem(bundled_dataset_bytes()))
+        assert log.read_bytes() == b"previous line\n" + emit_report(report)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "problem.json"]
+
     def test_output_to_an_inherited_descriptor_appends(self, dataset_path, tmp_path):
         # README: --output /dev/fd/N writes through descriptor N, here one
         # beyond stdout and stderr, opened for append by the caller
@@ -278,7 +298,8 @@ class TestSolve:
         ]
 
     def test_alpha_usage_error(self, dataset_path, capsys):
-        for alpha, message in [("2", "alpha must lie in [0, 1], got 2"), ("abc", "invalid alpha 'abc'")]:
+        for alpha, message in [("2", "alpha must lie in [0, 1], got 2"), ("-0.5", "alpha must lie in [0, 1], got -0.5"),
+                               ("abc", "invalid alpha 'abc'")]:
             with pytest.raises(SystemExit) as exc:
                 main(["solve", "--input", str(dataset_path), "--alpha", alpha])
             assert exc.value.code == 2
@@ -340,6 +361,17 @@ class TestValidate:
     def test_valid(self, dataset_path, capsys):
         assert main(["validate", "--input", str(dataset_path)]) == 0
         assert "valid" in capsys.readouterr().out
+
+    def test_a_line_the_caller_printed_comes_first(self, dataset_path):
+        # stdout a pipe and PYTHONUNBUFFERED unset: the caller's line waits in
+        # sys.stdout's buffer until main flushes it, before main writes its
+        # own line through a writer of its own
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        code = ("from intervalfusion.cli import main; print('before'); "
+                f"raise SystemExit(main(['validate', '--input', {str(dataset_path)!r}]))")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == b"before\nvalid: 3 decision makers, 4 criteria, 6 alternatives\n"
 
     def test_malformed_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
