@@ -6,7 +6,7 @@ ideal" hypothesis. There are three such subsets, so a mass function is the
 triple ``(a, b, c)`` of the masses of {IS}, {NS} and the full frame
 Θ = {IS, NS}, in that order; :attr:`MassFunction.masses` holds it.
 
-All arithmetic on mass functions is defined here once, on triples, and both
+All arithmetic on mass functions is defined here, on triples, and both
 :class:`MassFunction` and the kernel of ``rank_alternatives`` call it:
 
 * the sum policy (the tolerances below) keeps a triple that sums to 1
@@ -19,13 +19,17 @@ All arithmetic on mass functions is defined here once, on triples, and both
   conflict coefficient is ``K = a1*b2 + b1*a2``, each focal set collects the
   products of the pairs whose intersection it is, and all masses are divided
   by ``1 - K``. ``K = 0`` means fully consistent sources; at ``K = 1`` the
-  rule is undefined and :class:`TotalConflict` is raised.
+  rule is undefined and :class:`TotalConflict` is raised. Given the sources'
+  reliabilities, it discounts each source as it reaches it, with
+  :func:`discount`'s arithmetic written out a second time, so the kernel
+  builds no row of discounted triples.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import repeat
 
 from .errors import MassSumViolation, NegativeMass, TotalConflict
 from .intervals import Value, describe, to_float
@@ -112,17 +116,30 @@ def discount(triples: Iterable[Triple], weights: Iterable[float]) -> list[Triple
     return out
 
 
-def fold(triples: Iterable[Triple]) -> Triple:
+def fold(triples: Iterable[Triple], weights: Iterable[float] | None = None) -> Triple:
     """Dempster's rule of independent sources, folded left to right. Each
     step is summed in a fixed order: for each singleton its own product,
     then singleton times full frame, then full frame times singleton. A step
     that _settle would keep as it is is kept inline; only the others go
     through it. Near total conflict, where the rounding of ``1 - K`` leaves
     a sum the policy rejects, it raises TotalConflict. ``triples`` must not
-    be empty."""
-    it = iter(triples)
-    a1, b1, c1 = next(it)
-    for a2, b2, c2 in it:
+    be empty.
+
+    With ``weights``, each source is first discounted by its reliability,
+    with :func:`discount`'s arithmetic, just before its step: the masses of
+    ``fold(discount(triples, weights))``, with no list between the two. A
+    step's error comes before the discount of a later source."""
+    a1 = None
+    for (a2, b2, c2), w in zip(triples, repeat(None) if weights is None else weights):
+        if w is not None:
+            a2 = a2 * w
+            b2 = b2 * w
+            c2 = 1.0 - a2 - b2
+            if c2 < 0.0:
+                a2, b2, c2 = _settle(a2, b2, 0.0)
+        if a1 is None:
+            a1, b1, c1 = a2, b2, c2
+            continue
         k = a1 * b2 + b1 * a2
         if k < _CONFLICT_LIMIT:
             norm = 1.0 - k

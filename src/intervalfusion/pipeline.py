@@ -6,13 +6,13 @@ function that :func:`rank_alternatives` runs on (IS, NS, full frame) triples:
 1. ingest classical BPAs rating each alternative against each criterion
    (generation of those BPAs from raw performance data is out of scope);
 2. normalize criterion weights by the largest endpoint of the weight group
-   (:func:`normalize_weight_group`) and discount each rating r, as the
-   interval BPA (r, r), by the weight's lower and upper bound into a pair of
-   classical BPAs (:func:`discount_to_interval_bpa`);
-3. fuse the interval BPAs across criteria, left parts together and right
-   parts together (:func:`fuse_interval_bpas`), then discount each decision
-   maker's fused result by the normalized decision-maker weight
-   (:func:`discount_interval_bpa`) and fuse across decision makers;
+   (:func:`normalize_weight_group`);
+3. discount each rating r, as the interval BPA (r, r), by its criterion
+   weight's lower and upper bound into a pair of classical BPAs, and fuse
+   these across criteria, left parts together and right parts together
+   (:func:`fuse_interval_bpas`); then discount each decision maker's fused
+   result by the normalized decision-maker weight and fuse across decision
+   makers, by the same stage;
 4. collapse each alternative's final interval BPA by combining its left and
    right part into one classical BPA (:func:`collapse_interval_bpa`);
 5. rank alternatives by pignistic belief in the ideal hypothesis
@@ -246,8 +246,9 @@ class RankingReport(Value):
     The tables are tuples. The rank keeps the last three, beside the problem
     in ``_trace``, so equality, hashing, pickling and copying carry them.
     ``cells`` is built on first access, with the cyclic garbage collector
-    paused, by discounting each rating row again with the normalized weights:
-    the same stage on the same inputs, so it holds exactly the values the bets
+    paused, by discounting each rating row again with the normalized weights
+    (:func:`discount_to_interval_bpa`). That is the arithmetic the fusion
+    did inline, on the same inputs, so it holds exactly the values the bets
     came from. A report constructed directly has no trace. Its label fields,
     ranking, bets and normalized weight tables follow the problem's rule: a
     tuple or list, stored as a tuple, each grid as long as its labels and each
@@ -295,7 +296,8 @@ class RankingReport(Value):
         """The (left parts, right parts) of each (decision maker, alternative)
         row of ``cells``, discounted again, in order; ValueError at once if the
         report has no trace."""
-        return _discounted(self._kept(0), self.normalized_criterion_weights)
+        rows = _rows(self._kept(0), self.normalized_criterion_weights)
+        return (discount_to_interval_bpa(row, row, los, his) for row, los, his in rows)
 
     @_cached
     def cells(self) -> tuple:
@@ -314,7 +316,10 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 # The steps as stages on triples. _kernel looks each stage up as a module
 # global at call time, so a wrapper set on this module sees every call. The
 # stages take settled triples and normalized weight endpoints, which lie in
-# [0, 1], so a discount never raises: only a fold can.
+# [0, 1], so a discount never raises: only a Dempster step can. Each fusion
+# discounts its sources as it folds them (``fold(triples, weights)``); the
+# discount stages serve the trace walk, and the error path that finds the
+# step that raised.
 
 
 def discount_interval_bpa(
@@ -323,12 +328,9 @@ def discount_interval_bpa(
     """Discount a row of interval BPAs, given as their left and right parts:
     the left parts by the lower bounds ``los``, the right parts by the upper
     bounds ``his``. A classical rating ``t`` is the interval BPA (t, t).
-
-    Degenerate BPAs under crisp weights (``lefts == rights``, ``los == his``)
-    are discounted once, and the one list is returned as both parts. Every
-    triple and endpoint the kernel passes is non-negative with its zeros
-    +0.0 (the loader, ``MassFunction``, ``_endpoints``, ``discount`` and
-    ``fold`` make no -0.0), so ``==`` on them means equal bits."""
+    These are the parts :func:`fuse_interval_bpas` folds, as the trace shows
+    them; and, as there, degenerate BPAs under crisp weights are discounted
+    once, and the one list is returned as both parts."""
     if los == his and lefts == rights:
         parts = discount(lefts, los)
         return parts, parts
@@ -340,14 +342,23 @@ def discount_interval_bpa(
 discount_to_interval_bpa = discount_interval_bpa
 
 
-def fuse_interval_bpas(lefts: Sequence[Triple], rights: Sequence[Triple]) -> tuple[Triple, Triple]:
-    """Fuse interval BPAs from several sources: all left parts fold into the
-    new left part, then all right parts into the new right part. When they
-    are one list, it is folded once and its fusion is both parts."""
-    if lefts is rights:
-        fused = fold(lefts)
+def fuse_interval_bpas(
+    lefts: Sequence[Triple], rights: Sequence[Triple], los: Sequence[float], his: Sequence[float]
+) -> tuple[Triple, Triple]:
+    """Discount and fuse interval BPAs from several sources, given as their
+    left and right parts: the left parts, each discounted by its lower bound
+    in ``los``, fold into the new left part, then the right parts, each by
+    its upper bound in ``his``, into the new right part.
+
+    Degenerate BPAs under crisp weights (``lefts == rights``, ``los == his``)
+    are folded once, and the one triple is returned as both parts. Every
+    triple and endpoint the kernel passes is non-negative with its zeros
+    +0.0 (the loader, ``MassFunction``, ``_endpoints`` and ``fold`` make no
+    -0.0), so ``==`` on them means equal bits."""
+    if los == his and lefts == rights:
+        fused = fold(lefts, los)
         return fused, fused
-    return fold(lefts), fold(rights)
+    return fold(lefts, los), fold(rights, his)
 
 
 def collapse_interval_bpa(pair: tuple[Triple, Triple]) -> Triple:
@@ -362,11 +373,12 @@ def bet_ideal(m: Triple) -> float:
 
 
 def _failed_step(lefts: Sequence[Triple], rights: Sequence[Triple]) -> int | None:
-    """The index of the source at whose step :func:`fuse_interval_bpas` of
-    ``lefts`` and ``rights`` raises, or None if both folds succeed. Each side
-    is folded one step at a time: ``fold`` of the running result and the next
-    triple is the same step as in one whole ``fold``. Only error paths call
-    this, so a rank that succeeds pays nothing for it."""
+    """The index of the source at whose step :func:`fuse_interval_bpas`
+    raises, given the parts it discounts (:func:`discount_interval_bpa`),
+    or None if both folds succeed. Each side is folded one step at a time:
+    ``fold`` of the running result and the next triple is the same step as in
+    one whole ``fold``. Only error paths call this, so a rank that succeeds
+    pays nothing for it."""
     for side in (lefts, rights):
         acc = side[0]
         for i in range(1, len(side)):
@@ -387,28 +399,29 @@ def _split(items: Sequence, n: int) -> tuple:
     return tuple([tuple(items[i : i + n]) for i in range(0, len(items), n)])
 
 
-def _discounted(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]]) -> Iterator[tuple]:
-    """Step 2: the (left parts, right parts) of each (decision maker,
-    alternative) row of ratings, discounted in the problem's order."""
+def _rows(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]]) -> Iterator[tuple]:
+    """Each (decision maker, alternative) row of rating triples in the
+    problem's order, with the lower and upper bounds of its decision maker's
+    normalized criterion weights."""
     for ws, dm_triples in zip(crit_weights, problem._triples):
         los, his = _endpoints(ws)
         for row in dm_triples:
-            yield discount_to_interval_bpa(row, row, los, his)
+            yield row, los, his
 
 
 def _kernel(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]], dm_weights: Sequence[Interval]):
-    """Steps 2-4: discount and fuse each (decision maker, alternative) row of
-    ratings, then discount and fuse each alternative's column of the row
-    fusions, then collapse. Returns the fusions ``[d][a]``, final pairs
-    ``[a]`` and collapsed triples ``[a]`` as tuples."""
+    """Steps 3-4: discount and fuse each (decision maker, alternative) row of
+    ratings, then each alternative's column of the row fusions, then
+    collapse. Returns the fusions ``[d][a]``, final pairs ``[a]`` and
+    collapsed triples ``[a]`` as tuples."""
     alts = problem.alternatives
     fused: list[tuple[Triple, Triple]] = []
-    for lefts, rights in _discounted(problem, crit_weights):
+    for row, los, his in _rows(problem, crit_weights):
         try:
-            fused.append(fuse_interval_bpas(lefts, rights))
+            fused.append(fuse_interval_bpas(row, row, los, his))
         except IntervalFusionError as exc:
             d, a = divmod(len(fused), len(alts))
-            crit = problem.criteria[_failed_step(lefts, rights)]
+            crit = problem.criteria[_failed_step(*discount_to_interval_bpa(row, row, los, his))]
             where = f"decision maker {problem.decision_makers[d]!r}, alternative {alts[a]!r}, criterion {crit!r}"
             raise _located(exc, where) from exc
     dm_fused = _split(fused, len(alts))
@@ -416,12 +429,12 @@ def _kernel(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]]
     dm_los, dm_his = _endpoints(dm_weights)
     final, collapsed = [], []
     for alt, column in zip(alts, zip(*dm_fused)):
-        lefts, rights = discount_interval_bpa(*zip(*column), dm_los, dm_his)
+        lefts, rights = zip(*column)
         try:
-            pair = fuse_interval_bpas(lefts, rights)
+            pair = fuse_interval_bpas(lefts, rights, dm_los, dm_his)
             collapsed.append(collapse_interval_bpa(pair))
         except IntervalFusionError as exc:
-            step = _failed_step(lefts, rights)
+            step = _failed_step(*discount_interval_bpa(lefts, rights, dm_los, dm_his))
             where = "collapse" if step is None else f"decision maker {problem.decision_makers[step]!r}"
             raise _located(exc, f"alternative {alt!r}, {where}") from exc
         final.append(pair)

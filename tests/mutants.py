@@ -47,7 +47,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # --- evidence.py: the sum policy, the clamp, fold's inline shortcut and its conflict bound
+    # --- evidence.py: the sum policy, both clamps, fold's inline shortcut and its conflict bound
     Mutant(
         "clamp-skips-policy", "src/intervalfusion/evidence.py",
         "out.append(_settle(a, b, 0.0))", "out.append((a, b, 0.0))",
@@ -57,6 +57,22 @@ MUTANTS = [
         "clamp-keeps-negative-remainder", "src/intervalfusion/evidence.py",
         "out.append(_settle(a, b, 0.0))", "out.append(_settle(a, b, c))",
         killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[1.1e-9]",
+    ),
+    # the same clamp, written a second time inside fold's weighted walk
+    Mutant(
+        "weighted-fold-clamp-skips-policy", "src/intervalfusion/evidence.py",
+        "a2, b2, c2 = _settle(a2, b2, 0.0)", "a2, b2, c2 = a2, b2, 0.0",
+        killed_by="tests/test_evidence.py::TestRowKernelParity::test_weighted_fold",
+    ),
+    Mutant(
+        "weighted-fold-clamp-keeps-negative-remainder", "src/intervalfusion/evidence.py",
+        "a2, b2, c2 = _settle(a2, b2, 0.0)", "a2, b2, c2 = _settle(a2, b2, c2)",
+        killed_by="tests/test_evidence.py::TestRowKernelParity::test_weighted_fold",
+    ),
+    Mutant(
+        "weighted-fold-first-source-undiscounted", "src/intervalfusion/evidence.py",
+        "if w is not None:", "if w is not None and a1 is not None:",
+        killed_by="tests/test_evidence.py::TestRowKernelParity::test_weighted_fold",
     ),
     Mutant(
         "fold-band-is-exact-band", "src/intervalfusion/evidence.py",
@@ -92,7 +108,7 @@ MUTANTS = [
         killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[outside-1e-6]",
     ),
     # --- pipeline.py: the grids' length check, the cached views, problem equality, a direct report's tables,
-    # the ranking and the bet
+    # the crisp shortcut, the ranking and the bet
     Mutant(
         "ratings-view-uncached", "src/intervalfusion/pipeline.py",
         "value = obj.__dict__[self.name] = self.build(obj)", "value = self.build(obj)",
@@ -149,6 +165,15 @@ MUTANTS = [
         "DecisionProblem's constructor and the loader reject either in the criterion weights, so a problem from "
         "a public entry point never fails there. If one did, no decision maker would be at fault, and the mutant "
         "would name the first one.",
+    ),
+    Mutant(
+        # a crisp decision maker weight would fold the left parts of fusions
+        # made under interval criterion weights as both parts
+        "crisp-shortcut-on-weights-alone", "src/intervalfusion/pipeline.py",
+        "    if los == his and lefts == rights:\n        fused = fold(lefts, los)\n",
+        "    if los == his:\n        fused = fold(lefts, los)\n",
+        killed_by="tests/test_degenerate.py::test_a_crisp_weight_costs_one_discount_and_one_fold"
+        "[interval-criteria-crisp-dms-0-36]",
     ),
     Mutant(
         "bet-halves-by-product", "src/intervalfusion/pipeline.py",

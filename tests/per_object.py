@@ -1,10 +1,13 @@
 """The ranking pipeline folded one ``MassFunction`` at a time.
 
 This is the reference that property suite 9 and the JSON writer's tests
-compare the kernel of ``rank_alternatives`` with, bit for bit. It builds on
-``MassFunction``, ``evidence.discount`` and ``evidence.fold`` alone, one
-rating or part at a time, and not on the pipeline's row-level stages, so
-the comparison does not run the code it checks.
+compare the kernel of ``rank_alternatives`` with, bit for bit. The kernel
+discounts each source inside the fold over a row (``fold(triples,
+weights)``); this reference discounts each rating or part on its own with
+``evidence.discount`` and then folds the results with the unweighted
+``evidence.fold``. It builds on ``MassFunction`` and those two alone, not on
+the pipeline's row-level stages, so the comparison does not run the code it
+checks.
 """
 
 from intervalfusion import POOLED, MassFunction, normalize_weight_group

@@ -44,9 +44,11 @@ def test_tracer_wraps_the_package_and_restores_it(supplier_report):
 
 def test_tracer_times_every_stage_of_a_rank(supplier_problem):
     # the bundled problem is 3 decision makers x 6 alternatives x 4 criteria:
-    # one discount and one fusion per (decision maker, alternative) row, then
-    # per alternative one discount and fusion across decision makers, one
-    # collapse and one bet; the trace tables are not read
+    # one fusion per (decision maker, alternative) row, then per alternative
+    # one fusion across decision makers, one collapse and one bet; each
+    # fusion discounts its own sources, so the rank calls no discount stage,
+    # the phase stays "dm" and fuse_dm counts both levels; the trace tables
+    # are not read
     spans = load_spans()
     tracer = spans.Tracer()
     try:
@@ -56,7 +58,7 @@ def test_tracer_times_every_stage_of_a_rank(supplier_problem):
         tracer.uninstall()
     stages = ("discount", "fuse_dm", "discount_cross", "fuse_cross", "collapse", "bet")
     assert {s: tracer.calls["pipeline." + s] for s in stages} == {
-        "discount": 18, "fuse_dm": 18, "discount_cross": 6, "fuse_cross": 6, "collapse": 6, "bet": 6,
+        "discount": 0, "fuse_dm": 24, "discount_cross": 0, "fuse_cross": 0, "collapse": 6, "bet": 6,
     }
 
 

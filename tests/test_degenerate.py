@@ -3,9 +3,9 @@
 A classical rating ``t`` is the interval BPA (t, t). Under a crisp weight
 ``[w, w]`` both parts are discounted by the same ``w``, so they stay equal
 through the per-decision-maker fusion, the cross-decision-maker discount and
-fusion. The stage functions then discount and fold one part and return it
-as both. These tests pin the calls saved and that no bit, error or trace
-byte changes.
+fusion. The fusion stage then discounts and folds one part, in one fold,
+and returns it as both. These tests pin the calls saved and that no bit,
+error or trace byte changes.
 """
 
 import copy
@@ -77,13 +77,14 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, discounts, folds", [
-    # rows: one discount and fold per (decision maker, alternative), two under
-    # interval criterion weights; then per alternative the cross discount and
-    # fusion, once or twice, and one collapse fold
-    ("all-crisp", D * A + A, D * A + 2 * A),
-    ("crisp-criteria-interval-dms", D * A + 2 * A, D * A + 3 * A),
-    ("interval-criteria-crisp-dms", 2 * D * A + 2 * A, 2 * D * A + 3 * A),
-    ("all-interval", 2 * D * A + 2 * A, 2 * D * A + 3 * A),
+    # each fold discounts its own sources, so the rank calls no discount:
+    # rows, one fold per (decision maker, alternative), two under interval
+    # criterion weights; then per alternative the cross fusion, one fold or
+    # two, and one collapse fold
+    ("all-crisp", 0, D * A + 2 * A),
+    ("crisp-criteria-interval-dms", 0, D * A + 3 * A),
+    ("interval-criteria-crisp-dms", 0, 2 * D * A + 3 * A),
+    ("all-interval", 0, 2 * D * A + 3 * A),
 ])
 def test_a_crisp_weight_costs_one_discount_and_one_fold(name, discounts, folds, kernel_calls):
     rank_alternatives(problem(*PROBLEMS[name]))

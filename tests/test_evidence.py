@@ -324,6 +324,34 @@ class TestRowKernelParity:
         expected = outcome(lambda: [reduce(reference_dempster, triples)])
         assert outcome(lambda: [fold(triples)]) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(_sources, _weights), min_size=1, max_size=6))
+    @example(rows=[((0.5, 0.5 + 5e-13, 0.0), 1.0)])  # complement clamped, sum kept
+    @example(rows=[((0.5, 0.5 + 5e-10, 0.0), 1.0)])  # complement clamped, sum renormalized
+    @example(rows=[((0.6, 0.2, 0.2), 1.0), ((0.5, 0.5 + 2e-9, 0.0), 1.0)])  # complement -2e-9, sum renormalized
+    @example(rows=[((0.6, 0.2, 0.2), 1.0), ((0.5, 0.5 + 2e-6, 0.0), 1.0)])  # complement -2e-6, sum rejected
+    @example(rows=[((0.5, 0.5, 0.0), -0.0), ((1.0, 0.0, 0.0), 5e-324), ((0.0, 1.0, 0.0), 5e-324)])
+    # the clamp settles the first source to (1, 0, 0): K = 1 exactly, where
+    # the undiscounted sources give K = 1 + 5e-10
+    @example(rows=[((1.0 + 5e-10, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0)])
+    @example(rows=[((1.0, 0.0, 0.0), 0.5), ((0.0, 1.0, 0.0), 1.0)])  # K = 1 unless the first source is discounted
+    @example(rows=[((1.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0), ((0.5, 0.5 + 2e-6, 0.0), 1.0)])  # K = 1 first
+    def test_weighted_fold(self, rows):
+        # fold(triples, weights) is fold(discount(triples, weights)): the same
+        # masses bit for bit, or the same error and message. It discounts each
+        # source just before that source's step, so a step's error comes
+        # before a later source's discount error: grow the discounted list one
+        # source at a time and fold each prefix.
+        def discount_then_fold():
+            parts = []
+            for t, w in rows:
+                parts += discount([t], [w])
+                fused = fold(parts)
+            return [fused]
+
+        triples, weights = [t for t, _ in rows], [w for _, w in rows]
+        assert outcome(lambda: [fold(triples, weights)]) == outcome(discount_then_fold)
+
 
 def test_bundled_dataset_takes_the_inline_sum_check(supplier_problem, monkeypatch):
     # every discount and combination of the bundled ranking is kept by the

@@ -158,15 +158,18 @@ class TestDiscountIntervalBPA:
 
 class TestFuseAndCollapse:
     def test_fuse_across_decision_makers(self):
-        lefts = [settled(0.1080, 0.0206, 0.8714), settled(0.1659, 0.0416, 0.7925), settled(0.3479, 0.0515, 0.6006)]
-        rights = [settled(0.3795, 0.0468, 0.5737), settled(0.4694, 0.0734, 0.4572), settled(0.9206, 0.0456, 0.0338)]
-        left, right = fuse_interval_bpas(lefts, rights)
+        # Supplier1's per-decision-maker fusions, each discounted by its
+        # decision maker's normalized weight as the fold reaches it
+        lefts = [settled(0.5133, 0.0980, 0.3887), settled(0.4503, 0.1129, 0.4368), settled(0.4721, 0.0700, 0.4579)]
+        rights = [settled(0.8009, 0.0987, 0.1004), settled(0.8108, 0.1268, 0.0624), settled(0.9206, 0.0456, 0.0338)]
+        left, right = fuse_interval_bpas(lefts, rights, [0.2105, 0.3684, 0.7368], [0.4737, 0.5789, 1.0])
         assert_triple(left, (0.4950, 0.0733, 0.4317), abs=2e-3)
         assert_triple(right, (0.9696, 0.0201, 0.0103), abs=2e-3)
 
     def test_fuse_single_is_identity(self):
-        left, right = settled(0.5, 0.2, 0.3), settled(0.7, 0.1, 0.2)
-        assert fuse_interval_bpas([left], [right]) == (left, right)
+        # at full reliability, exact for complement-consistent parts (c == 1 - a - b bitwise)
+        left, right = settled(0.5, 0.2, 1.0 - 0.5 - 0.2), settled(0.7, 0.1, 1.0 - 0.7 - 0.1)
+        assert fuse_interval_bpas([left], [right], [1.0], [1.0]) == (left, right)
 
     def test_collapse_final_row(self):
         got = collapse_interval_bpa((settled(0.4950, 0.0733, 0.4317), settled(0.9696, 0.0201, 0.0103)))
@@ -238,6 +241,29 @@ LOCATED_FAILURES = {
     "cross-dm-fold": (
         build_problem(
             [(1, 1), (1, 1)],
+            [[(1, 1)], [(1, 1)]],
+            [[[MILD], [(1.0, 0.0, 0.0)]], [[MILD], [(0.0, 1.0, 0.0)]]],
+        ),
+        POOLED,
+        TotalConflict,
+        "alternative 'A2', decision maker 'DM2': conflict coefficient is 1.0; combination is undefined",
+    ),
+    # the conflicting criterion weighs [0, 1]: its left part is vacuous, so
+    # the left fold succeeds and only the right fold raises
+    "per-dm-fold-right-part": (
+        build_problem(
+            [(1, 1), (1, 1)],
+            [[(1, 1), (0, 1)]] * 2,
+            [[[MILD, MILD]] * 2, [[MILD, MILD], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]]],
+        ),
+        POOLED,
+        TotalConflict,
+        "decision maker 'DM2', alternative 'A2', criterion 'C2': conflict coefficient is 1.0; combination is undefined",
+    ),
+    # the same across decision makers: DM2 weighs [0, 1]
+    "cross-dm-fold-right-part": (
+        build_problem(
+            [(1, 1), (0, 1)],
             [[(1, 1)], [(1, 1)]],
             [[[MILD], [(1.0, 0.0, 0.0)]], [[MILD], [(0.0, 1.0, 0.0)]]],
         ),
