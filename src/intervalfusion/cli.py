@@ -3,7 +3,8 @@
 Subcommands: ``solve`` runs the full pipeline on a problem document,
 ``validate`` parses and validates only, ``demo`` runs the bundled supplier
 dataset with the full trace. Diagnostics go to stderr; exit codes: 0 on
-success, 1 on any input/computation error, 2 on usage errors.
+success, 1 on any input/computation error or when memory runs out, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -155,4 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IntervalFusionError, OSError) as exc:
         kind = type(exc).__name__ if isinstance(exc, IntervalFusionError) else "IO"
         print(f"error ({kind}): {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # the stack has unwound, so what the run built is freed
+        print("error (Memory): out of memory", file=sys.stderr)
         return 1

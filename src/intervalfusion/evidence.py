@@ -12,17 +12,18 @@ All arithmetic on mass functions is defined here, on triples, and both
 * the sum policy (the tolerances below) keeps a triple that sums to 1
   within EXACT_SUM_TOLERANCE, divides one within RENORMALIZATION_TOLERANCE
   by its sum, and rejects the rest;
-* :func:`discount` is Shafer discounting of a row of triples by their
-  reliabilities;
+* :func:`discount` is step 3's Shafer discounting of a row of interval BPAs,
+  each left part by its weight's lower bound and each right part by its
+  upper bound, in one pass, into one flat tuple of masses;
 * :func:`fold` folds sources left to right under the conjunctive, normalized
   rule in the closed form it has on two elements (Barnett 1981): the
   conflict coefficient is ``K = a1*b2 + b1*a2``, each focal set collects the
   products of the pairs whose intersection it is, and all masses are divided
   by ``1 - K``. ``K = 0`` means fully consistent sources; at ``K = 1`` the
-  rule is undefined and :class:`TotalConflict` is raised. Given the sources'
-  reliabilities, it discounts each source as it reaches it, with
-  :func:`discount`'s arithmetic written out a second time, so the kernel
-  builds no row of discounted triples.
+  rule is undefined and :class:`TotalConflict` is raised, naming the step.
+  Given the sources' reliabilities, it discounts each source as it reaches
+  it, with :func:`discount`'s arithmetic written out a second time, so the
+  kernel builds no row of discounted triples.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from itertools import repeat
+from operator import length_hint
 
 from .errors import MassSumViolation, NegativeMass, TotalConflict
 from .intervals import Value, describe, to_float
@@ -94,26 +96,36 @@ def _settle(a: float, b: float, c: float) -> Triple:
     return a, b, c
 
 
-def discount(triples: Iterable[Triple], weights: Iterable[float]) -> list[Triple]:
-    """Shafer discounting of each triple by its reliability ``w``: both
-    singleton masses are scaled by ``w`` and the remainder goes to the full
-    frame, (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero is
-    clamped to zero, and the clamped triple goes through _settle.
+def discount(lefts: Iterable[Triple], rights: Iterable[Triple], los: Iterable[float],
+             his: Iterable[float]) -> tuple[float, ...]:
+    """Shafer discounting of a row of interval BPAs, given as their left and
+    right parts: each left part by its lower bound in ``los``, each right
+    part by its upper bound in ``his``. A part (p, q, r) discounted by the
+    reliability ``w`` is (w*p, w*q, 1 - w*p - w*q); a remainder below zero is
+    clamped to zero, and the clamped triple goes through _settle. The masses
+    come back as one flat tuple in trace order: for each source, its left
+    triple and then its right triple.
 
     Precondition: finite ``p, q >= 0`` and ``w >= 0``. Then a remainder
     ``c >= 0`` puts all three masses in [0, 1], each sum rounds by at most
     an ulp of 1, and the plain sum is within a few ulps of 1, far inside
-    _settle's exact band: the triple is kept with no sum test."""
+    _settle's exact band: the triple is kept with no sum test. On settled
+    triples only a weight above 1 can make _settle raise; the error is then
+    the first failing source's, its left part before its right part."""
     out = []
-    for (p, q, _), w in zip(triples, weights):
-        a = p * w
-        b = q * w
+    for (p, q, _), (r, s, _), lo, hi in zip(lefts, rights, los, his):
+        a = p * lo
+        b = q * lo
         c = 1.0 - a - b
-        if c >= 0.0:
-            out.append((a, b, c))
-        else:
-            out.append(_settle(a, b, 0.0))
-    return out
+        if c < 0.0:
+            a, b, c = _settle(a, b, 0.0)
+        d = r * hi
+        e = s * hi
+        f = 1.0 - d - e
+        if f < 0.0:
+            d, e, f = _settle(d, e, 0.0)
+        out += a, b, c, d, e, f
+    return tuple(out)
 
 
 def fold(triples: Iterable[Triple], weights: Iterable[float] | None = None) -> Triple:
@@ -122,15 +134,18 @@ def fold(triples: Iterable[Triple], weights: Iterable[float] | None = None) -> T
     then singleton times full frame, then full frame times singleton. A step
     that _settle would keep as it is is kept inline; only the others go
     through it. Near total conflict, where the rounding of ``1 - K`` leaves
-    a sum the policy rejects, it raises TotalConflict. ``triples`` must not
-    be empty.
+    a sum the policy rejects, it raises TotalConflict, whose ``step`` is the
+    index of the source whose step raised, or None if ``triples`` has no
+    length. ``triples`` must not be empty.
 
     With ``weights``, each source is first discounted by its reliability,
     with :func:`discount`'s arithmetic, just before its step: the masses of
-    ``fold(discount(triples, weights))``, with no list between the two. A
-    step's error comes before the discount of a later source."""
+    folding the left parts of ``discount(triples, triples, weights,
+    weights)``, with no row between the two. A step's error comes before the
+    discount of a later source."""
+    sources = iter(triples)
     a1 = None
-    for (a2, b2, c2), w in zip(triples, repeat(None) if weights is None else weights):
+    for (a2, b2, c2), w in zip(sources, repeat(None) if weights is None else weights):
         if w is not None:
             a2 = a2 * w
             b2 = b2 * w
@@ -146,7 +161,7 @@ def fold(triples: Iterable[Triple], weights: Iterable[float] | None = None) -> T
             a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
             b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
             c = c1 * c2 / norm
-            if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:
+            if -_PLAIN_SUM_TOLERANCE <= a + b + c - 1.0 <= _PLAIN_SUM_TOLERANCE:
                 a1, b1, c1 = a, b, c
                 continue
             try:
@@ -154,7 +169,9 @@ def fold(triples: Iterable[Triple], weights: Iterable[float] | None = None) -> T
                 continue
             except MassSumViolation:
                 pass
-        raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
+        exc = TotalConflict(f"conflict coefficient is {k}; combination is undefined")
+        exc.step = len(triples) - length_hint(sources) - 1 if hasattr(triples, "__len__") else None
+        raise exc
     return a1, b1, c1
 
 

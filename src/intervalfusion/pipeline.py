@@ -10,9 +10,11 @@ function that :func:`rank_alternatives` runs on (IS, NS, full frame) triples:
 3. discount each rating r, as the interval BPA (r, r), by its criterion
    weight's lower and upper bound into a pair of classical BPAs, and fuse
    these across criteria, left parts together and right parts together
-   (:func:`fuse_interval_bpas`); then discount each decision maker's fused
-   result by the normalized decision-maker weight and fuse across decision
-   makers, by the same stage;
+   (:func:`fuse_interval_bpas`, which discounts each source as it folds
+   it); then discount each decision maker's fused result by the normalized
+   decision-maker weight and fuse across decision makers, by the same
+   stage. The trace's discounted cells come from one pass over each row
+   (:func:`discount_interval_bpa`);
 4. collapse each alternative's final interval BPA by combining its left and
    right part into one classical BPA (:func:`collapse_interval_bpa`);
 5. rank alternatives by pignistic belief in the ideal hypothesis
@@ -293,15 +295,16 @@ class RankingReport(Value):
         return self._trace[i]
 
     def _cell_rows(self) -> Iterator[tuple]:
-        """The (left parts, right parts) of each (decision maker, alternative)
-        row of ``cells``, discounted again, in order; ValueError at once if the
-        report has no trace."""
+        """The masses of each (decision maker, alternative) row of ``cells``,
+        discounted again, in order, each row one flat tuple in trace order;
+        ValueError at once if the report has no trace."""
         rows = _rows(self._kept(0), self.normalized_criterion_weights)
         return (discount_to_interval_bpa(row, row, los, his) for row, los, his in rows)
 
     @_cached
     def cells(self) -> tuple:
-        return _split([tuple(zip(*pair)) for pair in self._cell_rows()], len(self.alternatives))
+        pairs = [tuple([(r[i : i + 3], r[i + 3 : i + 6]) for i in range(0, len(r), 6)]) for r in self._cell_rows()]
+        return _split(pairs, len(self.alternatives))
 
     fused_per_dm = property(lambda self: self._kept(1))
     final = property(lambda self: self._kept(2))
@@ -316,30 +319,16 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 # The steps as stages on triples. _kernel looks each stage up as a module
 # global at call time, so a wrapper set on this module sees every call. The
 # stages take settled triples and normalized weight endpoints, which lie in
-# [0, 1], so a discount never raises: only a Dempster step can. Each fusion
-# discounts its sources as it folds them (``fold(triples, weights)``); the
-# discount stages serve the trace walk, and the error path that finds the
-# step that raised.
+# [0, 1], so a discount never raises: only a Dempster step can, and fold
+# names the source whose step raised. Each fusion discounts its sources as it
+# folds them (``fold(triples, weights)``); the discount stage serves the
+# trace walk.
 
-
-def discount_interval_bpa(
-    lefts: Sequence[Triple], rights: Sequence[Triple], los: Sequence[float], his: Sequence[float]
-) -> tuple[list[Triple], list[Triple]]:
-    """Discount a row of interval BPAs, given as their left and right parts:
-    the left parts by the lower bounds ``los``, the right parts by the upper
-    bounds ``his``. A classical rating ``t`` is the interval BPA (t, t).
-    These are the parts :func:`fuse_interval_bpas` folds, as the trace shows
-    them; and, as there, degenerate BPAs under crisp weights are discounted
-    once, and the one list is returned as both parts."""
-    if los == his and lefts == rights:
-        parts = discount(lefts, los)
-        return parts, parts
-    return discount(lefts, los), discount(rights, his)
-
-
-# The row-level name of the same stage: a wrapper set on one name sees only
-# the calls made through it.
-discount_to_interval_bpa = discount_interval_bpa
+# Step 3's discount of a row of interval BPAs, given as their left and right
+# parts, into the flat masses the trace shows: evidence.discount. A rating t
+# is the interval BPA (t, t). The row-level name is the one the trace walk
+# calls: a wrapper set on one name sees only the calls made through it.
+discount_interval_bpa = discount_to_interval_bpa = discount
 
 
 def fuse_interval_bpas(
@@ -370,23 +359,6 @@ def bet_ideal(m: Triple) -> float:
     """Pignistic belief in the first frame element: m({first}) + m(full)/2."""
     first, _, full = m
     return first + full / 2.0
-
-
-def _failed_step(lefts: Sequence[Triple], rights: Sequence[Triple]) -> int | None:
-    """The index of the source at whose step :func:`fuse_interval_bpas`
-    raises, given the parts it discounts (:func:`discount_interval_bpa`),
-    or None if both folds succeed. Each side is folded one step at a time:
-    ``fold`` of the running result and the next triple is the same step as in
-    one whole ``fold``. Only error paths call this, so a rank that succeeds
-    pays nothing for it."""
-    for side in (lefts, rights):
-        acc = side[0]
-        for i in range(1, len(side)):
-            try:
-                acc = fold((acc, side[i]))
-            except IntervalFusionError:
-                return i
-    return None
 
 
 def _endpoints(weights: Sequence[Interval]) -> tuple[list[float], list[float]]:
@@ -421,9 +393,8 @@ def _kernel(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]]
             fused.append(fuse_interval_bpas(row, row, los, his))
         except IntervalFusionError as exc:
             d, a = divmod(len(fused), len(alts))
-            crit = problem.criteria[_failed_step(*discount_to_interval_bpa(row, row, los, his))]
-            where = f"decision maker {problem.decision_makers[d]!r}, alternative {alts[a]!r}, criterion {crit!r}"
-            raise _located(exc, where) from exc
+            where = f"decision maker {problem.decision_makers[d]!r}, alternative {alts[a]!r}"
+            raise _located(exc, f"{where}, criterion {problem.criteria[exc.step]!r}") from exc
     dm_fused = _split(fused, len(alts))
 
     dm_los, dm_his = _endpoints(dm_weights)
@@ -432,11 +403,12 @@ def _kernel(problem: DecisionProblem, crit_weights: Sequence[Sequence[Interval]]
         lefts, rights = zip(*column)
         try:
             pair = fuse_interval_bpas(lefts, rights, dm_los, dm_his)
+        except IntervalFusionError as exc:
+            raise _located(exc, f"alternative {alt!r}, decision maker {problem.decision_makers[exc.step]!r}") from exc
+        try:
             collapsed.append(collapse_interval_bpa(pair))
         except IntervalFusionError as exc:
-            step = _failed_step(*discount_interval_bpa(lefts, rights, dm_los, dm_his))
-            where = "collapse" if step is None else f"decision maker {problem.decision_makers[step]!r}"
-            raise _located(exc, f"alternative {alt!r}, {where}") from exc
+            raise _located(exc, f"alternative {alt!r}, collapse") from exc
         final.append(pair)
     return dm_fused, tuple(final), tuple(collapsed)
 

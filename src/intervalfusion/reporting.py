@@ -73,8 +73,7 @@ def _tables(report: RankingReport, cell_rows: Iterator, dms: list[str], alts: li
          (tuple(_flat((iv.lo, iv.hi) for iv in ws)) for ws in report.normalized_criterion_weights)),
         ("normalized_dm_weights", "Normalized decision-maker weights", (dms,),
          ((iv.lo, iv.hi) for iv in report.normalized_dm_weights)),
-        ("cells", "Discounted interval BPAs ({%s}, {%s}, {%s, %s})" % (FRAME + FRAME), (dms, alts),
-         (tuple(_flat(_flat(zip(*pair)))) for pair in cell_rows)),
+        ("cells", "Discounted interval BPAs ({%s}, {%s}, {%s, %s})" % (FRAME + FRAME), (dms, alts), cell_rows),
         # left + right, not tuple(): that resizes a small tuple, and keeps the freed one for reuse, one a row
         ("fused_per_dm", "Fused per decision maker", (dms, alts), (lt + rt for lt, rt in _flat(report.fused_per_dm))),
         ("final", "Final interval BPAs", (alts,), (lt + rt for lt, rt in report.final)),
@@ -127,35 +126,32 @@ def _render_human(report: RankingReport, cell_rows: Iterator | None) -> Iterator
 # never empty.
 
 
-def _json(indent: str, members: Iterable[Iterable[str]], end: str = "", brackets: str = "{}") -> Iterator[str]:
-    """The chunks of a JSON object, or with ``brackets`` "[]" an array, that
-    opens on a line at ``indent`` and is followed by ``end``. Each member is
-    given as its chunks; the separator before it goes into its first one."""
-    sep, comma = brackets[0] + "\n" + indent + "  ", ",\n" + indent + "  "
-    for member in members:
-        member = iter(member)
-        yield sep + next(member)
-        yield from member
-        sep = comma
-    yield "\n" + indent + brackets[1] + end
-
-
 def _text(indent: str, members: Iterable[str], brackets: str = "{}") -> str:
-    """:func:`_json` as one string, of ``members`` given as strings, joined as it separates them."""
-    return "".join(_json(indent, [[(",\n" + indent + "  ").join(members)]], brackets=brackets))
+    """A JSON object, or with ``brackets`` "[]" an array, of ``members`` given
+    as strings, that opens on a line at ``indent``."""
+    sep = "\n" + indent + "  "
+    return brackets[0] + sep + ("," + sep).join(members) + "\n" + indent + brackets[1]
 
 
 def _key(label: str) -> str:
     return _str(label) + ": "
 
 
-def _object(indent: str, labels: tuple[list[str], ...], values: Iterator[str]) -> Iterator[str]:
-    """A JSON object keyed by the first of ``labels``: each member is one of
-    these over the rest or, keyed by the last, the next of ``values``."""
+def _heads(indent: str, labels: tuple[list[str], ...], lead: str) -> Iterator[str]:
+    """The text before each row of a JSON object that opens at ``indent``,
+    keyed by the first of ``labels`` and nested by the rest, outer first:
+    the separator, the braces that close the previous row's inner objects,
+    and the keys of the objects that the row opens. ``lead`` goes before
+    the first."""
     keys, *inner = labels
-    if inner:
-        return _json(indent, (chain([key], _object(indent + "  ", inner, values)) for key in keys))
-    return _json(indent, ([key + value] for key, value in zip(keys, values)))
+    sep = lead + "{\n" + indent + "  "
+    for key in keys:
+        if inner:
+            yield from _heads(indent + "  ", inner, sep + key)
+            sep = "\n" + indent + "  },\n" + indent + "  "
+        else:
+            yield sep + key
+            sep = ",\n" + indent + "  "
 
 
 def _floats(indent: str, n: int, *labels: list[str]) -> str:
@@ -169,14 +165,19 @@ def _floats(indent: str, n: int, *labels: list[str]) -> str:
 def _render_json(report: RankingReport, mode: str, cell_rows: Iterator | None) -> Iterator[str]:
     alts = [_key(x) for x in report.alternatives]
     members = [
-        [_key("report_version") + _str(REPORT_VERSION)],
-        [_key("mode") + _str(mode)],
-        [_key("frame"), _text("  ", map(_str, FRAME), "[]")],
-        [_key("alternatives"), _text("  ", map(_str, report.alternatives), "[]")],
-        [_key("bets"), _text("  ", map(str.__add__, alts, map(repr, report.bets)))],
-        [_key("ranking"), _text("  ", map(_str, report.ranking), "[]")],
+        _key("report_version") + _str(REPORT_VERSION),
+        _key("mode") + _str(mode),
+        _key("frame") + _text("  ", map(_str, FRAME), "[]"),
+        _key("alternatives") + _text("  ", map(_str, report.alternatives), "[]"),
+        _key("bets") + _text("  ", map(str.__add__, alts, map(repr, report.bets))),
+        _key("ranking") + _text("  ", map(_str, report.ranking), "[]"),
     ]
+    sep = "{\n  "
+    for member in members:
+        yield sep + member
+        sep = ",\n  "
     if cell_rows is not None:
+        yield sep + _key("criterion_normalization") + _str(report.criterion_normalization)
         dms = [_key(x) for x in report.decision_makers]
         crits = [_key(x).replace("%", "%%") for x in report.criteria]
         sides = [_key("left"), _key("right")]
@@ -188,7 +189,10 @@ def _render_json(report: RankingReport, mode: str, cell_rows: Iterator | None) -
             "final": _floats(" " * 4, 3, sides),
             "collapsed": _floats(" " * 4, 3) + "%.0r",  # %.0r takes the bet and writes nothing
         }
-        members.append([_key("criterion_normalization") + _str(report.criterion_normalization)])
-        members += (chain([_key(key)], _object("  ", labels, map(templates[key].__mod__, rows)))
-                    for key, _, labels, rows in _tables(report, cell_rows, dms, alts))
-    return _json("", members, end="\n")
+        for key, _, labels, rows in _tables(report, cell_rows, dms, alts):
+            template = templates[key]
+            # each row one fill of its table's template, after its head; the tail closes the table's objects
+            for head, floats in zip(_heads("  ", labels, sep + _key(key)), rows):
+                yield head + template % floats
+            yield "".join(["\n  " + "  " * depth + "}" for depth in reversed(range(len(labels)))])
+    yield "\n}\n"

@@ -4,7 +4,8 @@ cannot change behaviour.
 
 Each mutant in :data:`MUTANTS` is one exact text edit of one source file.
 The script copies the checkout (the files git tracks, plus untracked ones it
-does not ignore, as they are in the working tree) to a temporary directory
+does not ignore, as they are in the working tree; outside a git checkout,
+the tree's files less what ``.gitignore`` names) to a temporary directory
 and applies the edit there. A mutant recorded as killed names a test; its
 verdict holds if that test, run alone, fails. A mutant recorded as
 equivalent holds if the whole tier-1 suite passes: its written argument
@@ -22,6 +23,7 @@ mutant, call :func:`run` on it.
 
 from __future__ import annotations
 
+import fnmatch
 import os
 import shutil
 import subprocess
@@ -47,16 +49,32 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # --- evidence.py: the sum policy, both clamps, fold's inline shortcut and its conflict bound
+    # --- evidence.py: the sum policy, the clamps of both sides, the order of the sides, fold's inline shortcut,
+    # its conflict bound and the step it names
     Mutant(
-        "clamp-skips-policy", "src/intervalfusion/evidence.py",
-        "out.append(_settle(a, b, 0.0))", "out.append((a, b, 0.0))",
-        killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[0.9e-9]",
+        "left-clamp-skips-policy", "src/intervalfusion/evidence.py",
+        "a, b, c = _settle(a, b, 0.0)", "a, b, c = a, b, 0.0",
+        killed_by="tests/test_evidence.py::TestDiscount::test_each_side_is_clamped_and_settled_on_its_own[left]",
     ),
     Mutant(
-        "clamp-keeps-negative-remainder", "src/intervalfusion/evidence.py",
-        "out.append(_settle(a, b, 0.0))", "out.append(_settle(a, b, c))",
-        killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[1.1e-9]",
+        "left-clamp-keeps-negative-remainder", "src/intervalfusion/evidence.py",
+        "a, b, c = _settle(a, b, 0.0)", "a, b, c = _settle(a, b, c)",
+        killed_by="tests/test_evidence.py::TestDiscount::test_each_side_is_clamped_and_settled_on_its_own[left]",
+    ),
+    Mutant(
+        "right-clamp-skips-policy", "src/intervalfusion/evidence.py",
+        "d, e, f = _settle(d, e, 0.0)", "d, e, f = d, e, 0.0",
+        killed_by="tests/test_evidence.py::TestDiscount::test_each_side_is_clamped_and_settled_on_its_own[right]",
+    ),
+    Mutant(
+        "right-clamp-keeps-negative-remainder", "src/intervalfusion/evidence.py",
+        "d, e, f = _settle(d, e, 0.0)", "d, e, f = _settle(d, e, f)",
+        killed_by="tests/test_evidence.py::TestDiscount::test_each_side_is_clamped_and_settled_on_its_own[right]",
+    ),
+    Mutant(
+        "discount-swaps-sides", "src/intervalfusion/evidence.py",
+        "out += a, b, c, d, e, f", "out += d, e, f, a, b, c",
+        killed_by="tests/test_pipeline.py::TestDiscountIntervalBPA::test_dm_level_row",
     ),
     # the same clamp, written a second time inside fold's weighted walk
     Mutant(
@@ -76,12 +94,13 @@ MUTANTS = [
     ),
     Mutant(
         "fold-band-is-exact-band", "src/intervalfusion/evidence.py",
-        "if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:", "if abs(a + b + c - 1.0) <= EXACT_SUM_TOLERANCE:",
+        "if -_PLAIN_SUM_TOLERANCE <= a + b + c - 1.0 <= _PLAIN_SUM_TOLERANCE:",
+        "if -EXACT_SUM_TOLERANCE <= a + b + c - 1.0 <= EXACT_SUM_TOLERANCE:",
         killed_by="tests/test_evidence.py::TestRowKernelParity::test_fold",
     ),
     Mutant(
         "fold-without-shortcut", "src/intervalfusion/evidence.py",
-        "if abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE:", "if False:",
+        "if -_PLAIN_SUM_TOLERANCE <= a + b + c - 1.0 <= _PLAIN_SUM_TOLERANCE:", "if False:",
         # the masses are the same (test_shortcut_matches_fsum_policy pins the
         # premise); the test that counts _settle's traffic tells it apart
         killed_by="tests/test_evidence.py::test_bundled_dataset_takes_the_inline_sum_check",
@@ -101,6 +120,12 @@ MUTANTS = [
     Mutant(
         "conflict-limit-is-one", "src/intervalfusion/evidence.py", "if k < _CONFLICT_LIMIT:", "if k < 1.0:",
         killed_by="tests/test_evidence.py::TestCombine::test_conflict_bound_is_one_minus_total_conflict_eps",
+    ),
+    Mutant(
+        # the criterion before the one whose step raised
+        "fold-step-off-by-one", "src/intervalfusion/evidence.py",
+        "len(triples) - length_hint(sources) - 1", "len(triples) - length_hint(sources) - 2",
+        killed_by="tests/test_degenerate.py::test_crisp_total_conflict_names_its_place[row]",
     ),
     Mutant(
         "renormalization-tolerance-widened", "src/intervalfusion/evidence.py",
@@ -237,11 +262,13 @@ MUTANTS = [
         # the same bytes, from the kept cells table in one template: memory
         # that grows with the rows
         "writer-renders-whole-cells-table", "src/intervalfusion/reporting.py",
-        '        members += (chain([_key(key)], _object("  ", labels, map(templates[key].__mod__, rows)))\n',
-        '        members += (chain([_key(key)], _object("  ", labels, map(templates[key].__mod__, rows)))\n'
-        '                    if key != "cells" else [_key(key), _floats(\n'
-        '                        "  ", 3, *[[x.replace("%", "%%") for x in keys] for keys in labels], crits, sides)\n'
-        "                    % tuple(_flat(_flat(_flat(_flat(report.cells)))))]\n",
+        "            template = templates[key]\n",
+        "            template = templates[key]\n"
+        '            if key == "cells":\n'
+        '                yield sep + _key(key) + _floats(\n'
+        '                    "  ", 3, *[[x.replace("%", "%%") for x in keys] for keys in labels], crits, sides\n'
+        "                ) % tuple(_flat(_flat(_flat(_flat(report.cells)))))\n"
+        "                continue\n",
         killed_by="tests/test_reporting.py::test_full_trace_renders_in_memory_that_does_not_grow_with_the_rows[json]",
     ),
     Mutant(
@@ -297,9 +324,36 @@ MUTANTS = [
 
 
 def _checkout_files() -> list[str]:
-    out = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-                         cwd=ROOT, capture_output=True, check=True).stdout
+    """The files git tracks, plus untracked ones it does not ignore. Where
+    git cannot list them, as in a ``git archive`` copy, every file under the
+    root but ``.git`` and what ``.gitignore`` names."""
+    try:
+        out = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return _tree_files()
     return [name for name in out.decode().split("\0") if name and (ROOT / name).is_file()]
+
+
+def _tree_files() -> list[str]:
+    """The files under the root, less ``.git`` and the paths that the root's
+    ``.gitignore`` names: a pattern that starts with "/" matches the path
+    from the root, any other the last part of it, and one that ends in "/"
+    only a directory."""
+    ignore = ROOT / ".gitignore"
+    lines = ignore.read_text(encoding="utf-8").splitlines() if ignore.is_file() else []
+    patterns = [line.strip() for line in lines if line.strip() and not line.startswith("#")]
+
+    def ignored(path: str, is_dir: bool) -> bool:
+        return any(fnmatch.fnmatchcase(path if p.startswith("/") else path.rpartition("/")[2], p.strip("/"))
+                   for p in patterns if is_dir or not p.endswith("/"))
+
+    files = []
+    for top, dirs, names in os.walk(ROOT):
+        prefix = Path(top).relative_to(ROOT).as_posix() + "/" if Path(top) != ROOT else ""
+        dirs[:] = [d for d in dirs if d != ".git" and not ignored(prefix + d, True)]
+        files += [prefix + name for name in names if not ignored(prefix + name, False)]
+    return sorted(files)
 
 
 def run(mutant: Mutant, files: list[str]) -> tuple[bool, str]:

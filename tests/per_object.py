@@ -3,11 +3,14 @@
 This is the reference that property suite 9 and the JSON writer's tests
 compare the kernel of ``rank_alternatives`` with, bit for bit. The kernel
 discounts each source inside the fold over a row (``fold(triples,
-weights)``); this reference discounts each rating or part on its own with
+weights)``); this reference discounts each rating, and each decision
+maker's fused pair, as one interval BPA on its own with
 ``evidence.discount`` and then folds the results with the unweighted
-``evidence.fold``. It builds on ``MassFunction`` and those two alone, not on
-the pipeline's row-level stages, so the comparison does not run the code it
-checks.
+``evidence.fold``. It builds on ``MassFunction`` and those two alone, so the
+bets it gives do not run the kernel's inline discount. The trace's
+``cells`` come from ``evidence.discount`` itself, one row at a time, so for
+that table the comparison checks the walk over the rows, not the
+arithmetic; ``TestRowKernelParity`` in ``test_evidence.py`` pins that.
 """
 
 from intervalfusion import POOLED, MassFunction, normalize_weight_group
@@ -15,9 +18,11 @@ from intervalfusion.errors import IntervalFusionError
 from intervalfusion.evidence import discount, fold
 
 
-def discounted(m, w):
-    """``m`` discounted by the reliability ``w``."""
-    return MassFunction(discount((m.masses,), (w,))[0])
+def discounted(left, right, lo, hi):
+    """The (left, right) pair of mass functions: ``left`` discounted by the
+    reliability ``lo`` and ``right`` by ``hi``."""
+    masses = discount((left.masses,), (right.masses,), (lo,), (hi,))
+    return MassFunction(masses[:3]), MassFunction(masses[3:])
 
 
 def fused(ms):
@@ -66,10 +71,7 @@ def per_object_rank(problem, normalization):
     for d, dm in enumerate(problem.decision_makers):
         dm_cells, dm_rows = [], []
         for a, alt in enumerate(problem.alternatives):
-            cells = [
-                (discounted(m, w.lo), discounted(m, w.hi))
-                for m, w in zip(problem.ratings[d][a], crit_weights[d])
-            ]
+            cells = [discounted(m, m, w.lo, w.hi) for m, w in zip(problem.ratings[d][a], crit_weights[d])]
             try:
                 dm_rows.append((fused(left for left, _ in cells), fused(right for _, right in cells)))
             except IntervalFusionError as exc:
@@ -81,10 +83,7 @@ def per_object_rank(problem, normalization):
 
     final_bpas, collapsed = [], []
     for a, alt in enumerate(problem.alternatives):
-        parts = [
-            (discounted(dm_fused[d][a][0], w.lo), discounted(dm_fused[d][a][1], w.hi))
-            for d, w in enumerate(dm_weights)
-        ]
+        parts = [discounted(*dm_fused[d][a], w.lo, w.hi) for d, w in enumerate(dm_weights)]
         try:
             final_bpas.append((fused(left for left, _ in parts), fused(right for _, right in parts)))
             collapsed.append(final_bpas[-1][0].combine(final_bpas[-1][1]))

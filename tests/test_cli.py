@@ -475,6 +475,35 @@ class TestValidate:
         assert err.splitlines() == [line]
 
 
+# Caps its own address space, after its imports, at its size plus 8 MiB,
+# then runs the CLI on its arguments.
+CAPPED_CLI = """
+import resource, sys
+from intervalfusion.cli import main
+with open("/proc/self/statm") as f:
+    size = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + (8 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+class TestOutOfMemory:
+    def test_out_of_memory_fails_closed(self, tmp_path):
+        # one child process, whose load of 80,000 cells needs more than its
+        # cap: one stderr line, exit 1, and the earlier report kept
+        pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("no /proc/self/statm to read the process's size from")
+        source, target = tmp_path / "big.json", tmp_path / "report.json"
+        source.write_bytes(document(4, 1000, 20))
+        target.write_bytes(b"earlier report\n")
+        args = ["solve", "--input", str(source), "--trace", "--format", "json", "--output", str(target)]
+        result = subprocess.run([sys.executable, "-c", CAPPED_CLI, *args], capture_output=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (1, b"", b"error (Memory): out of memory\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["big.json", "report.json"]
+        assert target.read_bytes() == b"earlier report\n"
+
+
 class TestUsage:
     def test_no_command(self):
         with pytest.raises(SystemExit) as exc:

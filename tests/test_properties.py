@@ -176,9 +176,9 @@ def test_pignistic_is_probability_vector(pair):
 @given(triple=rating_triples())
 def test_discount_identities_exact(triple):
     t = as_mass(triple).masses
-    assert discount_to_interval_bpa([t], [t], [1.0], [1.0]) == ([t], [t])
+    assert discount_to_interval_bpa([t], [t], [1.0], [1.0]) == t + t
     vacuous = MassFunction((0.0, 0.0, 1.0)).masses
-    assert discount_to_interval_bpa([t], [t], [0.0], [0.0]) == ([vacuous], [vacuous])
+    assert discount_to_interval_bpa([t], [t], [0.0], [0.0]) == vacuous + vacuous
 
 
 # 6. normalization is invariant under common positive rescaling. Endpoints
