@@ -10,6 +10,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from collections.abc import Iterable
@@ -131,8 +132,14 @@ def _write_output(chunks: Iterable[str], path: str | None) -> None:
         raise
 
 
+def _read_input(path: str) -> bytes:
+    # not Path(path): its error would name the normalized path, '.' for ''
+    with io.FileIO(path) as f:
+        return f.readall()
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    source = bundled_dataset_bytes() if args.input is None else Path(args.input).read_bytes()
+    source = bundled_dataset_bytes() if args.input is None else _read_input(args.input)
     problem = load_problem(source, alpha=args.alpha)
     report = rank_alternatives(problem, criterion_normalization=args.criterion_normalization)
     mode = FULL_TRACE if args.trace else SUMMARY
@@ -142,7 +149,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    problem = load_problem(Path(args.input).read_bytes(), alpha=args.alpha)
+    problem = load_problem(_read_input(args.input), alpha=args.alpha)
     _write_output([f"valid: {len(problem.decision_makers)} decision makers, "
                    f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives\n"], None)
     return 0

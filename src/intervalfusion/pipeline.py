@@ -14,7 +14,7 @@ function that :func:`rank_alternatives` runs on (IS, NS, full frame) triples:
    it); then discount each decision maker's fused result by the normalized
    decision-maker weight and fuse across decision makers, by the same
    stage. The trace's discounted cells come from one pass over each row
-   (:func:`discount_interval_bpa`);
+   (:func:`discount_to_interval_bpa`);
 4. collapse each alternative's final interval BPA by combining its left and
    right part into one classical BPA (:func:`collapse_interval_bpa`);
 5. rank alternatives by pignistic belief in the ideal hypothesis
@@ -30,13 +30,12 @@ functions are not public API.
 from __future__ import annotations
 
 import gc
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from functools import wraps
 
 from .errors import AllZeroWeights, IntervalFusionError, InvalidWeight, ValidationError
 from .evidence import MassFunction, Triple, discount, fold
-from .intervals import Interval, Value, describe, to_float
+from .intervals import Interval, Value
 
 #: Criterion weights pooled across all decision makers form one
 #: normalization group (the default), or each decision maker's weights
@@ -237,7 +236,7 @@ def _loaded_problem(*fields) -> DecisionProblem:
 
 
 class RankingReport(Value):
-    """Output of :func:`rank_alternatives`.
+    """Output of :func:`rank_alternatives`, which makes every report.
 
     ``ranking`` lists alternative labels by non-increasing ``bets`` value,
     ties broken by input order. The trace is four tables of the kernel's
@@ -251,54 +250,19 @@ class RankingReport(Value):
     paused, by discounting each rating row again with the normalized weights
     (:func:`discount_to_interval_bpa`). That is the arithmetic the fusion
     did inline, on the same inputs, so it holds exactly the values the bets
-    came from. A report constructed directly has no trace. Its label fields,
-    ranking, bets and normalized weight tables follow the problem's rule: a
-    tuple or list, stored as a tuple, each grid as long as its labels and each
-    weight an ``Interval``. Labels are unique, and every bet is a finite int
-    or float.
+    came from. The constructor stores its fields and checks none: a report
+    built by hand is unchecked and unsupported.
     """
 
     _fields = ("alternatives", "criteria", "decision_makers", "criterion_normalization",
                "normalized_criterion_weights", "normalized_dm_weights", "bets", "ranking", "_trace")
     __slots__ = (*_fields, "__dict__")
-
-    def __init__(self, alternatives: tuple[str, ...], criteria: tuple[str, ...], decision_makers: tuple[str, ...],
-                 criterion_normalization: str, normalized_criterion_weights: tuple[tuple[Interval, ...], ...],
-                 normalized_dm_weights: tuple[Interval, ...], bets: tuple[float, ...], ranking: tuple[str, ...],
-                 _trace: tuple | None = None) -> None:
-        self._init(alternatives, criteria, decision_makers, criterion_normalization, normalized_criterion_weights,
-                   normalized_dm_weights, bets, ranking, _trace)
-        _unique_labels(self)
-        object.__setattr__(self, "ranking", _grid(self.ranking, "ranking"))
-        if not all(isinstance(x, str) for x in self.ranking) or sorted(self.ranking) != sorted(self.alternatives):
-            raise ValidationError("ranking must be a permutation of the alternatives")
-        dms, crits = self.decision_makers, self.criteria
-        for name, shape_error, axes, leaf in (
-            ("normalized_criterion_weights",
-             f"normalized criterion weights must be a {len(dms)} x {len(crits)} grid of intervals", (dms, crits), Interval),
-            ("normalized_dm_weights", f"normalized decision maker weights must be a sequence of {len(dms)} intervals",
-             (dms,), Interval),
-            ("bets", "bets must hold one value per alternative", (self.alternatives,), object),
-        ):
-            object.__setattr__(self, name, _grid(getattr(self, name), name, shape_error, *axes, leaf=leaf))
-        by_label = dict(zip(self.alternatives, self.bets))
-        for label, bet in zip(self.alternatives, self.bets):
-            if not math.isfinite(to_float(bet)):
-                raise ValidationError(f"bet of alternative {label!r} must be a finite number, got {describe(bet)}")
-        ordered = [by_label[label] for label in self.ranking]
-        if any(a < b for a, b in zip(ordered, ordered[1:])):
-            raise ValidationError("bet values along the ranking must be non-increasing")
-
-    def _kept(self, i: int):
-        if self._trace is None:
-            raise ValueError("this report was not built by rank_alternatives and has no trace")
-        return self._trace[i]
+    __init__ = Value._init
 
     def _cell_rows(self) -> Iterator[tuple]:
         """The masses of each (decision maker, alternative) row of ``cells``,
-        discounted again, in order, each row one flat tuple in trace order;
-        ValueError at once if the report has no trace."""
-        rows = _rows(self._kept(0), self.normalized_criterion_weights)
+        discounted again, in order, each row one flat tuple in trace order."""
+        rows = _rows(self._trace[0], self.normalized_criterion_weights)
         return (discount_to_interval_bpa(row, row, los, his) for row, los, his in rows)
 
     @_cached
@@ -306,9 +270,9 @@ class RankingReport(Value):
         pairs = [tuple([(r[i : i + 3], r[i + 3 : i + 6]) for i in range(0, len(r), 6)]) for r in self._cell_rows()]
         return _split(pairs, len(self.alternatives))
 
-    fused_per_dm = property(lambda self: self._kept(1))
-    final = property(lambda self: self._kept(2))
-    collapsed = property(lambda self: self._kept(3))
+    fused_per_dm = property(lambda self: self._trace[1])
+    final = property(lambda self: self._trace[2])
+    collapsed = property(lambda self: self._trace[3])
 
 
 def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:

@@ -38,8 +38,7 @@ _flat = chain.from_iterable
 def report_chunks(report: RankingReport, mode: str = SUMMARY, fmt: str = HUMAN_TABLE) -> Iterator[str]:
     """The report that :func:`emit_report` renders, as str chunks made one
     at a time, the last ending in the final newline. A bad ``mode`` or
-    ``fmt``, or a full trace of a report with no trace, raises ValueError
-    here, before any chunk is made."""
+    ``fmt`` raises ValueError here, before any chunk is made."""
     if mode not in (SUMMARY, FULL_TRACE):
         raise ValueError(f"mode must be {SUMMARY!r} or {FULL_TRACE!r}, got {mode!r}")
     if fmt not in (HUMAN_TABLE, JSON_FORMAT):

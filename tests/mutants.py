@@ -132,7 +132,7 @@ MUTANTS = [
         "RENORMALIZATION_TOLERANCE = 1e-6", "RENORMALIZATION_TOLERANCE = 1e-5",
         killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[outside-1e-6]",
     ),
-    # --- pipeline.py: the grids' length check, the cached views, problem equality, a direct report's tables,
+    # --- pipeline.py: the grids' length check, the cached views, problem equality,
     # the crisp shortcut, the ranking and the bet
     Mutant(
         "ratings-view-uncached", "src/intervalfusion/pipeline.py",
@@ -161,25 +161,6 @@ MUTANTS = [
         "grid-skips-length-check", "src/intervalfusion/pipeline.py",
         "    if len(value) != len(labels):\n        raise ValidationError(shape_error)\n", "",
         killed_by="tests/test_pipeline.py::TestDecisionProblem::test_shape_checks",
-    ),
-    Mutant(
-        "report-walk-skips-dm-weights", "src/intervalfusion/pipeline.py",
-        '            ("normalized_dm_weights", f"normalized decision maker weights must be a sequence of {len(dms)} '
-        'intervals",\n             (dms,), Interval),\n',
-        "",
-        killed_by="tests/test_pipeline.py::TestRankAlternatives::test_report_stores_bets_and_weight_lists_as_tuples",
-    ),
-    Mutant(
-        "report-walk-skips-bets", "src/intervalfusion/pipeline.py",
-        '            ("bets", "bets must hold one value per alternative", (self.alternatives,), object),\n',
-        "",
-        killed_by="tests/test_pipeline.py::TestRankAlternatives::test_report_needs_one_bet_per_alternative[fewer]",
-    ),
-    Mutant(
-        "report-walk-any-weight-type", "src/intervalfusion/pipeline.py",
-        'grid of intervals", (dms, crits), Interval),', 'grid of intervals", (dms, crits), object),',
-        killed_by="tests/test_pipeline.py::TestRankAlternatives::"
-        "test_report_weight_tables_take_the_grid_rule[criterion-not-interval]",
     ),
     Mutant(
         "pooled-failure-named-by-first-dm", "src/intervalfusion/pipeline.py",

@@ -271,6 +271,19 @@ class TestSolve:
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    @pytest.mark.parametrize("given, message", [
+        ("./missing//doc.json", "[Errno 2] No such file or directory: './missing//doc.json'"),
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("folder", "[Errno 21] Is a directory: 'folder'"),
+    ], ids=["unnormalized", "empty", "directory"])
+    def test_input_error_names_the_path_as_given(self, tmp_path, monkeypatch, capsys, command, given, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        assert main([command, "--input", given]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error (IO): {message}\n")
+
     def test_schema_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("{}")

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from intervalfusion import Interval, RankingReport, emit_report, load_problem, loading, rank_alternatives
+from intervalfusion import emit_report, load_problem, loading, rank_alternatives
 from intervalfusion.errors import InvalidWeight, ParseError, SchemaError, TotalConflict, ValidationError
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT
 
@@ -50,10 +50,6 @@ CONFLICT = json.dumps({
 })
 
 
-# a report built directly, with no trace to render
-NO_TRACE = RankingReport(("A",), ("C",), ("D",), "pooled", ((Interval(0, 1),),), (Interval(0, 1),), (0.5,), ("A",))
-
-
 @pytest.fixture
 def collector():
     """Puts the collector back in the state the test found it in."""
@@ -84,7 +80,8 @@ EXITS = {
     "trace": (lambda mp: rank_alternatives(load_problem(document(2, 3, 4))).cells, None),
     "ratings-view": (lambda mp: load_problem(document(2, 3, 4)).ratings, None),
     "emit": (lambda mp: emit_report(rank_alternatives(load_problem(document(2, 3, 4))), FULL_TRACE, JSON_FORMAT), None),
-    "emit-no-trace": (lambda mp: emit_report(NO_TRACE, FULL_TRACE, HUMAN_TABLE), ValueError),
+    "emit-bad-mode": (lambda mp: emit_report(rank_alternatives(load_problem(document(1, 1, 1))), "trace", HUMAN_TABLE),
+                      ValueError),
 }
 
 

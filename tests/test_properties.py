@@ -28,7 +28,7 @@ from intervalfusion import (
     rank_alternatives,
 )
 from intervalfusion.errors import TotalConflict
-from intervalfusion.evidence import FRAME
+from intervalfusion.evidence import EXACT_SUM_TOLERANCE, FRAME
 from intervalfusion.pipeline import bet_ideal, discount_to_interval_bpa
 
 from per_object import per_object_rank
@@ -363,6 +363,62 @@ def test_kernel_matches_per_object_fold(case):
         # each triple is the one a MassFunction built from it stores
         for t in trace_triples(report):
             assert hexed(t) == hexed(MassFunction(t).masses)
+        assert_report_invariants(problem, report)
+
+
+def labels_are_the_problem_tuples(problem, report):
+    assert (report.alternatives, report.criteria, report.decision_makers) == (
+        problem.alternatives, problem.criteria, problem.decision_makers)
+    assert {type(report.alternatives), type(report.criteria), type(report.decision_makers)} == {tuple}
+
+
+def weight_tables_are_tuple_grids_of_intervals(problem, report):
+    n_crit, n_dm = len(problem.criteria), len(problem.decision_makers)
+    tables = (report.normalized_criterion_weights, *report.normalized_criterion_weights, report.normalized_dm_weights)
+    assert {type(t) for t in tables} == {tuple}
+    assert [len(ws) for ws in report.normalized_criterion_weights] == [n_crit] * n_dm
+    weights = [*report.normalized_dm_weights, *(w for ws in report.normalized_criterion_weights for w in ws)]
+    assert len(weights) == n_dm * (1 + n_crit) and {type(w) for w in weights} == {Interval}
+
+
+def bets_are_finite_floats_in_the_unit_interval(problem, report):
+    # The sum policy keeps a triple whose masses sum to within
+    # EXACT_SUM_TOLERANCE of 1 as it is, so a bet may lie above 1 by as
+    # much: a certain rating fused with a nearly opposed one gives
+    # (1.0000000000000004, 0.0, 0.0).
+    assert type(report.bets) is tuple and len(report.bets) == len(problem.alternatives)
+    assert all(type(b) is float and 0.0 <= b <= 1.0 + EXACT_SUM_TOLERANCE for b in report.bets)
+
+
+def ranking_permutes_the_alternatives(problem, report):
+    assert type(report.ranking) is tuple
+    assert sorted(report.ranking) == sorted(problem.alternatives)
+
+
+def ranking_orders_bets_with_ties_in_input_order(problem, report):
+    alts = problem.alternatives
+    ranked = [(report.bets[alts.index(label)], alts.index(label)) for label in report.ranking]
+    for (bet, i), (next_bet, j) in zip(ranked, ranked[1:]):
+        assert bet > next_bet or bet == next_bet and i < j
+
+
+# What a report's constructor does not check, held by the report's one
+# producer; tests/test_pipeline.py checks each on fixed problems.
+REPORT_INVARIANTS = {
+    check.__name__: check
+    for check in (
+        labels_are_the_problem_tuples,
+        weight_tables_are_tuple_grids_of_intervals,
+        bets_are_finite_floats_in_the_unit_interval,
+        ranking_permutes_the_alternatives,
+        ranking_orders_bets_with_ties_in_input_order,
+    )
+}
+
+
+def assert_report_invariants(problem, report):
+    for check in REPORT_INVARIANTS.values():
+        check(problem, report)
 
 
 # 10. the constructor follows the rules of a package-free reference: the
