@@ -16,7 +16,6 @@ from .pipeline import (
     POOLED,
     DecisionProblem,
     RankingReport,
-    normalize_weight_group,
     rank_alternatives,
 )
 from .reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY, emit_report
@@ -39,7 +38,6 @@ __all__ = [
     "emit_report",
     "errors",
     "load_problem",
-    "normalize_weight_group",
     "rank_alternatives",
     "__version__",
 ]

@@ -2,7 +2,8 @@
 
 A weight is a validated pair ``[lo, hi]`` and nothing more: the one
 operation on weights, normalizing a group by its largest endpoint, is
-endpoint-wise division in ``pipeline.normalize_weight_group``.
+endpoint-wise division in ``pipeline.normalize_weight_group``, a stage of
+the rank.
 """
 
 from __future__ import annotations

@@ -39,6 +39,8 @@ repeated within one object, or an integer literal too long to read;
 value-level violations, including a number beyond float range and a string
 with a lone surrogate (which could not be written out as UTF-8). All three
 carry the coordinates of the offending field, or name the repeated key.
+Each is raised by the one check that owns its field (``_interval`` locates
+what ``Interval`` rejects), and no error is translated afterwards.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ def load_problem(source, *, alpha: float = 0.0) -> DecisionProblem:
 @_nogc
 def _parse(text: str, alpha: float) -> DecisionProblem:
     """The problem ``text`` holds, decoded and built with the cyclic garbage
-    collector paused: a document decodes and builds into acyclic values only."""
+    collector paused: a document decodes and builds into acyclic values only.
+    A decode failure raises ParseError here; the build raises each of its
+    errors at the check that owns the field, already located."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -133,14 +137,7 @@ def _parse(text: str, alpha: float) -> DecisionProblem:
     except RecursionError as exc:
         raise ParseError("document nesting is too deep") from exc
 
-    try:
-        return _build_problem(doc, alpha)
-    except (ParseError, SchemaError, ValidationError):
-        raise
-    except IntervalFusionError as exc:
-        # Backstop: domain errors surfacing from constructors become
-        # validation diagnostics rather than leaking internal classes.
-        raise ValidationError(str(exc)) from exc
+    return _build_problem(doc, alpha)
 
 
 # --- structural helpers -------------------------------------------------------

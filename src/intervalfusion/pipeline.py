@@ -5,8 +5,8 @@ function that :func:`rank_alternatives` runs on (IS, NS, full frame) triples:
 
 1. ingest classical BPAs rating each alternative against each criterion
    (generation of those BPAs from raw performance data is out of scope);
-2. normalize criterion weights by the largest endpoint of the weight group
-   (:func:`normalize_weight_group`);
+2. normalize each weight group, criterion and decision-maker, by its
+   largest endpoint (:func:`normalize_weight_group`);
 3. discount each rating r, as the interval BPA (r, r), by its criterion
    weight's lower and upper bound into a pair of classical BPAs, and fuse
    these across criteria, left parts together and right parts together
@@ -24,13 +24,13 @@ Every rating lives on the one frame ``evidence.FRAME`` = (IS, NS), whose
 first element is the "ideal" hypothesis and whose second is the "negative
 ideal" one; mass on the full frame is uncommitted belief. Rating triples are
 always ordered (first singleton, second singleton, full frame). The stage
-functions are not public API.
+functions, :func:`normalize_weight_group` among them, are not public API.
 """
 
 from __future__ import annotations
 
 import gc
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import wraps
 
 from .errors import AllZeroWeights, IntervalFusionError, InvalidWeight, ValidationError
@@ -84,15 +84,11 @@ class _cached:
         return value
 
 
-def normalize_weight_group(weights: Iterable[Interval]) -> list[Interval]:
+def normalize_weight_group(group: Sequence[Interval]) -> list[Interval]:
     """Divide every interval in the group by the largest endpoint found in
-    the whole group, so all normalized upper bounds are <= 1."""
-    group = list(weights)
-    if not group:
-        raise AllZeroWeights("cannot normalize an empty weight group")
-    for w in group:
-        if w.lo < 0.0:
-            raise InvalidWeight(f"weights must be non-negative, got [{w.lo}, {w.hi}]")
+    the whole group, so all normalized upper bounds are <= 1. The group is
+    one of a checked problem's, so it is non-empty and non-negative; a
+    per-dm group can still be all zero, which raises AllZeroWeights."""
     a_max = max(w.hi for w in group)
     if a_max <= 0.0:
         raise AllZeroWeights("all weights in the group are zero")
@@ -400,12 +396,10 @@ def rank_alternatives(problem: DecisionProblem, *, criterion_normalization: str 
     pooled = criterion_normalization == POOLED
     groups = [[w for ws in problem.criterion_weights for w in ws]] if pooled else problem.criterion_weights
     normalized: list[Interval] = []
-    for d, group in enumerate(groups):
+    for d, group in enumerate(groups):  # a checked problem's pooled group is positive: only a per-dm one fails
         try:
             normalized += normalize_weight_group(group)
-        except IntervalFusionError as exc:
-            if pooled:  # a checked problem's pooled group is positive: no decision maker to name
-                raise
+        except AllZeroWeights as exc:
             raise _located(exc, f"decision maker {problem.decision_makers[d]!r} criterion weights") from exc
     crit_weights = _split(normalized, len(problem.criteria))
     dm_weights = tuple(normalize_weight_group(problem.dm_weights))

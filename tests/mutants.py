@@ -132,8 +132,8 @@ MUTANTS = [
         "RENORMALIZATION_TOLERANCE = 1e-6", "RENORMALIZATION_TOLERANCE = 1e-5",
         killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[outside-1e-6]",
     ),
-    # --- pipeline.py: the grids' length check, the cached views, problem equality,
-    # the crisp shortcut, the ranking and the bet
+    # --- pipeline.py: the grids' length check, the cached views, problem equality, the all-zero group,
+    # the crisp shortcut and the bet
     Mutant(
         "ratings-view-uncached", "src/intervalfusion/pipeline.py",
         "value = obj.__dict__[self.name] = self.build(obj)", "value = self.build(obj)",
@@ -163,14 +163,11 @@ MUTANTS = [
         killed_by="tests/test_pipeline.py::TestDecisionProblem::test_shape_checks",
     ),
     Mutant(
-        "pooled-failure-named-by-first-dm", "src/intervalfusion/pipeline.py",
-        "            if pooled:  # a checked problem's pooled group is positive: no decision maker to name\n"
-        "                raise\n",
-        "",
-        equivalent="Kept on purpose. The pooled group fails only on a negative or an all-zero weight, and both "
-        "DecisionProblem's constructor and the loader reject either in the criterion weights, so a problem from "
-        "a public entry point never fails there. If one did, no decision maker would be at fault, and the mutant "
-        "would name the first one.",
+        # a per-dm group that is all zero would divide by zero
+        "normalize-all-zero-unguarded", "src/intervalfusion/pipeline.py",
+        "    if a_max <= 0.0:\n        raise AllZeroWeights(\"all weights in the group are zero\")\n", "",
+        killed_by="tests/test_pipeline.py::TestRankAlternatives::test_failure_names_its_coordinates"
+        "[per-dm-normalization]",
     ),
     Mutant(
         # a crisp decision maker weight would fold the left parts of fusions
@@ -187,12 +184,18 @@ MUTANTS = [
         equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
         "for every float x.",
     ),
-    # --- intervals.py and loading.py: endpoint order, weight sign, rating sum, zero sign, decoded rows, the
-    # backstop, alpha
+    # --- intervals.py and loading.py: endpoint order, label uniqueness, weight sign, rating sum, zero sign,
+    # decoded rows, alpha
     Mutant(
         "endpoint-tolerance-widened", "src/intervalfusion/intervals.py",
         "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
         killed_by="tests/test_intervals.py::TestConstruction::test_inversion_collapses_up_to_the_endpoint_tolerance",
+    ),
+    Mutant(
+        # a repeated criterion would load, and its rating fuse twice
+        "label-list-not-unique", "src/intervalfusion/loading.py",
+        "    if len(set(labels)) != len(labels):\n        raise SchemaError(f\"{where}: labels must be unique\")\n", "",
+        killed_by="tests/test_loading.py::TestDocumentStructure::test_duplicate_alternatives",
     ),
     Mutant(
         "loader-weight-sign-loosened", "src/intervalfusion/loading.py",
@@ -221,12 +224,6 @@ MUTANTS = [
         "loader-keeps-decoded-rows", "src/intervalfusion/loading.py",
         "            dm_obj[alt] = None  # the decoded row, freed: the document shrinks as the triples grow\n", "",
         killed_by="tests/test_loading.py::test_load_peaks_at_the_decoded_document[6000-cells]",
-    ),
-    Mutant(
-        # an error of another class than the backstop's would escape the loader
-        "parse-backstop-narrowed", "src/intervalfusion/loading.py",
-        "    except IntervalFusionError as exc:\n        # Backstop:", "    except LookupError as exc:\n        # Backstop:",
-        killed_by="tests/test_collector.py::test_collector_state_is_restored[backstop-caller-enabled]",
     ),
     Mutant(
         "alpha-any-float", "src/intervalfusion/loading.py",

@@ -13,9 +13,10 @@ that table the comparison checks the walk over the rows, not the
 arithmetic; ``TestRowKernelParity`` in ``test_evidence.py`` pins that.
 """
 
-from intervalfusion import POOLED, MassFunction, normalize_weight_group
+from intervalfusion import POOLED, MassFunction
 from intervalfusion.errors import IntervalFusionError
 from intervalfusion.evidence import discount, fold
+from intervalfusion.pipeline import normalize_weight_group
 
 
 def discounted(left, right, lo, hi):

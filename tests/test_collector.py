@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from intervalfusion import emit_report, load_problem, loading, rank_alternatives
-from intervalfusion.errors import InvalidWeight, ParseError, SchemaError, TotalConflict, ValidationError
+from intervalfusion import emit_report, load_problem, rank_alternatives
+from intervalfusion.errors import ParseError, SchemaError, TotalConflict, ValidationError
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT
 
 
@@ -58,43 +58,35 @@ def collector():
     (gc.enable if enabled else gc.disable)()
 
 
-def backstop(monkeypatch):
-    # nothing a document holds reaches the backstop today: fake an error from
-    # the builder the loader hands its checked fields to
-    def refuse(*fields):
-        raise InvalidWeight("refused")
-
-    monkeypatch.setattr(loading, "_loaded_problem", refuse)
-    load_problem(document(1, 1, 1))
-
-
 EXITS = {
-    "load": (lambda mp: load_problem(document(2, 3, 4)), None),
-    "parse-error": (lambda mp: load_problem('{"schema_version": '), ParseError),
-    "schema-error": (lambda mp: load_problem("{}"), SchemaError),
-    "validation-error": (lambda mp: load_problem(CONFLICT.replace("[1, 0, 0]", "[0.5, 0, 0]")), ValidationError),
-    "all-zero-weights": (lambda mp: load_problem(CONFLICT.replace('"weight": 1', '"weight": 0')), ValidationError),
-    "backstop": (backstop, ValidationError),
-    "rank": (lambda mp: rank_alternatives(load_problem(document(2, 3, 4))), None),
-    "rank-conflict": (lambda mp: rank_alternatives(load_problem(CONFLICT)), TotalConflict),
-    "trace": (lambda mp: rank_alternatives(load_problem(document(2, 3, 4))).cells, None),
-    "ratings-view": (lambda mp: load_problem(document(2, 3, 4)).ratings, None),
-    "emit": (lambda mp: emit_report(rank_alternatives(load_problem(document(2, 3, 4))), FULL_TRACE, JSON_FORMAT), None),
-    "emit-bad-mode": (lambda mp: emit_report(rank_alternatives(load_problem(document(1, 1, 1))), "trace", HUMAN_TABLE),
+    "load": (lambda: load_problem(document(2, 3, 4)), None),
+    "parse-error": (lambda: load_problem('{"schema_version": '), ParseError),
+    "schema-error": (lambda: load_problem("{}"), SchemaError),
+    "validation-error": (lambda: load_problem(CONFLICT.replace("[1, 0, 0]", "[0.5, 0, 0]")), ValidationError),
+    "all-zero-weights": (lambda: load_problem(CONFLICT.replace('"weight": 1', '"weight": 0')), ValidationError),
+    # an Interval's own error, which the loader locates where it reads the pair
+    "inverted-interval": (lambda: load_problem(CONFLICT.replace('"weight": 1', '"weight": [0.5, 0.2]')),
+                          ValidationError),
+    "rank": (lambda: rank_alternatives(load_problem(document(2, 3, 4))), None),
+    "rank-conflict": (lambda: rank_alternatives(load_problem(CONFLICT)), TotalConflict),
+    "trace": (lambda: rank_alternatives(load_problem(document(2, 3, 4))).cells, None),
+    "ratings-view": (lambda: load_problem(document(2, 3, 4)).ratings, None),
+    "emit": (lambda: emit_report(rank_alternatives(load_problem(document(2, 3, 4))), FULL_TRACE, JSON_FORMAT), None),
+    "emit-bad-mode": (lambda: emit_report(rank_alternatives(load_problem(document(1, 1, 1))), "trace", HUMAN_TABLE),
                       ValueError),
 }
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
 @pytest.mark.parametrize("name", sorted(EXITS))
-def test_collector_state_is_restored(collector, monkeypatch, name, enabled):
+def test_collector_state_is_restored(collector, name, enabled):
     run, error = EXITS[name]
     (gc.enable if enabled else gc.disable)()
     if error is None:
-        run(monkeypatch)
+        run()
     else:
         with pytest.raises(error):
-            run(monkeypatch)
+            run()
     assert gc.isenabled() is enabled
 
 

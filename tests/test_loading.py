@@ -629,8 +629,11 @@ class TestDocumentStructure:
         assert str(err.value) == message
 
     def test_duplicate_alternatives(self):
-        with pytest.raises(SchemaError):
-            load(minimal_doc(alternatives=["A1", "A1"]))
+        # the criteria too: a repeated criterion would otherwise load, and its rating fuse twice
+        for field, labels in ("alternatives", ["A1", "A1"]), ("criteria", ["C1", "C1"]):
+            with pytest.raises(SchemaError) as err:
+                load(minimal_doc(**{field: labels}))
+            assert str(err.value) == f"{field}: labels must be unique"
 
     def test_duplicate_decision_makers(self):
         doc = minimal_doc()

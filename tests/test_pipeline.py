@@ -20,7 +20,6 @@ from intervalfusion import (
     bundled_dataset_bytes,
     emit_report,
     load_problem,
-    normalize_weight_group,
     rank_alternatives,
 )
 from intervalfusion.errors import (
@@ -36,6 +35,7 @@ from intervalfusion.pipeline import (
     discount_interval_bpa,
     discount_to_interval_bpa,
     fuse_interval_bpas,
+    normalize_weight_group,
 )
 
 from per_object import per_object_rank
@@ -95,13 +95,34 @@ class TestNormalizeWeightGroup:
         with pytest.raises(AllZeroWeights):
             normalize_weight_group([Interval(0, 0), Interval(0, 0)])
 
+    # the stage checks only the all-zero group a per-dm split can make: an
+    # empty or negative group is refused where the problem is made
+
     def test_empty_rejected(self):
-        with pytest.raises(AllZeroWeights):
-            normalize_weight_group([])
+        for criteria, dms, message in [
+            ((), ("DM1",), "criterion labels must not be empty"),
+            (("C1",), (), "decision maker labels must not be empty"),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                DecisionProblem(("A1",), criteria, dms, (), (), ())
+            assert str(err.value) == message
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidWeight):
-            normalize_weight_group([Interval(-0.1, 0.5)])
+        with pytest.raises(InvalidWeight) as err:
+            build_problem([(1, 1)], [[(-0.1, 0.5)]], [[[(0.6, 0.2, 0.2)]]])
+        assert str(err.value) == "criterion weights must be non-negative, got [-0.1, 0.5]"
+        for weight, criterion_weight, where in [
+            ([-0.1, 0.5], [0.2, 0.4], "decision_makers[0].weight"),
+            ([0.5, 1.0], [-0.1, 0.5], "decision_makers[0].criterion_weights[0]"),
+        ]:
+            doc = json.dumps({
+                "schema_version": "1", "alternatives": ["A1"], "criteria": ["C1"],
+                "decision_makers": [{"name": "DM1", "weight": weight, "criterion_weights": [criterion_weight]}],
+                "ratings": {"DM1": {"A1": {"C1": [0.6, 0.2, 0.2]}}},
+            })
+            with pytest.raises(ValidationError) as err:
+                load_problem(doc)
+            assert str(err.value) == f"{where}: weight must be non-negative, got [-0.1, 0.5]"
 
 
 class TestDiscountToIntervalBPA:

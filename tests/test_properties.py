@@ -24,12 +24,11 @@ from intervalfusion import (
     IntervalFusionError,
     MassFunction,
     load_problem,
-    normalize_weight_group,
     rank_alternatives,
 )
 from intervalfusion.errors import TotalConflict
 from intervalfusion.evidence import EXACT_SUM_TOLERANCE, FRAME
-from intervalfusion.pipeline import bet_ideal, discount_to_interval_bpa
+from intervalfusion.pipeline import bet_ideal, discount_to_interval_bpa, normalize_weight_group
 
 from per_object import per_object_rank
 from reference import brute_combine, crisp_rank
