@@ -5,11 +5,15 @@ Subcommands: ``solve`` runs the full pipeline on a problem document,
 dataset with the full trace. Diagnostics go to stderr; exit codes: 0 on
 success, 1 on any input/computation error or when memory runs out, 2 on
 usage errors.
+
+``run`` is the process entry of ``python -m intervalfusion`` and of the
+``intervalfusion`` console script; ``main`` is the in-process call.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -153,6 +157,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _write_output([f"valid: {len(problem.decision_makers)} decision makers, "
                    f"{len(problem.criteria)} criteria, {len(problem.alternatives)} alternatives\n"], None)
     return 0
+
+
+def run() -> None:
+    """Run the command that ``sys.argv`` names and exit with its code.
+    Once ``main`` has returned or raised, every object alive is frozen, so
+    the interpreter's exit-time collections skip what the import and the
+    command built; atexit handlers, the final flush of stdio and the freeing
+    of modules still run."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -268,7 +268,8 @@ MUTANTS = [
         killed_by="tests/test_reporting.py::TestWriterMatchesJsonDumps::"
         "test_escaped_labels_negative_zero_subnormal_and_17_digits[0]",
     ),
-    # --- cli.py: alpha's range, stdout through a writer of its own, an open descriptor named by its path
+    # --- cli.py: alpha's range, stdout through a writer of its own, an open descriptor named by its path, the
+    # process entry's freeze
     Mutant(
         # -0.5 would reach the loader and exit 1 as InvalidAlpha, not 2 as a usage error
         "alpha-usage-no-lower-bound", "src/intervalfusion/cli.py",
@@ -297,6 +298,20 @@ MUTANTS = [
         "output-skips-stdout-flush", "src/intervalfusion/cli.py",
         "        if sys.stdout:\n            sys.stdout.flush()\n", "",
         killed_by="tests/test_cli.py::TestValidate::test_a_line_the_caller_printed_comes_first",
+    ),
+    Mutant(
+        # every in-process caller of main would leave its objects frozen
+        "freeze-moved-into-main", "src/intervalfusion/cli.py",
+        "    try:\n        sys.exit(main())\n    finally:\n        gc.freeze()\n\n\n"
+        "def main(argv: list[str] | None = None) -> int:\n",
+        "    sys.exit(main())\n\n\ndef main(argv: list[str] | None = None) -> int:\n    gc.freeze()\n",
+        killed_by="tests/test_cli.py::TestProcessEntry::test_main_freezes_nothing[validate]",
+    ),
+    Mutant(
+        # the exit-time collections walk everything the import and the command built
+        "entry-not-frozen", "src/intervalfusion/cli.py",
+        "    try:\n        sys.exit(main())\n    finally:\n        gc.freeze()\n", "    sys.exit(main())\n",
+        killed_by="tests/test_cli.py::TestProcessEntry::test_process_exits_frozen_with_mains_outcome[validate]",
     ),
 ]
 

@@ -3,27 +3,39 @@
 This is the reference that property suite 9 and the JSON writer's tests
 compare the kernel of ``rank_alternatives`` with, bit for bit. The kernel
 discounts each source inside the fold over a row (``fold(triples,
-weights)``); this reference discounts each rating, and each decision
-maker's fused pair, as one interval BPA on its own with
-``evidence.discount`` and then folds the results with the unweighted
-``evidence.fold``. It builds on ``MassFunction`` and those two alone, so the
-bets it gives do not run the kernel's inline discount. The trace's
-``cells`` come from ``evidence.discount`` itself, one row at a time, so for
-that table the comparison checks the walk over the rows, not the
-arithmetic; ``TestRowKernelParity`` in ``test_evidence.py`` pins that.
+weights)``), and its trace's ``cells`` come from the row discount
+``evidence.discount``; this reference discounts each rating, and each
+decision maker's fused pair, as one interval BPA on its own with the scalar
+``reference_discount`` and then folds the results with the unweighted
+``evidence.fold``. It shares with the package only ``MassFunction``,
+``fold`` and the sum policy ``_settle``, so neither the bets nor the
+``cells`` it gives run the kernel's discount.
 """
 
 from intervalfusion import POOLED, MassFunction
 from intervalfusion.errors import IntervalFusionError
-from intervalfusion.evidence import discount, fold
+from intervalfusion.evidence import _settle, fold
 from intervalfusion.pipeline import normalize_weight_group
+
+
+def reference_discount(p: float, q: float, w: float):
+    """Shafer discounting of the singleton masses ``p`` and ``q`` by ``w``:
+    both are scaled by ``w`` and the remainder goes to the full frame,
+    (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero is
+    clamped to zero."""
+    a = p * w
+    b = q * w
+    c = 1.0 - a - b
+    if c < 0.0:
+        c = 0.0
+    return _settle(a, b, c)
 
 
 def discounted(left, right, lo, hi):
     """The (left, right) pair of mass functions: ``left`` discounted by the
     reliability ``lo`` and ``right`` by ``hi``."""
-    masses = discount((left.masses,), (right.masses,), (lo,), (hi,))
-    return MassFunction(masses[:3]), MassFunction(masses[3:])
+    return (MassFunction(reference_discount(*left.masses[:2], lo)),
+            MassFunction(reference_discount(*right.masses[:2], hi)))
 
 
 def fused(ms):

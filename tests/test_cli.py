@@ -1,7 +1,9 @@
 import errno
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -582,3 +584,52 @@ class TestDemo:
         )
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == (GOLDEN_DIR / "demo-output.txt").read_bytes()
+
+
+# Runs the package as `python -m intervalfusion` does, on its own arguments,
+# with an atexit hook that writes the collector's frozen count to stderr.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen: {gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("intervalfusion", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(("args", "code"), [(["validate", "--input", "{doc}"], 0), (["solve", "--input", "{doc}"], 0),
+                                            (["validate", "--input", "{bad}"], 1), (["solve"], 2)],
+                         ids=["validate", "solve", "rejected", "usage"])
+class TestProcessEntry:
+    """``run``, the entry of ``python -m intervalfusion`` and of the console
+    script, freezes the collector once ``main`` is done, so that the
+    exit-time collections skip every object alive then; ``main`` itself
+    leaves the collector as it was."""
+
+    @pytest.fixture()
+    def argv(self, args, dataset_path, tmp_path, monkeypatch):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{"schema_version": "1", ')
+        monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps alike in process and in the child
+        return [arg.format(doc=dataset_path, bad=bad) for arg in args]
+
+    @staticmethod
+    def in_process(argv, capsysbinary):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsysbinary.readouterr()
+
+    def test_main_freezes_nothing(self, argv, code, capsysbinary):
+        frozen = gc.get_freeze_count()
+        assert self.in_process(argv, capsysbinary)[0] == code
+        assert gc.get_freeze_count() == frozen
+
+    def test_process_exits_frozen_with_mains_outcome(self, argv, code, capsysbinary):
+        # the exit code, stdout and stderr of main in process, then the hook's line
+        expected = self.in_process(argv, capsysbinary)
+        result = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, timeout=60)
+        tail = re.fullmatch(rb"(.*)frozen: (\d+)\n", result.stderr, re.S)
+        assert tail, result.stderr
+        assert (result.returncode, result.stdout, tail[1]) == expected
+        assert expected[0] == code
+        assert int(tail[2]) > 0

@@ -24,6 +24,7 @@ from intervalfusion.evidence import (
 )
 from intervalfusion.pipeline import bet_ideal
 
+from per_object import reference_discount
 from reference import brute_combine, brute_pignistic
 from test_properties import by_labels
 
@@ -273,21 +274,9 @@ def test_settle_never_meets_its_exact_band_edge():
     assert (EXACT_SUM_TOLERANCE * 2.0**53) % 1.0 != 0.0
 
 
-# The scalar discount and the two-source rule that discount and fold replaced,
-# kept as they were to pin the row kernel to them bit for bit.
-
-
-def reference_discount(p: float, q: float, w: float):
-    """Shafer discounting of the singleton masses ``p`` and ``q`` by ``w``:
-    both are scaled by ``w`` and the remainder goes to the full frame,
-    (p, q, r) -> (w*p, w*q, 1 - w*p - w*q). A remainder below zero is
-    clamped to zero."""
-    a = p * w
-    b = q * w
-    c = 1.0 - a - b
-    if c < 0.0:
-        c = 0.0
-    return _settle(a, b, c)
+# The two-source rule that fold replaced, kept as it was to pin the row kernel
+# to it bit for bit; reference_discount is the scalar discount that the row
+# discount replaced.
 
 
 def reference_dempster(x, y):
