@@ -18,7 +18,6 @@ import io
 import os
 import sys
 from collections.abc import Iterable
-from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import IntervalFusionError
@@ -87,30 +86,26 @@ def _descriptor(path: str) -> int | None:
     return None
 
 
-def _stdout():
-    """A buffered writer on stdout's descriptor, which writes every chunk
-    whole and raises any error by the time it is closed, not at interpreter
-    exit; or, for an in-memory ``sys.stdout`` (as under a test's capture),
-    its binary buffer."""
-    try:
-        fd = sys.stdout.fileno()
-    except AttributeError:  # sys.stdout is None: descriptor 1 was closed at start
-        fd = 1
-    except ValueError:  # io.UnsupportedOperation, an in-memory stream
-        return nullcontext(sys.stdout.buffer)
-    return open(fd, "wb", closefd=False)
-
-
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
     """Write each of ``chunks`` as it comes, UTF-8 encoded whatever the
-    encoding of text stdout, to stdout or to ``path``."""
+    encoding of text stdout, to ``path`` or, if None, to stdout's descriptor,
+    through a writer that writes each chunk whole and raises any error before
+    it returns. An in-memory ``sys.stdout`` gets the text and encodes it."""
     tmp = None
     try:
         if sys.stdout:
             sys.stdout.flush()
         if path is None:
-            writer = _stdout()
-        elif (fd := _descriptor(path)) is not None or os.path.exists(path) and not os.path.isfile(path):
+            try:
+                fd = sys.stdout.fileno()
+            except AttributeError:  # sys.stdout is None: descriptor 1 was closed at start
+                fd = 1
+            except ValueError:  # io.UnsupportedOperation, an in-memory stream
+                sys.stdout.writelines(chunks)
+                return
+        else:
+            fd = _descriptor(path)
+        if fd is not None or os.path.exists(path) and not os.path.isfile(path):
             # In place: through the descriptor, at its offset and with its
             # flags (after `>> app.txt`, /dev/stdout appends to app.txt), or
             # to a device or pipe named by its path.

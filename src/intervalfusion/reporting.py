@@ -23,7 +23,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from .evidence import FRAME
-from .pipeline import RankingReport, _nogc
+from .pipeline import RankingReport
 
 SUMMARY = "summary"
 FULL_TRACE = "full-trace"
@@ -47,12 +47,11 @@ def report_chunks(report: RankingReport, mode: str = SUMMARY, fmt: str = HUMAN_T
     return _render_json(report, mode, cell_rows) if fmt == JSON_FORMAT else _render_human(report, cell_rows)
 
 
-@_nogc
 def emit_report(report: RankingReport, mode: str = SUMMARY, fmt: str = HUMAN_TABLE) -> bytes:
     """Render a ranking report as UTF-8 bytes. ``mode`` is ``"summary"`` or
     ``"full-trace"``; ``fmt`` is ``"human-table"`` or ``"json"``. Each chunk
-    is copied once, into the buffer whose bytes are returned. The cyclic
-    garbage collector is paused while it runs, as in a rank."""
+    is copied once, into the buffer whose bytes are returned, the one thing
+    a render keeps, so the collector is not paused while it runs."""
     out = BytesIO()
     for chunk in report_chunks(report, mode, fmt):
         out.write(chunk.encode())

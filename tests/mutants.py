@@ -268,8 +268,8 @@ MUTANTS = [
         killed_by="tests/test_reporting.py::TestWriterMatchesJsonDumps::"
         "test_escaped_labels_negative_zero_subnormal_and_17_digits[0]",
     ),
-    # --- cli.py: alpha's range, stdout through a writer of its own, an open descriptor named by its path, the
-    # process entry's freeze
+    # --- cli.py: alpha's range, stdout through its descriptor, an in-memory stdout given the text, an open
+    # descriptor named by its path, the process entry's freeze
     Mutant(
         # -0.5 would reach the loader and exit 1 as InvalidAlpha, not 2 as a usage error
         "alpha-usage-no-lower-bound", "src/intervalfusion/cli.py",
@@ -277,11 +277,18 @@ MUTANTS = [
         killed_by="tests/test_cli.py::TestSolve::test_alpha_usage_error",
     ),
     Mutant(
-        # stdout's own buffer holds the summary until the interpreter exits,
-        # and a failed flush there exits 120
-        "stdout-through-its-own-buffer", "src/intervalfusion/cli.py",
-        '    return open(fd, "wb", closefd=False)\n', "    return nullcontext(sys.stdout.buffer)\n",
+        # text stdout's buffer holds the summary until the interpreter exits,
+        # and a failed flush there exits 120; an ascii stdout cannot encode
+        # the demo's "≻" (TestDemo::test_demo_to_ascii_stdout kills it too)
+        "stdout-written-as-text", "src/intervalfusion/cli.py",
+        "fd = sys.stdout.fileno()", "raise ValueError",
         killed_by="tests/test_cli.py::TestStdoutFailures::test_stdout_on_a_full_device[summary-buffered]",
+    ),
+    Mutant(
+        # an io.StringIO has no binary buffer
+        "in-memory-stdout-through-buffer", "src/intervalfusion/cli.py",
+        "sys.stdout.writelines(chunks)", "sys.stdout.buffer.writelines(chunk.encode() for chunk in chunks)",
+        killed_by="tests/test_cli.py::TestInMemoryStdout::test_demo",
     ),
     Mutant(
         "fd-path-not-a-descriptor", "src/intervalfusion/cli.py",

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import io
@@ -370,6 +371,31 @@ class TestStdoutFailures:
             stderr = proc.stderr.read()
         code = errno.EBADF
         assert (proc.returncode, stderr) == (1, f"error (IO): [Errno {code}] {os.strerror(code)}\n".encode())
+
+
+class TestInMemoryStdout:
+    """An in-memory sys.stdout has no descriptor and no binary buffer: main
+    writes the report's text to it."""
+
+    def test_demo(self):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["demo"]) == 0
+        assert out.getvalue() == (GOLDEN_DIR / "demo-output.txt").read_bytes().decode("utf-8")
+
+    def test_validate(self, dataset_path):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["validate", "--input", str(dataset_path)]) == 0
+        assert out.getvalue() == "valid: 3 decision makers, 4 criteria, 6 alternatives\n"
+
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_rejected_document_writes_nothing(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([command, "--input", str(path)]) == 1
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error (SchemaError): ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestValidate:

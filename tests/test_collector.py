@@ -1,6 +1,9 @@
 """The cyclic garbage collector is paused while a problem is loaded, ranked
-and traced, while its ratings view is built and while a report is emitted,
-and its state is restored on every way out."""
+and traced and while its ratings view is built; the state the caller left it
+in holds on every way out, as it does after a report is emitted. A report is
+emitted with the collector running:
+test_no_collection_runs_while_loading_ranking_or_tracing asserts that no
+collection runs during either unpaused 50,000-cell full-trace render."""
 
 import gc
 import json
