@@ -41,10 +41,6 @@ class AllZeroWeights(IntervalFusionError):
     """A weight group with no positive endpoint cannot be normalized."""
 
 
-class InvalidWeight(IntervalFusionError):
-    """A weight interval has a negative lower bound."""
-
-
 # --- document handling -------------------------------------------------------
 
 class ParseError(IntervalFusionError):

@@ -182,7 +182,7 @@ class MassFunction(Value):
     Invariants: every mass is a finite, non-negative float, a zero mass is
     +0.0, and the total is 1 (after the renormalization policy above).
     Direct construction checks them; the loader checks each rating itself, and
-    a loaded problem builds its cells without ``__post_init__`` (``pipeline._cell``).
+    a problem's ``ratings`` view builds its cells without ``__post_init__`` (``pipeline._cell``).
     """
 
     __slots__ = _fields = ("masses",)

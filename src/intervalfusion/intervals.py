@@ -39,9 +39,9 @@ def describe(x) -> str:
 
 class Value:
     """An immutable value whose fields are its ``_fields``, the constructor's
-    parameters in order. It pickles and copies as the call that builds it, and
-    compares and hashes by its ``_key``, that call unless a type says
-    otherwise. Its repr, as ``Interval(lo=0.2, hi=0.35)``, skips ``_`` fields."""
+    parameters in order. It pickles, copies, compares and hashes as the call
+    that builds it. Its repr, as ``Interval(lo=0.2, hi=0.35)``, skips ``_``
+    fields."""
 
     __slots__ = ()
 
@@ -52,14 +52,11 @@ class Value:
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self._fields])
 
-    def _key(self) -> tuple:
-        return self.__reduce__()
-
     def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.__reduce__())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")

@@ -26,8 +26,9 @@ least alpha, so alpha 0 gives the support ``[a, c]`` and alpha 1 the peak
 ``[b, b]``. The built-in ``interval-default`` is the supports of the
 built-in ``kaufmann-tfn``.
 
-Each rating is checked once, here, and the problem is built without the
-checks of the ``DecisionProblem`` constructor, which would only repeat them.
+Every field is checked once, here: the ``DecisionProblem`` constructor
+stores what it is given and checks nothing, so this is the one checked way
+to make a problem.
 Triples rounded to the few decimals of published tables may miss a unit sum
 by up to 1e-3 (by ``math.fsum``, a sum beyond float range reading as inf);
 they are divided by that sum, which leaves them a sum the mass-sum policy
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .evidence import _INF, FRAME, Triple
 from .intervals import Interval, describe, to_float
-from .pipeline import DecisionProblem, _loaded_problem, _nogc, _where
+from .pipeline import DecisionProblem, _nogc
 
 SCHEMA_VERSION = "1"
 
@@ -141,6 +142,10 @@ def _parse(text: str, alpha: float) -> DecisionProblem:
 
 
 # --- structural helpers -------------------------------------------------------
+
+
+def _where(field: str, at: tuple) -> str:
+    return field + "".join(f"[{label!r}]" for label in at)
 
 
 def _expect_dict(value, where: str) -> dict:
@@ -327,12 +332,12 @@ def _parse_weight(value, scales: dict[str, dict], alpha: float, where: str) -> I
 def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[Triple, ...]:
     """The triples of the cells ``ratings[name][alt][crit]``, one per
     criterion; their coordinates are formatted only when one is rejected.
-    Each is the ``masses`` that ``MassFunction.__post_init__`` would store:
-    with an ``fsum`` of 1 or divided by it, the masses have a plain sum within
-    about 5e-16 of 1, which ``_settle`` keeps, and -0.0 read as +0.0 is all
-    ``_mass`` would change. ``x or 0.0`` makes that change and returns every
-    other float as the very object decoded, so a triple adds no float to the
-    document's."""
+    The problem stores them unchecked, so each is the ``masses`` that
+    ``MassFunction.__post_init__`` would store: with an ``fsum`` of 1 or
+    divided by it, the masses have a plain sum within about 5e-16 of 1,
+    which ``_settle`` keeps, and -0.0 read as +0.0 is all ``_mass`` would
+    change. ``x or 0.0`` makes that change and returns every other float as
+    the very object decoded, so a triple adds no float to the document's."""
     row = []
     for crit in criteria:
         value = alt_obj[crit]
@@ -419,5 +424,5 @@ def _build_problem(doc, alpha: float) -> DecisionProblem:
             dm_obj[alt] = None  # the decoded row, freed: the document shrinks as the triples grow
         triples.append(tuple(rows))
 
-    fields = alternatives, criteria, tuple(dm_names), tuple(dm_weights), tuple(criterion_weights), tuple(triples)
-    return _loaded_problem(*fields)
+    return DecisionProblem(alternatives, criteria, tuple(dm_names), tuple(dm_weights), tuple(criterion_weights),
+                           tuple(triples))

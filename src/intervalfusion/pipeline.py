@@ -33,7 +33,7 @@ import gc
 from collections.abc import Iterator, Sequence
 from functools import wraps
 
-from .errors import AllZeroWeights, IntervalFusionError, InvalidWeight, ValidationError
+from .errors import AllZeroWeights, IntervalFusionError
 from .evidence import MassFunction, Triple, discount, fold
 from .intervals import Interval, Value
 
@@ -95,114 +95,38 @@ def normalize_weight_group(group: Sequence[Interval]) -> list[Interval]:
     return [Interval(w.lo / a_max, w.hi / a_max) for w in group]
 
 
-def _unique_labels(value: Value) -> None:
-    """Store each label field of ``value`` as a tuple, every field converted
-    before any is checked; ValidationError unless each is a tuple or list of
-    unique, non-empty strings, and at least one."""
-    fields = ("alternatives", "alternative"), ("criteria", "criterion"), ("decision_makers", "decision maker")
-    for field, _ in fields:
-        object.__setattr__(value, field, _grid(getattr(value, field), field))
-    for field, what in fields:
-        labels = getattr(value, field)
-        if not labels:
-            raise ValidationError(f"{what} labels must not be empty")
-        if any(not isinstance(x, str) or not x for x in labels):
-            raise ValidationError(f"{what} labels must be non-empty strings")
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"{what} labels must be unique, got {labels!r}")
-
-
-def _wrong_type(value, expected: str, where: str) -> ValidationError:
-    return ValidationError(f"{where}: expected {expected}, got {type(value).__name__}")
-
-
-def _where(field: str, at: tuple) -> str:
-    return field + "".join(f"[{label!r}]" for label in at)
-
-
-def _grid(value, field: str, shape_error: str = "", *axes: tuple, leaf: type = object, at: tuple = ()) -> tuple:
-    """``value`` as nested tuples, one level per label tuple in ``axes`` and
-    as long as it, else ValidationError ``shape_error``. A level that is not a
-    tuple or list, or a cell of the innermost level that is not a ``leaf``,
-    raises ValidationError naming ``field`` and the labels ``at`` which it
-    lies. The walk is depth-first, so the first fault in label order is the
-    one raised."""
-    if not isinstance(value, (tuple, list)):
-        raise _wrong_type(value, "a sequence", _where(field, at))
-    if not axes:
-        return tuple(value)
-    labels, *inner = axes
-    if len(value) != len(labels):
-        raise ValidationError(shape_error)
-    if inner:
-        return tuple([_grid(v, field, shape_error, *inner, leaf=leaf, at=(*at, label)) for label, v in zip(labels, value)])
-    for label, v in zip(labels, value):
-        if not isinstance(v, leaf):
-            article = "an" if leaf.__name__[0] in "AEIOU" else "a"
-            raise _wrong_type(v, f"{article} {leaf.__name__}", _where(field, (*at, label)))
-    return tuple(value)
-
-
 class DecisionProblem(Value):
     """A rectangular multi-decision-maker, multi-criterion rating problem.
 
     ``criterion_weights[d][c]`` weighs criterion ``c`` for decision maker
     ``d``; ``ratings[d][a][c]`` is the classical BPA rating alternative ``a``
-    on criterion ``c`` according to decision maker ``d``. Every field and
-    grid row is a tuple or a list (a string, set, dict or iterator is
-    rejected), and is stored as a tuple. A field, row, weight or rating of
-    another type raises ValidationError naming it, as in
-    ``ratings['D']['A']['C']``. Fields are checked in declaration order and
-    each grid in label order, a row's length before its cells' types, and
-    the first fault met is the one raised.
+    on criterion ``c`` according to decision maker ``d``. The constructor
+    takes the ratings as the grid of their ``(m_IS, m_NS, m_Θ)`` triples,
+    stores its fields and checks none. :func:`load_problem` is the one
+    checked way to make a problem: it builds every field and row as a tuple,
+    labels as unique, non-empty strings, one non-negative ``Interval`` per
+    decision maker and per criterion of each, with a positive endpoint in
+    each weight field, and one triple per decision maker, alternative and
+    criterion, each one ``MassFunction`` would store. A problem built
+    directly is unchecked and unsupported.
 
-    The kernel reads ``_triples``, the grid of the ratings' ``masses``, and
-    ``ratings`` is a cached view of it. Equality and hashing compare
-    ``_triples`` in place of the view, so they build no cell. A direct build
-    keeps the cells it was given. :func:`load_problem` skips these checks
-    (:func:`_loaded_problem`), which the loader has made, naming coordinates,
-    and its problem builds the cells on first access, collector paused, each
-    holding its very triple.
+    The kernel reads ``_triples``, and ``ratings`` is a view of it, built on
+    first access with the collector paused: a ``MassFunction`` per cell,
+    holding its very triple. Equality, hashing, pickling and copying go by
+    ``_triples``, so they build no cell.
     """
 
-    _fields = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "ratings")
-    __slots__ = (*_fields[:5], "_triples", "__dict__")
+    _fields = ("alternatives", "criteria", "decision_makers", "dm_weights", "criterion_weights", "_triples")
+    __slots__ = (*_fields, "__dict__")
 
-    def __init__(self, alternatives: Sequence[str], criteria: Sequence[str], decision_makers: Sequence[str],
-                 dm_weights: Sequence[Interval], criterion_weights: Sequence[Sequence[Interval]],
-                 ratings: Sequence[Sequence[Sequence[MassFunction]]]) -> None:
-        self._init(alternatives, criteria, decision_makers)
-        _unique_labels(self)
-
-        dms, alts, crits = self.decision_makers, self.alternatives, self.criteria
-        *weights, cells = [_grid(value, name, error, *axes, leaf=leaf) for name, value, axes, leaf, error in (
-            ("dm_weights", dm_weights, (dms,), Interval,
-             f"decision maker weights must be a sequence of {len(dms)} intervals"),
-            ("criterion_weights", criterion_weights, (dms, crits), Interval,
-             f"criterion weights must be a {len(dms)} x {len(crits)} grid of intervals"),
-            ("ratings", ratings, (dms, alts, crits), MassFunction,
-             f"ratings must be a {len(dms)} x {len(alts)} x {len(crits)} grid of mass functions"),
-        )]
-        self._init(self.alternatives, self.criteria, self.decision_makers, *weights)
-        object.__setattr__(self, "_triples", tuple([tuple([tuple([m.masses for m in r]) for r in dm]) for dm in cells]))
-        self.__dict__["ratings"] = cells
-
-        groups = ("decision maker", self.dm_weights), ("criterion", [w for ws in self.criterion_weights for w in ws])
-        for what, group in groups:  # every sign before either all-zero check
-            for w in group:
-                if w.lo < 0.0:
-                    raise InvalidWeight(f"{what} weights must be non-negative, got [{w.lo}, {w.hi}]")
-        for what, group in groups:
-            if max(w.hi for w in group) <= 0.0:
-                raise AllZeroWeights(f"{what} weights are all zero")
+    def __init__(self, alternatives: tuple[str, ...], criteria: tuple[str, ...], decision_makers: tuple[str, ...],
+                 dm_weights: tuple[Interval, ...], criterion_weights: tuple[tuple[Interval, ...], ...],
+                 ratings: tuple[tuple[tuple[Triple, ...], ...], ...]) -> None:
+        self._init(alternatives, criteria, decision_makers, dm_weights, criterion_weights, ratings)
 
     @_cached
     def ratings(self) -> tuple:
         return tuple([tuple([tuple(map(_cell, row)) for row in dm]) for dm in self._triples])
-
-    def _key(self) -> tuple:
-        # the triples, not the view: comparing or hashing builds no cell
-        return DecisionProblem, tuple([getattr(self, name) for name in self._fields[:5]]), self._triples
 
 
 _set_masses = MassFunction.masses.__set__  # the slot, past the raising __setattr__
@@ -212,23 +136,6 @@ def _cell(masses: Triple) -> MassFunction:
     """The MassFunction holding the checked triple ``masses``, built past ``__post_init__``."""
     _set_masses(m := object.__new__(MassFunction), masses)
     return m
-
-
-def _loaded_problem(*fields) -> DecisionProblem:
-    """The DecisionProblem of the six ``fields``, in constructor order and with
-    the triple grid as ``ratings``, that ``loading._build_problem`` has
-    checked, built without the constructor's checks. The loader keeps each
-    invariant those check. It builds every field and row as a tuple.
-    ``_label_list`` and the ``decision_makers`` name checks make labels unique,
-    non-empty strings. ``_parse_weight`` and the ``criterion_weights`` length
-    check give one non-negative ``Interval`` per decision maker and per
-    criterion of each. Two checks reject an all-zero weight field.
-    ``_check_keys`` on each level of ``ratings``, and ``_parse_row``, give
-    one triple per decision maker, alternative and criterion."""
-    problem = object.__new__(DecisionProblem)
-    problem._init(*fields[:5])
-    object.__setattr__(problem, "_triples", fields[5])
-    return problem
 
 
 class RankingReport(Value):

@@ -50,7 +50,7 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     # --- evidence.py: the sum policy, the clamps of both sides, the order of the sides, fold's inline shortcut,
-    # its conflict bound and the step it names
+    # its conflict bound, the step it names and its product terms
     Mutant(
         "left-clamp-skips-policy", "src/intervalfusion/evidence.py",
         "a, b, c = _settle(a, b, 0.0)", "a, b, c = a, b, 0.0",
@@ -128,12 +128,17 @@ MUTANTS = [
         killed_by="tests/test_degenerate.py::test_crisp_total_conflict_names_its_place[row]",
     ),
     Mutant(
+        # a vacuous first source would erase the next one's mass on {IS}
+        "fold-drops-ideal-cross-term", "src/intervalfusion/evidence.py",
+        "a = (a1 * a2 + a1 * c2 + c1 * a2) / norm", "a = (a1 * a2 + a1 * c2) / norm",
+        killed_by="tests/test_properties.py::test_neutral_criterion_and_decision_maker_change_no_bet",
+    ),
+    Mutant(
         "renormalization-tolerance-widened", "src/intervalfusion/evidence.py",
         "RENORMALIZATION_TOLERANCE = 1e-6", "RENORMALIZATION_TOLERANCE = 1e-5",
         killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[outside-1e-6]",
     ),
-    # --- pipeline.py: the grids' length check, the cached views, problem equality, the all-zero group,
-    # the crisp shortcut and the bet
+    # --- pipeline.py: the cached views, the all-zero group, the crisp shortcut and the bet
     Mutant(
         "ratings-view-uncached", "src/intervalfusion/pipeline.py",
         "value = obj.__dict__[self.name] = self.build(obj)", "value = self.build(obj)",
@@ -148,19 +153,6 @@ MUTANTS = [
         "    @_nogc\n    def __get__(self, obj, cls=None):\n        if obj is None:\n            return self\n"
         "        if self.name in obj.__dict__:\n            return obj.__dict__[self.name]\n",
         killed_by="tests/test_pipeline.py::TestRatingsView::test_a_later_read_switches_no_collector",
-    ),
-    Mutant(
-        "problem-compares-ratings-view", "src/intervalfusion/pipeline.py",
-        "    def _key(self) -> tuple:\n"
-        "        # the triples, not the view: comparing or hashing builds no cell\n"
-        "        return DecisionProblem, tuple([getattr(self, name) for name in self._fields[:5]]), self._triples\n",
-        "",
-        killed_by="tests/test_pipeline.py::TestRatingsView::test_equality_and_hashing_build_no_cell",
-    ),
-    Mutant(
-        "grid-skips-length-check", "src/intervalfusion/pipeline.py",
-        "    if len(value) != len(labels):\n        raise ValidationError(shape_error)\n", "",
-        killed_by="tests/test_pipeline.py::TestDecisionProblem::test_shape_checks",
     ),
     Mutant(
         # a per-dm group that is all zero would divide by zero
@@ -184,8 +176,8 @@ MUTANTS = [
         equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
         "for every float x.",
     ),
-    # --- intervals.py and loading.py: endpoint order, label uniqueness, weight sign, rating sum, zero sign,
-    # decoded rows, alpha
+    # --- intervals.py and loading.py: endpoint order, label uniqueness, criterion weight count, weight sign,
+    # rating sum, zero sign, decoded rows, alpha
     Mutant(
         "endpoint-tolerance-widened", "src/intervalfusion/intervals.py",
         "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
@@ -196,6 +188,15 @@ MUTANTS = [
         "label-list-not-unique", "src/intervalfusion/loading.py",
         "    if len(set(labels)) != len(labels):\n        raise SchemaError(f\"{where}: labels must be unique\")\n", "",
         killed_by="tests/test_loading.py::TestDocumentStructure::test_duplicate_alternatives",
+    ),
+    Mutant(
+        # a weight of no criterion would load, and could set its normalization group's largest endpoint
+        "loader-criterion-weights-length-unchecked", "src/intervalfusion/loading.py",
+        "        if len(ws) != len(criteria):\n"
+        "            raise SchemaError(f\"{where}.criterion_weights: expected {len(criteria)} entries, "
+        "got {len(ws)}\")\n",
+        "",
+        killed_by="tests/test_loading.py::TestDocumentStructure::test_criterion_weight_count_mismatch",
     ),
     Mutant(
         "loader-weight-sign-loosened", "src/intervalfusion/loading.py",

@@ -33,7 +33,7 @@ def rating(rng):
     # at least 10% uncommitted, so that no fold reaches total conflict
     a = rng.uniform(0.0, 0.9)
     b = rng.uniform(0.0, 0.9 - a)
-    return MassFunction((a, b, 1.0 - a - b))
+    return MassFunction((a, b, 1.0 - a - b)).masses
 
 
 def problem(dm_crisp, crit_crisp, seed=0):
@@ -45,12 +45,12 @@ def problem(dm_crisp, crit_crisp, seed=0):
         return kind if kind != "mixed" else i % 2 == 0
 
     return DecisionProblem(
-        alternatives=[f"A{i}" for i in range(A)],
-        criteria=[f"C{i}" for i in range(C)],
-        decision_makers=[f"D{i}" for i in range(D)],
-        dm_weights=[weight(rng, crisp(dm_crisp, d)) for d in range(D)],
-        criterion_weights=[[weight(rng, crisp(crit_crisp, d * C + c)) for c in range(C)] for d in range(D)],
-        ratings=[[[rating(rng) for _ in range(C)] for _ in range(A)] for _ in range(D)],
+        alternatives=tuple(f"A{i}" for i in range(A)),
+        criteria=tuple(f"C{i}" for i in range(C)),
+        decision_makers=tuple(f"D{i}" for i in range(D)),
+        dm_weights=tuple(weight(rng, crisp(dm_crisp, d)) for d in range(D)),
+        criterion_weights=tuple(tuple(weight(rng, crisp(crit_crisp, d * C + c)) for c in range(C)) for d in range(D)),
+        ratings=tuple(tuple(tuple(rating(rng) for _ in range(C)) for _ in range(A)) for _ in range(D)),
     )
 
 
@@ -131,9 +131,9 @@ def opposed(dm_weights, criterion_weights, ratings):
     labels = ("A1", "A2"), ("C1", "C2", "C3"), tuple(f"DM{d + 1}" for d in range(len(dm_weights)))
     return DecisionProblem(
         *labels,
-        dm_weights=[Interval(w, w) for w in dm_weights],
-        criterion_weights=[[Interval(w, w) for w in ws] for ws in criterion_weights],
-        ratings=[[[MassFunction(t) for t in row] for row in dm] for dm in ratings],
+        dm_weights=tuple(Interval(w, w) for w in dm_weights),
+        criterion_weights=tuple(tuple(Interval(w, w) for w in ws) for ws in criterion_weights),
+        ratings=tuple(tuple(tuple(MassFunction(t).masses for t in row) for row in dm) for dm in ratings),
     )
 
 

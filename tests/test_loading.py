@@ -1,3 +1,4 @@
+import copy
 import gc
 import io
 import json
@@ -414,7 +415,7 @@ class TestRatingCellDiagnostics:
         # every zero mass is +0.0, whatever the sign of its literal
         assert all(math.copysign(1.0, v) == 1.0 for v in m.masses)
 
-    def test_loader_and_constructor_name_a_cell_alike(self):
+    def test_cell_is_named_by_the_reprs_of_its_labels(self):
         # labels whose repr escapes a quote and a backslash, and keeps a
         # non-ASCII letter
         dm, alt, crit = "it's \"x\"", "back\\slash", "Zürich"
@@ -424,13 +425,9 @@ class TestRatingCellDiagnostics:
             "decision_makers": [{"name": dm, "weight": 1, "criterion_weights": [1]}],
             "ratings": {dm: {alt: {crit: [0.7, 0.7, -0.4]}}},
         }
-        with pytest.raises(ValidationError) as loaded:
+        with pytest.raises(ValidationError) as err:
             load(doc)
-        unit = Interval(1, 1)
-        with pytest.raises(ValidationError) as built:
-            DecisionProblem((alt,), (crit,), (dm,), (unit,), ((unit,),), ((((0.6, 0.2, 0.2),),),))
-        assert str(loaded.value) == cell + "[2]: mass must be non-negative, got -0.4"
-        assert str(built.value) == cell + ": expected a MassFunction, got tuple"
+        assert str(err.value) == cell + "[2]: mass must be non-negative, got -0.4"
 
 
 def edge_document(seed, n_dm=2, n_alt=3, n_crit=4):
@@ -474,24 +471,53 @@ LOADED = [("bundled", bundled_dataset_bytes(), 0.0)] + [
 ]
 
 
+def holds_every_problem_invariant(problem):
+    """What the DecisionProblem constructor stores unchecked: tuple fields,
+    labels, a weight per decision maker and per criterion of each, and a
+    D x A x C grid of rating triples."""
+    labels = problem.alternatives, problem.criteria, problem.decision_makers
+    assert {type(getattr(problem, name)) for name in DecisionProblem._fields} == {tuple}
+    for group in labels:
+        assert group and {type(x) for x in group} == {str} and all(group) and len(set(group)) == len(group)
+    n_alt, n_crit, n_dm = map(len, labels)
+    weights = problem.criterion_weights
+    assert len(problem.dm_weights) == n_dm and {type(ws) for ws in weights} == {tuple}
+    assert [len(ws) for ws in weights] == [n_crit] * n_dm
+    for group in problem.dm_weights, [w for ws in weights for w in ws]:
+        assert {type(w) for w in group} == {Interval}
+        assert all(w.lo >= 0.0 for w in group) and max(w.hi for w in group) > 0.0
+    grid = problem._triples
+    assert len(grid) == n_dm and {type(dm) for dm in grid} == {tuple} and [len(dm) for dm in grid] == [n_alt] * n_dm
+    rows = [row for dm in grid for row in dm]
+    assert {type(row) for row in rows} == {tuple} and [len(row) for row in rows] == [n_crit] * len(rows)
+    triples = [t for row in rows for t in row]
+    assert {type(t) for t in triples} == {tuple} and {len(t) for t in triples} == {3}
+    assert {type(x) for t in triples for x in t} == {float}
+    assert all(math.copysign(1.0, x) == 1.0 for t in triples for x in t)
+
+
 class TestLoaderEstablishesEveryInvariant:
-    """The loader builds its problem without the constructor's checks; the
-    problem it builds is the one those checks would accept and store."""
+    """The DecisionProblem constructor checks nothing, so the loader, the one
+    checked way to make a problem, holds every invariant of its fields."""
 
     @pytest.fixture(params=LOADED, ids=[name for name, _, _ in LOADED])
     def problem(self, request):
         _, source, alpha = request.param
         return load_problem(source, alpha=alpha)
 
-    def test_equals_the_checked_construction(self, problem):
-        fields = {name: getattr(problem, name) for name in DecisionProblem._fields}
-        assert DecisionProblem(**fields) == problem
+    def test_holds_every_problem_invariant(self, problem):
+        holds_every_problem_invariant(problem)
 
-    def test_pickle_round_trip_rebuilds_it_through_the_checks(self, problem):
-        assert pickle.loads(pickle.dumps(problem)) == problem
+    def test_pickle_and_copy_rebuild_it(self, problem):
+        for again in pickle.loads(pickle.dumps(problem)), copy.deepcopy(problem):
+            assert again == problem and hash(again) == hash(problem)
+            holds_every_problem_invariant(again)
 
     def test_cells_are_bit_identical_to_checked_cells(self, problem):
-        for cell in (cell for dm in problem.ratings for row in dm for cell in row):
+        cells = [(cell, t) for dm, grid in zip(problem.ratings, problem._triples, strict=True)
+                 for row, triples in zip(dm, grid, strict=True) for cell, t in zip(row, triples, strict=True)]
+        for cell, t in cells:
+            assert type(cell) is MassFunction and cell.masses is t
             assert type(cell.masses) is tuple and all(type(x) is float for x in cell.masses)
             assert [x.hex() for x in cell.masses] == [x.hex() for x in MassFunction(cell.masses).masses]
             assert all(math.copysign(1.0, x) == 1.0 for x in cell.masses)
@@ -647,8 +673,9 @@ class TestDocumentStructure:
                 {"name": "DM1", "weight": 1.0, "criterion_weights": [[0.2, 0.4], [0.1, 0.3]]}
             ]
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             load(doc)
+        assert str(err.value) == "decision_makers[0].criterion_weights: expected 1 entries, got 2"
 
 
 # --- structure-aware fuzz -----------------------------------------------------

@@ -255,7 +255,7 @@ def test_degenerate_weights_match_crisp_pipeline(data):
         dm_weights=tuple(Interval(w, w) for w in dm_w),
         criterion_weights=tuple(tuple(Interval(w, w) for w in ws) for ws in crit_w),
         ratings=tuple(
-            tuple(tuple(as_mass(r) for r in row) for row in dm) for dm in ratings
+            tuple(tuple(as_mass(r).masses for r in row) for row in dm) for dm in ratings
         ),
     )
     report = rank_alternatives(problem)
@@ -529,3 +529,53 @@ def test_loaded_cells_are_constructor_fixed_points(t):
         return  # a negative rest, or a sum the loader rejects
     assert hexed(cell.masses) == hexed(MassFunction(cell.masses).masses)
     assert all(math.copysign(1.0, v) == 1.0 for v in cell.masses)
+
+
+# 12. neutral inputs change no bet, bit for bit: a criterion rated vacuously
+# everywhere, whose weight keeps its group's largest endpoint, and a decision
+# maker of weight 0. Each is a vacuous source of the fold it enters, wherever
+# it enters it, the first source included.
+def bets_or_error(text, normalization):
+    """The ``float.hex`` of each bet of the document ``text``, or the type
+    of the error its rank raised."""
+    try:
+        return hexed(rank_alternatives(load_problem(text), criterion_normalization=normalization).bets)
+    except IntervalFusionError as exc:
+        return type(exc)
+
+
+@RUNS
+@given(case=problem_documents(), data=st.data())
+def test_neutral_criterion_and_decision_maker_change_no_bet(case, data):
+    text, normalization = case
+    try:
+        problem = load_problem(text)
+    except IntervalFusionError:
+        assume(False)  # all-zero weight groups are rejected on loading
+    expected = bets_or_error(text, normalization)
+    doc = json.loads(text)
+    dms = doc["decision_makers"]
+
+    # a criterion rated (0, 0, 1) everywhere, its weight within each group
+    with_criterion = json.loads(text)
+    at = data.draw(st.integers(min_value=0, max_value=len(doc["criteria"])), label="criterion position")
+    with_criterion["criteria"].insert(at, "Cv")
+    pooled_top = max(w.hi for ws in problem.criterion_weights for w in ws)
+    for entry, ws in zip(with_criterion["decision_makers"], problem.criterion_weights):
+        top = pooled_top if normalization == POOLED else max(w.hi for w in ws)
+        lo, hi = sorted(data.draw(st.tuples(_unit, _unit), label="weight fractions"))
+        entry["criterion_weights"].insert(at, [lo * top, hi * top])
+    for rows in with_criterion["ratings"].values():
+        for row in rows.values():
+            row["Cv"] = [0, 0, 1]
+    assert bets_or_error(json.dumps(with_criterion), normalization) == expected
+
+    # a decision maker of weight 0, rated vacuously or as another one is,
+    # with that one's criterion weights
+    with_dm = json.loads(text)
+    at = data.draw(st.integers(min_value=0, max_value=len(dms)), label="decision maker position")
+    like = data.draw(st.sampled_from(dms), label="like")
+    with_dm["decision_makers"].insert(at, {"name": "Dv", "weight": 0, "criterion_weights": like["criterion_weights"]})
+    vacuous = {alt: {crit: [0, 0, 1] for crit in doc["criteria"]} for alt in doc["alternatives"]}
+    with_dm["ratings"]["Dv"] = data.draw(st.sampled_from([vacuous, doc["ratings"][like["name"]]]), label="ratings")
+    assert bets_or_error(json.dumps(with_dm), normalization) == expected

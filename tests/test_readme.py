@@ -1,4 +1,4 @@
-"""README's "Library use" example, run as written, and its list of public
+"""README's "Library use" examples, run as written, and its list of public
 names, so the document cannot drift from the API."""
 
 import re
@@ -29,6 +29,13 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     assert f"{left} {right}\n" in out
     assert "Collapsed BPAs" in out
     assert out.rstrip().endswith("Ranking: " + " ≻ ".join(report.ranking))
+
+
+def test_document_recipe_runs(capsys):
+    # a problem built in code goes through load_problem as a document
+    recipe = re.findall(r"```python\n(.*?)```", library_use(), re.S)[1]
+    exec(compile(recipe, str(README), "exec"), {})
+    assert capsys.readouterr().out == "('S1', 'S2')\n"
 
 
 def test_all_is_the_documented_public_names():

@@ -256,12 +256,12 @@ def kernel_negative_zeros(report):
 def problem(labels, dm_weights, criterion_weights, ratings):
     alternatives, criteria, decision_makers = labels
     return DecisionProblem(
-        alternatives=alternatives,
-        criteria=criteria,
-        decision_makers=decision_makers,
-        dm_weights=[Interval(*w) for w in dm_weights],
-        criterion_weights=[[Interval(*w) for w in ws] for ws in criterion_weights],
-        ratings=[[[MassFunction(r) for r in row] for row in dm] for dm in ratings],
+        alternatives=tuple(alternatives),
+        criteria=tuple(criteria),
+        decision_makers=tuple(decision_makers),
+        dm_weights=tuple(Interval(*w) for w in dm_weights),
+        criterion_weights=tuple(tuple(Interval(*w) for w in ws) for ws in criterion_weights),
+        ratings=tuple(tuple(tuple(MassFunction(r).masses for r in row) for row in dm) for dm in ratings),
     )
 
 

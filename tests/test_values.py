@@ -11,9 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from intervalfusion import Interval, MassFunction, rank_alternatives
-
-from test_pipeline import rebuilt
+from intervalfusion import Interval, MassFunction, bundled_dataset_bytes, load_problem, rank_alternatives
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,11 +25,11 @@ def value_and_copy(request, supplier_problem):
     if request.param == "MassFunction":
         return MassFunction((0.6, 0.2, 0.2)), MassFunction([0.6, 0.2, 0.2])
     if request.param == "DecisionProblem":
-        return supplier_problem, rebuilt(supplier_problem)
+        return supplier_problem, load_problem(bundled_dataset_bytes())
     report = rank_alternatives(supplier_problem)
     if request.param == "traced-RankingReport":
         assert report.cells
-    return report, rank_alternatives(rebuilt(supplier_problem))
+    return report, rank_alternatives(load_problem(bundled_dataset_bytes()))
 
 
 def test_equal_values_are_equal_and_hash_alike(value_and_copy):
