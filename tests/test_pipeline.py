@@ -311,7 +311,159 @@ LOCATED_FAILURES = {
 }
 
 
+def two_by_two_doc():
+    """A valid document: two decision makers, alternatives and criteria."""
+    mild = [0.6, 0.2, 0.2]
+    return {
+        "schema_version": "1", "alternatives": ["A1", "A2"], "criteria": ["C1", "C2"],
+        "decision_makers": [
+            {"name": "DM1", "weight": [1, 1], "criterion_weights": [[0.5, 1], [1, 1]]},
+            {"name": "DM2", "weight": [1, 1], "criterion_weights": [[0.5, 1], [1, 1]]},
+        ],
+        "ratings": {dm: {alt: {"C1": mild, "C2": mild} for alt in ("A1", "A2")} for dm in ("DM1", "DM2")},
+    }
+
+
+def with_value(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` set to ``value``, or
+    deleted when ``value`` is ``DELETED``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+DELETED = object()
+
+
+def load_fault(doc, error=ValidationError):
+    """The message of the ``error`` that loading ``doc`` raises."""
+    with pytest.raises(error) as err:
+        load_problem(json.dumps(doc))
+    assert type(err.value) is error
+    return str(err.value)
+
+
+# The fields of a two_by_two_doc that must be JSON arrays, and those that must
+# be JSON objects, by path and by the coordinates the loader names them with.
+ARRAY_FIELDS = [
+    (("alternatives",), "alternatives"),
+    (("criteria",), "criteria"),
+    (("frame",), "frame"),
+    (("decision_makers",), "decision_makers"),
+    (("decision_makers", 1, "criterion_weights"), "decision_makers[1].criterion_weights"),
+    (("ratings", "DM2", "A1", "C2"), "ratings['DM2']['A1']['C2']"),
+]
+OBJECT_FIELDS = [
+    (("scales",), "scales"),
+    (("decision_makers", 1), "decision_makers[1]"),
+    (("ratings",), "ratings"),
+    (("ratings", "DM2"), "ratings['DM2']"),
+    (("ratings", "DM1", "A2"), "ratings['DM1']['A2']"),
+]
+# A JSON value of each kind, and the Python type it decodes to.
+JSON_KINDS = {
+    "array": (["A1"], "list"), "object": ({"A1": 1}, "dict"), "string": ("A1", "str"),
+    "number": (0.5, "float"), "boolean": (True, "bool"), "null": (None, "NoneType"),
+}
+
+
 class TestDecisionProblem:
+    # the constructor stores its fields unchecked: the loader is where each
+    # invariant of a problem is established, and each fault is named there
+
+    def test_shape_checks(self):
+        doc = two_by_two_doc()
+        cases = [
+            (("decision_makers", 0, "criterion_weights"), [[1, 1]], SchemaError,
+             "decision_makers[0].criterion_weights: expected 2 entries, got 1"),
+            (("ratings", "DM2"), DELETED, SchemaError, "ratings: missing decision maker(s): 'DM2'"),
+            (("ratings", "DM1", "A2"), DELETED, SchemaError, "ratings['DM1']: missing alternative(s): 'A2'"),
+            (("ratings", "DM2", "A1", "C3"), [0.6, 0.2, 0.2], SchemaError,
+             "ratings['DM2']['A1']: unknown criterion(s): 'C3'"),
+            # one rating but two criteria
+            (("ratings", "DM1", "A1"), {"C1": [0.6, 0.2, 0.2]}, SchemaError,
+             "ratings['DM1']['A1']: missing criterion(s): 'C2'"),
+        ]
+        for path, value, error, message in cases:
+            assert load_fault(with_value(doc, path, value), error) == message
+
+    def test_duplicate_labels(self):
+        doc = two_by_two_doc()
+        cases = [
+            (("alternatives",), ["A1", "A2", "A1"], "alternatives: labels must be unique"),
+            (("criteria",), ["C2", "C2"], "criteria: labels must be unique"),
+            (("decision_makers", 1, "name"), "DM1", "decision_makers[1].name: duplicate decision maker 'DM1'"),
+        ]
+        for path, value, message in cases:
+            assert load_fault(with_value(doc, path, value), SchemaError) == message
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("ratings", "DM2", "A1", "C2"), "0.6", "ratings['DM2']['A1']['C2']: expected an array, got str"),
+        (("ratings", "DM1", "A2", "C1"), {"IS": 0.6}, "ratings['DM1']['A2']['C1']: expected an array, got dict"),
+        (("ratings", "DM2", "A2", "C2"), None, "ratings['DM2']['A2']['C2']: expected an array, got NoneType"),
+        (("decision_makers", 1, "weight"), None,
+         "decision_makers[1].weight: a weight must be a number, an interval pair, or a term reference"),
+        (("decision_makers", 0, "criterion_weights", 1), ["0.2", 0.5],
+         "decision_makers[0].criterion_weights[1][0]: expected a number, got str"),
+        # a field or grid row of the wrong kind
+        (("ratings", "DM2"), None, "ratings['DM2']: expected an object, got NoneType"),
+        (("ratings", "DM1", "A2"), None, "ratings['DM1']['A2']: expected an object, got NoneType"),
+        (("decision_makers", 1, "criterion_weights"), None,
+         "decision_makers[1].criterion_weights: expected an array, got NoneType"),
+        (("decision_makers", 1), None, "decision_makers[1]: expected an object, got NoneType"),
+        (("alternatives",), None, "alternatives: expected an array, got NoneType"),
+        # a string is not split into labels or cells
+        (("alternatives",), "AB", "alternatives: expected an array, got str"),
+        (("decision_makers",), "DM1", "decision_makers: expected an array, got str"),
+        (("criteria",), {"C1": 0, "C2": 1}, "criteria: expected an array, got dict"),
+        (("ratings", "DM1", "A2"), "ab", "ratings['DM1']['A2']: expected an object, got str"),
+        # a label of the wrong type, or none
+        (("schema_version",), 1, "schema_version: expected a string, got int"),
+        (("criteria", 1), 5, "criteria[1]: expected a string, got int"),
+        (("decision_makers", 0, "name"), ["DM1"], "decision_makers[0].name: expected a string, got list"),
+    ], ids=["rating-str", "rating-object", "rating-null", "dm-weight-null", "criterion-weight-str-endpoint",
+            "ratings-row-null", "ratings-alternative-row-null", "criterion-weights-row-null",
+            "decision-maker-null", "alternatives-null", "alternatives-str", "decision-makers-str",
+            "criteria-object", "ratings-alternative-row-str", "schema-version-int", "criterion-label-int",
+            "decision-maker-label-list"])
+    def test_wrong_typed_field_is_named(self, path, value, message):
+        assert load_fault(with_value(two_by_two_doc(), path, value), SchemaError) == message
+
+    @pytest.mark.parametrize("kind", [k for k in JSON_KINDS if k != "array"])
+    def test_only_an_array_is_a_sequence(self, kind):
+        value, got = JSON_KINDS[kind]
+        for path, where in ARRAY_FIELDS:
+            message = load_fault(with_value(two_by_two_doc(), path, value), SchemaError)
+            assert message == f"{where}: expected an array, got {got}"
+
+    @pytest.mark.parametrize("kind", [k for k in JSON_KINDS if k != "object"])
+    def test_only_an_object_is_a_mapping(self, kind):
+        value, got = JSON_KINDS[kind]
+        for path, where in OBJECT_FIELDS:
+            message = load_fault(with_value(two_by_two_doc(), path, value), SchemaError)
+            assert message == f"{where}: expected an object, got {got}"
+
+    @pytest.mark.parametrize("faults, message", [
+        ([(("ratings", "DM1", "A1", "C1"), "x"), (("ratings", "DM2", "A2", "C2"), DELETED)],
+         "ratings['DM1']['A1']['C1']: expected an array, got str"),
+        ([(("ratings", "DM1", "A2", "C2"), DELETED), (("ratings", "DM2", "A1", "C1"), "x")],
+         "ratings['DM1']['A2']: missing criterion(s): 'C2'"),
+        # the ratings keyed in another order than the labels are declared in
+        ([(("ratings",), {"DM2": {"A2": None, "A1": None}, "DM1": {"A2": None, "A1": {}}})],
+         "ratings['DM1']['A1']: missing criterion(s): 'C1', 'C2'"),
+    ], ids=["cell-type-before-later-shape", "shape-before-later-cell-type", "declared-order-not-key-order"])
+    def test_first_ratings_fault_in_label_order_is_named(self, faults, message):
+        doc = two_by_two_doc()
+        for path, value in faults:
+            doc = with_value(doc, path, value)
+        assert load_fault(doc, SchemaError) == message
+
     def test_all_zero_weights_in_a_document(self):
         # the loader names the all-zero group, before it reads a ratings
         # fault (DM2's cell sums to 0.5)
