@@ -1,18 +1,13 @@
 """Exception types raised across the package.
 
 Everything derives from :class:`IntervalFusionError` so callers can catch
-one base class at process boundaries (the CLI does exactly that).
+one base class at process boundaries (the CLI does exactly that). A fault
+in a document, a weight's endpoints included, is one of the last three.
 """
 
 
 class IntervalFusionError(Exception):
     """Base class for all errors raised by this package."""
-
-
-# --- intervals -------------------------------------------------------------
-
-class InvalidInterval(IntervalFusionError):
-    """Endpoints are non-finite or ordered lo > hi beyond tolerance."""
 
 
 # --- linguistic terms -------------------------------------------------------

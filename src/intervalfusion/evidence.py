@@ -12,9 +12,9 @@ All arithmetic on mass functions is defined here, on triples, and both
 * the sum policy (the tolerances below) keeps a triple that sums to 1
   within EXACT_SUM_TOLERANCE, divides one within RENORMALIZATION_TOLERANCE
   by its sum, and rejects the rest;
-* :func:`discount` is step 3's Shafer discounting of a row of interval BPAs,
-  each left part by its weight's lower bound and each right part by its
-  upper bound, in one pass, into one flat tuple of masses;
+* :func:`discount` is step 3's Shafer discounting of a row of ratings, each
+  ``t`` the interval BPA ``(t, t)``: its left part by the weight's lower
+  bound and its right part by the upper bound, into one flat tuple of masses;
 * :func:`fold` folds sources left to right under the conjunctive, normalized
   rule in the closed form it has on two elements (Barnett 1981): the
   conflict coefficient is ``K = a1*b2 + b1*a2``, each focal set collects the
@@ -96,10 +96,9 @@ def _settle(a: float, b: float, c: float) -> Triple:
     return a, b, c
 
 
-def discount(lefts: Iterable[Triple], rights: Iterable[Triple], los: Iterable[float],
-             his: Iterable[float]) -> tuple[float, ...]:
-    """Shafer discounting of a row of interval BPAs, given as their left and
-    right parts: each left part by its lower bound in ``los``, each right
+def discount(triples: Iterable[Triple], los: Iterable[float], his: Iterable[float]) -> tuple[float, ...]:
+    """Shafer discounting of a row of ratings, each triple ``t`` the interval
+    BPA ``(t, t)``: its left part by its lower bound in ``los``, its right
     part by its upper bound in ``his``. A part (p, q, r) discounted by the
     reliability ``w`` is (w*p, w*q, 1 - w*p - w*q); a remainder below zero is
     clamped to zero, and the clamped triple goes through _settle. The masses
@@ -113,14 +112,14 @@ def discount(lefts: Iterable[Triple], rights: Iterable[Triple], los: Iterable[fl
     triples only a weight above 1 can make _settle raise; the error is then
     the first failing source's, its left part before its right part."""
     out = []
-    for (p, q, _), (r, s, _), lo, hi in zip(lefts, rights, los, his):
+    for (p, q, _), lo, hi in zip(triples, los, his):
         a = p * lo
         b = q * lo
         c = 1.0 - a - b
         if c < 0.0:
             a, b, c = _settle(a, b, 0.0)
-        d = r * hi
-        e = s * hi
+        d = p * hi
+        e = q * hi
         f = 1.0 - d - e
         if f < 0.0:
             d, e, f = _settle(d, e, 0.0)
@@ -140,9 +139,9 @@ def fold(triples: Iterable[Triple], weights: Iterable[float] | None = None) -> T
 
     With ``weights``, each source is first discounted by its reliability,
     with :func:`discount`'s arithmetic, just before its step: the masses of
-    folding the left parts of ``discount(triples, triples, weights,
-    weights)``, with no row between the two. A step's error comes before the
-    discount of a later source."""
+    folding the left parts of ``discount(triples, weights, weights)``, with
+    no row between the two. A step's error comes before the discount of a
+    later source."""
     sources = iter(triples)
     a1 = None
     for (a2, b2, c2), w in zip(sources, repeat(None) if weights is None else weights):

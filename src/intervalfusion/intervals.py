@@ -1,21 +1,15 @@
 """Closed real intervals, and :class:`Value`, the base of the value types.
 
-A weight is a validated pair ``[lo, hi]`` and nothing more: the one
+A weight is a pair ``[lo, hi]`` and nothing more, stored unchecked: the
+loader makes each endpoint a finite float with ``lo <= hi``, and the one
 operation on weights, normalizing a group by its largest endpoint, is
-endpoint-wise division in ``pipeline.normalize_weight_group``, a stage of
-the rank.
+endpoint-wise division in ``pipeline.normalize_weight_group``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-
-from .errors import InvalidInterval
-
-#: Endpoints ordered lo > hi by at most this much are collapsed to [lo, lo];
-#: larger inversions are rejected.
-ENDPOINT_TOLERANCE = 1e-12
 
 
 def to_float(x) -> float:
@@ -69,17 +63,10 @@ class Value:
 
 
 class Interval(Value):
-    """A closed real interval ``[lo, hi]`` with finite ``lo <= hi``."""
+    """A closed real interval ``[lo, hi]``: finite floats with ``lo <= hi``
+    wherever the package makes one. The constructor stores them unchecked."""
 
     __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float) -> None:
-        a, b = to_float(lo), to_float(hi)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise InvalidInterval(f"endpoints must be finite numbers, got [{describe(lo)}, {describe(hi)}]")
-        if a > b:
-            if a - b <= ENDPOINT_TOLERANCE:
-                b = a
-            else:
-                raise InvalidInterval(f"lower endpoint {a} exceeds upper endpoint {b}")
-        self._init(a, b)
+        self._init(lo, hi)

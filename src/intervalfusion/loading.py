@@ -19,16 +19,18 @@ Document schema (version "1"), field by field:
 
 A weight ``W`` is a crisp number ``x`` (read as ``[x, x]``), an interval
 ``[lo, hi]``, or a linguistic reference ``{"term": ..., "scale": ...}``.
-An interval term is read as it is. A tfn term is a triangular fuzzy number
-``(a, b, c)`` and is read as its alpha-cut at the level passed to
-:func:`load_problem` (:func:`as_interval`): the points whose membership is at
-least alpha, so alpha 0 gives the support ``[a, c]`` and alpha 1 the peak
-``[b, b]``. The built-in ``interval-default`` is the supports of the
-built-in ``kaufmann-tfn``.
+A pair ``[lo, hi]``, as a weight or an interval-scale term, whose ``lo``
+exceeds ``hi`` by at most ``ENDPOINT_TOLERANCE`` reads as ``[lo, lo]``; a
+larger inversion is rejected. An interval term is read as it is. A tfn
+term is a triangular fuzzy number ``(a, b, c)`` and is read as its
+alpha-cut at the level passed to :func:`load_problem` (:func:`as_interval`):
+the points whose membership is at least alpha, so alpha 0 gives the support
+``[a, c]`` and alpha 1 the peak ``[b, b]``. The built-in
+``interval-default`` is the supports of the built-in ``kaufmann-tfn``.
 
-Every field is checked once, here: the ``DecisionProblem`` constructor
-stores what it is given and checks nothing, so this is the one checked way
-to make a problem.
+Every field is checked once, here: the ``DecisionProblem`` and ``Interval``
+constructors store what they are given and check nothing, so this is the
+one checked way to make a problem and its weights.
 Triples rounded to the few decimals of published tables may miss a unit sum
 by up to 1e-3 (by ``math.fsum``, a sum beyond float range reading as inf);
 they are divided by that sum, which leaves them a sum the mass-sum policy
@@ -40,8 +42,8 @@ repeated within one object, or an integer literal too long to read;
 value-level violations, including a number beyond float range and a string
 with a lone surrogate (which could not be written out as UTF-8). All three
 carry the coordinates of the offending field, or name the repeated key.
-Each is raised by the one check that owns its field (``_interval`` locates
-what ``Interval`` rejects), and no error is translated afterwards.
+Each is raised by the one check that owns its field, and no error is
+translated afterwards.
 """
 
 from __future__ import annotations
@@ -51,13 +53,7 @@ import math
 import os
 import sys
 
-from .errors import (
-    IntervalFusionError,
-    InvalidAlpha,
-    ParseError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import InvalidAlpha, ParseError, SchemaError, ValidationError
 from .evidence import _INF, FRAME, Triple
 from .intervals import Interval, describe, to_float
 from .pipeline import DecisionProblem, _nogc
@@ -66,6 +62,9 @@ SCHEMA_VERSION = "1"
 
 #: Unit-sum slack granted to rating triples at ingestion (display rounding).
 RATING_SUM_TOLERANCE = 1e-3
+
+#: A document's [lo, hi] with lo > hi by at most this much reads as [lo, lo].
+ENDPOINT_TOLERANCE = 1e-12
 
 _REQUIRED_KEYS = frozenset({"schema_version", "alternatives", "criteria", "decision_makers", "ratings"})
 _OPTIONAL_KEYS = frozenset({"frame", "scales"})
@@ -281,12 +280,15 @@ def _number_list(value, arity: int, where: str) -> list[float]:
 
 
 def _interval(value, where: str) -> Interval:
-    """A ``[lo, hi]`` list as an Interval; a bad pair raises at ``where``."""
+    """A ``[lo, hi]`` list as an Interval of finite floats with ``lo <= hi``:
+    an inversion of at most ENDPOINT_TOLERANCE reads as ``[lo, lo]``, a
+    larger one raises at ``where``."""
     lo, hi = _number_list(value, 2, where)
-    try:
-        return Interval(lo, hi)
-    except IntervalFusionError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    if lo > hi:
+        if lo - hi > ENDPOINT_TOLERANCE:
+            raise ValidationError(f"{where}: lower endpoint {lo} exceeds upper endpoint {hi}")
+        hi = lo
+    return Interval(lo, hi)
 
 
 # --- weights ------------------------------------------------------------------

@@ -166,7 +166,7 @@ class RankingReport(Value):
         """The masses of each (decision maker, alternative) row of ``cells``,
         discounted again, in order, each row one flat tuple in trace order."""
         rows = _rows(self._trace[0], self.normalized_criterion_weights)
-        return (discount_to_interval_bpa(row, row, los, his) for row, los, his in rows)
+        return (discount_to_interval_bpa(row, los, his) for row, los, his in rows)
 
     @_cached
     def cells(self) -> tuple:
@@ -191,10 +191,10 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 # folds them (``fold(triples, weights)``); the discount stage serves the
 # trace walk.
 
-# Step 3's discount of a row of interval BPAs, given as their left and right
-# parts, into the flat masses the trace shows: evidence.discount. A rating t
-# is the interval BPA (t, t). The row-level name is the one the trace walk
-# calls: a wrapper set on one name sees only the calls made through it.
+# Step 3's discount of a row of ratings, each rating t the interval BPA
+# (t, t), into the flat masses the trace shows: evidence.discount. The
+# row-level name is the one the trace walk calls: a wrapper set on one name
+# sees only the calls made through it.
 discount_interval_bpa = discount_to_interval_bpa = discount
 
 

@@ -176,12 +176,19 @@ MUTANTS = [
         equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
         "for every float x.",
     ),
-    # --- intervals.py and loading.py: endpoint order, label uniqueness, criterion weight count, weight sign,
-    # rating sum, zero sign, decoded rows, alpha
+    # --- loading.py: endpoint order, label uniqueness, criterion weight count, weight sign, rating sum, zero sign,
+    # decoded rows, alpha
     Mutant(
-        "endpoint-tolerance-widened", "src/intervalfusion/intervals.py",
+        "endpoint-tolerance-widened", "src/intervalfusion/loading.py",
         "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
-        killed_by="tests/test_intervals.py::TestConstruction::test_inversion_collapses_up_to_the_endpoint_tolerance",
+        killed_by="tests/test_loading.py::TestWeightForms::test_inversion_collapses_up_to_the_endpoint_tolerance",
+    ),
+    Mutant(
+        # a pair inverted within the tolerance would load as it is, an Interval with lo > hi
+        "endpoint-inversion-kept", "src/intervalfusion/loading.py",
+        "        hi = lo\n    return Interval(lo, hi)\n", "    return Interval(lo, hi)\n",
+        killed_by="tests/test_loading.py::TestLoaderEstablishesEveryInvariant::test_holds_every_problem_invariant"
+        "[inverted-within-tolerance]",
     ),
     Mutant(
         # a repeated criterion would load, and its rating fuse twice

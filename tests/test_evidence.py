@@ -191,7 +191,7 @@ class TestDiscount:
             masses = MassFunction(t).masses
         except MassSumViolation:
             assume(False)
-        got = discount([masses], [masses], [w], [w])
+        got = discount([masses], [w], [w])
         assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in got)
         for part in (got[:3], got[3:]):
             assert policy_outcome(_settle, part) == [v.hex() for v in part]
@@ -218,7 +218,7 @@ class TestDiscount:
         assume(c >= 0.0)
         assert abs(a + b + c - 1.0) <= _PLAIN_SUM_TOLERANCE
         t = (p, q, 0.0)
-        assert [x.hex() for x in discount([t], [t], [w], [w])] == [x.hex() for x in (a, b, c)] * 2
+        assert [x.hex() for x in discount([t], [w], [w])] == [x.hex() for x in (a, b, c)] * 2
 
     @pytest.mark.parametrize("deficit, settled", [
         (0.9e-9, True),
@@ -234,34 +234,37 @@ class TestDiscount:
         assert 1.0 - p - q == pytest.approx(-deficit, rel=1e-6)
         t = (p, q, 0.0)
         if settled:
-            assert discount([t], [t], [1.0], [1.0]) == (p / (p + q), q / (p + q), 0.0) * 2
+            assert discount([t], [1.0], [1.0]) == (p / (p + q), q / (p + q), 0.0) * 2
         else:
             with pytest.raises(MassSumViolation, match="masses sum to"):
-                discount([t], [t], [1.0], [1.0])
+                discount([t], [1.0], [1.0])
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_each_side_is_clamped_and_settled_on_its_own(self, side):
         # one part's complement is below zero and the other's is not: only
-        # the clamped part is renormalized
+        # the clamped part is renormalized. The left part is discounted by
+        # the lower bound and the right part by the upper bound, so the part
+        # discounted by 1 is the clamped one
         p, q = 0.5, 0.5 + 1.1e-9
-        t, half, clamped = (p, q, 0.0), (0.25, 0.25, 0.5), (p / (p + q), q / (p + q), 0.0)
+        t, clamped = (p, q, 0.0), (p / (p + q), q / (p + q), 0.0)
+        half = (p * 0.5, q * 0.5, 1.0 - p * 0.5 - q * 0.5)
         if side == "left":
-            assert discount([t], [half], [1.0], [1.0]) == clamped + half
+            assert discount([t], [1.0], [0.5]) == clamped + half
         else:
-            assert discount([half], [t], [1.0], [1.0]) == half + clamped
+            assert discount([t], [0.5], [1.0]) == half + clamped
 
-    @pytest.mark.parametrize("left, right, failing", [
-        ((0.5, 0.5 + 2e-6, 0.0), (0.5, 0.5 + 3e-6, 0.0), "left"),
-        ((0.6, 0.2, 0.2), (0.5, 0.5 + 3e-6, 0.0), "right"),
+    @pytest.mark.parametrize("lo, hi, failing", [
+        (1.0, 1.5, "left"),
+        (0.5, 1.0, "right"),
     ], ids=["left-before-right", "right-of-the-first-source"])
-    def test_the_first_failing_part_raises(self, left, right, failing):
+    def test_the_first_failing_part_raises(self, lo, hi, failing):
         # a discount raises at the first source that fails, its left part
         # before its right; a later source's failure is not reached
-        later = (0.5, 0.5 + 4e-6, 0.0)
-        p, q, _ = left if failing == "left" else right
+        t, later = (0.5, 0.5 + 2e-6, 0.0), (0.5, 0.5 + 4e-6, 0.0)
+        w = lo if failing == "left" else hi
         with pytest.raises(MassSumViolation) as err:
-            discount([left, later], [right, later], [1.0, 1.0], [1.0, 1.0])
-        assert str(err.value) == f"masses sum to {math.fsum((p, q, 0.0))!r}, expected 1"
+            discount([t, later], [lo, 1.0], [hi, 1.0])
+        assert str(err.value) == f"masses sum to {math.fsum((t[0] * w, t[1] * w, 0.0))!r}, expected 1"
 
 
 def test_settle_never_meets_its_exact_band_edge():
@@ -317,22 +320,21 @@ class TestRowKernelParity:
     reduced two-source rule's masses bit for bit, or their error and message."""
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.tuples(_sources, _sources, _weights, _weights), min_size=1, max_size=6))
-    @example(rows=[((0.5, 0.5 + 5e-13, 0.0),) * 2 + (1.0,) * 2])  # complement clamped, sum kept
-    @example(rows=[((0.5, 0.5 + 5e-10, 0.0),) * 2 + (1.0,) * 2])  # complement clamped, sum renormalized
-    @example(rows=[((0.6, 0.2, 0.2),) * 2 + (1.0,) * 2, ((0.5, 0.5 + 2e-9, 0.0),) * 2 + (1.0,) * 2])  # -2e-9, renormalized
-    @example(rows=[((0.6, 0.2, 0.2),) * 2 + (1.0,) * 2, ((0.5, 0.5 + 2e-6, 0.0),) * 2 + (1.0,) * 2])  # -2e-6, rejected
-    @example(rows=[((0.5, 0.5, 0.0),) * 2 + (-0.0,) * 2, ((1.0, 0.0, 0.0),) * 2 + (5e-324,) * 2,
-                   ((0.0, 1.0, 0.0),) * 2 + (5e-324,) * 2])
+    @given(rows=st.lists(st.tuples(_sources, _weights, _weights), min_size=1, max_size=6))
+    @example(rows=[((0.5, 0.5 + 5e-13, 0.0), 1.0, 1.0)])  # complement clamped, sum kept
+    @example(rows=[((0.5, 0.5 + 5e-10, 0.0), 1.0, 1.0)])  # complement clamped, sum renormalized
+    @example(rows=[((0.6, 0.2, 0.2), 1.0, 1.0), ((0.5, 0.5 + 2e-9, 0.0), 1.0, 1.0)])  # -2e-9, renormalized
+    @example(rows=[((0.6, 0.2, 0.2), 1.0, 1.0), ((0.5, 0.5 + 2e-6, 0.0), 1.0, 1.0)])  # -2e-6, rejected
+    @example(rows=[((0.5, 0.5, 0.0), -0.0, -0.0), ((1.0, 0.0, 0.0), 5e-324, 5e-324), ((0.0, 1.0, 0.0), 5e-324, 5e-324)])
     # only the left part, or only the right part, clamped; a source's right part rejected before the next source's left
-    @example(rows=[((0.5, 0.5 + 5e-10, 0.0), (0.6, 0.2, 0.2), 1.0, 1.0), ((0.6, 0.2, 0.2), (0.5, 0.5 + 5e-10, 0.0), 0.5, 1.0)])
-    @example(rows=[((0.6, 0.2, 0.2), (0.5, 0.5 + 2e-6, 0.0), 1.0, 1.0), ((0.5, 0.5 + 3e-6, 0.0), (0.6, 0.2, 0.2), 1.0, 1.0)])
+    @example(rows=[((0.5, 0.5 + 5e-10, 0.0), 1.0, 0.5), ((0.5, 0.5 + 5e-10, 0.0), 0.5, 1.0)])
+    @example(rows=[((0.5, 0.5 + 2e-6, 0.0), 0.5, 1.0), ((0.5, 0.5 + 3e-6, 0.0), 1.0, 1.0)])
     def test_discount(self, rows):
         # each side's triples are the scalar discount's, in trace order: for
-        # each source its left part, by the lower bound, then its right part,
-        # by the upper bound; an error is the first part's in that order
+        # each source t its left part, t by the lower bound, then its right
+        # part, t by the upper bound; an error is the first part's in that order
         def reference():
-            parts = [side for left, right, lo, hi in rows for side in ((left, lo), (right, hi))]
+            parts = [side for t, lo, hi in rows for side in ((t, lo), (t, hi))]
             return [reference_discount(p, q, w) for (p, q, _), w in parts]
 
         def flat():
@@ -367,15 +369,15 @@ class TestRowKernelParity:
     @example(rows=[((1.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0), ((0.5, 0.5 + 2e-6, 0.0), 1.0)])  # K = 1 first
     def test_weighted_fold(self, rows):
         # fold(triples, weights) folds the left parts of discount(triples,
-        # triples, weights, weights): the same masses bit for bit, or the
-        # same error and message. It discounts each source just before that
+        # weights, weights): the same masses bit for bit, or the same error
+        # and message. It discounts each source just before that
         # source's step, so a step's error comes before a later source's
         # discount error: grow the discounted list one source at a time and
         # fold each prefix.
         def discount_then_fold():
             parts = []
             for t, w in rows:
-                parts.append(discount([t], [t], [w], [w])[:3])
+                parts.append(discount([t], [w], [w])[:3])
                 fused = fold(parts)
             return [fused]
 

@@ -279,6 +279,27 @@ class TestWeightForms:
         assert str(err.value) == f"decision_makers[1].weight: {message}"
 
     @pytest.mark.parametrize(
+        "literal, error, message",
+        [
+            ("[1e400, 0.5]", ValidationError, "[0]: number must be finite, got inf"),
+            ("[0.1, -1e400]", ValidationError, "[1]: number must be finite, got -inf"),
+            ("[0.1, 1" + "0" * 320 + "]", ValidationError, "[1]: number is too large, got 321 digits"),
+            ('["0.1", 0.2]', SchemaError, "[0]: expected a number, got str"),
+            ("[null, 1]", SchemaError, "[0]: expected a number, got NoneType"),
+            ("[0, true]", SchemaError, "[1]: expected a number, got bool"),
+            ("[0.1]", SchemaError, ": expected 2 numbers, got 1"),
+        ],
+        ids=["inf", "-inf", "int-beyond-float-range", "string", "null", "bool", "one-number"],
+    )
+    def test_interval_endpoint_rejected(self, literal, error, message):
+        # the Interval constructor checks nothing: the loader checks each
+        # endpoint of a pair and names it
+        with pytest.raises(error) as err:
+            load_problem(self.with_crisp_weight(literal))
+        assert type(err.value) is error
+        assert str(err.value) == f"decision_makers[1].weight{message}"
+
+    @pytest.mark.parametrize(
         "weight, scales, shown",
         [
             (-5e-324, {}, "[-5e-324, -5e-324]"),
@@ -318,8 +339,33 @@ class TestWeightForms:
                 {"name": "DM1", "weight": [0.9, 0.1], "criterion_weights": [[0.2, 0.4]]}
             ]
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             load(doc)
+        assert str(err.value) == "decision_makers[0].weight: lower endpoint 0.9 exceeds upper endpoint 0.1"
+
+    def test_inversion_collapses_up_to_the_endpoint_tolerance(self):
+        # README: lo > hi by at most 1e-12 is read as [lo, lo]; by more, rejected
+        inside, outside = 1e-12, math.nextafter(1e-12, 1.0)
+        w = load(minimal_doc(decision_makers=[
+            {"name": "DM1", "weight": [inside, 0.0], "criterion_weights": [[0.2, 0.4]]}
+        ])).dm_weights[0]
+        assert (w.lo, w.hi) == (inside, inside)
+        with pytest.raises(ValidationError) as err:
+            load(minimal_doc(decision_makers=[
+                {"name": "DM1", "weight": [outside, 0.0], "criterion_weights": [[0.2, 0.4]]}
+            ]))
+        assert str(err.value) == f"decision_makers[0].weight: lower endpoint {outside} exceeds upper endpoint 0.0"
+
+    def test_tiny_inversion_clamped(self):
+        # an interval-scale term is read by the same rule
+        doc = minimal_doc(
+            scales={"odd": {"kind": "interval", "terms": {"Near": [0.5 + 5e-13, 0.5]}}},
+            decision_makers=[
+                {"name": "DM1", "weight": 1.0, "criterion_weights": [{"term": "Near", "scale": "odd"}]}
+            ],
+        )
+        w = load(doc).criterion_weights[0][0]
+        assert w.lo == w.hi == 0.5 + 5e-13
 
 
 class TestRatings:
@@ -468,13 +514,19 @@ def edge_document(seed, n_dm=2, n_alt=3, n_crit=4):
 
 LOADED = [("bundled", bundled_dataset_bytes(), 0.0)] + [
     (f"seed{seed}-alpha{alpha}", edge_document(seed), alpha) for seed in range(4) for alpha in (0.0, 0.5, 1.0)
+] + [
+    # weights inverted by less than the endpoint tolerance, read as [lo, lo]
+    ("inverted-within-tolerance", json.dumps(minimal_doc(decision_makers=[
+        {"name": "DM1", "weight": [0.5 + 5e-13, 0.5], "criterion_weights": [[0.4 + 1e-13, 0.4]]}
+    ])), 0.0),
 ]
 
 
 def holds_every_problem_invariant(problem):
-    """What the DecisionProblem constructor stores unchecked: tuple fields,
-    labels, a weight per decision maker and per criterion of each, and a
-    D x A x C grid of rating triples."""
+    """What the DecisionProblem and Interval constructors store unchecked:
+    tuple fields, labels, a weight per decision maker and per criterion of
+    each, its endpoints finite floats with lo <= hi, and a D x A x C grid of
+    rating triples."""
     labels = problem.alternatives, problem.criteria, problem.decision_makers
     assert {type(getattr(problem, name)) for name in DecisionProblem._fields} == {tuple}
     for group in labels:
@@ -485,7 +537,8 @@ def holds_every_problem_invariant(problem):
     assert [len(ws) for ws in weights] == [n_crit] * n_dm
     for group in problem.dm_weights, [w for ws in weights for w in ws]:
         assert {type(w) for w in group} == {Interval}
-        assert all(w.lo >= 0.0 for w in group) and max(w.hi for w in group) > 0.0
+        assert all(type(w.lo) is type(w.hi) is float and 0.0 <= w.lo <= w.hi < math.inf for w in group)
+        assert max(w.hi for w in group) > 0.0
     grid = problem._triples
     assert len(grid) == n_dm and {type(dm) for dm in grid} == {tuple} and [len(dm) for dm in grid] == [n_alt] * n_dm
     rows = [row for dm in grid for row in dm]

@@ -133,50 +133,49 @@ class TestDiscountToIntervalBPA:
 
     def test_worked_cell(self):
         m = settled(0.60, 0.20, 0.20)
-        masses = discount_to_interval_bpa([m], [m], [0.2857], [0.5])
+        masses = discount_to_interval_bpa([m], [0.2857], [0.5])
         assert len(masses) == 6
         assert_triple(masses[:3], (0.1714, 0.0571, 0.7715), abs=1e-4)
         assert_triple(masses[3:], (0.3, 0.1, 0.6), abs=1e-4)
 
     def test_full_reliability_is_identity_exact(self):
         m = settled(0.60, 0.20, 0.20)
-        assert discount_to_interval_bpa([m], [m], [1.0], [1.0]) == m + m
+        assert discount_to_interval_bpa([m], [1.0], [1.0]) == m + m
 
     def test_zero_weight_is_vacuous_exact(self):
         m = settled(0.60, 0.20, 0.20)
-        assert discount_to_interval_bpa([m], [m], [0.0], [0.0]) == VACUOUS + VACUOUS
+        assert discount_to_interval_bpa([m], [0.0], [0.0]) == VACUOUS + VACUOUS
 
     def test_ordering_of_fresh_parts(self):
         m = settled(0.6, 0.2, 0.2)
-        masses = discount_to_interval_bpa([m], [m], [0.3], [0.8])
+        masses = discount_to_interval_bpa([m], [0.3], [0.8])
         lt, rt = masses[:3], masses[3:]
         assert lt[0] <= rt[0]
         assert lt[1] <= rt[1]
 
     def test_complement_relation_exact(self):
         m = settled(0.6429, 0.0714, 0.2857)
-        masses = discount_to_interval_bpa([m], [m], [0.25], [0.75])
+        masses = discount_to_interval_bpa([m], [0.25], [0.75])
         for a, b, c in (masses[:3], masses[3:]):
             assert c == pytest.approx(1.0 - a - b, abs=1e-12)
 
 
 class TestDiscountIntervalBPA:
     def test_dm_level_row(self):
-        masses = discount_interval_bpa(
-            [settled(0.5133, 0.0980, 0.3887)], [settled(0.8009, 0.0987, 0.1004)], [0.2105], [0.4739]
-        )
+        # a decision maker's fusion, its left part by the weight's lower
+        # bound and its right part by the upper bound
+        masses = discount_interval_bpa([settled(0.5133, 0.0980, 0.3887)], [0.2105], [0.4739])
         assert_triple(masses[:3], (0.1080, 0.0206, 0.8714), abs=2e-4)
-        assert_triple(masses[3:], (0.3795, 0.0468, 0.5737), abs=2e-4)
+        assert_triple(masses[3:], (0.2432, 0.0464, 0.7103), abs=2e-4)
 
     def test_identity(self):
-        # exact identity requires complement-consistent parts (c == 1 - a - b
-        # bitwise), which is how every part produced by the pipeline is built
-        lefts = [settled(0.5133, 0.0980, 1.0 - 0.5133 - 0.0980)]
-        rights = [settled(0.8009, 0.0987, 1.0 - 0.8009 - 0.0987)]
-        assert discount_interval_bpa(lefts, rights, [1.0], [1.0]) == lefts[0] + rights[0]
+        # exact identity requires a complement-consistent triple (c == 1 - a - b
+        # bitwise), which is how every triple produced by the pipeline is built
+        t = settled(0.5133, 0.0980, 1.0 - 0.5133 - 0.0980)
+        assert discount_interval_bpa([t], [1.0], [1.0]) == t + t
 
     def test_zero_reliability(self):
-        got = discount_interval_bpa([settled(0.5133, 0.0980, 0.3887)], [settled(0.8009, 0.0987, 0.1004)], [0.0], [0.0])
+        got = discount_interval_bpa([settled(0.5133, 0.0980, 0.3887)], [0.0], [0.0])
         assert got == VACUOUS + VACUOUS
 
 

@@ -175,9 +175,9 @@ def test_pignistic_is_probability_vector(pair):
 @given(triple=rating_triples())
 def test_discount_identities_exact(triple):
     t = as_mass(triple).masses
-    assert discount_to_interval_bpa([t], [t], [1.0], [1.0]) == t + t
+    assert discount_to_interval_bpa([t], [1.0], [1.0]) == t + t
     vacuous = MassFunction((0.0, 0.0, 1.0)).masses
-    assert discount_to_interval_bpa([t], [t], [0.0], [0.0]) == vacuous + vacuous
+    assert discount_to_interval_bpa([t], [0.0], [0.0]) == vacuous + vacuous
 
 
 # 6. normalization is invariant under common positive rescaling. Endpoints
@@ -378,6 +378,9 @@ def weight_tables_are_tuple_grids_of_intervals(problem, report):
     assert [len(ws) for ws in report.normalized_criterion_weights] == [n_crit] * n_dm
     weights = [*report.normalized_dm_weights, *(w for ws in report.normalized_criterion_weights for w in ws)]
     assert len(weights) == n_dm * (1 + n_crit) and {type(w) for w in weights} == {Interval}
+    # the Interval constructor checks nothing: the loader orders each pair and
+    # normalization divides it by its group's largest endpoint
+    assert all(type(w.lo) is type(w.hi) is float and 0.0 <= w.lo <= w.hi <= 1.0 for w in weights)
 
 
 def bets_are_finite_floats_in_the_unit_interval(problem, report):
