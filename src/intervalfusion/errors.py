@@ -2,7 +2,8 @@
 
 Everything derives from :class:`IntervalFusionError` so callers can catch
 one base class at process boundaries (the CLI does exactly that). A fault
-in a document, a weight's endpoints included, is one of the last three.
+in a document, a weight's endpoints or a rating's masses included, is one
+of the last three, raised by the loader: no constructor checks.
 """
 
 
@@ -17,10 +18,6 @@ class InvalidAlpha(IntervalFusionError):
 
 
 # --- mass functions and combination ----------------------------------------
-
-class NegativeMass(IntervalFusionError):
-    """Masses must be three finite, non-negative numbers."""
-
 
 class MassSumViolation(IntervalFusionError):
     """Masses must sum to 1 within tolerance."""

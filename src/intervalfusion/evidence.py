@@ -4,14 +4,14 @@ A :class:`MassFunction` distributes belief over the non-empty subsets of
 the one frame :data:`FRAME` = (IS, NS): the "ideal" and the "negative
 ideal" hypothesis. There are three such subsets, so a mass function is the
 triple ``(a, b, c)`` of the masses of {IS}, {NS} and the full frame
-Θ = {IS, NS}, in that order; :attr:`MassFunction.masses` holds it.
+Θ = {IS, NS}, in that order; :attr:`MassFunction.masses` holds it unchecked.
 
-All arithmetic on mass functions is defined here, on triples, and both
-:class:`MassFunction` and the kernel of ``rank_alternatives`` call it:
+All arithmetic on mass functions is defined here, on triples, and the
+kernel of ``rank_alternatives`` calls it:
 
-* the sum policy (the tolerances below) keeps a triple that sums to 1
-  within EXACT_SUM_TOLERANCE, divides one within RENORMALIZATION_TOLERANCE
-  by its sum, and rejects the rest;
+* the sum policy (:func:`_settle`) keeps a triple that sums to 1 within
+  EXACT_SUM_TOLERANCE, divides one within RENORMALIZATION_TOLERANCE by its
+  sum, and rejects the rest;
 * :func:`discount` is step 3's Shafer discounting of a row of ratings, each
   ``t`` the interval BPA ``(t, t)``: its left part by the weight's lower
   bound and its right part by the upper bound, into one flat tuple of masses;
@@ -33,8 +33,8 @@ from collections.abc import Iterable
 from itertools import repeat
 from operator import length_hint
 
-from .errors import MassSumViolation, NegativeMass, TotalConflict
-from .intervals import Value, describe, to_float
+from .errors import MassSumViolation, TotalConflict
+from .intervals import Value
 
 #: Mass vectors whose sum deviates from 1 by more than this are rejected.
 #: Smaller deviations (typical of published tables rounded to 4 decimals)
@@ -55,9 +55,6 @@ FRAME = ("IS", "NS")
 #: Masses of (first singleton, second singleton, full frame).
 Triple = tuple[float, float, float]
 
-#: The three focal sets as diagnostics name them, in FRAME order.
-_FOCAL_SETS = tuple("{" + ", ".join(map(repr, s)) + "}" for s in (FRAME[:1], FRAME[1:], FRAME))
-
 _INF = math.inf
 
 #: Fold steps whose conflict K reaches this raise TotalConflict.
@@ -69,15 +66,6 @@ _CONFLICT_LIMIT = 1.0 - TOTAL_CONFLICT_EPS
 #: sum, and so its correctly rounded ``math.fsum``, is then within
 #: EXACT_SUM_TOLERANCE of 1, and _settle would keep the masses as they are.
 _PLAIN_SUM_TOLERANCE = EXACT_SUM_TOLERANCE - 1e-15
-
-
-def _mass(value, focal_set: str) -> float:
-    """``float(value)`` if it is finite and non-negative, with -0.0 read as
-    +0.0; else NegativeMass naming ``focal_set``."""
-    v = to_float(value) + 0.0
-    if 0.0 <= v < _INF:
-        return v
-    raise NegativeMass(f"mass for {focal_set} must be finite and non-negative, got {describe(value)}")
 
 
 def _settle(a: float, b: float, c: float) -> Triple:
@@ -177,11 +165,10 @@ def fold(triples: Iterable[Triple], weights: Iterable[float] | None = None) -> T
 class MassFunction(Value):
     """A basic probability assignment over :data:`FRAME`.
 
-    ``masses`` is the triple of the masses of {IS}, {NS} and the full frame.
-    Invariants: every mass is a finite, non-negative float, a zero mass is
-    +0.0, and the total is 1 (after the renormalization policy above).
-    Direct construction checks them; the loader checks each rating itself, and
-    a problem's ``ratings`` view builds its cells without ``__post_init__`` (``pipeline._cell``).
+    ``masses`` is the triple of the masses of {IS}, {NS} and the full frame:
+    finite, non-negative floats with +0.0 for a zero and a sum the policy
+    above keeps, wherever the package makes one. The constructor stores it
+    unchecked; the loader checks each rating.
     """
 
     __slots__ = _fields = ("masses",)
@@ -191,14 +178,7 @@ class MassFunction(Value):
         self.__post_init__()  # looked up on the class: a tracer may wrap it
 
     def __post_init__(self) -> None:
-        m = self.masses
-        try:
-            x, y, z = m
-        except (TypeError, ValueError):  # not an iterable of three
-            got = f"{len(m)} values" if isinstance(m, (tuple, list)) else f"a {type(m).__name__}"
-            raise NegativeMass(f"masses must be three numbers, got {got}") from None
-        settled = _settle(_mass(x, _FOCAL_SETS[0]), _mass(y, _FOCAL_SETS[1]), _mass(z, _FOCAL_SETS[2]))
-        object.__setattr__(self, "masses", settled)
+        """Does nothing; ``benchmarks/spans.py`` counts the builds here."""
 
     def mass_of_mask(self, mask: int) -> float:
         """The mass of the subset with bitmask ``mask`` (1 for {IS}, 2 for

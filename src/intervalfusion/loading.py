@@ -334,12 +334,13 @@ def _parse_weight(value, scales: dict[str, dict], alpha: float, where: str) -> I
 def _parse_row(alt_obj: dict, criteria, name: str, alt: str) -> tuple[Triple, ...]:
     """The triples of the cells ``ratings[name][alt][crit]``, one per
     criterion; their coordinates are formatted only when one is rejected.
-    The problem stores them unchecked, so each is the ``masses`` that
-    ``MassFunction.__post_init__`` would store: with an ``fsum`` of 1 or
-    divided by it, the masses have a plain sum within about 5e-16 of 1,
-    which ``_settle`` keeps, and -0.0 read as +0.0 is all ``_mass`` would
-    change. ``x or 0.0`` makes that change and returns every other float as
-    the very object decoded, so a triple adds no float to the document's."""
+    This is the one check of a rating: the problem and its cells store the
+    triples unchecked, so each must be settled, three finite, non-negative
+    floats with every zero +0.0 that ``_settle`` keeps as they are. With an
+    ``fsum`` of 1 or divided by it, the masses have a plain sum within about
+    5e-16 of 1, which ``_settle`` keeps. ``x or 0.0`` reads -0.0 as +0.0 and
+    returns every other float as the very object decoded, so a triple adds
+    no float to the document's."""
     row = []
     for crit in criteria:
         value = alt_obj[crit]

@@ -106,9 +106,10 @@ class DecisionProblem(Value):
     checked way to make a problem: it builds every field and row as a tuple,
     labels as unique, non-empty strings, one non-negative ``Interval`` per
     decision maker and per criterion of each, with a positive endpoint in
-    each weight field, and one triple per decision maker, alternative and
-    criterion, each one ``MassFunction`` would store. A problem built
-    directly is unchecked and unsupported.
+    each weight field, and one settled triple per decision maker, alternative
+    and criterion: three finite, non-negative floats, every zero +0.0, that
+    the sum policy keeps as they are. A problem built directly is unchecked
+    and unsupported.
 
     The kernel reads ``_triples``, and ``ratings`` is a view of it, built on
     first access with the collector paused: a ``MassFunction`` per cell,
@@ -133,7 +134,8 @@ _set_masses = MassFunction.masses.__set__  # the slot, past the raising __setatt
 
 
 def _cell(masses: Triple) -> MassFunction:
-    """The MassFunction holding the checked triple ``masses``, built past ``__post_init__``."""
+    """The MassFunction holding the loaded triple ``masses``, in under half the
+    constructor's time and past ``__post_init__``, where the benchmark counts builds."""
     _set_masses(m := object.__new__(MassFunction), masses)
     return m
 
@@ -146,7 +148,7 @@ class RankingReport(Value):
     (IS, NS, full frame) triples, named as in a full-trace JSON report and
     indexed like the problem: ``cells[d][a][c]``, ``fused_per_dm[d][a]`` and
     ``final[a]`` hold (left, right) pairs of triples, ``collapsed[a]`` one
-    triple. Each triple is the one ``MassFunction(t).masses`` would store.
+    triple. Each triple is settled, as a problem's ratings are.
     The tables are tuples. The rank keeps the last three, beside the problem
     in ``_trace``, so equality, hashing, pickling and copying carry them.
     ``cells`` is built on first access, with the cyclic garbage collector
@@ -192,9 +194,9 @@ def _located(exc: IntervalFusionError, where: str) -> IntervalFusionError:
 # trace walk.
 
 # Step 3's discount of a row of ratings, each rating t the interval BPA
-# (t, t), into the flat masses the trace shows: evidence.discount. The
-# row-level name is the one the trace walk calls: a wrapper set on one name
-# sees only the calls made through it.
+# (t, t), into the flat masses the trace shows: evidence.discount. Both names
+# are of that one row function; the trace walk calls discount_to_interval_bpa,
+# and a wrapper set on one name sees only the calls made through it.
 discount_interval_bpa = discount_to_interval_bpa = discount
 
 
@@ -209,8 +211,8 @@ def fuse_interval_bpas(
     Degenerate BPAs under crisp weights (``lefts == rights``, ``los == his``)
     are folded once, and the one triple is returned as both parts. Every
     triple and endpoint the kernel passes is non-negative with its zeros
-    +0.0 (the loader, ``MassFunction``, ``_endpoints`` and ``fold`` make no
-    -0.0), so ``==`` on them means equal bits."""
+    +0.0 (the loader, ``_endpoints`` and ``fold`` make no -0.0), so ``==``
+    on them means equal bits."""
     if los == his and lefts == rights:
         fused = fold(lefts, los)
         return fused, fused

@@ -18,7 +18,7 @@ after tier-1; run it from the repository root:
 
 It runs every mutant, two at a time, prints one line per mutant, and exits
 1 if any verdict does not hold or any edit no longer applies. To run one
-mutant, call :func:`run` on it.
+mutant, call ``run(mutant, _checkout_files())``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class Mutant(NamedTuple):
     killed_by: str | None = None  # a test id that fails on the mutant
     equivalent: str | None = None  # why no input tells the mutant apart
 
+
+_NEGATIVE_CELL = ("tests/test_loading.py::TestRatingCellDiagnostics::test_rejection_names_the_cell[[0.6, -0.2, 0.6]-"
+                  "ValidationError-ratings['DM2']['Supplier3']['C2'][1]: mass must be non-negative, got -0.2]")
 
 MUTANTS = [
     # --- evidence.py: the sum policy, the clamps of both sides, the order of the sides, fold's inline shortcut,
@@ -176,8 +179,8 @@ MUTANTS = [
         equivalent="x / 2.0 and x * 0.5 are both the correctly rounded value of x/2, so they are the same float "
         "for every float x.",
     ),
-    # --- loading.py: endpoint order, label uniqueness, criterion weight count, weight sign, rating sum, zero sign,
-    # decoded rows, alpha
+    # --- loading.py: endpoint order, label uniqueness, criterion weight count, weight sign, rating sign on both
+    # paths, rating sum and rescale, zero sign, decoded rows, alpha
     Mutant(
         "endpoint-tolerance-widened", "src/intervalfusion/loading.py",
         "ENDPOINT_TOLERANCE = 1e-12", "ENDPOINT_TOLERANCE = 1e-9",
@@ -222,6 +225,26 @@ MUTANTS = [
         equivalent="The two differ only on a total with abs(total - 1.0) == 1e-3. Such a total lies in [0.5, 2], "
         "where total - 1.0 is exact and a multiple of 2**-53. The float 1e-3 is not one: times 2**53 it leaves a "
         "denominator of 128. So no total meets the edge, as with _settle's exact band.",
+    ),
+    Mutant(
+        # the loader is the one checker of a rating: a negative mass would reach the kernel
+        "loader-mass-sign-unchecked", "src/intervalfusion/loading.py",
+        "            for i, x in enumerate(value):\n                if x < 0:\n"
+        "                    raise ValidationError(f\"{where}[{i}]: mass must be non-negative, got {x}\")\n",
+        "",
+        killed_by=_NEGATIVE_CELL,
+    ),
+    Mutant(
+        # three floats skip the slow path, so its sign check never sees them
+        "loader-fast-path-admits-negative", "src/intervalfusion/loading.py",
+        "0.0 <= b < _INF", "-1.0 <= b < _INF",
+        killed_by=_NEGATIVE_CELL,
+    ),
+    Mutant(
+        # a rounded triple would load as it is, a sum the kernel's policy divides or rejects
+        "loader-skips-rescale", "src/intervalfusion/loading.py",
+        "if total != 1.0:", "if False:",
+        killed_by="tests/test_properties.py::test_loaded_cells_are_settled",
     ),
     Mutant(
         "loader-keeps-negative-zero", "src/intervalfusion/loading.py",

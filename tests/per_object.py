@@ -9,7 +9,9 @@ decision maker's fused pair, as one interval BPA on its own with the scalar
 ``reference_discount`` and then folds the results with the unweighted
 ``evidence.fold``. It shares with the package only ``MassFunction``,
 ``fold`` and the sum policy ``_settle``, so neither the bets nor the
-``cells`` it gives run the kernel's discount.
+``cells`` it gives run the kernel's discount. A ``MassFunction`` stores its
+triple unchecked, so this reference reads each weight endpoint plus 0.0, as
+``pipeline._endpoints`` does: a -0.0 endpoint then discounts to +0.0 masses.
 """
 
 from intervalfusion import POOLED, MassFunction
@@ -33,9 +35,10 @@ def reference_discount(p: float, q: float, w: float):
 
 def discounted(left, right, lo, hi):
     """The (left, right) pair of mass functions: ``left`` discounted by the
-    reliability ``lo`` and ``right`` by ``hi``."""
-    return (MassFunction(reference_discount(*left.masses[:2], lo)),
-            MassFunction(reference_discount(*right.masses[:2], hi)))
+    reliability ``lo`` and ``right`` by ``hi``, each endpoint read with -0.0
+    as +0.0, as the kernel reads them."""
+    return (MassFunction(reference_discount(*left.masses[:2], lo + 0.0)),
+            MassFunction(reference_discount(*right.masses[:2], hi + 0.0)))
 
 
 def fused(ms):

@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from intervalfusion import DecisionProblem, Interval, MassFunction, emit_report, pipeline, rank_alternatives
+from intervalfusion import DecisionProblem, Interval, emit_report, pipeline, rank_alternatives
 from intervalfusion.errors import TotalConflict
+from intervalfusion.evidence import _settle
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT
 
 from per_object import per_object_rank
@@ -33,7 +34,7 @@ def rating(rng):
     # at least 10% uncommitted, so that no fold reaches total conflict
     a = rng.uniform(0.0, 0.9)
     b = rng.uniform(0.0, 0.9 - a)
-    return MassFunction((a, b, 1.0 - a - b)).masses
+    return _settle(a, b, 1.0 - a - b)
 
 
 def problem(dm_crisp, crit_crisp, seed=0):
@@ -133,7 +134,7 @@ def opposed(dm_weights, criterion_weights, ratings):
         *labels,
         dm_weights=tuple(Interval(w, w) for w in dm_weights),
         criterion_weights=tuple(tuple(Interval(w, w) for w in ws) for ws in criterion_weights),
-        ratings=tuple(tuple(tuple(MassFunction(t).masses for t in row) for row in dm) for dm in ratings),
+        ratings=tuple(tuple(tuple(_settle(*t) for t in row) for row in dm) for dm in ratings),
     )
 
 

@@ -29,6 +29,7 @@ from intervalfusion.errors import (
     ValidationError,
 )
 from intervalfusion import evidence, pipeline
+from intervalfusion.evidence import _settle
 from intervalfusion.pipeline import (
     bet_ideal,
     collapse_interval_bpa,
@@ -50,8 +51,8 @@ def triple(a, b, c):
 
 
 def settled(a, b, c):
-    """The triple a MassFunction stores for (a, b, c), as the stages take it."""
-    return triple(a, b, c).masses
+    """(a, b, c) under the sum policy with -0.0 read as +0.0, as the stages take it."""
+    return _settle(a + 0.0, b + 0.0, c + 0.0)
 
 
 def assert_triple(t, expected, abs=1e-9):
@@ -215,7 +216,7 @@ class TestFuseAndCollapse:
 
 def build_problem(dm_weights, criterion_weights, ratings):
     """A problem built directly, as a fixture: each weight pair as an
-    ``Interval`` and each rating as the triple a ``MassFunction`` settles it to."""
+    ``Interval`` and each rating as the triple the sum policy settles it to."""
     n_dm = len(dm_weights)
     n_alt = len(ratings[0])
     n_crit = len(criterion_weights[0])

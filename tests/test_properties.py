@@ -26,8 +26,8 @@ from intervalfusion import (
     load_problem,
     rank_alternatives,
 )
-from intervalfusion.errors import TotalConflict
-from intervalfusion.evidence import EXACT_SUM_TOLERANCE, FRAME
+from intervalfusion.errors import MassSumViolation, TotalConflict
+from intervalfusion.evidence import EXACT_SUM_TOLERANCE, FRAME, _settle
 from intervalfusion.pipeline import bet_ideal, discount_to_interval_bpa, normalize_weight_group
 
 from per_object import per_object_rank
@@ -285,6 +285,14 @@ def hexed(x):
     return x.hex() if isinstance(x, float) else tuple(map(hexed, x))
 
 
+def assert_settled(t):
+    """``t`` is a triple as the package holds one: three finite, non-negative
+    floats, each zero +0.0, that the sum policy keeps bit for bit."""
+    a, b, c = t
+    assert all(type(x) is float and 0.0 <= x < math.inf and math.copysign(1.0, x) == 1.0 for x in t)
+    assert hexed(_settle(a, b, c)) == hexed(t)
+
+
 def trace_triples(report):
     """Every triple of the report's four trace tables."""
     triples = [t for dm in report.cells for row in dm for pair in row for t in pair]
@@ -359,9 +367,8 @@ def test_kernel_matches_per_object_fold(case):
         assert hexed(report.bets) == hexed(expected["bets"])
         for table in TABLES:
             assert hexed(getattr(report, table)) == hexed(expected[table]), table
-        # each triple is the one a MassFunction built from it stores
         for t in trace_triples(report):
-            assert hexed(t) == hexed(MassFunction(t).masses)
+            assert_settled(t)
         assert_report_invariants(problem, report)
 
 
@@ -423,42 +430,27 @@ def assert_report_invariants(problem, report):
         check(problem, report)
 
 
-# 10. the constructor follows the rules of a package-free reference: the
-# same masses bit for bit, or the same error type and message
+# 10. the sum policy follows a package-free reference on finite,
+# non-negative floats: the same masses bit for bit, or the same error type
+# and message
 def reference_masses(t):
-    """Each mass in (IS, NS, full frame) order is ``float()``-ed, an int
-    beyond float range reading as inf, and a non-finite or negative one is
-    rejected, as is one that is not an int or float (a bool included); then
-    the sum policy: reject a sum more than 1e-6 from 1 (by ``math.fsum``, a
-    sum beyond float range reading as inf), divide by one more than 1e-12
-    from 1. A zero mass reads as +0.0."""
-    values = []
-    for focal_set, x in zip(("{'IS'}", "{'NS'}", "{'IS', 'NS'}"), t):
-        try:
-            v = float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else math.nan
-        except OverflowError:
-            v = math.inf
-        if not math.isfinite(v) or v < 0.0:
-            return "NegativeMass", f"mass for {focal_set} must be finite and non-negative, got {x!r}"
-        values.append(v)
+    """The sum policy: reject a sum more than 1e-6 from 1 (by ``math.fsum``,
+    a sum beyond float range reading as inf), divide by one more than 1e-12
+    from 1, else keep the masses."""
     try:
-        total = math.fsum(values)
+        total = math.fsum(t)
     except OverflowError:  # a sum beyond float range
         total = math.inf
     if abs(total - 1.0) > 1e-6:
         return "MassSumViolation", f"masses sum to {total!r}, expected 1"
     if abs(total - 1.0) > 1e-12:
-        values = [v / total for v in values]
-    return [(v if v else 0.0).hex() for v in values]
+        t = [v / total for v in t]
+    return [v.hex() for v in t]
 
 
 _masses = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0, 1, True, False,
-         float("nan"), float("inf"), float("-inf"), -0.5, -5e-324, 1.0, 10**400, -(10**400)]
-    ),
-    st.integers(min_value=-2, max_value=2),
-    st.floats(),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 8.98846567431158e307]),
+    st.floats(min_value=0.0, allow_infinity=False),
     _unit,
 )
 _near_unit = st.builds(
@@ -466,35 +458,29 @@ _near_unit = st.builds(
     _unit,
     _unit,
     st.sampled_from([0.0, 1e-12, -1e-12, 2e-12, -2e-12, 1e-6, -1e-6, 1.1e-6, -1.1e-6]),
-)
+).filter(lambda t: t[2] >= 0.0)
 
 
-def built(t):
+def settled(t):
     try:
-        m = MassFunction(t)
-    except IntervalFusionError as exc:
+        return [v.hex() for v in _settle(*t)]
+    except MassSumViolation as exc:
         return type(exc).__name__, str(exc)
-    return [v.hex() for v in m.masses]
 
 
 @RUNS
 @given(t=st.one_of(st.tuples(_masses, _masses, _masses), _near_unit))
-@example(t=(0.0, -0.0, 1.0))
 @example(t=(5e-324, 0.0, 1.0))
-@example(t=(0, 1, 0))
-@example(t=(-0.5, float("inf"), 0.2))
-@example(t=(0.0, 0.0, float("inf")))
-@example(t=(0.5, float("nan"), 0.5))
-@example(t=(True, 0.0, 0.0))
-@example(t=(10**400, 0.0, -1.0))
+@example(t=(0.5, 0.25, 0.25 + 1e-12))
+@example(t=(0.0, 0.0, 1.0 + 2e-6))
 @example(t=(0.0, 8.988465674311579e307, 8.98846567431158e307))
-def test_constructor_matches_reference(t):
-    assert built(t) == reference_masses(t)
+def test_sum_policy_matches_reference(t):
+    assert settled(t) == reference_masses(t)
 
 
-# 11. a loaded cell is a fixed point of the constructor: the loader checks
-# each rating once and builds its cell without the constructor's checks, so
-# the cell must be what the constructor would make of it, bit for bit
+# 11. a loaded cell is settled: the loader is the one checker of a rating,
+# so it must leave each cell three finite, non-negative floats, each zero
+# +0.0, that the sum policy keeps bit for bit
 _rating_masses = st.one_of(
     st.sampled_from([0.0, -0.0, 0, 1, 5e-324, 2.2250738585072014e-308, 1e-300]),
     st.floats(min_value=0.0, max_value=1.0),
@@ -518,7 +504,7 @@ def raw_ratings(draw):
 @example(t=[0.0, -0.0, 1.0])
 @example(t=[5e-324, 0.3333, 0.6667])
 @example(t=[0.3333, 0.3333, 0.3333])
-def test_loaded_cells_are_constructor_fixed_points(t):
+def test_loaded_cells_are_settled(t):
     doc = {
         "schema_version": "1",
         "alternatives": ["A"],
@@ -530,8 +516,7 @@ def test_loaded_cells_are_constructor_fixed_points(t):
         cell = load_problem(json.dumps(doc)).ratings[0][0][0]
     except IntervalFusionError:
         return  # a negative rest, or a sum the loader rejects
-    assert hexed(cell.masses) == hexed(MassFunction(cell.masses).masses)
-    assert all(math.copysign(1.0, v) == 1.0 for v in cell.masses)
+    assert_settled(cell.masses)
 
 
 # 12. neutral inputs change no bet, bit for bit: a criterion rated vacuously

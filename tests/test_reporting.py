@@ -8,14 +8,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from intervalfusion import (
     DecisionProblem,
     Interval,
-    MassFunction,
     RankingReport,
     emit_report,
     load_problem,
     rank_alternatives,
 )
 from intervalfusion.errors import IntervalFusionError
-from intervalfusion.evidence import FRAME
+from intervalfusion.evidence import FRAME, _settle
 from intervalfusion.loading import bundled_dataset_bytes
 from intervalfusion.reporting import FULL_TRACE, HUMAN_TABLE, JSON_FORMAT, SUMMARY, report_chunks
 
@@ -261,7 +260,7 @@ def problem(labels, dm_weights, criterion_weights, ratings):
         decision_makers=tuple(decision_makers),
         dm_weights=tuple(Interval(*w) for w in dm_weights),
         criterion_weights=tuple(tuple(Interval(*w) for w in ws) for ws in criterion_weights),
-        ratings=tuple(tuple(tuple(MassFunction(r).masses for r in row) for row in dm) for dm in ratings),
+        ratings=tuple(tuple(tuple(_settle(*[x + 0.0 for x in r]) for r in row) for row in dm) for dm in ratings),
     )
 
 

@@ -23,7 +23,7 @@ def value_and_copy(request, supplier_problem):
     if request.param == "Interval":
         return Interval(0.2, 0.35), Interval(0.2, 0.35)
     if request.param == "MassFunction":
-        return MassFunction((0.6, 0.2, 0.2)), MassFunction([0.6, 0.2, 0.2])
+        return MassFunction((0.6, 0.2, 0.2)), MassFunction((0.6, 0.2, 0.2))
     if request.param == "DecisionProblem":
         return supplier_problem, load_problem(bundled_dataset_bytes())
     report = rank_alternatives(supplier_problem)
