@@ -413,17 +413,29 @@ CELL_REJECTIONS = [
     ('{"a": 1}', SchemaError, f"{CELL}: expected an array, got dict"),
     ("0.5", SchemaError, f"{CELL}: expected an array, got float"),
     ("null", SchemaError, f"{CELL}: expected an array, got NoneType"),
+    # a string of three characters unpacks as three items, yet is no triple
+    ('"0.5"', SchemaError, f"{CELL}: expected an array, got str"),
+    ("[]", SchemaError, f"{CELL}: expected 3 numbers, got 0"),
     ("[0.5, 0.5]", SchemaError, f"{CELL}: expected 3 numbers, got 2"),
     ("[0.5, 0.3, 0.1, 0.1]", SchemaError, f"{CELL}: expected 3 numbers, got 4"),
     ('["0.5", 0.3, 0.2]', SchemaError, f"{CELL}[0]: expected a number, got str"),
     ("[0.5, true, 0.5]", SchemaError, f"{CELL}[1]: expected a number, got bool"),
+    ("[0.0, null, 1.0]", SchemaError, f"{CELL}[1]: expected a number, got NoneType"),
+    ("[0.5, [0.5], 0.0]", SchemaError, f"{CELL}[1]: expected a number, got list"),
     ("[1e400, 0.0, 0.0]", ValidationError, f"{CELL}[0]: number must be finite, got inf"),
     ("[0.5, 0.5, -1e400]", ValidationError, f"{CELL}[2]: number must be finite, got -inf"),
     ("[0.5, 0.5, 1" + "0" * 320 + "]", ValidationError, f"{CELL}[2]: number is too large, got 321 digits"),
+    ("[-0.5, 0.5, 1.0]", ValidationError, f"{CELL}[0]: mass must be non-negative, got -0.5"),
     ("[0.6, -0.2, 0.6]", ValidationError, f"{CELL}[1]: mass must be non-negative, got -0.2"),
     ("[0.7, 0.7, -0.4]", ValidationError, f"{CELL}[2]: mass must be non-negative, got -0.4"),
+    # the negative float nearest zero
+    ("[0.5, 0.5, -5e-324]", ValidationError, f"{CELL}[2]: mass must be non-negative, got -5e-324"),
     ("[0.5, 0.5, 0.1]", ValidationError, f"{CELL}: masses sum to 1.1, expected 1"),
+    # just past the tolerance, above 1 and below it
+    ("[0.5, 0.5, 0.0011]", ValidationError, f"{CELL}: masses sum to 1.0011, expected 1"),
     ("[0.5, 0.4, 0.0989]", ValidationError, f"{CELL}: masses sum to 0.9989, expected 1"),
+    # no mass at all: rejected, never divided by its zero sum
+    ("[0.0, 0.0, 0.0]", ValidationError, f"{CELL}: masses sum to 0.0, expected 1"),
     # finite masses whose sum is beyond float range
     ("[1e308, 1e308, 0.0]", ValidationError, f"{CELL}: masses sum to inf, expected 1"),
     # every number is checked to be finite before any is checked for sign
@@ -451,9 +463,18 @@ class TestRatingCellDiagnostics:
             ("[0, 1, 0]", (0.0, 1.0, 0.0)),
             ("[0.0, 1.0, 0.0]", (0.0, 1.0, 0.0)),
             ("[-0.0, 1, 0]", (0.0, 1.0, 0.0)),
+            # all floats, so the cell takes the fast path with its -0.0
+            ("[0.5, 0.5, -0.0]", (0.5, 0.5, 0.0)),
+            # the vacuous triple: all mass on the full frame
+            ("[0, 0, 1]", (0.0, 0.0, 1.0)),
+            ("[5e-324, 0.0, 1.0]", (5e-324, 0.0, 1.0)),
             ("[0.6, 0.2, 0.2]", (0.6, 0.2, 0.2)),
+            # plain sum 0.9999999999999999, fsum 1: kept bit for bit
+            ("[0.7, 0.2, 0.1]", (0.7, 0.2, 0.1)),
             # rounded to 4 decimals, rescaled by its sum
             ("[0.3333, 0.3333, 0.3333]", (0.3333 / 0.9999,) * 3),
+            # within the tolerance by 1e-4, rescaled by its sum
+            ("[0.5, 0.4, 0.0991]", (0.5 / 0.9991, 0.4 / 0.9991, 0.0991 / 0.9991)),
             ("[0.6667, 0, 0.3333]", (0.6667, 0.0, 0.3333)),
         ],
     )
