@@ -175,7 +175,7 @@ def _expect_number(value, where: str) -> float:
     try:
         x = float(value)
     except OverflowError:
-        raise ValidationError(f"{where}: number is too large, got {len(str(value))} digits") from None
+        raise ValidationError(f"{where}: number is too large, got {len(str(abs(value)))} digits") from None
     if not math.isfinite(x):
         raise ValidationError(f"{where}: number must be finite, got {value!r}")
     return x

@@ -425,6 +425,8 @@ CELL_REJECTIONS = [
     ("[1e400, 0.0, 0.0]", ValidationError, f"{CELL}[0]: number must be finite, got inf"),
     ("[0.5, 0.5, -1e400]", ValidationError, f"{CELL}[2]: number must be finite, got -inf"),
     ("[0.5, 0.5, 1" + "0" * 320 + "]", ValidationError, f"{CELL}[2]: number is too large, got 321 digits"),
+    # the sign is no digit
+    ("[0.5, 0.5, -1" + "0" * 320 + "]", ValidationError, f"{CELL}[2]: number is too large, got 321 digits"),
     ("[-0.5, 0.5, 1.0]", ValidationError, f"{CELL}[0]: mass must be non-negative, got -0.5"),
     ("[0.6, -0.2, 0.6]", ValidationError, f"{CELL}[1]: mass must be non-negative, got -0.2"),
     ("[0.7, 0.7, -0.4]", ValidationError, f"{CELL}[2]: mass must be non-negative, got -0.4"),
