@@ -134,14 +134,14 @@ MUTANTS = [
         # a vacuous first source would erase the next one's mass on {IS}
         "fold-drops-ideal-cross-term", "src/intervalfusion/evidence.py",
         "a = (a1 * a2 + a1 * c2 + c1 * a2) / norm", "a = (a1 * a2 + a1 * c2) / norm",
-        killed_by="tests/test_properties.py::test_neutral_criterion_and_decision_maker_change_no_bet",
+        killed_by="tests/test_properties.py::test_vacuous_first_criterion_changes_no_bet",
     ),
     Mutant(
         "renormalization-tolerance-widened", "src/intervalfusion/evidence.py",
         "RENORMALIZATION_TOLERANCE = 1e-6", "RENORMALIZATION_TOLERANCE = 1e-5",
         killed_by="tests/test_evidence.py::TestDiscount::test_a_negative_complement_is_clamped_and_settled[outside-1e-6]",
     ),
-    # --- pipeline.py: the cached views, the all-zero group, the crisp shortcut and the bet
+    # --- pipeline.py: the cached views, the all-zero group, the normalizing division, the crisp shortcut and the bet
     Mutant(
         "ratings-view-uncached", "src/intervalfusion/pipeline.py",
         "value = obj.__dict__[self.name] = self.build(obj)", "value = self.build(obj)",
@@ -172,6 +172,13 @@ MUTANTS = [
         "    if los == his:\n        fused = fold(lefts, los)\n",
         killed_by="tests/test_degenerate.py::test_a_crisp_weight_costs_one_discount_and_one_fold"
         "[interval-criteria-crisp-dms-0-36]",
+    ),
+    Mutant(
+        # an endpoint one rounding off wherever x * (1 / a) is not x / a; the
+        # per-object reference divides by the largest endpoint itself
+        "normalize-by-reciprocal", "src/intervalfusion/pipeline.py",
+        "Interval(w.lo / a_max, w.hi / a_max)", "Interval(w.lo * (1.0 / a_max), w.hi * (1.0 / a_max))",
+        killed_by="tests/test_degenerate.py::test_kernel_matches_per_object_fold[pooled-mixed]",
     ),
     Mutant(
         "bet-halves-by-product", "src/intervalfusion/pipeline.py",

@@ -17,9 +17,9 @@ from intervalfusion.evidence import (
 )
 from intervalfusion.pipeline import bet_ideal
 
-from per_object import reference_discount
+from per_object import reference_dempster, reference_discount, sum_policy
 from reference import brute_combine, brute_pignistic
-from test_properties import assert_settled, by_labels
+from test_properties import assert_settled, by_labels, policy_outcome
 
 
 def triple(a, b, c):
@@ -55,25 +55,6 @@ class TestConstruction:
             _settle(0.6429, 0.0714, 0.29)
 
 
-def fsum_policy(a, b, c):
-    """The sum policy, written out on its own: reject a sum more than 1e-6
-    from 1 (by ``math.fsum``), divide each mass by one more than 1e-12 from
-    1, else keep the masses."""
-    total = math.fsum((a, b, c))
-    if abs(total - 1.0) > 1e-6:
-        raise MassSumViolation(f"masses sum to {total!r}, expected 1")
-    if abs(total - 1.0) > 1e-12:
-        return a / total, b / total, c / total
-    return a, b, c
-
-
-def policy_outcome(policy, t):
-    try:
-        return [v.hex() for v in policy(*t)]
-    except MassSumViolation as exc:
-        return type(exc).__name__, str(exc)
-
-
 @st.composite
 def near_policy_edges(draw):
     """Non-negative triples whose exact sum lies within a few ulp of a
@@ -102,10 +83,10 @@ class TestSumPolicy:
     @example(t=(0.0, 0.0, 1.0 + 2e-6))
     def test_shortcut_matches_fsum_policy(self, t):
         # the same settled masses bit for bit, or the same error and message
-        assert policy_outcome(_settle, t) == policy_outcome(fsum_policy, t)
+        assert policy_outcome(_settle, t) == policy_outcome(sum_policy, t)
         # fold's premise: a plain sum within its band is kept as it is
         if abs(t[0] + t[1] + t[2] - 1.0) <= _PLAIN_SUM_TOLERANCE:
-            assert policy_outcome(fsum_policy, t) == [v.hex() for v in t]
+            assert policy_outcome(sum_policy, t) == [v.hex() for v in t]
 
 
 _unit_sums = st.builds(lambda a, b: (a, (1.0 - a) * b, 1.0 - a - (1.0 - a) * b), st.floats(0, 1), st.floats(0, 1))
@@ -225,31 +206,6 @@ def test_settle_never_meets_its_exact_band_edge():
     assert (EXACT_SUM_TOLERANCE * 2.0**53) % 1.0 != 0.0
 
 
-# The two-source rule that fold replaced, kept as it was to pin the row kernel
-# to it bit for bit; reference_discount is the scalar discount that the row
-# discount replaced.
-
-
-def reference_dempster(x, y):
-    """Dempster's rule of two independent sources, summed in a fixed order:
-    for each singleton its own product, then singleton times full frame,
-    then full frame times singleton. Near total conflict, where the rounding
-    of ``1 - K`` leaves a sum the policy rejects, it raises TotalConflict."""
-    a1, b1, c1 = x
-    a2, b2, c2 = y
-    k = a1 * b2 + b1 * a2
-    if k < 1.0 - TOTAL_CONFLICT_EPS:
-        norm = 1.0 - k
-        a = (a1 * a2 + a1 * c2 + c1 * a2) / norm
-        b = (b1 * b2 + b1 * c2 + c1 * b2) / norm
-        c = c1 * c2 / norm
-        try:
-            return _settle(a, b, c)
-        except MassSumViolation:
-            pass
-    raise TotalConflict(f"conflict coefficient is {k}; combination is undefined")
-
-
 def outcome(compute):
     """The hex digits of every mass ``compute()`` returns, or the error it raises."""
     try:
@@ -264,8 +220,9 @@ _weights = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.0]), st.floats(0.0, 1
 
 
 class TestRowKernelParity:
-    """The row discount and ``fold`` give the scalar discount's and the
-    reduced two-source rule's masses bit for bit, or their error and message."""
+    """The row discount and ``fold`` give the masses of the suite's scalar
+    discount and two-source rule (``tests/per_object.py``) bit for bit, or
+    their error and message."""
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(_sources, _weights, _weights), min_size=1, max_size=6))

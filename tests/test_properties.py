@@ -9,9 +9,11 @@ Acceptance criterion 5 calls suites 1 to 8 too. Each of them runs once per
 session (see :func:`once`), whichever of the two callers comes first.
 """
 
+import ast
 import functools
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,6 +25,7 @@ from intervalfusion import (
     Interval,
     IntervalFusionError,
     MassFunction,
+    errors,
     load_problem,
     rank_alternatives,
 )
@@ -30,7 +33,7 @@ from intervalfusion.errors import MassSumViolation, TotalConflict
 from intervalfusion.evidence import EXACT_SUM_TOLERANCE, FRAME, _settle
 from intervalfusion.pipeline import bet_ideal, discount_to_interval_bpa, normalize_weight_group
 
-from per_object import per_object_rank
+from per_object import per_object_rank, sum_policy
 from reference import brute_combine, crisp_rank
 
 RUNS = settings(max_examples=200, deadline=None)
@@ -372,6 +375,21 @@ def test_kernel_matches_per_object_fold(case):
         assert_report_invariants(problem, report)
 
 
+def test_per_object_reference_is_package_free():
+    # property 9 can see a fault in the package's arithmetic only if the
+    # reference runs none of it: it may import error classes and the names
+    # of the normalizations, and nothing else of the package
+    tree = ast.parse((Path(__file__).parent / "per_object.py").read_text(encoding="utf-8"))
+    imported = {(alias.name, None) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    allowed = {("intervalfusion", "POOLED"), ("intervalfusion", "PER_DM")}
+    allowed |= {("intervalfusion.errors", name) for name, value in vars(errors).items()
+                if isinstance(value, type) and issubclass(value, Exception)}
+    from_package = {(module, name) for module, name in imported if module.partition(".")[0] == "intervalfusion"}
+    assert from_package <= allowed
+
+
 def labels_are_the_problem_tuples(problem, report):
     assert (report.alternatives, report.criteria, report.decision_makers) == (
         problem.alternatives, problem.criteria, problem.decision_makers)
@@ -430,22 +448,16 @@ def assert_report_invariants(problem, report):
         check(problem, report)
 
 
-# 10. the sum policy follows a package-free reference on finite,
-# non-negative floats: the same masses bit for bit, or the same error type
-# and message
-def reference_masses(t):
-    """The sum policy: reject a sum more than 1e-6 from 1 (by ``math.fsum``,
-    a sum beyond float range reading as inf), divide by one more than 1e-12
-    from 1, else keep the masses."""
+# 10. the sum policy follows the package-free reference of tests/per_object.py
+# on finite, non-negative floats: the same masses bit for bit, or the same
+# error type and message
+def policy_outcome(policy, t):
+    """The ``float.hex`` of each mass the sum policy ``policy`` keeps of the
+    triple ``t``, or the type name and message of the error it raises."""
     try:
-        total = math.fsum(t)
-    except OverflowError:  # a sum beyond float range
-        total = math.inf
-    if abs(total - 1.0) > 1e-6:
-        return "MassSumViolation", f"masses sum to {total!r}, expected 1"
-    if abs(total - 1.0) > 1e-12:
-        t = [v / total for v in t]
-    return [v.hex() for v in t]
+        return [v.hex() for v in policy(*t)]
+    except MassSumViolation as exc:
+        return type(exc).__name__, str(exc)
 
 
 _masses = st.one_of(
@@ -461,13 +473,6 @@ _near_unit = st.builds(
 ).filter(lambda t: t[2] >= 0.0)
 
 
-def settled(t):
-    try:
-        return [v.hex() for v in _settle(*t)]
-    except MassSumViolation as exc:
-        return type(exc).__name__, str(exc)
-
-
 @RUNS
 @given(t=st.one_of(st.tuples(_masses, _masses, _masses), _near_unit))
 @example(t=(5e-324, 0.0, 1.0))
@@ -475,7 +480,7 @@ def settled(t):
 @example(t=(0.0, 0.0, 1.0 + 2e-6))
 @example(t=(0.0, 8.988465674311579e307, 8.98846567431158e307))
 def test_sum_policy_matches_reference(t):
-    assert settled(t) == reference_masses(t)
+    assert policy_outcome(_settle, t) == policy_outcome(sum_policy, t)
 
 
 # 11. a loaded cell is settled: the loader is the one checker of a rating,
@@ -567,3 +572,21 @@ def test_neutral_criterion_and_decision_maker_change_no_bet(case, data):
     vacuous = {alt: {crit: [0, 0, 1] for crit in doc["criteria"]} for alt in doc["alternatives"]}
     with_dm["ratings"]["Dv"] = data.draw(st.sampled_from([vacuous, doc["ratings"][like["name"]]]), label="ratings")
     assert bets_or_error(json.dumps(with_dm), normalization) == expected
+
+
+def test_vacuous_first_criterion_changes_no_bet():
+    # property 12's criterion at the one place where only Dempster's c1 * a2
+    # term carries a mass on {IS}: rated vacuously, first in its row, weighted
+    # inside its group, before a criterion whose rating has mass on {IS}
+    def document(criteria):
+        weights, ratings = {"Cv": [0.2, 0.7], "C": 1}, {"Cv": [0, 0, 1], "C": [0.6, 0.2, 0.2]}
+        return json.dumps({
+            "schema_version": "1", "alternatives": ["A"], "criteria": criteria,
+            "decision_makers": [{"name": "D", "weight": 1, "criterion_weights": [weights[c] for c in criteria]}],
+            "ratings": {"D": {"A": {c: ratings[c] for c in criteria}}},
+        })
+
+    expected = bets_or_error(document(["C"]), POOLED)
+    # (0.6, 0.2, 0.2) collapsed with itself: K = 0.24
+    assert [float.fromhex(bet) for bet in expected] == [pytest.approx((0.6 + 0.02) / 0.76, abs=1e-12)]
+    assert bets_or_error(document(["Cv", "C"]), POOLED) == expected

@@ -142,8 +142,8 @@ class TestJsonReports:
 #
 # reference_doc is the document the package rendered with
 # json.dumps(doc, indent=2) before it wrote JSON directly; it takes the trace
-# from the per-object fold over MassFunction values (per_object_rank in
-# tests/per_object.py), an independent path to the values.
+# from the per-object fold of plain triples with the suite's own arithmetic
+# (per_object_rank in tests/per_object.py), an independent path to the values.
 
 
 def _bpa_dict(pair):
